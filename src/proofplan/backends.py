@@ -15,13 +15,11 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 from typing import Any, Mapping
 
 from . import plan as planmod
 from . import solver as solvermod
-from .fol import Exists
 from .structured import StructuredRepr, doc_to_repr
 
 __all__ = [
@@ -191,7 +189,9 @@ class SolverStubBackend(Backend):
     The emitted plan is a four-step linear chain; with `degrade_initial_plan`
     the first plan skips the fixpoint step and applies the rules once, which
     reproduces the early-stop failure the replanner is meant to repair (its
-    replan stage always returns the full plan).
+    replan stage always returns the full plan). Rule steps run the solver's
+    `fire_rounds` (one round, or to the fixpoint with the closed-world phase
+    when `cwa` is set), and the answer is `decide` over the derived literals.
     """
 
     def __init__(self, degrade_initial_plan: bool = False, cwa: bool = False):
@@ -263,79 +263,35 @@ class SolverStubBackend(Backend):
         log: list[dict[str, Any]] = []
         answer: str | None = None
 
-        def fire(single_pass: bool) -> list[solvermod.GroundRule]:
-            fired: list[solvermod.GroundRule] = []
-            while True:
-                snapshot = set(literals)
-                new: list[solvermod.GroundRule] = []
-                for ground in grounded:
-                    if ground.conclusion in literals or ground.conclusion in {g.conclusion for g in new}:
-                        continue
-                    if all(p in snapshot for p in ground.premises):
-                        new.append(ground)
-                for ground in new:
-                    literals.add(ground.conclusion)
-                fired.extend(new)
-                if single_pass or not new:
-                    return fired
-
         for step_id in order:
             step = plan.steps[step_id - 1]
             text = step.content.lower()
             entry: dict[str, Any] = {"step": step_id, "note": step.content, "status": "ok"}
-            if "fixpoint" in text or "until no new" in text:
-                fired = fire(single_pass=False)
+            fixpoint = "fixpoint" in text or "until no new" in text
+            if fixpoint or "once" in text:
+                fired = solvermod.fire_rounds(literals, grounded, self.cwa, None if fixpoint else 1)
                 entry["derived"] = [str(g.conclusion) for g in fired]
-                entry["derivations"] = [_derivation_doc(g) for g in fired]
-            elif "once" in text:
-                fired = fire(single_pass=True)
-                entry["derived"] = [str(g.conclusion) for g in fired]
-                entry["derivations"] = [_derivation_doc(g) for g in fired]
+                entry["derivations"] = [solvermod.derivation_to_doc(g) for g in fired]
             elif "initial fact" in text or "establish" in text:
                 literals.update(kb.literals)
                 entry["derived"] = [str(lit) for lit in sorted(kb.literals)]
             elif "ground" in text:
                 entry["note"] = f"{step.content} ({len(grounded)} ground instances)"
             elif "judge" in text or "judgment" in text or "decide" in text or "final answer" in text:
-                answer = self._adjudicate(context, literals)
+                answer = self._answer(context, kb, literals)
                 entry["note"] = f"{step.content} -> {answer}"
             log.append(entry)
 
         if answer is None:
-            answer = self._adjudicate(context, literals)
+            answer = self._answer(context, kb, literals)
         doc = {"Execution log": log, "Final answer": answer}
         return json.dumps(doc, ensure_ascii=False, indent=2)
 
-    def _adjudicate(self, context: StructuredRepr, literals: set[solvermod.Literal]) -> str:
-        """Membership test against the literals the executed steps derived."""
+    @staticmethod
+    def _answer(
+        context: StructuredRepr, kb: solvermod.KnowledgeBase, literals: set[solvermod.Literal]
+    ) -> str:
+        """`decide` against the literals the executed steps derived."""
         if not context.questions:
             raise BackendError("instance has no question to adjudicate")
-        question = context.questions[0].symbol
-        if isinstance(question, Exists):
-            positive, predicate, args, variables = solvermod.existential_targets(question)
-            domain = tuple(sorted(context.table.constants))
-            for values in product(domain, repeat=len(variables)):
-                binding = dict(zip(variables, values))
-                witness = solvermod.Literal(
-                    positive,
-                    predicate,
-                    tuple(binding[name] if is_var else name for is_var, name in args),
-                )
-                if witness in literals:
-                    return solvermod.T
-            return solvermod.U
-        lit = solvermod.literal_from_formula(question)
-        if lit in literals:
-            return solvermod.T
-        if lit.negated() in literals:
-            return solvermod.F
-        return solvermod.U
-
-
-def _derivation_doc(ground: solvermod.GroundRule) -> dict[str, Any]:
-    return {
-        "literal": str(ground.conclusion),
-        "rule": ground.rule_id,
-        "binding": dict(ground.binding),
-        "premises": [str(p) for p in ground.premises],
-    }
+        return solvermod.decide(solvermod.chained_kb(kb, literals), context.questions[0].symbol).label

@@ -183,6 +183,8 @@ def render_prompt(template: str, values: Mapping[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n(.*?)```", re.DOTALL)
+# Deeply nested arrays or objects make the decoder recurse past the limit.
+_JSON_ERRORS = (json.JSONDecodeError, RecursionError)
 
 
 def extract_json(text: str, stage: str, strict: bool = True) -> Any:
@@ -190,11 +192,11 @@ def extract_json(text: str, stage: str, strict: bool = True) -> Any:
     for match in _FENCE_RE.finditer(text):
         try:
             return json.loads(match.group(1))
-        except json.JSONDecodeError:
+        except _JSON_ERRORS:
             continue
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except _JSON_ERRORS:
         pass
     if not strict:
         start = text.find("{")
@@ -208,7 +210,7 @@ def extract_json(text: str, stage: str, strict: bool = True) -> Any:
                     if depth == 0:
                         try:
                             return json.loads(text[start : end + 1])
-                        except json.JSONDecodeError:
+                        except _JSON_ERRORS:
                             break
             start = text.find("{", start + 1)
     raise StageParseError(stage, "no well-formed JSON object in the reply", raw=text)
@@ -543,16 +545,15 @@ def diagnose(trace: Trace, provisional: Verdict | None = None) -> Diagnosis:
             for record in trace.records[:cutoff]:
                 available.update(record.derived)
                 available.update(d.conclusion for d in record.derivations)
-            for ground in grounded:
-                if ground.conclusion not in available and all(p in available for p in ground.premises):
-                    evidence.append(
-                        Evidence(
-                            "premature-termination",
-                            step_id=judgment_id,
-                            note=f"{ground.conclusion} was still derivable at the final judgment",
-                        )
+            derivable = solvermod.fire_rounds(available, grounded, max_rounds=1)
+            if derivable:
+                evidence.append(
+                    Evidence(
+                        "premature-termination",
+                        step_id=judgment_id,
+                        note=f"{derivable[0].conclusion} was still derivable at the final judgment",
                     )
-                    break
+                )
 
     # redundancy: transitively implied edges, and steps that only re-derive
     try:
@@ -835,15 +836,7 @@ def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
                 "note": r.text,
                 "status": r.status,
                 "derived": [str(l) for l in r.derived],
-                "derivations": [
-                    {
-                        "literal": str(d.conclusion),
-                        "rule": d.rule_id,
-                        "binding": dict(d.binding),
-                        "premises": [str(p) for p in d.premises],
-                    }
-                    for d in r.derivations
-                ],
+                "derivations": [solvermod.derivation_to_doc(d) for d in r.derivations],
             }
             for r in trace.records
         ],

@@ -4,8 +4,10 @@ Rules are universally quantified implications whose antecedent is a
 conjunction of literals and whose consequent is a single literal. Negation is
 explicit: a negative antecedent matches only a derived negative literal,
 open-world by default, with an opt-in closed-world antecedent mode. Forward
-chaining grounds the rules over the declared constants and fires them to a
-least fixpoint with full derivation records.
+chaining grounds the rules over the declared constants and fires them in
+rounds, semi-naively, to a least fixpoint with full derivation records:
+`fire_rounds` is the one loop that fires ground rules, shared by
+`forward_chain`, the solver stub backend and the pipeline's diagnosis.
 
 `brute_force_entails` is the independent semantic oracle: it enumerates every
 truth assignment of the ground atoms that occur in the grounded theory and
@@ -15,9 +17,9 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,6 +120,16 @@ class GroundRule:
     binding: tuple[tuple[str, str], ...]
     premises: tuple[Literal, ...]
     conclusion: Literal
+
+
+def derivation_to_doc(ground: GroundRule) -> dict[str, Any]:
+    """JSON form of a derivation record, as written to execution logs and traces."""
+    return {
+        "literal": str(ground.conclusion),
+        "rule": ground.rule_id,
+        "binding": dict(ground.binding),
+        "premises": [str(p) for p in ground.premises],
+    }
 
 
 @dataclass(frozen=True)
@@ -245,71 +257,100 @@ def ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_
 # ---------------------------------------------------------------------------
 
 
-def _premise_holds(premise: Literal, literals: set[Literal], closed_world: bool) -> bool:
-    if premise in literals:
-        return True
-    if closed_world and not premise.positive:
-        return premise.negated() not in literals
-    return False
+def fire_rounds(
+    literals: set[Literal],
+    grounded: Sequence[GroundRule],
+    cwa: bool = False,
+    max_rounds: int | None = None,
+) -> list[GroundRule]:
+    """Fire `grounded` in rounds, adding each conclusion to `literals`.
 
-
-def forward_chain(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> KnowledgeBase:
-    """Least fixpoint of the ground rules over the initial literals.
-
-    Rules fire in a fixed order (rule id, then lexicographic instantiation)
-    until a full pass adds nothing. With `kb.cwa`, a second chaining phase
-    runs after the open-world fixpoint in which a negative antecedent also
-    matches when its positive counterpart is underivable.
+    A round fires, in grounded order, every rule whose premises all held when
+    the round began and whose conclusion is new; when several rules conclude
+    the same literal, the first one wins. Round one checks every rule, later
+    rounds only the rules with a premise derived in the round before (the
+    semi-naive watch list). The open-world phase stops at its fixpoint or
+    after `max_rounds`; with `cwa` and no round limit, a closed-world phase
+    follows, in which a negative premise also holds while its positive
+    counterpart is absent. Returns the rules fired, in firing order.
     """
-    grounded = ground_rules(kb, max_instantiations)
-    literals: set[Literal] = set(kb.literals)
-    derivations: list[GroundRule] = list(kb.derivations)
-    contradiction = kb.contradiction or any(lit.negated() in literals for lit in literals)
-
-    for closed_world in ((False, True) if kb.cwa else (False,)):
-        changed = True
-        while changed:
-            changed = False
-            for ground in grounded:
-                if ground.conclusion in literals:
+    watchers: dict[Literal, list[int]] = {}  # built once a round derives something
+    fired: list[GroundRule] = []
+    for closed_world in ((False, True) if cwa and max_rounds is None else (False,)):
+        candidates: Iterable[int] = range(len(grounded))
+        rounds = 0
+        while candidates and (max_rounds is None or rounds < max_rounds):
+            rounds += 1
+            new: dict[Literal, GroundRule] = {}
+            for index in candidates:
+                ground = grounded[index]
+                if ground.conclusion in literals or ground.conclusion in new:
                     continue
-                if all(_premise_holds(p, literals, closed_world) for p in ground.premises):
-                    literals.add(ground.conclusion)
-                    derivations.append(ground)
-                    if ground.conclusion.negated() in literals:
-                        contradiction = True
-                    changed = True
+                if all(
+                    p in literals or (closed_world and not p.positive and p.negated() not in literals)
+                    for p in ground.premises
+                ):
+                    new[ground.conclusion] = ground
+            literals.update(new)
+            fired.extend(new.values())
+            if new and not watchers:
+                for index, ground in enumerate(grounded):
+                    for premise in ground.premises:
+                        watchers.setdefault(premise, []).append(index)
+            candidates = sorted({index for lit in new for index in watchers.get(lit, ())})
+    return fired
 
-    return KnowledgeBase(
-        table=kb.table,
-        literals=frozenset(literals),
-        rules=kb.rules,
-        cwa=kb.cwa,
-        contradiction=contradiction,
+
+def chained_kb(
+    kb: KnowledgeBase, literals: Iterable[Literal], derivations: Iterable[GroundRule] = ()
+) -> KnowledgeBase:
+    """`kb` marked chained, with `literals` derived; sets the contradiction flag."""
+    literals = frozenset(literals)
+    return replace(
+        kb,
+        literals=literals,
+        contradiction=any(lit.negated() in literals for lit in literals),
         derivations=tuple(derivations),
         chained=True,
     )
 
 
+def forward_chain(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> KnowledgeBase:
+    """Least fixpoint of the ground rules over the initial literals.
+
+    Rules fire in rounds (`fire_rounds`): each round fires every ground rule
+    whose premises held when it began, in rule id then lexicographic
+    instantiation order, until a round adds nothing. Derivation records come
+    in round order. With `kb.cwa`, a second phase runs after the open-world
+    fixpoint in which a negative antecedent also matches when its positive
+    counterpart is underivable.
+    """
+    literals = set(kb.literals)
+    fired = fire_rounds(literals, ground_rules(kb, max_instantiations), kb.cwa)
+    return chained_kb(kb, literals, kb.derivations + tuple(fired))
+
+
 def _support_chain(target: Literal, derivations: Iterable[GroundRule]) -> tuple[GroundRule, ...]:
+    """Derivations behind `target`, premises first, found depth-first without recursion."""
     provenance: dict[Literal, GroundRule] = {}
     for ground in derivations:
         provenance.setdefault(ground.conclusion, ground)
-    seen: set[Literal] = set()
+    seen = {target}
     chain: list[GroundRule] = []
-
-    def visit(lit: Literal) -> None:
-        if lit in seen:
-            return
-        seen.add(lit)
-        ground = provenance.get(lit)
-        if ground is None:
-            return
-        for premise in ground.premises:
-            visit(premise)
-        chain.append(ground)
-
-    visit(target)
+    root = provenance.get(target)
+    stack = [(root, iter(root.premises))] if root is not None else []
+    while stack:
+        ground, premises = stack[-1]
+        for premise in premises:
+            if premise not in seen:
+                seen.add(premise)
+                sub = provenance.get(premise)
+                if sub is not None:
+                    stack.append((sub, iter(sub.premises)))
+                    break
+        else:
+            stack.pop()
+            chain.append(ground)
     return tuple(chain)
 
 

@@ -1,13 +1,14 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CannedBackend
+from helpers import CannedBackend, ground_literal_queries, random_horn_kb
 from proofplan.backends import ScriptedBackend, SolverStubBackend
-from proofplan.fol import parse_formula
+from proofplan.fol import parse_formula, render_formula
 from proofplan.pipeline import (
     Diagnosis,
     PipelineConfig,
@@ -28,7 +29,16 @@ from proofplan.pipeline import (
     translate_stage,
 )
 from proofplan.plan import CycleError, MatrixShapeMismatch, Plan, PlanStep
-from proofplan.solver import GroundRule, Literal, Verdict, literal_from_formula
+from proofplan.solver import (
+    GroundRule,
+    Literal,
+    Verdict,
+    decide,
+    forward_chain,
+    kb_from_repr,
+    literal_from_formula,
+    literal_to_formula,
+)
 from proofplan.structured import StructuredRepr, build_repr
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,6 +93,15 @@ def test_extract_json_accepts_bare_document():
 def test_extract_json_rejects_prose():
     with pytest.raises(StageParseError):
         extract_json("the answer is clearly true", "solve")
+
+
+@pytest.mark.parametrize(
+    "reply", ["[" * 100000, "```json\n" + "[" * 100000 + "\n```"], ids=["bare", "fenced"]
+)
+@pytest.mark.parametrize("strict", [True, False])
+def test_extract_json_deep_nesting_is_a_parse_error(reply, strict):
+    with pytest.raises(StageParseError):
+        extract_json(reply, "solve", strict=strict)
 
 
 def test_extract_json_lenient_mode_salvages_embedded_object():
@@ -504,6 +523,25 @@ def test_run_pipeline_stub_answers_match_direct_solver():
     result = run_pipeline(backend, fig1b_problem())
     assert result.final.label == "F"
     assert result.traces[0].provisional.label == "F"
+
+
+def test_run_pipeline_stub_answers_like_decide_on_random_theories():
+    rng = random.Random(31)
+    contradictory = closed_world_changed = 0
+    for index in range(150):
+        kb = random_horn_kb(rng)
+        premises = [str(lit) for lit in sorted(kb.literals)] + [render_formula(rule) for rule in kb.rules]
+        query = ground_literal_queries(rng, kb, count=1)[0]
+        problem = Problem(id=f"horn-{index}", premises=tuple(premises), question=str(query))
+        labels = []
+        for cwa in (False, True):
+            result = run_pipeline(SolverStubBackend(cwa=cwa), problem)
+            chained = forward_chain(kb_from_repr(result.context, cwa=cwa))
+            labels.append(decide(chained, literal_to_formula(query)).label)
+            assert result.final.label == labels[-1]
+            contradictory += chained.contradiction
+        closed_world_changed += labels[0] != labels[1]
+    assert contradictory and closed_world_changed
 
 
 # ---------------------------------------------------------------------------
