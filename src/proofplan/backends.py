@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 from . import plan as planmod
 from . import solver as solvermod
-from .structured import StructuredRepr, doc_to_repr
+from .structured import RawContext, StructuredRepr, doc_to_repr
 
 __all__ = [
     "API_KEY_ENV",
@@ -44,9 +44,13 @@ class BackendError(Exception):
 class StageMeta:
     """Routing metadata attached to a stage call.
 
-    The scripted backend keys fixtures on (instance_id, stage, round); the
-    solver stub reads its structured inputs from `payload`. The live backend
-    ignores everything except the prompt.
+    The scripted backend keys fixtures on (instance_id, stage, round). The
+    `payload` holds the stage's typed inputs, which a backend that computes
+    its answer (like the solver stub) reads directly: `premises` and
+    `question` (translate), `context` (plan), `context` and `plan` (solve),
+    and also `diagnosis` and `provisional` labels (replan). `context` is a
+    `StructuredRepr`, or a `RawContext` when structured management is
+    ablated; `plan` is a `Plan`. The live backend reads only the prompt.
     """
 
     stage: str
@@ -240,21 +244,21 @@ class SolverStubBackend(Backend):
         return json.dumps(doc, ensure_ascii=False, indent=2)
 
     def _context(self, meta: StageMeta) -> StructuredRepr:
-        doc = meta.payload.get("repr_doc")
-        if doc is None:
-            text = meta.payload.get("repr_text", "")
+        context = meta.payload.get("context")
+        if isinstance(context, RawContext):  # structured management is ablated
             try:
-                doc = json.loads(text)
+                context = doc_to_repr(json.loads(context.text))
             except json.JSONDecodeError as err:
                 raise BackendError(f"solver stub cannot read the context: {err}") from err
-        return doc_to_repr(doc)
+        if not isinstance(context, StructuredRepr):
+            raise BackendError("solver stub call lacks a context")
+        return context
 
     def _solve(self, meta: StageMeta) -> str:
         context = self._context(meta)
-        plan_doc = meta.payload.get("plan_doc")
-        if plan_doc is None:
+        plan = meta.payload.get("plan")
+        if not isinstance(plan, planmod.Plan):
             raise BackendError("solver stub solve call lacks a plan")
-        plan = planmod.plan_from_json(plan_doc)
         order = planmod.execution_order(plan)
 
         kb = solvermod.kb_from_repr(context, cwa=self.cwa)

@@ -211,10 +211,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     shown = 0
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        doc: dict[str, Any] = json.loads(line)
+        try:
+            doc: dict[str, Any] = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError("expected a JSON object")
+        except (ValueError, RecursionError) as err:
+            print(f"error: {args.traces}:{number}: {err}", file=sys.stderr)
+            return 1
         if args.instance and doc.get("instance") != args.instance:
             continue
         shown += 1

@@ -82,16 +82,20 @@ class HarnessConfig:
     dataset_hash: str = ""
 
     def fingerprint(self) -> str:
-        doc = {
-            "pipeline": asdict(self.pipeline),
-            "concurrency": self.concurrency,
-            "timeout_s": self.timeout_s,
-            "seed": self.seed,
-            "backend": self.backend_label,
-            "dataset_hash": self.dataset_hash,
-        }
-        blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+        blob = json.dumps(_config_doc(self), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+
+def _config_doc(config: HarnessConfig) -> dict[str, Any]:
+    """The run configuration as recorded in reports and hashed into the fingerprint."""
+    return {
+        "pipeline": asdict(config.pipeline),
+        "concurrency": config.concurrency,
+        "timeout_s": config.timeout_s,
+        "seed": config.seed,
+        "backend": config.backend_label,
+        "dataset_hash": config.dataset_hash,
+    }
 
 
 @dataclass(frozen=True)
@@ -322,14 +326,7 @@ def stratify_by_depth(report: RunReport) -> dict[int, float]:
 def report_to_doc(report: RunReport) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "fingerprint": report.fingerprint,
-        "config": {
-            "pipeline": asdict(report.config.pipeline),
-            "concurrency": report.config.concurrency,
-            "timeout_s": report.config.timeout_s,
-            "seed": report.config.seed,
-            "backend": report.config.backend_label,
-            "dataset_hash": report.config.dataset_hash,
-        },
+        "config": _config_doc(report.config),
         "total": report.total,
         "correct": report.correct,
         "accuracy": report.accuracy,

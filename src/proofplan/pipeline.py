@@ -9,6 +9,7 @@ trace, and re-executes against the unchanged problem context.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
 from .plan import CycleError, MatrixShapeMismatch, Plan
 from .solver import GroundRule, Literal, Verdict
-from .structured import StructuredRepr, doc_to_repr, repr_to_doc, validate_static
+from .structured import RawContext, StructuredRepr, doc_to_repr, repr_to_doc, validate_static
 
 __all__ = [
     "Problem",
@@ -54,9 +55,6 @@ DIAGNOSIS_LABELS = (
     "redundancy",
 )
 
-STAGES = ("translate", "plan", "solve", "replan")
-
-
 class StageParseError(Exception):
     """A stage reply violated its output contract; the raw text is retained."""
 
@@ -80,13 +78,6 @@ class Problem:
         object.__setattr__(self, "premises", tuple(self.premises))
         if not self.premises or not self.question:
             raise ValueError("a problem needs premises and a question")
-
-
-@dataclass(frozen=True)
-class RawContext:
-    """Unvalidated stage-one text, used when structured management is ablated."""
-
-    text: str
 
 
 @dataclass(frozen=True)
@@ -169,6 +160,7 @@ class PipelineResult:
 _PLACEHOLDER_RE = re.compile(r"\{(premises|question|repr|plan|trace|diagnosis|provisional)\}")
 
 
+@functools.cache
 def load_template(stage: str) -> str:
     return resources.files("proofplan.prompts").joinpath(f"{stage}.txt").read_text(encoding="utf-8")
 
@@ -185,10 +177,15 @@ def render_prompt(template: str, values: Mapping[str, str]) -> str:
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n(.*?)```", re.DOTALL)
 # Deeply nested arrays or objects make the decoder recurse past the limit.
 _JSON_ERRORS = (json.JSONDecodeError, RecursionError)
+_DECODER = json.JSONDecoder()
+# Where a JSON object can begin. Decoding only from these keeps a run of `{`
+# linear, since every failed decode counts the lines before its error.
+_OBJECT_START_RE = re.compile(r'\{[ \t\n\r]*["}]')
 
 
 def extract_json(text: str, stage: str, strict: bool = True) -> Any:
-    """First well-formed fenced JSON block, or the whole reply as JSON."""
+    """First well-formed fenced JSON block, the whole reply as JSON, or (not
+    `strict`) the first object that decodes from a `{`, ignoring what follows."""
     for match in _FENCE_RE.finditer(text):
         try:
             return json.loads(match.group(1))
@@ -199,20 +196,11 @@ def extract_json(text: str, stage: str, strict: bool = True) -> Any:
     except _JSON_ERRORS:
         pass
     if not strict:
-        start = text.find("{")
-        while start != -1:
-            depth = 0
-            for end in range(start, len(text)):
-                if text[end] == "{":
-                    depth += 1
-                elif text[end] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        try:
-                            return json.loads(text[start : end + 1])
-                        except _JSON_ERRORS:
-                            break
-            start = text.find("{", start + 1)
+        for match in _OBJECT_START_RE.finditer(text):
+            try:
+                return _DECODER.raw_decode(text, match.start())[0]
+            except _JSON_ERRORS:
+                continue
     raise StageParseError(stage, "no well-formed JSON object in the reply", raw=text)
 
 
@@ -255,12 +243,6 @@ def _repr_text(context: StructuredRepr | RawContext) -> str:
     if isinstance(context, RawContext):
         return context.text
     return json.dumps(repr_to_doc(context), ensure_ascii=False, indent=2)
-
-
-def _repr_payload(context: StructuredRepr | RawContext) -> dict[str, Any]:
-    if isinstance(context, RawContext):
-        return {"repr_doc": None, "repr_text": context.text}
-    return {"repr_doc": repr_to_doc(context), "repr_text": _repr_text(context)}
 
 
 def _plan_text(plan: Plan) -> str:
@@ -321,7 +303,7 @@ def _plan(
         stage="plan",
         round=0,
         instance_id=problem.id if problem else None,
-        payload=_repr_payload(context),
+        payload={"context": context},
     )
     raw = backend.complete(prompt, config.params(meta))
     doc = extract_json(raw, "plan", config.strict_json)
@@ -441,13 +423,11 @@ def solve_stage(
     prompt = render_prompt(
         load_template("solve"), {"repr": _repr_text(context), "plan": _plan_text(plan)}
     )
-    payload = _repr_payload(context)
-    payload["plan_doc"] = planmod.plan_to_json(plan)
     meta = StageMeta(
         stage="solve",
         round=round,
         instance_id=problem.id if problem else None,
-        payload=payload,
+        payload={"context": context, "plan": plan},
     )
     raw = backend.complete(prompt, config.params(meta))
     doc = extract_json(raw, "solve", config.strict_json)
@@ -476,12 +456,13 @@ def _is_judgment(content: str) -> bool:
     return any(word in low for word in _JUDGE_WORDS)
 
 
-def diagnose(trace: Trace, provisional: Verdict | None = None) -> Diagnosis:
+def diagnose(trace: Trace, provisional: Verdict | None = None, cwa: bool = False) -> Diagnosis:
     """Deterministic audit of a trace; every label carries evidence.
 
     Checks that need structured derivation records or a groundable context
     are skipped when that information is absent, so free-text traces can at
-    most be flagged for structural redundancy.
+    most be flagged for structural redundancy. With `cwa`, a consumed negative
+    premise counts as available while its positive counterpart is not.
     """
     evidence: list[Evidence] = []
 
@@ -516,7 +497,8 @@ def diagnose(trace: Trace, provisional: Verdict | None = None) -> Diagnosis:
                     )
                 else:
                     for premise in derivation.premises:
-                        if premise not in available:
+                        closed = cwa and not premise.positive and premise.negated() not in available
+                        if premise not in available and not closed:
                             evidence.append(
                                 Evidence(
                                     "missing-prerequisites",
@@ -659,15 +641,16 @@ def replan_stage(
             "diagnosis": _diagnosis_text(diagnosis),
         },
     )
-    payload = _repr_payload(context)
-    payload["plan_doc"] = planmod.plan_to_json(plan)
-    payload["diagnosis"] = sorted(diagnosis.labels)
-    payload["provisional"] = provisional.label
     meta = StageMeta(
         stage="replan",
         round=round,
         instance_id=problem.id if problem else None,
-        payload=payload,
+        payload={
+            "context": context,
+            "plan": plan,
+            "diagnosis": sorted(diagnosis.labels),
+            "provisional": provisional.label,
+        },
     )
     raw = backend.complete(prompt, config.params(meta))
     doc = extract_json(raw, "replan", config.strict_json)
@@ -764,7 +747,7 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     diagnoses: list[Diagnosis] = []
     rounds = 0 if config.disable_replanner else config.max_replan_rounds
     for round_index in range(1, rounds + 1):
-        report = diagnose(traces[-1], traces[-1].provisional)
+        report = diagnose(traces[-1], traces[-1].provisional, cwa=config.cwa)
         diagnoses.append(report)
         if report.clean and not config.replan_on_clean:
             break

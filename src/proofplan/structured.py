@@ -30,6 +30,7 @@ from .fol import (
 __all__ = [
     "AlignedStatement",
     "StructuredRepr",
+    "RawContext",
     "Finding",
     "StaticReport",
     "BuildError",
@@ -97,6 +98,13 @@ class StructuredRepr:
     @property
     def premises(self) -> tuple[AlignedStatement, ...]:
         return tuple(s for s in self.statements() if s not in self.questions)
+
+
+@dataclass(frozen=True)
+class RawContext:
+    """Unvalidated stage-one text, used when structured management is ablated."""
+
+    text: str
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ from proofplan.backends import (
     SolverStubBackend,
     StageMeta,
 )
+from proofplan.fol import parse_formula
+from proofplan.pipeline import RawContext
+from proofplan.plan import Plan, PlanStep
+from proofplan.solver import decide, forward_chain, kb_from_repr
+from proofplan.structured import build_repr, repr_to_doc
 
 
 class FakeResponse:
@@ -135,3 +140,36 @@ def test_solver_stub_plan_is_linear_chain():
 def test_solver_stub_requires_metadata():
     with pytest.raises(BackendError):
         SolverStubBackend().complete("p", GenerationParams())
+
+
+def _stub_solve(context, plan):
+    meta = StageMeta(stage="solve", payload={"context": context, "plan": plan})
+    return json.loads(SolverStubBackend().complete("p", GenerationParams(meta=meta)))["Final answer"]
+
+
+@pytest.mark.parametrize("question", ["Mammal(tom)", "¬Mammal(tom)", "Cat(tom)", "∃x Mammal(x)"])
+def test_solver_stub_solve_reads_typed_context_and_plan(question):
+    premises = ["∀x (Cat(x) → Mammal(x))", "∀x (Dog(x) → Mammal(x))", "Dog(tom)"]
+    context = build_repr([(p, p) for p in premises], [(question, question)])
+    steps = (
+        PlanStep(1, "Collect the initial facts from the premises."),
+        PlanStep(2, "Run the ground rules to a fixpoint."),
+        PlanStep(3, "Judge the question against the derived facts."),
+    )
+    plan = Plan(steps, ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    expected = decide(forward_chain(kb_from_repr(context)), parse_formula(question)).label
+    assert _stub_solve(context, plan) == expected
+    # With structured management ablated, the context is the translation text.
+    raw = RawContext(json.dumps(repr_to_doc(context), ensure_ascii=False))
+    assert _stub_solve(raw, plan) == expected
+
+
+def test_solver_stub_solve_needs_context_and_plan():
+    context = build_repr([("P(tom)", "P(tom)")], [("P(tom)", "P(tom)")])
+    plan = Plan((PlanStep(1, "Judge the question."),), ((0,),))
+    with pytest.raises(BackendError):
+        _stub_solve(None, plan)
+    with pytest.raises(BackendError):
+        _stub_solve(context, None)
+    with pytest.raises(BackendError):
+        _stub_solve(RawContext("not json"), plan)

@@ -218,3 +218,11 @@ def test_trace_inspection(tmp_path, capsys):
     assert main(["trace", str(traces), "--instance", "task-definition"]) == 0
     out = capsys.readouterr().out
     assert "round 0" in out and "provisional U" in out
+
+
+def test_trace_reports_malformed_line(tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    traces.write_text('{"instance": "a", "round": 0, "provisional": "T", "records": []}\nnot json\n')
+    assert main(["trace", str(traces)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traces}:2: ") and "Traceback" not in err

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,18 @@ def test_extract_json_deep_nesting_is_a_parse_error(reply, strict):
 def test_extract_json_lenient_mode_salvages_embedded_object():
     text = 'prelude {"a": {"b": 2}} trailing'
     assert extract_json(text, "solve", strict=False) == {"a": {"b": 2}}
+
+
+def test_extract_json_lenient_mode_skips_braces_inside_strings():
+    text = 'Answer: {"Final answer": "T", "Execution log": "close with }"} done'
+    assert extract_json(text, "solve", strict=False) == {"Final answer": "T", "Execution log": "close with }"}
+
+
+def test_extract_json_lenient_mode_is_linear_in_unclosed_braces():
+    start = time.perf_counter()
+    with pytest.raises(StageParseError):
+        extract_json("{" * 20000, "solve", strict=False)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
@@ -340,6 +353,37 @@ def test_diagnose_missing_prerequisites():
     report = diagnose(trace, trace.provisional)
     assert "missing-prerequisites" in report.labels
     assert "rule-misuse" not in report.labels
+
+
+def test_run_pipeline_closed_world_diagnosis_accepts_negative_premise():
+    problem = Problem(
+        id="tweety",
+        premises=("Bird(tweety)", "∀x (¬Flies(x) → Grounded(x))"),
+        question="Grounded(tweety)",
+    )
+    result = run_pipeline(SolverStubBackend(cwa=True), problem, PipelineConfig(cwa=True))
+    assert result.final.label == "T"
+    assert "missing-prerequisites" not in result.diagnoses[0].labels
+    # Open-world diagnosis of the same trace still flags the unsupported premise.
+    assert "missing-prerequisites" in diagnose(result.traces[0]).labels
+
+
+def test_diagnose_closed_world_still_flags_contradicted_negative_premise():
+    derivation = GroundRule(
+        rule_id=5,
+        binding=(("x", "lion"),),
+        premises=(lit("¬Chases(lion, dog)"),),  # its positive counterpart is a fact
+        conclusion=lit("Round(lion)"),
+    )
+    trace = make_trace(
+        [
+            facts_record(),
+            StepRecord(step_id=2, text="apply", derived=(lit("Round(lion)"),), derivations=(derivation,)),
+        ],
+        context=build_repr([(t, t) for t in (*FIG1B_PREMISES, "∀x (¬Chases(x, dog) → Round(x))")]),
+    )
+    report = diagnose(trace, trace.provisional, cwa=True)
+    assert "missing-prerequisites" in report.labels
 
 
 def test_diagnose_redundant_edges():
