@@ -167,22 +167,22 @@ class ScriptedBackend(Backend):
         raise BackendError(f"no fixture for stage={meta.stage} round={meta.round} (tried {names})")
 
 
-_STUB_FULL_PLAN = (
+def _chain(*contents: str) -> planmod.Plan:
+    return planmod.linear_chain([planmod.PlanStep(i, text) for i, text in enumerate(contents, start=1)])
+
+
+_STUB_FULL_PLAN = _chain(
     "Collect the initial facts from the premises.",
     "Ground the rules over the declared constants.",
     "Run the ground rules to a fixpoint.",
     "Judge the question against the derived facts.",
 )
 
-_STUB_DEGRADED_PLAN = (
+_STUB_DEGRADED_PLAN = _chain(
     "Collect the initial facts from the premises.",
     "Apply the ground rules once.",
     "Judge the question against the derived facts.",
 )
-
-
-def _chain_matrix(n: int) -> list[list[int]]:
-    return [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
 
 
 class SolverStubBackend(Backend):
@@ -226,22 +226,16 @@ class SolverStubBackend(Backend):
         return json.dumps(doc, ensure_ascii=False, indent=2)
 
     def _plan(self, meta: StageMeta) -> str:
-        contents = _STUB_DEGRADED_PLAN if self.degrade_initial_plan else _STUB_FULL_PLAN
-        doc = {
-            "Plan": {str(i + 1): {"content": text} for i, text in enumerate(contents)},
-            "Matrix": _chain_matrix(len(contents)),
-        }
-        return json.dumps(doc, ensure_ascii=False, indent=2)
+        plan = _STUB_DEGRADED_PLAN if self.degrade_initial_plan else _STUB_FULL_PLAN
+        return json.dumps(planmod.plan_to_json(plan), ensure_ascii=False, indent=2)
 
     def _replan(self, meta: StageMeta) -> str:
-        doc = {
-            "Revised plan": {
-                "Corrected_plan": {str(i + 1): {"content": text} for i, text in enumerate(_STUB_FULL_PLAN)},
-                "Matrix": _chain_matrix(len(_STUB_FULL_PLAN)),
-            },
+        doc = planmod.plan_to_json(_STUB_FULL_PLAN)
+        reply = {
+            "Revised plan": {"Corrected_plan": doc["Plan"], "Matrix": doc["Matrix"]},
             "Rationale": "run rule application to a fixpoint before the judgment step",
         }
-        return json.dumps(doc, ensure_ascii=False, indent=2)
+        return json.dumps(reply, ensure_ascii=False, indent=2)
 
     def _context(self, meta: StageMeta) -> StructuredRepr:
         context = meta.payload.get("context")
@@ -264,31 +258,31 @@ class SolverStubBackend(Backend):
         kb = solvermod.kb_from_repr(context, cwa=self.cwa)
         grounded = solvermod.ground_rules(kb)
         literals: set[solvermod.Literal] = set()
-        log: list[dict[str, Any]] = []
+        log: list[solvermod.StepRecord] = []
         answer: str | None = None
 
         for step_id in order:
-            step = plan.steps[step_id - 1]
-            text = step.content.lower()
-            entry: dict[str, Any] = {"step": step_id, "note": step.content, "status": "ok"}
+            note = plan.steps[step_id - 1].content
+            text = note.lower()
+            derived: tuple[solvermod.Literal, ...] = ()
+            fired: list[solvermod.GroundRule] = []
             fixpoint = "fixpoint" in text or "until no new" in text
             if fixpoint or "once" in text:
                 fired = solvermod.fire_rounds(literals, grounded, self.cwa, None if fixpoint else 1)
-                entry["derived"] = [str(g.conclusion) for g in fired]
-                entry["derivations"] = [solvermod.derivation_to_doc(g) for g in fired]
+                derived = tuple(g.conclusion for g in fired)
             elif "initial fact" in text or "establish" in text:
                 literals.update(kb.literals)
-                entry["derived"] = [str(lit) for lit in sorted(kb.literals)]
+                derived = tuple(sorted(kb.literals))
             elif "ground" in text:
-                entry["note"] = f"{step.content} ({len(grounded)} ground instances)"
-            elif "judge" in text or "judgment" in text or "decide" in text or "final answer" in text:
+                note = f"{note} ({len(grounded)} ground instances)"
+            elif planmod.is_judgment(note):
                 answer = self._answer(context, kb, literals)
-                entry["note"] = f"{step.content} -> {answer}"
-            log.append(entry)
+                note = f"{note} -> {answer}"
+            log.append(solvermod.StepRecord(step_id, note, derived=derived, derivations=tuple(fired)))
 
         if answer is None:
             answer = self._answer(context, kb, literals)
-        doc = {"Execution log": log, "Final answer": answer}
+        doc = {"Execution log": [solvermod.step_record_to_doc(r) for r in log], "Final answer": answer}
         return json.dumps(doc, ensure_ascii=False, indent=2)
 
     @staticmethod

@@ -18,10 +18,11 @@ from typing import Any
 
 from . import plan as planmod
 from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
+from .errors import SchemaError
 from .fol import parse_formula
 from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset, report_to_doc, stratify_by_depth
 from .pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
-from .solver import Verdict, decide, forward_chain, kb_from_repr
+from .solver import Verdict, decide, forward_chain, kb_from_repr, step_record_from_doc
 from .structured import build_repr, deserialize_repr
 
 
@@ -218,17 +219,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
             doc: dict[str, Any] = json.loads(line)
             if not isinstance(doc, dict):
                 raise ValueError("expected a JSON object")
-        except (ValueError, RecursionError) as err:
+            if args.instance and doc.get("instance") != args.instance:
+                continue
+            entries = doc.get("records", [])
+            if not isinstance(entries, list):
+                raise SchemaError("/records", "expected array")
+            records = [step_record_from_doc(entry, f"/records/{i}") for i, entry in enumerate(entries)]
+        except (ValueError, RecursionError, SchemaError) as err:
             print(f"error: {args.traces}:{number}: {err}", file=sys.stderr)
             return 1
-        if args.instance and doc.get("instance") != args.instance:
-            continue
         shown += 1
         print(f"instance {doc.get('instance')} round {doc.get('round')}: provisional {doc.get('provisional')}")
-        for record in doc.get("records", []):
-            derived = record.get("derived") or []
-            suffix = f" | derived: {', '.join(derived)}" if derived else ""
-            print(f"  step {record.get('step')}: {record.get('note', '')[:100]}{suffix}")
+        for record in records:
+            derived = ", ".join(str(lit) for lit in record.derived)
+            suffix = f" | derived: {derived}" if derived else ""
+            print(f"  step {record.step_id}: {record.text[:100]}{suffix}")
     if not shown:
         print("no matching trace records")
     return 0

@@ -21,7 +21,7 @@ from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
 from .plan import CycleError, MatrixShapeMismatch, Plan
-from .solver import GroundRule, Literal, Verdict
+from .solver import Literal, StepRecord, Verdict, step_record_from_doc, step_record_to_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr, repr_to_doc, validate_static
 
 __all__ = [
@@ -81,15 +81,6 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    step_id: int
-    text: str
-    status: str = "ok"
-    derived: tuple[Literal, ...] = ()
-    derivations: tuple[GroundRule, ...] = ()
-
-
-@dataclass(frozen=True)
 class Trace:
     context: StructuredRepr | RawContext
     plan: Plan
@@ -140,7 +131,7 @@ class ReplanOutcome:
     edits: tuple[planmod.EditOp, ...]
     rationale: str
     raw: str
-    embedded_trace: tuple[Any, ...] | None = None  # (records_doc, label) when the reply re-executed
+    embedded_trace: Trace | None = None  # when the reply re-executed the revised plan
 
 
 @dataclass(frozen=True)
@@ -251,6 +242,20 @@ def _plan_text(plan: Plan) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + f"\nExecution order: {order}"
 
 
+def _call_stage(
+    backend: Backend,
+    config: PipelineConfig,
+    stage: str,
+    values: Mapping[str, str],
+    payload: Mapping[str, Any],
+    problem: Problem | None,
+    round: int = 0,
+) -> str:
+    """The backend's reply to the stage's prompt, rendered from `values`, and its StageMeta."""
+    meta = StageMeta(stage=stage, round=round, instance_id=problem.id if problem else None, payload=payload)
+    return backend.complete(render_prompt(load_template(stage), values), config.params(meta))
+
+
 def translate_stage(
     backend: Backend, problem: Problem, config: PipelineConfig = PipelineConfig()
 ) -> StructuredRepr | RawContext:
@@ -261,17 +266,9 @@ def translate_stage(
 def _translate(
     backend: Backend, problem: Problem, config: PipelineConfig
 ) -> tuple[StructuredRepr | RawContext, str]:
-    prompt = render_prompt(
-        load_template("translate"),
-        {"premises": "\n".join(problem.premises), "question": problem.question},
-    )
-    meta = StageMeta(
-        stage="translate",
-        round=0,
-        instance_id=problem.id,
-        payload={"premises": list(problem.premises), "question": problem.question},
-    )
-    raw = backend.complete(prompt, config.params(meta))
+    values = {"premises": "\n".join(problem.premises), "question": problem.question}
+    payload = {"premises": list(problem.premises), "question": problem.question}
+    raw = _call_stage(backend, config, "translate", values, payload, problem)
     if config.disable_structured_repr:
         return RawContext(raw), raw
     doc = extract_json(raw, "translate", config.strict_json)
@@ -298,14 +295,7 @@ def _plan(
     config: PipelineConfig,
     problem: Problem | None,
 ) -> tuple[Plan, str]:
-    prompt = render_prompt(load_template("plan"), {"repr": _repr_text(context)})
-    meta = StageMeta(
-        stage="plan",
-        round=0,
-        instance_id=problem.id if problem else None,
-        payload={"context": context},
-    )
-    raw = backend.complete(prompt, config.params(meta))
+    raw = _call_stage(backend, config, "plan", {"repr": _repr_text(context)}, {"context": context}, problem)
     doc = extract_json(raw, "plan", config.strict_json)
     try:
         parsed = planmod.plan_from_json(doc)
@@ -314,72 +304,9 @@ def _plan(
     if config.disable_matrix_plan:
         # Ablation: keep the steps, replace the dependency structure with the
         # linear chain 1 -> 2 -> ... -> N.
-        n = parsed.size
-        chain = tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n))
-        parsed = Plan(parsed.steps, chain)
+        parsed = planmod.linear_chain(parsed.steps)
     planmod.validate_dag(parsed)
     return parsed, raw
-
-
-def _parse_log_entry(entry: Any, index: int, order: list[int]) -> StepRecord:
-    if isinstance(entry, str):
-        step_id = order[index] if index < len(order) else 0
-        return StepRecord(step_id=step_id, text=entry)
-    if not isinstance(entry, dict):
-        raise SchemaError(f"/Execution log/{index}", "expected string or object")
-    known = {"step", "note", "status", "derived", "derivations"}
-    unknown = set(entry) - known
-    if unknown:
-        raise SchemaError(f"/Execution log/{index}/{sorted(unknown)[0]}", "unknown field")
-    step_id = entry.get("step", order[index] if index < len(order) else 0)
-    if isinstance(step_id, bool) or not isinstance(step_id, int):
-        raise SchemaError(f"/Execution log/{index}/step", "expected integer")
-    derived = []
-    for i, text in enumerate(entry.get("derived", [])):
-        if not isinstance(text, str):
-            raise SchemaError(f"/Execution log/{index}/derived/{i}", "expected string")
-        derived.append(_parse_literal(text, f"/Execution log/{index}/derived/{i}"))
-    derivations = []
-    for i, doc in enumerate(entry.get("derivations", [])):
-        pointer = f"/Execution log/{index}/derivations/{i}"
-        if not isinstance(doc, dict):
-            raise SchemaError(pointer, "expected object")
-        rule_id = doc.get("rule")
-        if isinstance(rule_id, bool) or not isinstance(rule_id, int):
-            raise SchemaError(f"{pointer}/rule", "expected integer")
-        binding = doc.get("binding", {})
-        if not isinstance(binding, dict):
-            raise SchemaError(f"{pointer}/binding", "expected object")
-        premises = tuple(
-            _parse_literal(p, f"{pointer}/premises/{k}") for k, p in enumerate(doc.get("premises", []))
-        )
-        conclusion = _parse_literal(doc.get("literal", ""), f"{pointer}/literal")
-        derivations.append(
-            GroundRule(
-                rule_id=rule_id,
-                binding=tuple(sorted((str(k), str(v)) for k, v in binding.items())),
-                premises=premises,
-                conclusion=conclusion,
-            )
-        )
-    return StepRecord(
-        step_id=step_id,
-        text=str(entry.get("note", "")),
-        status=str(entry.get("status", "ok")),
-        derived=tuple(derived),
-        derivations=tuple(derivations),
-    )
-
-
-def _parse_literal(text: Any, pointer: str) -> Literal:
-    if not isinstance(text, str):
-        raise SchemaError(pointer, "expected string")
-    try:
-        from .fol import parse_formula
-
-        return solvermod.literal_from_formula(parse_formula(text))
-    except Exception as err:
-        raise SchemaError(pointer, f"not a ground literal: {err}") from err
 
 
 def _parse_solve_doc(doc: Any, plan: Plan, stage: str, raw: str) -> tuple[tuple[StepRecord, ...], str]:
@@ -395,19 +322,19 @@ def _parse_solve_doc(doc: Any, plan: Plan, stage: str, raw: str) -> tuple[tuple[
     if label is None:
         raise StageParseError(stage, f"unrecognized answer label {doc['Final answer']!r}", raw=raw)
     log = doc.get("Execution log", "")
+    if isinstance(log, str):
+        return (StepRecord(step_id=0, text=log),), label
+    if not isinstance(log, list):
+        raise StageParseError(stage, '"Execution log" must be a string or array', raw=raw)
     order = planmod.execution_order(plan)
-    records: list[StepRecord] = []
     try:
-        if isinstance(log, str):
-            records.append(StepRecord(step_id=0, text=log))
-        elif isinstance(log, list):
-            for index, entry in enumerate(log):
-                records.append(_parse_log_entry(entry, index, order))
-        else:
-            raise StageParseError(stage, '"Execution log" must be a string or array', raw=raw)
+        records = tuple(
+            step_record_from_doc(entry, f"/Execution log/{index}", order[index] if index < len(order) else 0)
+            for index, entry in enumerate(log)
+        )
     except SchemaError as err:
         raise StageParseError(stage, str(err), raw=raw) from err
-    return tuple(records), label
+    return records, label
 
 
 def solve_stage(
@@ -417,29 +344,18 @@ def solve_stage(
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
     round: int = 0,
-    extra_raw: Mapping[str, str] | None = None,
 ) -> Trace:
     planmod.validate_dag(plan)
-    prompt = render_prompt(
-        load_template("solve"), {"repr": _repr_text(context), "plan": _plan_text(plan)}
-    )
-    meta = StageMeta(
-        stage="solve",
-        round=round,
-        instance_id=problem.id if problem else None,
-        payload={"context": context, "plan": plan},
-    )
-    raw = backend.complete(prompt, config.params(meta))
+    values = {"repr": _repr_text(context), "plan": _plan_text(plan)}
+    raw = _call_stage(backend, config, "solve", values, {"context": context, "plan": plan}, problem, round)
     doc = extract_json(raw, "solve", config.strict_json)
     records, label = _parse_solve_doc(doc, plan, "solve", raw)
-    raws = dict(extra_raw or {})
-    raws["solve"] = raw
     return Trace(
         context=context,
         plan=plan,
         records=records,
         provisional=Verdict(label),
-        raw=raws,
+        raw={"solve": raw},
         round=round,
     )
 
@@ -447,14 +363,6 @@ def solve_stage(
 # ---------------------------------------------------------------------------
 # Diagnosis
 # ---------------------------------------------------------------------------
-
-_JUDGE_WORDS = ("judge", "judgment", "judgement", "decide", "final answer", "adjudicate")
-
-
-def _is_judgment(content: str) -> bool:
-    low = content.lower()
-    return any(word in low for word in _JUDGE_WORDS)
-
 
 def diagnose(trace: Trace, provisional: Verdict | None = None, cwa: bool = False) -> Diagnosis:
     """Deterministic audit of a trace; every label carries evidence.
@@ -515,7 +423,7 @@ def diagnose(trace: Trace, provisional: Verdict | None = None, cwa: bool = False
         judgment_id = None
         cutoff = len(trace.records)
         for index, record in enumerate(trace.records):
-            if 1 <= record.step_id <= trace.plan.size and _is_judgment(
+            if 1 <= record.step_id <= trace.plan.size and planmod.is_judgment(
                 trace.plan.steps[record.step_id - 1].content
             ):
                 judgment_id = record.step_id
@@ -631,28 +539,20 @@ def replan_stage(
     (updated log plus final answer), that is surfaced so the caller can skip
     the separate solve call.
     """
-    prompt = render_prompt(
-        load_template("replan"),
-        {
-            "repr": _repr_text(context),
-            "plan": _plan_text(plan),
-            "trace": _trace_text(trace),
-            "provisional": provisional.label,
-            "diagnosis": _diagnosis_text(diagnosis),
-        },
-    )
-    meta = StageMeta(
-        stage="replan",
-        round=round,
-        instance_id=problem.id if problem else None,
-        payload={
-            "context": context,
-            "plan": plan,
-            "diagnosis": sorted(diagnosis.labels),
-            "provisional": provisional.label,
-        },
-    )
-    raw = backend.complete(prompt, config.params(meta))
+    values = {
+        "repr": _repr_text(context),
+        "plan": _plan_text(plan),
+        "trace": _trace_text(trace),
+        "provisional": provisional.label,
+        "diagnosis": _diagnosis_text(diagnosis),
+    }
+    payload = {
+        "context": context,
+        "plan": plan,
+        "diagnosis": sorted(diagnosis.labels),
+        "provisional": provisional.label,
+    }
+    raw = _call_stage(backend, config, "replan", values, payload, problem, round)
     doc = extract_json(raw, "replan", config.strict_json)
     if not isinstance(doc, dict):
         raise StageParseError("replan", "expected a JSON object", raw=raw)
@@ -699,7 +599,7 @@ def replan_stage(
 
     planmod.validate_dag(revised)
 
-    embedded: tuple[Any, ...] | None = None
+    embedded: Trace | None = None
     if "Final answer" in doc:
         records, label = _parse_solve_doc(
             {"Execution log": doc.get("Updated Execution log", ""), "Final answer": doc["Final answer"]},
@@ -707,7 +607,7 @@ def replan_stage(
             "replan",
             raw,
         )
-        embedded = (records, label)
+        embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
     return ReplanOutcome(plan=revised, edits=edits, rationale=rationale, raw=raw, embedded_trace=embedded)
 
 
@@ -730,17 +630,8 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
         findings = validate_static(context, context.table).findings
         warnings = tuple(f"{f.kind} (statement {f.statement_id}): {f.detail}" for f in findings)
     first_plan, plan_raw = _plan(backend, context, config, problem)
-    trace = solve_stage(
-        backend,
-        context,
-        first_plan,
-        config,
-        problem,
-        round=0,
-        extra_raw={"translate": translate_raw, "plan": plan_raw},
-    )
-    if warnings:
-        trace = replace(trace, warnings=warnings)
+    trace = solve_stage(backend, context, first_plan, config, problem, round=0)
+    trace = replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)
 
     traces = [trace]
     plans = [first_plan]
@@ -763,27 +654,10 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
             round=round_index,
         )
         plans.append(outcome.plan)
-        if outcome.embedded_trace is not None:
-            records, label = outcome.embedded_trace
-            new_trace = Trace(
-                context=context,
-                plan=outcome.plan,
-                records=records,
-                provisional=Verdict(label),
-                raw={"replan": outcome.raw},
-                round=round_index,
-            )
-        else:
-            new_trace = solve_stage(
-                backend,
-                context,
-                outcome.plan,
-                config,
-                problem,
-                round=round_index,
-                extra_raw={"replan": outcome.raw},
-            )
-        traces.append(new_trace)
+        new_trace = outcome.embedded_trace
+        if new_trace is None:
+            new_trace = solve_stage(backend, context, outcome.plan, config, problem, round=round_index)
+        traces.append(replace(new_trace, raw={**new_trace.raw, "replan": outcome.raw}))
 
     return PipelineResult(
         final=traces[-1].provisional,
@@ -813,15 +687,6 @@ def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
         "warnings": list(trace.warnings),
         "context": context_doc,
         "plan": planmod.plan_to_json(trace.plan),
-        "records": [
-            {
-                "step": r.step_id,
-                "note": r.text,
-                "status": r.status,
-                "derived": [str(l) for l in r.derived],
-                "derivations": [solvermod.derivation_to_doc(d) for d in r.derivations],
-            }
-            for r in trace.records
-        ],
+        "records": [step_record_to_doc(r) for r in trace.records],
         "raw": dict(sorted(trace.raw.items())),
     }

@@ -39,6 +39,8 @@ __all__ = [
     "normalize",
     "apply_edits",
     "duplicate_content",
+    "linear_chain",
+    "is_judgment",
     "plan_from_json",
     "plan_to_json",
     "closure_rows",
@@ -163,16 +165,21 @@ def closure_rows(rows: Sequence[int]) -> list[int]:
     return reach
 
 
-def layered_order_rows(rows: Sequence[int]) -> list[int] | None:
-    """Concatenated-frontier order (0-based), or None if blocked by a cycle."""
-    n = len(rows)
-    preds = [0] * n
-    for i in range(n):
-        m = rows[i]
+def _pred_rows(rows: Sequence[int]) -> list[int]:
+    """Column bitmasks: `preds[j]` holds bit i iff rows[i] holds bit j."""
+    preds = [0] * len(rows)
+    for i, m in enumerate(rows):
         while m:
             j = (m & -m).bit_length() - 1
             preds[j] |= 1 << i
             m &= m - 1
+    return preds
+
+
+def layered_order_rows(rows: Sequence[int]) -> list[int] | None:
+    """Concatenated-frontier order (0-based), or None if blocked by a cycle."""
+    n = len(rows)
+    preds = _pred_rows(rows)
     done = 0
     full = (1 << n) - 1
     order: list[int] = []
@@ -340,14 +347,7 @@ def frontier(plan: Plan, done: Iterable[int]) -> tuple[int, ...]:
     done_set = set(done)
     for index in done_set:
         _check_index(index, plan.size)
-    rows = plan.rows()
-    preds = [0] * plan.size
-    for i in range(plan.size):
-        m = rows[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            preds[j] |= 1 << i
-            m &= m - 1
+    preds = _pred_rows(plan.rows())
     done_mask = 0
     for index in done_set:
         done_mask |= 1 << (index - 1)
@@ -376,6 +376,21 @@ def normalize(plan: Plan) -> Plan:
     """Make the plan executable: zero diagonal, break cycles, reduce."""
     rows = normalize_rows(plan.rows())
     return Plan(plan.steps, _rows_to_matrix(rows, plan.size), id_map=plan.id_map)
+
+
+def linear_chain(steps: Sequence[PlanStep]) -> Plan:
+    """The steps run in sequence: the dependency chain 1 -> 2 -> ... -> N."""
+    n = len(steps)
+    return Plan(tuple(steps), tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n)))
+
+
+_JUDGE_WORDS = ("judge", "judgment", "judgement", "decide", "final answer", "adjudicate")
+
+
+def is_judgment(content: str) -> bool:
+    """Whether a step's content asks for the final judgment of the question."""
+    low = content.lower()
+    return any(word in low for word in _JUDGE_WORDS)
 
 
 def duplicate_content(plan: Plan) -> list[tuple[int, ...]]:

@@ -23,6 +23,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import SchemaError
 from .fol import (
     And,
     Atom,
@@ -37,6 +38,7 @@ from .fol import (
     Or,
     SymbolTable,
     Variable,
+    parse_formula,
     render_formula,
 )
 from .structured import StructuredRepr
@@ -46,6 +48,7 @@ __all__ = [
     "GroundRule",
     "KnowledgeBase",
     "Verdict",
+    "StepRecord",
     "UnsupportedFragment",
     "UnsupportedQuestion",
     "DomainTooLarge",
@@ -57,6 +60,8 @@ __all__ = [
     "kb_from_repr",
     "literal_from_formula",
     "literal_to_formula",
+    "step_record_to_doc",
+    "step_record_from_doc",
     "DEFAULT_GROUNDING_BOUND",
     "DEFAULT_ATOM_LIMIT",
 ]
@@ -130,6 +135,91 @@ def derivation_to_doc(ground: GroundRule) -> dict[str, Any]:
         "binding": dict(ground.binding),
         "premises": [str(p) for p in ground.premises],
     }
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One execution-log entry: a plan step and what running it derived."""
+
+    step_id: int
+    text: str
+    status: str = "ok"
+    derived: tuple[Literal, ...] = ()
+    derivations: tuple[GroundRule, ...] = ()
+
+
+_STEP_RECORD_KEYS = {"step", "note", "status", "derived", "derivations"}
+
+
+def step_record_to_doc(record: StepRecord) -> dict[str, Any]:
+    """JSON form of an execution-log entry, as written to solve replies and traces."""
+    return {
+        "step": record.step_id,
+        "note": record.text,
+        "status": record.status,
+        "derived": [str(lit) for lit in record.derived],
+        "derivations": [derivation_to_doc(d) for d in record.derivations],
+    }
+
+
+def step_record_from_doc(doc: Any, pointer: str = "", default_step: int = 0) -> StepRecord:
+    """Inverse of `step_record_to_doc`; also accepts a bare string as the note.
+
+    Missing fields take their defaults (`default_step` for the step id), and
+    a shape error raises SchemaError with a pointer below `pointer`.
+    """
+    if isinstance(doc, str):
+        return StepRecord(step_id=default_step, text=doc)
+    if not isinstance(doc, dict):
+        raise SchemaError(pointer, "expected string or object")
+    unknown = set(doc) - _STEP_RECORD_KEYS
+    if unknown:
+        raise SchemaError(f"{pointer}/{sorted(unknown)[0]}", "unknown field")
+    step_id = doc.get("step", default_step)
+    if isinstance(step_id, bool) or not isinstance(step_id, int):
+        raise SchemaError(f"{pointer}/step", "expected integer")
+    return StepRecord(
+        step_id=step_id,
+        text=str(doc.get("note", "")),
+        status=str(doc.get("status", "ok")),
+        derived=tuple(_literal_from_doc(item, at) for at, item in _items(doc, "derived", pointer)),
+        derivations=tuple(_derivation_from_doc(item, at) for at, item in _items(doc, "derivations", pointer)),
+    )
+
+
+def _derivation_from_doc(doc: Any, pointer: str) -> GroundRule:
+    """Inverse of `derivation_to_doc`."""
+    if not isinstance(doc, dict):
+        raise SchemaError(pointer, "expected object")
+    rule_id = doc.get("rule")
+    if isinstance(rule_id, bool) or not isinstance(rule_id, int):
+        raise SchemaError(f"{pointer}/rule", "expected integer")
+    binding = doc.get("binding", {})
+    if not isinstance(binding, dict):
+        raise SchemaError(f"{pointer}/binding", "expected object")
+    return GroundRule(
+        rule_id=rule_id,
+        binding=tuple(sorted((str(k), str(v)) for k, v in binding.items())),
+        premises=tuple(_literal_from_doc(item, at) for at, item in _items(doc, "premises", pointer)),
+        conclusion=_literal_from_doc(doc.get("literal", ""), f"{pointer}/literal"),
+    )
+
+
+def _items(doc: dict[str, Any], key: str, pointer: str) -> list[tuple[str, Any]]:
+    """The array `doc[key]` (empty when absent) as (pointer, item) pairs."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise SchemaError(f"{pointer}/{key}", "expected array")
+    return [(f"{pointer}/{key}/{i}", item) for i, item in enumerate(items)]
+
+
+def _literal_from_doc(text: Any, pointer: str) -> Literal:
+    if not isinstance(text, str):
+        raise SchemaError(pointer, "expected string")
+    try:
+        return literal_from_formula(parse_formula(text))
+    except Exception as err:
+        raise SchemaError(pointer, f"not a ground literal: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -223,7 +313,10 @@ def ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_
     """Every instantiation of every rule over the declared constants.
 
     Instantiations are emitted in rule order, then in lexicographic binding
-    order, deduplicated on the resulting ground implication.
+    order, deduplicated on the resulting ground implication. The bound counts
+    bindings enumerated, before duplicates are dropped: DomainTooLarge is
+    raised, before any grounding, when the sum over rules of
+    `len(domain) ** len(variables)` exceeds `max_instantiations`.
     """
     domain = tuple(sorted(kb.table.constants))
     decomposed = [(rule_id, _decompose_rule(rule)) for rule_id, rule in enumerate(kb.rules, start=1)]

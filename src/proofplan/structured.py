@@ -22,6 +22,7 @@ from .fol import (
     Formula,
     Not,
     SymbolTable,
+    _children,
     free_vars,
     parse_formula,
     render_formula,
@@ -137,19 +138,8 @@ def _walk_atoms(f: Formula) -> Iterator[Atom | Equality]:
         node = stack.pop()
         if isinstance(node, (Atom, Equality)):
             yield node
-        elif isinstance(node, Not):
-            stack.append(node.body)
         else:
-            kids = []
-            if hasattr(node, "items"):
-                kids = list(node.items)
-            elif hasattr(node, "antecedent"):
-                kids = [node.antecedent, node.consequent]
-            elif hasattr(node, "left"):
-                kids = [node.left, node.right]
-            elif hasattr(node, "body"):
-                kids = [node.body]
-            stack.extend(reversed(kids))
+            stack.extend(reversed(tuple(_children(node))))
 
 
 def _infer_table(formulas: Iterable[Formula]) -> SymbolTable:

@@ -164,6 +164,16 @@ def test_solver_stub_solve_reads_typed_context_and_plan(question):
     assert _stub_solve(raw, plan) == expected
 
 
+def test_solver_stub_notes_the_answer_on_an_adjudicate_step():
+    context = build_repr([("Dog(tom)", "Dog(tom)")], [("Dog(tom)", "Dog(tom)")])
+    steps = (PlanStep(1, "Collect the initial facts from the premises."), PlanStep(2, "Adjudicate the question."))
+    plan = Plan(steps, ((0, 1), (0, 0)))
+    meta = StageMeta(stage="solve", payload={"context": context, "plan": plan})
+    doc = json.loads(SolverStubBackend().complete("p", GenerationParams(meta=meta)))
+    assert doc["Final answer"] == "T"
+    assert doc["Execution log"][-1]["note"] == "Adjudicate the question. -> T"
+
+
 def test_solver_stub_solve_needs_context_and_plan():
     context = build_repr([("P(tom)", "P(tom)")], [("P(tom)", "P(tom)")])
     plan = Plan((PlanStep(1, "Judge the question."),), ((0,),))

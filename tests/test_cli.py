@@ -226,3 +226,19 @@ def test_trace_reports_malformed_line(tmp_path, capsys):
     assert main(["trace", str(traces)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traces}:2: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ['{"records": [1]}', '{"records": 5}', '{"records": [{"derived": 5}]}'])
+def test_trace_reports_wrong_shaped_records(tmp_path, capsys, line):
+    traces = tmp_path / "t.jsonl"
+    traces.write_text(line + "\n")
+    assert main(["trace", str(traces)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traces}:1: /records") and "Traceback" not in err
+
+
+def test_trace_coerces_a_record_note_to_text(tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    traces.write_text('{"instance": "a", "records": [{"note": 5}]}\n')
+    assert main(["trace", str(traces)]) == 0
+    assert "  step 0: 5\n" in capsys.readouterr().out

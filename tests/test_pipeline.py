@@ -251,6 +251,14 @@ def test_solve_stage_string_array_log_maps_onto_execution_order():
     assert trace.records[0].text == "did the first step"
 
 
+def test_solve_stage_rejects_a_log_field_that_is_not_an_array():
+    doc = {"Execution log": [{"step": 1, "derived": "P(tom)"}], "Final answer": "U"}
+    plan = Plan((PlanStep(1, "judge"),), ((0,),))
+    with pytest.raises(StageParseError) as exc:
+        solve_stage(CannedBackend(json.dumps(doc)), RawContext("ctx"), plan)
+    assert "/Execution log/0/derived: expected array" in str(exc.value)
+
+
 def test_solve_stage_missing_final_answer():
     backend = CannedBackend(json.dumps({"Execution log": "thinking"}))
     plan = Plan((PlanStep(1, "judge"),), ((0,),))
@@ -431,7 +439,9 @@ def test_replan_stage_scripted_returns_four_step_plan():
     )
     assert outcome.plan.size == 4
     assert outcome.plan.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
-    assert outcome.embedded_trace is not None
+    embedded = outcome.embedded_trace
+    assert embedded is not None and embedded.plan == outcome.plan and embedded.round == 1
+    assert embedded.raw == {"replan": outcome.raw}
 
 
 def test_replan_stage_edit_list_with_cycle_gets_normalized():
@@ -510,6 +520,34 @@ def test_run_pipeline_repairs_premature_termination():
     assert result.final.label == "F"
     contents = [s.content.lower() for s in result.plans[1].steps]
     assert any("fixpoint" in c for c in contents)
+
+
+def test_run_pipeline_stage_calls_carry_their_meta():
+    class Recording:
+        def __init__(self, inner):
+            self.inner = inner
+            self.calls = []
+
+        def complete(self, prompt, params):
+            meta = params.meta
+            self.calls.append((meta.stage, meta.round, meta.instance_id, sorted(meta.payload)))
+            return self.inner.complete(prompt, params)
+
+    backend = Recording(SolverStubBackend(degrade_initial_plan=True))
+    run_pipeline(backend, fig1b_problem())
+    assert backend.calls == [
+        ("translate", 0, "fig1b", ["premises", "question"]),
+        ("plan", 0, "fig1b", ["context"]),
+        ("solve", 0, "fig1b", ["context", "plan"]),
+        ("replan", 1, "fig1b", ["context", "diagnosis", "plan", "provisional"]),
+        ("solve", 1, "fig1b", ["context", "plan"]),
+    ]
+
+
+def test_run_pipeline_trace_raw_holds_each_rounds_replies():
+    result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), fig1b_problem())
+    assert sorted(result.traces[0].raw) == ["plan", "solve", "translate"]
+    assert sorted(result.traces[1].raw) == ["replan", "solve"]
 
 
 def test_run_pipeline_context_unchanged_across_rounds():

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -9,15 +10,19 @@ from proofplan.solver import (
     DomainTooLarge,
     KnowledgeBase,
     Literal,
+    StepRecord,
     TooManyAtoms,
     UnsupportedFragment,
     UnsupportedQuestion,
     brute_force_entails,
     decide,
+    fire_rounds,
     forward_chain,
     ground_rules,
     kb_from_repr,
     literal_from_formula,
+    step_record_from_doc,
+    step_record_to_doc,
 )
 from proofplan.structured import build_repr
 
@@ -97,6 +102,15 @@ def test_ground_rules_domain_bound():
         ground_rules(kb, max_instantiations=8)
 
 
+def test_ground_rules_bound_counts_bindings_enumerated():
+    # 3 constants and two quantified variables: 9 bindings, but y is unused,
+    # so only 3 distinct ground rules.
+    kb = make_kb([], ["∀x ∀y (P(x) → Q(x))"], {"P": 1, "Q": 1}, {"a1", "a2", "a3"})
+    assert len(ground_rules(kb, max_instantiations=9)) == 3
+    with pytest.raises(DomainTooLarge):
+        ground_rules(kb, max_instantiations=5)
+
+
 def test_forward_chain_fig1b_reaches_expected_fixpoint():
     kb = forward_chain(kb_from_repr(fig1b_repr()))
     names = {str(lit) for lit in kb.literals}
@@ -157,6 +171,25 @@ def test_forward_chain_fires_in_rounds():
         {"tom"},
     )
     assert [str(g.conclusion) for g in forward_chain(kb).derivations] == ["Q(tom)", "S(tom)", "R(tom)"]
+
+
+def test_step_record_codec_round_trips_fired_rules():
+    rng = random.Random(23)
+    fired_any = 0
+    for index in range(200):
+        kb = random_horn_kb(rng)
+        grounded = ground_rules(kb)
+        literals = set(kb.literals)
+        records = [StepRecord(1, "Collect the initial facts.", derived=tuple(sorted(kb.literals)))]
+        for step_id, max_rounds in enumerate((1, None), start=2):
+            fired = fire_rounds(literals, grounded, cwa=index % 2 == 1, max_rounds=max_rounds)
+            derived = tuple(g.conclusion for g in fired)
+            records.append(StepRecord(step_id, f"fire {max_rounds}", "ok", derived, tuple(fired)))
+            fired_any += bool(fired)
+        for record in records:
+            doc = json.loads(json.dumps(step_record_to_doc(record), ensure_ascii=False))
+            assert step_record_from_doc(doc) == record
+    assert fired_any
 
 
 def test_decide_supports_a_long_derivation_chain():
