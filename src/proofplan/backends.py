@@ -47,10 +47,11 @@ class StageMeta:
     The scripted backend keys fixtures on (instance_id, stage, round). The
     `payload` holds the stage's typed inputs, which a backend that computes
     its answer (like the solver stub) reads directly: `premises` and
-    `question` (translate), `context` (plan), `context` and `plan` (solve),
-    and also `diagnosis` and `provisional` labels (replan). `context` is a
-    `StructuredRepr`, or a `RawContext` when structured management is
-    ablated; `plan` is a `Plan`. The live backend reads only the prompt.
+    `question` (translate), `context` (plan), `context`, `plan` and `cwa`
+    (solve), and `context`, `plan`, `diagnosis` and `provisional` labels
+    (replan). `context` is a `StructuredRepr`, or a `RawContext` when
+    structured management is ablated; `plan` is a `Plan`; `cwa` is the run's
+    closed-world setting. The live backend reads only the prompt.
     """
 
     stage: str
@@ -195,12 +196,12 @@ class SolverStubBackend(Backend):
     reproduces the early-stop failure the replanner is meant to repair (its
     replan stage always returns the full plan). Rule steps run the solver's
     `fire_rounds` (one round, or to the fixpoint with the closed-world phase
-    when `cwa` is set), and the answer is `decide` over the derived literals.
+    when the solve payload's `cwa` is set), and the answer is `decide` over
+    the derived literals.
     """
 
-    def __init__(self, degrade_initial_plan: bool = False, cwa: bool = False):
+    def __init__(self, degrade_initial_plan: bool = False):
         self.degrade_initial_plan = degrade_initial_plan
-        self.cwa = cwa
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         meta = params.meta
@@ -254,8 +255,9 @@ class SolverStubBackend(Backend):
         if not isinstance(plan, planmod.Plan):
             raise BackendError("solver stub solve call lacks a plan")
         order = planmod.execution_order(plan)
+        cwa = meta.payload.get("cwa", False)
 
-        kb = solvermod.kb_from_repr(context, cwa=self.cwa)
+        kb = solvermod.kb_from_repr(context, cwa=cwa)
         grounded = solvermod.ground_rules(kb)
         literals: set[solvermod.Literal] = set()
         log: list[solvermod.StepRecord] = []
@@ -268,7 +270,7 @@ class SolverStubBackend(Backend):
             fired: list[solvermod.GroundRule] = []
             fixpoint = "fixpoint" in text or "until no new" in text
             if fixpoint or "once" in text:
-                fired = solvermod.fire_rounds(literals, grounded, self.cwa, None if fixpoint else 1)
+                fired = solvermod.fire_rounds(literals, grounded, cwa, None if fixpoint else 1)
                 derived = tuple(g.conclusion for g in fired)
             elif "initial fact" in text or "establish" in text:
                 literals.update(kb.literals)

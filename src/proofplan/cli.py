@@ -20,7 +20,8 @@ from . import plan as planmod
 from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
 from .errors import SchemaError
 from .fol import parse_formula
-from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset, report_to_doc, stratify_by_depth
+from .harness import HarnessConfig, MissingDepth, compose_question, evaluate, file_sha256, load_dataset
+from .harness import report_to_doc, stratify_by_depth
 from .pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
 from .solver import Verdict, decide, forward_chain, kb_from_repr, step_record_from_doc
 from .structured import build_repr, deserialize_repr
@@ -113,7 +114,7 @@ def cmd_plan_validate(args: argparse.Namespace) -> int:
 def _make_backend(args: argparse.Namespace) -> Backend:
     spec = args.backend
     if spec == "solver-stub":
-        return SolverStubBackend(cwa=getattr(args, "cwa", False))
+        return SolverStubBackend()
     if spec.startswith("scripted:"):
         return ScriptedBackend(spec.split(":", 1)[1])
     if spec == "live":
@@ -134,12 +135,11 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if unknown:
         raise ValueError(f"unknown ablation {sorted(unknown)} (use mp, srm, fdr)")
     return PipelineConfig(
-        max_replan_rounds=args.max_replan_rounds,
+        max_replan_rounds=0 if "fdr" in ablate else args.max_replan_rounds,
         temperature=args.temperature,
         disable_matrix_plan="mp" in ablate,
         disable_structured_repr="srm" in ablate,
-        disable_replanner="fdr" in ablate,
-        cwa=getattr(args, "cwa", False),
+        cwa=args.cwa,
     )
 
 
@@ -192,7 +192,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("depth  accuracy")
         for depth, accuracy in table.items():
             print(f"{depth:>5}  {accuracy:.4f}")
-    except Exception:
+    except MissingDepth:
         pass
     for record in report.records:
         status = "ok" if record.correct else f"fail ({record.failure_kind})"
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout-s", type=float, default=300.0)
         p.add_argument("--ablate", default="", help="comma-separated: mp, srm, fdr")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cwa", action="store_true")
+        p.add_argument("--cwa", action="store_true", help="closed-world antecedent matching")
         p.add_argument("--traces", default="", help="write JSONL traces here")
 
     run = sub.add_parser("run", help="run one dataset instance through the pipeline")

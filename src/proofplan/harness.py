@@ -254,17 +254,20 @@ def _run_one(instance: Instance, backend: Backend, config: HarnessConfig) -> tup
         )
         return record, traces
     except Exception as err:
-        record = InstanceRecord(
-            id=instance.id,
-            predicted=None,
-            gold=instance.gold,
-            correct=False,
-            failure_kind=_classify_failure(err),
-            rounds_used=0,
-            duration_s=time.perf_counter() - start,
-            depth=instance.depth,
-        )
-        return record, []
+        return _failed_record(instance, _classify_failure(err), time.perf_counter() - start), []
+
+
+def _failed_record(instance: Instance, failure_kind: str, duration_s: float) -> InstanceRecord:
+    return InstanceRecord(
+        id=instance.id,
+        predicted=None,
+        gold=instance.gold,
+        correct=False,
+        failure_kind=failure_kind,
+        rounds_used=0,
+        duration_s=duration_s,
+        depth=instance.depth,
+    )
 
 
 def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessConfig = HarnessConfig()) -> RunReport:
@@ -283,17 +286,7 @@ def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessCon
             try:
                 record, instance_traces = future.result(timeout=config.timeout_s)
             except FuturesTimeout:
-                record = InstanceRecord(
-                    id=instance.id,
-                    predicted=None,
-                    gold=instance.gold,
-                    correct=False,
-                    failure_kind="timeout",
-                    rounds_used=0,
-                    duration_s=config.timeout_s,
-                    depth=instance.depth,
-                )
-                instance_traces = []
+                record, instance_traces = _failed_record(instance, "timeout", config.timeout_s), []
             records.append(record)
             traces.extend(instance_traces)
     correct = sum(1 for r in records if r.correct)

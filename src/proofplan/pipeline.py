@@ -112,11 +112,8 @@ class Diagnosis:
 @dataclass(frozen=True)
 class PipelineConfig:
     max_replan_rounds: int = 1
-    strict_json: bool = True
-    replan_on_clean: bool = True
     disable_matrix_plan: bool = False
     disable_structured_repr: bool = False
-    disable_replanner: bool = False
     temperature: float = 0.0
     max_tokens: int = 4096
     cwa: bool = False
@@ -166,17 +163,14 @@ def render_prompt(template: str, values: Mapping[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n(.*?)```", re.DOTALL)
-# Deeply nested arrays or objects make the decoder recurse past the limit.
-_JSON_ERRORS = (json.JSONDecodeError, RecursionError)
-_DECODER = json.JSONDecoder()
-# Where a JSON object can begin. Decoding only from these keeps a run of `{`
-# linear, since every failed decode counts the lines before its error.
-_OBJECT_START_RE = re.compile(r'\{[ \t\n\r]*["}]')
+# Deeply nested arrays or objects make the decoder recurse past the limit;
+# an integer past Python's digit limit raises a plain ValueError, of which
+# JSONDecodeError is a subclass.
+_JSON_ERRORS = (ValueError, RecursionError)
 
 
-def extract_json(text: str, stage: str, strict: bool = True) -> Any:
-    """First well-formed fenced JSON block, the whole reply as JSON, or (not
-    `strict`) the first object that decodes from a `{`, ignoring what follows."""
+def extract_json(text: str, stage: str) -> Any:
+    """First well-formed fenced JSON block, or else the whole reply as JSON."""
     for match in _FENCE_RE.finditer(text):
         try:
             return json.loads(match.group(1))
@@ -186,12 +180,6 @@ def extract_json(text: str, stage: str, strict: bool = True) -> Any:
         return json.loads(text)
     except _JSON_ERRORS:
         pass
-    if not strict:
-        for match in _OBJECT_START_RE.finditer(text):
-            try:
-                return _DECODER.raw_decode(text, match.start())[0]
-            except _JSON_ERRORS:
-                continue
     raise StageParseError(stage, "no well-formed JSON object in the reply", raw=text)
 
 
@@ -271,7 +259,7 @@ def _translate(
     raw = _call_stage(backend, config, "translate", values, payload, problem)
     if config.disable_structured_repr:
         return RawContext(raw), raw
-    doc = extract_json(raw, "translate", config.strict_json)
+    doc = extract_json(raw, "translate")
     try:
         context = doc_to_repr(doc)
     except SchemaError as err:
@@ -296,7 +284,7 @@ def _plan(
     problem: Problem | None,
 ) -> tuple[Plan, str]:
     raw = _call_stage(backend, config, "plan", {"repr": _repr_text(context)}, {"context": context}, problem)
-    doc = extract_json(raw, "plan", config.strict_json)
+    doc = extract_json(raw, "plan")
     try:
         parsed = planmod.plan_from_json(doc)
     except SchemaError as err:
@@ -347,8 +335,9 @@ def solve_stage(
 ) -> Trace:
     planmod.validate_dag(plan)
     values = {"repr": _repr_text(context), "plan": _plan_text(plan)}
-    raw = _call_stage(backend, config, "solve", values, {"context": context, "plan": plan}, problem, round)
-    doc = extract_json(raw, "solve", config.strict_json)
+    payload = {"context": context, "plan": plan, "cwa": config.cwa}
+    raw = _call_stage(backend, config, "solve", values, payload, problem, round)
+    doc = extract_json(raw, "solve")
     records, label = _parse_solve_doc(doc, plan, "solve", raw)
     return Trace(
         context=context,
@@ -553,7 +542,7 @@ def replan_stage(
         "provisional": provisional.label,
     }
     raw = _call_stage(backend, config, "replan", values, payload, problem, round)
-    doc = extract_json(raw, "replan", config.strict_json)
+    doc = extract_json(raw, "replan")
     if not isinstance(doc, dict):
         raise StageParseError("replan", "expected a JSON object", raw=raw)
     unknown = set(doc) - {"Revised plan", "Edits", "Rationale", "Updated Execution log", "Final answer"}
@@ -636,12 +625,9 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     traces = [trace]
     plans = [first_plan]
     diagnoses: list[Diagnosis] = []
-    rounds = 0 if config.disable_replanner else config.max_replan_rounds
-    for round_index in range(1, rounds + 1):
+    for round_index in range(1, config.max_replan_rounds + 1):
         report = diagnose(traces[-1], traces[-1].provisional, cwa=config.cwa)
         diagnoses.append(report)
-        if report.clean and not config.replan_on_clean:
-            break
         outcome = replan_stage(
             backend,
             context,

@@ -357,12 +357,11 @@ def _parse_declarations(doc: dict[str, Any]) -> SymbolTable | None:
         raise SchemaError("/Predicates", str(err)) from err
 
 
-def doc_to_repr(doc: Any, strict: bool = True) -> StructuredRepr:
+def doc_to_repr(doc: Any) -> StructuredRepr:
     _require(doc, dict, "", "object")
-    if strict:
-        unknown = set(doc) - _TOP_KEYS
-        if unknown:
-            raise SchemaError(f"/{sorted(unknown)[0]}", "unknown field")
+    unknown = set(doc) - _TOP_KEYS
+    if unknown:
+        raise SchemaError(f"/{sorted(unknown)[0]}", "unknown field")
     if "Premises" not in doc:
         raise SchemaError("/Premises", "missing field")
     premises_raw = _require(doc["Premises"], list, "/Premises", "array")
@@ -386,7 +385,7 @@ def doc_to_repr(doc: Any, strict: bool = True) -> StructuredRepr:
         raise SchemaError("/Premises", str(err)) from err
 
 
-def deserialize_repr(data: bytes | str, strict: bool = True) -> StructuredRepr:
+def deserialize_repr(data: bytes | str) -> StructuredRepr:
     """Parse the JSON document form; inverse of serialize_repr."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -394,4 +393,4 @@ def deserialize_repr(data: bytes | str, strict: bool = True) -> StructuredRepr:
         doc = json.loads(data)
     except json.JSONDecodeError as err:
         raise SchemaError("", f"not valid JSON: {err}") from err
-    return doc_to_repr(doc, strict=strict)
+    return doc_to_repr(doc)

@@ -189,6 +189,15 @@ def test_eval_ablate_fdr_uses_zero_rounds(tmp_path):
     assert all(r["rounds_used"] == 0 for r in report["records"])
 
 
+def test_eval_ablate_fdr_records_zero_rounds_over_max_replan_rounds(tmp_path):
+    out_path = tmp_path / "report.json"
+    args = ["eval", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--max-replan-rounds", "3"]
+    assert main(args + ["--ablate", "fdr", "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert report["config"]["pipeline"]["max_replan_rounds"] == 0
+    assert report["records"] and all(r["rounds_used"] == 0 for r in report["records"])
+
+
 def test_eval_missing_dataset_is_error(capsys):
     assert main(["eval", "/does/not/exist.json", "--backend", "solver-stub"]) == 1
     assert "error" in capsys.readouterr().err

@@ -214,7 +214,7 @@ def test_report_doc_shape_and_fingerprint_stability():
     doc = report_to_doc(report)
     assert doc["total"] == 1 and doc["correct"] == 1
     assert doc["fingerprint"] == HarnessConfig(seed=7, dataset_hash="abc").fingerprint()
-    assert doc["fingerprint"] == "feed0775964f0faac1eba7d0bd1a9f78cf1f322447d3655768824d7aec31bea8"
+    assert doc["fingerprint"] == "d6c069a562bea37bb401921fe8f2981f264243efc33129e2147efb66175527d8"
     assert doc["config"]["seed"] == 7
     assert doc["by_depth"] == {"0": 1.0}
     other = HarnessConfig(seed=8, dataset_hash="abc").fingerprint()
