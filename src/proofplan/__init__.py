@@ -43,7 +43,6 @@ from .solver import (
     brute_force_entails,
     decide,
     forward_chain,
-    ground_rules,
     kb_from_repr,
 )
 from .structured import (

@@ -194,10 +194,13 @@ class SolverStubBackend(Backend):
     The emitted plan is a four-step linear chain; with `degrade_initial_plan`
     the first plan skips the fixpoint step and applies the rules once, which
     reproduces the early-stop failure the replanner is meant to repair (its
-    replan stage always returns the full plan). Rule steps run the solver's
-    `fire_rounds` (one round, or to the fixpoint with the closed-world phase
-    when the solve payload's `cwa` is set), and the answer is `decide` over
-    the derived literals.
+    replan stage always returns the full plan). Each solve call decomposes
+    the rules once (`rule_templates`); rule steps run the solver's
+    `fire_rounds` over them (one round, or to the fixpoint with the
+    closed-world phase when the solve payload's `cwa` is set), and the answer
+    is `decide` over the derived literals. The grounding step only reports
+    how many ground instances the rules have, counted in closed form as the
+    sum over rules of `constants ** variables used`; nothing enumerates them.
     """
 
     def __init__(self, degrade_initial_plan: bool = False):
@@ -258,7 +261,8 @@ class SolverStubBackend(Backend):
         cwa = meta.payload.get("cwa", False)
 
         kb = solvermod.kb_from_repr(context, cwa=cwa)
-        grounded = solvermod.ground_rules(kb)
+        rules = solvermod.rule_templates(kb)
+        domain = kb.table.constants
         literals: set[solvermod.Literal] = set()
         log: list[solvermod.StepRecord] = []
         answer: str | None = None
@@ -270,13 +274,13 @@ class SolverStubBackend(Backend):
             fired: list[solvermod.GroundRule] = []
             fixpoint = "fixpoint" in text or "until no new" in text
             if fixpoint or "once" in text:
-                fired = solvermod.fire_rounds(literals, grounded, cwa, None if fixpoint else 1)
+                fired = solvermod.fire_rounds(literals, rules, domain, cwa, None if fixpoint else 1)
                 derived = tuple(g.conclusion for g in fired)
             elif "initial fact" in text or "establish" in text:
                 literals.update(kb.literals)
                 derived = tuple(sorted(kb.literals))
             elif "ground" in text:
-                note = f"{note} ({len(grounded)} ground instances)"
+                note = f"{note} ({sum(r.instance_count(domain) for r in rules)} ground instances)"
             elif planmod.is_judgment(note):
                 answer = self._answer(context, kb, literals)
                 note = f"{note} -> {answer}"

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import plan as planmod
 from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
@@ -239,6 +240,23 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _integer_at_least(minimum: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="proofplan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", default="", help="model name for the live backend")
         p.add_argument("--base-url", default="", help=f"live endpoint base URL (key from ${API_KEY_ENV})")
         p.add_argument("--format", default="tfu-json", choices=["tfu-json", "options-json"])
-        p.add_argument("--max-replan-rounds", type=int, default=1)
+        p.add_argument("--max-replan-rounds", type=_integer_at_least(0), default=1)
         p.add_argument("--temperature", type=float, default=0.0)
-        p.add_argument("--concurrency", type=int, default=4)
-        p.add_argument("--timeout-s", type=float, default=300.0)
+        p.add_argument("--concurrency", type=_integer_at_least(1), default=4)
+        p.add_argument("--timeout-s", type=_seconds, default=300.0)
         p.add_argument("--ablate", default="", help="comma-separated: mp, srm, fdr")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cwa", action="store_true", help="closed-world antecedent matching")

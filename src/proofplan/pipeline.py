@@ -365,25 +365,25 @@ def diagnose(trace: Trace, provisional: Verdict | None = None, cwa: bool = False
 
     structured = isinstance(trace.context, StructuredRepr)
     kb = None
-    grounded = None
+    rules = None
     if structured:
         try:
             kb = solvermod.kb_from_repr(trace.context)
-            grounded = solvermod.ground_rules(kb)
+            rules = solvermod.rule_templates(kb)
+            domain = kb.table.constants
         except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
             kb = None
-            grounded = None
+            rules = None
 
     has_structured_records = any(record.derived or record.derivations for record in trace.records)
 
     # missing prerequisites and rule misuse need per-derivation records
-    if grounded is not None and has_structured_records:
-        valid = {(g.rule_id, g.premises, g.conclusion) for g in grounded}
+    if rules is not None and has_structured_records:
         available: set[Literal] = set(kb.literals)
         for record in trace.records:
             for derivation in record.derivations:
-                key = (derivation.rule_id, derivation.premises, derivation.conclusion)
-                if key not in valid:
+                rule = rules[derivation.rule_id - 1] if 1 <= derivation.rule_id <= len(rules) else None
+                if rule is None or not rule.has_instance(derivation.premises, derivation.conclusion, domain):
                     evidence.append(
                         Evidence(
                             "rule-misuse",
@@ -408,7 +408,7 @@ def diagnose(trace: Trace, provisional: Verdict | None = None, cwa: bool = False
                 available.add(lit)
 
     # premature termination: the judgment ran while rules could still fire
-    if grounded is not None and has_structured_records:
+    if rules is not None and has_structured_records:
         judgment_id = None
         cutoff = len(trace.records)
         for index, record in enumerate(trace.records):
@@ -424,7 +424,7 @@ def diagnose(trace: Trace, provisional: Verdict | None = None, cwa: bool = False
             for record in trace.records[:cutoff]:
                 available.update(record.derived)
                 available.update(d.conclusion for d in record.derivations)
-            derivable = solvermod.fire_rounds(available, grounded, max_rounds=1)
+            derivable = solvermod.fire_rounds(available, rules, domain, max_rounds=1)
             if derivable:
                 evidence.append(
                     Evidence(

@@ -3,11 +3,15 @@
 Rules are universally quantified implications whose antecedent is a
 conjunction of literals and whose consequent is a single literal. Negation is
 explicit: a negative antecedent matches only a derived negative literal,
-open-world by default, with an opt-in closed-world antecedent mode. Forward
-chaining grounds the rules over the declared constants and fires them in
-rounds, semi-naively, to a least fixpoint with full derivation records:
-`fire_rounds` is the one loop that fires ground rules, shared by
-`forward_chain`, the solver stub backend and the pipeline's diagnosis.
+open-world by default, with an opt-in closed-world antecedent mode. Each rule
+is decomposed once into premise and conclusion templates (`rule_templates`).
+Forward chaining fires them in rounds, semi-naively, to a least fixpoint with
+full derivation records: each round joins rule bodies against the known
+literals, indexed by polarity and predicate, and after round one only
+bindings that use a literal the round before derived are tried. Nothing
+enumerates every binding over the declared constants. `fire_rounds` is the one
+loop that fires rules, shared by `forward_chain`, the solver stub backend and
+the pipeline's diagnosis.
 
 `brute_force_entails` is the independent semantic oracle: it enumerates every
 truth assignment of the ground atoms that occur in the grounded theory and
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +57,9 @@ __all__ = [
     "UnsupportedQuestion",
     "DomainTooLarge",
     "TooManyAtoms",
-    "ground_rules",
+    "RuleTemplate",
+    "rule_templates",
+    "fire_rounds",
     "forward_chain",
     "decide",
     "brute_force_entails",
@@ -252,11 +258,14 @@ def kb_from_repr(repr_: StructuredRepr, cwa: bool = False) -> KnowledgeBase:
 
 
 # ---------------------------------------------------------------------------
-# Grounding
+# Rule templates
 # ---------------------------------------------------------------------------
 
 # Literal template argument: (is_variable, name).
 _TemplateArgs = tuple[tuple[bool, str], ...]
+# Known literals by (polarity, predicate, arity): their argument tuples.
+_Index = dict[tuple[bool, str, int], set[tuple[str, ...]]]
+_NONE: frozenset[tuple[str, ...]] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,12 +274,71 @@ class _LiteralTemplate:
     predicate: str
     args: _TemplateArgs
 
+    @property
+    def key(self) -> tuple[bool, str, int]:
+        return (self.positive, self.predicate, len(self.args))
+
+    def ground(self, binding: Mapping[str, str]) -> tuple[str, ...]:
+        return tuple(binding[name] if is_var else name for is_var, name in self.args)
+
     def instantiate(self, binding: Mapping[str, str]) -> Literal:
-        return Literal(
-            self.positive,
-            self.predicate,
-            tuple(binding[name] if is_var else name for is_var, name in self.args),
-        )
+        return Literal(self.positive, self.predicate, self.ground(binding))
+
+
+def _unify(
+    args: _TemplateArgs, values: tuple[str, ...], binding: dict[str, str], domain: Collection[str]
+) -> dict[str, str] | None:
+    """`binding` extended (as a copy) so that `args` instantiates to `values`
+    with variables bound only to members of `domain`, or None."""
+    if len(args) != len(values):
+        return None
+    out = binding
+    for (is_var, name), value in zip(args, values):
+        if not is_var:
+            if name != value:
+                return None
+        elif name in out:
+            if out[name] != value:
+                return None
+        elif value in domain:
+            if out is binding:
+                out = dict(binding)
+            out[name] = value
+        else:
+            return None
+    return out
+
+
+@dataclass(frozen=True)
+class RuleTemplate:
+    """A rule decomposed for joining: rule_id is 1-based into KnowledgeBase.rules.
+
+    `variables` are in quantifier order; `used` keeps, in the same order, the
+    variables that some premise or the conclusion mentions.
+    """
+
+    rule_id: int
+    variables: tuple[str, ...]
+    premises: tuple[_LiteralTemplate, ...]
+    conclusion: _LiteralTemplate
+    used: tuple[str, ...]
+
+    def instance_count(self, domain: Collection[str]) -> int:
+        """Distinct ground instances over `domain`: one per binding of the used variables."""
+        return len(domain) ** len(self.used) if domain or not self.variables else 0
+
+    def has_instance(self, premises: Sequence[Literal], conclusion: Literal, domain: Collection[str]) -> bool:
+        """Whether a binding over `domain` instantiates this rule to `premises` -> `conclusion`."""
+        if len(premises) != len(self.premises) or (self.variables and not domain):
+            return False
+        binding: dict[str, str] | None = {}
+        for template, lit in zip((*self.premises, self.conclusion), (*premises, conclusion)):
+            if (template.positive, template.predicate) != (lit.positive, lit.predicate):
+                return False
+            binding = _unify(template.args, lit.args, binding, domain)
+            if binding is None:
+                return False
+        return True
 
 
 def _template(f: Formula, variables: set[str], rule: Formula) -> _LiteralTemplate:
@@ -291,7 +359,7 @@ def _template(f: Formula, variables: set[str], rule: Formula) -> _LiteralTemplat
     return _LiteralTemplate(positive, f.predicate, tuple(args))
 
 
-def _decompose_rule(rule: Formula) -> tuple[tuple[str, ...], tuple[_LiteralTemplate, ...], _LiteralTemplate]:
+def _decompose_rule(rule_id: int, rule: Formula) -> RuleTemplate:
     variables: list[str] = []
     body = rule
     while isinstance(body, ForAll):
@@ -306,43 +374,28 @@ def _decompose_rule(rule: Formula) -> tuple[tuple[str, ...], tuple[_LiteralTempl
     parts = antecedent.items if isinstance(antecedent, And) else (antecedent,)
     premises = tuple(_template(p, var_set, rule) for p in parts)
     conclusion = _template(body.consequent, var_set, rule)
-    return tuple(variables), premises, conclusion
+    mentioned = {name for t in (*premises, conclusion) for is_var, name in t.args if is_var}
+    used = tuple(v for v in variables if v in mentioned)
+    return RuleTemplate(rule_id, tuple(variables), premises, conclusion, used)
 
 
-def ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> list[GroundRule]:
-    """Every instantiation of every rule over the declared constants.
+def rule_templates(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> tuple[RuleTemplate, ...]:
+    """`kb.rules` decomposed into premise and conclusion templates, in rule order.
 
-    Instantiations are emitted in rule order, then in lexicographic binding
-    order, deduplicated on the resulting ground implication. The bound counts
-    bindings enumerated, before duplicates are dropped: DomainTooLarge is
-    raised, before any grounding, when the sum over rules of
-    `len(domain) ** len(variables)` exceeds `max_instantiations`.
+    Raises UnsupportedFragment for a rule outside the Horn fragment. Raises
+    DomainTooLarge, before any matching, when the bindings enumerable over
+    the declared constants, `len(domain) ** len(variables)` summed over the
+    rules, exceed `max_instantiations`: the bound counts what could be
+    bound, not what matches, so no fact can change whether it trips.
     """
-    domain = tuple(sorted(kb.table.constants))
-    decomposed = [(rule_id, _decompose_rule(rule)) for rule_id, rule in enumerate(kb.rules, start=1)]
+    rules = tuple(_decompose_rule(rule_id, rule) for rule_id, rule in enumerate(kb.rules, start=1))
+    size = len(kb.table.constants)
     total = 0
-    for _, (variables, _, _) in decomposed:
-        total += len(domain) ** len(variables)
+    for rule in rules:
+        total += size ** len(rule.variables)
         if total > max_instantiations:
             raise DomainTooLarge(f"grounding needs more than {max_instantiations} instantiations")
-    out: list[GroundRule] = []
-    seen: set[tuple[int, tuple[Literal, ...], Literal]] = set()
-    for rule_id, (variables, premises, conclusion) in decomposed:
-        if variables and not domain:
-            continue
-        for values in product(domain, repeat=len(variables)):
-            binding = dict(zip(variables, values))
-            ground = GroundRule(
-                rule_id=rule_id,
-                binding=tuple(sorted(binding.items())),
-                premises=tuple(t.instantiate(binding) for t in premises),
-                conclusion=conclusion.instantiate(binding),
-            )
-            key = (rule_id, ground.premises, ground.conclusion)
-            if key not in seen:
-                seen.add(key)
-                out.append(ground)
-    return out
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -350,47 +403,127 @@ def ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_
 # ---------------------------------------------------------------------------
 
 
+def _index(literals: Iterable[Literal], index: _Index | None = None) -> _Index:
+    """Argument tuples of `literals` by (polarity, predicate, arity), added to `index`."""
+    index = {} if index is None else index
+    for lit in literals:
+        index.setdefault((lit.positive, lit.predicate, len(lit.args)), set()).add(lit.args)
+    return index
+
+
+def _join(
+    bindings: list[dict[str, str]],
+    template: _LiteralTemplate,
+    rows: Collection[tuple[str, ...]],
+    domain: Collection[str],
+) -> list[dict[str, str]]:
+    """Each binding extended in every way that instantiates `template` to a row of `rows`."""
+    out = []
+    for binding in bindings:
+        if all(name in binding for is_var, name in template.args if is_var):
+            if template.ground(binding) in rows:
+                out.append(binding)
+            continue
+        for values in rows:
+            extended = _unify(template.args, values, binding, domain)
+            if extended is not None:
+                out.append(extended)
+    return out
+
+
+def _matches(
+    rule: RuleTemplate, index: _Index, domain: Collection[str], closed_world: bool, delta: _Index | None
+) -> list[tuple[str, ...]]:
+    """Sorted value tuples of `rule.used` under which every premise holds.
+
+    A premise holds when `index` has it; with `closed_world`, a negative
+    premise also holds while its positive counterpart is absent, so it
+    filters bindings instead of producing them. Given `delta` (a part of
+    `index`), only bindings under which some premise is in `delta` count.
+    A used variable that no matched premise binds ranges over `domain`.
+    """
+    if delta is None:
+        seeds = [(-1, [{}])]
+    else:
+        seeds = [(i, _join([{}], p, delta[p.key], domain)) for i, p in enumerate(rule.premises) if p.key in delta]
+    found: set[tuple[str, ...]] = set()
+    for seed, bindings in seeds:
+        for i, premise in enumerate(rule.premises):
+            if bindings and i != seed and (premise.positive or not closed_world):
+                bindings = _join(bindings, premise, index.get(premise.key, _NONE), domain)
+        if not bindings:
+            continue
+        free = [v for v in rule.used if v not in bindings[0]]
+        if free:
+            fills = [dict(zip(free, values)) for values in product(domain, repeat=len(free))]
+            bindings = [{**binding, **fill} for binding in bindings for fill in fills]
+        for binding in bindings:
+            if closed_world and not all(
+                p.positive
+                or p.ground(binding) in index.get(p.key, _NONE)
+                or p.ground(binding) not in index.get((True, p.predicate, len(p.args)), _NONE)
+                for p in rule.premises
+            ):
+                continue
+            found.add(tuple(binding[v] for v in rule.used))
+    return sorted(found)
+
+
 def fire_rounds(
     literals: set[Literal],
-    grounded: Sequence[GroundRule],
+    rules: Sequence[RuleTemplate],
+    domain: Collection[str],
     cwa: bool = False,
     max_rounds: int | None = None,
 ) -> list[GroundRule]:
-    """Fire `grounded` in rounds, adding each conclusion to `literals`.
+    """Fire `rules`, with variables over `domain`, in rounds, adding each conclusion to `literals`.
 
-    A round fires, in grounded order, every rule whose premises all held when
-    the round began and whose conclusion is new; when several rules conclude
-    the same literal, the first one wins. Round one checks every rule, later
-    rounds only the rules with a premise derived in the round before (the
-    semi-naive watch list). The open-world phase stops at its fixpoint or
-    after `max_rounds`; with `cwa` and no round limit, a closed-world phase
-    follows, in which a negative premise also holds while its positive
-    counterpart is absent. Returns the rules fired, in firing order.
+    A round joins every rule's premises against the literals known when it
+    began and fires each match whose conclusion is new, in rule order and
+    then in order of the binding values in quantifier order; when several
+    matches conclude the same literal, the first one wins. After round one,
+    only matches that use a literal derived in the round before are tried
+    (semi-naive evaluation). A quantified variable that no literal mentions
+    is bound to the least constant. The open-world phase stops at its
+    fixpoint or after `max_rounds`; with `cwa` and no round limit, a
+    closed-world phase follows, in which a negative premise also holds while
+    its positive counterpart is absent. Returns the rules fired, in firing
+    order.
     """
-    watchers: dict[Literal, list[int]] = {}  # built once a round derives something
+    domain = frozenset(domain)
+    least = min(domain, default="")
+    live = [rule for rule in rules if domain or not rule.variables]
+    by_premise: dict[tuple[bool, str, int], set[int]] = {}  # premise key -> positions in `live`
+    for position, rule in enumerate(live):
+        for premise in rule.premises:
+            by_premise.setdefault(premise.key, set()).add(position)
+    index = _index(literals)
     fired: list[GroundRule] = []
     for closed_world in ((False, True) if cwa and max_rounds is None else (False,)):
-        candidates: Iterable[int] = range(len(grounded))
+        delta: _Index | None = None
         rounds = 0
-        while candidates and (max_rounds is None or rounds < max_rounds):
+        while max_rounds is None or rounds < max_rounds:
             rounds += 1
             new: dict[Literal, GroundRule] = {}
-            for index in candidates:
-                ground = grounded[index]
-                if ground.conclusion in literals or ground.conclusion in new:
-                    continue
-                if all(
-                    p in literals or (closed_world and not p.positive and p.negated() not in literals)
-                    for p in ground.premises
-                ):
-                    new[ground.conclusion] = ground
+            candidates = live
+            if delta is not None:  # only rules with a premise the round before derived
+                candidates = [live[i] for i in sorted({i for key in delta for i in by_premise.get(key, ())})]
+            for rule in candidates:
+                for values in _matches(rule, index, domain, closed_world, delta):
+                    binding = dict(zip(rule.used, values))
+                    conclusion = rule.conclusion.instantiate(binding)
+                    if conclusion.args in index.get(rule.conclusion.key, _NONE) or conclusion in new:
+                        continue
+                    for variable in rule.variables:
+                        binding.setdefault(variable, least)
+                    premises = tuple(p.instantiate(binding) for p in rule.premises)
+                    new[conclusion] = GroundRule(rule.rule_id, tuple(sorted(binding.items())), premises, conclusion)
+            if not new:
+                break
             literals.update(new)
             fired.extend(new.values())
-            if new and not watchers:
-                for index, ground in enumerate(grounded):
-                    for premise in ground.premises:
-                        watchers.setdefault(premise, []).append(index)
-            candidates = sorted({index for lit in new for index in watchers.get(lit, ())})
+            delta = _index(new)
+            _index(new, index)
     return fired
 
 
@@ -409,17 +542,18 @@ def chained_kb(
 
 
 def forward_chain(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> KnowledgeBase:
-    """Least fixpoint of the ground rules over the initial literals.
+    """Least fixpoint of the rules over the initial literals.
 
-    Rules fire in rounds (`fire_rounds`): each round fires every ground rule
-    whose premises held when it began, in rule id then lexicographic
-    instantiation order, until a round adds nothing. Derivation records come
-    in round order. With `kb.cwa`, a second phase runs after the open-world
-    fixpoint in which a negative antecedent also matches when its positive
-    counterpart is underivable.
+    Rules fire in rounds (`fire_rounds`): each round joins every rule's
+    premises against the literals known when it began and fires the matches,
+    in rule id then binding order, until a round adds nothing. Derivation
+    records come in round order. With `kb.cwa`, a second phase runs after the
+    open-world fixpoint in which a negative antecedent also matches when its
+    positive counterpart is underivable. `max_instantiations` bounds the
+    bindings enumerable (`rule_templates`).
     """
     literals = set(kb.literals)
-    fired = fire_rounds(literals, ground_rules(kb, max_instantiations), kb.cwa)
+    fired = fire_rounds(literals, rule_templates(kb, max_instantiations), kb.table.constants, kb.cwa)
     return chained_kb(kb, literals, kb.derivations + tuple(fired))
 
 
@@ -486,16 +620,21 @@ def decide(kb: KnowledgeBase, question: Formula, max_instantiations: int = DEFAU
 
     if isinstance(question, Exists):
         positive, predicate, args, variables = existential_targets(question)
-        domain = tuple(sorted(chained.table.constants))
-        for values in product(domain, repeat=len(variables)):
-            binding = dict(zip(variables, values))
-            candidate = Literal(
-                positive,
-                predicate,
-                tuple(binding[name] if is_var else name for is_var, name in args),
-            )
-            if candidate in chained.literals:
-                return Verdict(T, support=_support_chain(candidate, chained.derivations))
+        # The witness is the least tuple of values in quantifier order; a
+        # variable quantified twice takes its value from the inner quantifier.
+        mentioned = {name for is_var, name in args if is_var}
+        order = [v for i, v in enumerate(variables) if v in mentioned and v not in variables[i + 1 :]]
+        domain = chained.table.constants
+        witnesses = [
+            (tuple(binding[v] for v in order), lit)
+            for lit in (chained.literals if domain else ())
+            if lit.positive == positive
+            and lit.predicate == predicate
+            and (binding := _unify(args, lit.args, {}, domain)) is not None
+        ]
+        if witnesses:
+            _, witness = min(witnesses)
+            return Verdict(T, support=_support_chain(witness, chained.derivations))
         return Verdict(U, notes=("existential not witnessed; its refutation is out of fragment",))
 
     try:

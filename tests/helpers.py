@@ -1,14 +1,17 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms:
-reachability comes from repeated boolean matrix squaring and the reference
-schedule from a layer-at-a-time indegree count, so plan-algebra tests check
-two unrelated routes to the same answer.
+reachability comes from repeated boolean matrix squaring, the reference
+schedule from a layer-at-a-time indegree count, and the reference chaining
+engine grounds every rule over every binding and scans the ground rules, so
+tests check two unrelated routes to the same answer.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from proofplan.fol import (
     Variable,
 )
 from proofplan.plan import Plan, PlanStep
-from proofplan.solver import KnowledgeBase, Literal
+from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, rule_templates
 
 VARIABLES = ("x", "y", "z", "u", "v")
 CONSTANTS = ("tom", "jerry", "rex", "ada")
@@ -220,3 +223,71 @@ def ground_literal_queries(rng: random.Random, kb: KnowledgeBase, count: int = 5
         args = tuple(rng.choice(constants) for _ in range(kb.table.predicates[name]))
         queries.append(Literal(rng.random() < 0.7, name, args))
     return queries
+
+
+# ---------------------------------------------------------------------------
+# Reference chaining: enumerate every binding, then scan
+# ---------------------------------------------------------------------------
+
+
+def reference_ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> list[GroundRule]:
+    """Every instantiation of every rule over the declared constants.
+
+    Emitted in rule order, then in lexicographic binding order, deduplicated
+    on the resulting ground implication (the first binding is kept).
+    """
+    domain = tuple(sorted(kb.table.constants))
+    out: list[GroundRule] = []
+    seen: set[tuple[int, tuple[Literal, ...], Literal]] = set()
+    for rule in rule_templates(kb, max_instantiations):
+        if rule.variables and not domain:
+            continue
+        for values in product(domain, repeat=len(rule.variables)):
+            binding = dict(zip(rule.variables, values))
+            ground = GroundRule(
+                rule_id=rule.rule_id,
+                binding=tuple(sorted(binding.items())),
+                premises=tuple(t.instantiate(binding) for t in rule.premises),
+                conclusion=rule.conclusion.instantiate(binding),
+            )
+            key = (rule.rule_id, ground.premises, ground.conclusion)
+            if key not in seen:
+                seen.add(key)
+                out.append(ground)
+    return out
+
+
+def reference_fire_rounds(
+    literals: set[Literal], grounded: Sequence[GroundRule], cwa: bool = False, max_rounds: int | None = None
+) -> list[GroundRule]:
+    """Fire `grounded` in rounds by scanning it, with a semi-naive watch list.
+
+    Same contract as `solver.fire_rounds`: a round fires, in grounded order,
+    every rule whose premises all held when the round began and whose
+    conclusion is new, the first rule per conclusion winning; later rounds
+    check only the rules with a premise the round before derived.
+    """
+    watchers: dict[Literal, list[int]] = {}
+    for index, ground in enumerate(grounded):
+        for premise in ground.premises:
+            watchers.setdefault(premise, []).append(index)
+    fired: list[GroundRule] = []
+    for closed_world in ((False, True) if cwa and max_rounds is None else (False,)):
+        candidates: Sequence[int] = range(len(grounded))
+        rounds = 0
+        while candidates and (max_rounds is None or rounds < max_rounds):
+            rounds += 1
+            new: dict[Literal, GroundRule] = {}
+            for index in candidates:
+                ground = grounded[index]
+                if ground.conclusion in literals or ground.conclusion in new:
+                    continue
+                if all(
+                    p in literals or (closed_world and not p.positive and p.negated() not in literals)
+                    for p in ground.premises
+                ):
+                    new[ground.conclusion] = ground
+            literals.update(new)
+            fired.extend(new.values())
+            candidates = sorted({index for lit in new for index in watchers.get(lit, ())})
+    return fired

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,42 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["eval"])  # missing dataset positional
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "run"])
+@pytest.mark.parametrize("value", ["-2", "-1"])
+def test_negative_replan_rounds_is_a_usage_error(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(DATA / "fig1b.json"), "--backend", "solver-stub", "--max-replan-rounds", value])
+    assert exc.value.code == 2
+    assert "--max-replan-rounds: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "run"])
+@pytest.mark.parametrize(
+    "option, value",
+    [("--timeout-s", "-1"), ("--timeout-s", "0"), ("--timeout-s", "nan"), ("--concurrency", "0"), ("--concurrency", "-3")],
+)
+def test_non_positive_timeout_or_concurrency_is_a_usage_error(command, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(DATA / "fig1b.json"), "--backend", "solver-stub", option, value])
+    assert exc.value.code == 2
+    message = {"--timeout-s": "must be a positive number of seconds", "--concurrency": "must be at least 1"}
+    assert f"{option}: {message[option]}" in capsys.readouterr().err
+
+
+def test_prove_unwitnessed_existential_over_many_constants_is_fast(tmp_path, capsys):
+    # 40 constants and four existential variables: 40 ** 4 candidate
+    # bindings, none of them witnessed. Scanning the derived literals instead
+    # of enumerating the bindings answers at once.
+    premises = tmp_path / "wide.txt"
+    facts = [f"P(c{i:02d})" for i in range(40)] + ["R(c00, c01, c02, c03)"]
+    premises.write_text("\n".join(facts) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["prove", str(premises), "-q", "∃x ∃y ∃z ∃w ¬R(x, y, z, w)", "--explain"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "U"
 
 
 def test_trace_inspection(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CannedBackend, ground_literal_queries, random_horn_kb
+from helpers import CannedBackend, ground_literal_queries, random_horn_kb, reference_ground_rules
 from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.fol import parse_formula, render_formula
 from proofplan.pipeline import (
@@ -428,6 +429,42 @@ def test_diagnose_is_reproducible_from_stored_trace():
     first = diagnose(trace, trace.provisional)
     second = diagnose(trace, trace.provisional)
     assert first == second
+
+
+def _mutated_derivations(rng, ground, pool, rule_count):
+    """`ground` as cited, and cited with one part changed: the binding (never
+    consulted), the rule id, a premise, the premise count or the conclusion."""
+    yield ground
+    yield replace(ground, binding=(("x", "nobody"),))
+    yield replace(ground, rule_id=rng.choice([0, -1, rule_count + 1, rng.randint(1, rule_count)]))
+    if ground.premises:
+        premises = list(ground.premises)
+        premises[rng.randrange(len(premises))] = rng.choice(pool)
+        yield replace(ground, premises=tuple(premises))
+        yield replace(ground, premises=ground.premises[1:])
+    yield replace(ground, premises=ground.premises + (rng.choice(pool),))
+    yield replace(ground, conclusion=rng.choice(pool))
+
+
+def test_diagnose_rule_misuse_agrees_with_reference_grounding():
+    rng = random.Random(57)
+    verdicts = set()
+    for _ in range(150):
+        kb = random_horn_kb(rng)
+        premises = [str(fact) for fact in sorted(kb.literals)] + [render_formula(rule) for rule in kb.rules]
+        context = build_repr([(text, text) for text in premises])
+        grounded = reference_ground_rules(kb_from_repr(context))
+        valid = {(g.rule_id, g.premises, g.conclusion) for g in grounded}
+        pool = sorted({lit for g in grounded for lit in (*g.premises, g.conclusion)})
+        pool += [lit.negated() for lit in pool[:3]] + [Literal(True, "P", ("zz",))]
+        pool += [replace(lit, args=lit.args * 2) for lit in pool[:3]]  # wrong arity
+        for ground in rng.sample(grounded, min(4, len(grounded))):
+            for cited in _mutated_derivations(rng, ground, pool, len(kb.rules)):
+                trace = make_trace([StepRecord(step_id=1, text="apply", derivations=(cited,))], context=context)
+                misuse = "rule-misuse" in diagnose(trace, trace.provisional).labels
+                assert misuse == ((cited.rule_id, cited.premises, cited.conclusion) not in valid)
+                verdicts.add(misuse)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

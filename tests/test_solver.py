@@ -1,11 +1,13 @@
 import json
 import random
+import time
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from helpers import ground_literal_queries, random_horn_kb
-from proofplan.fol import SymbolTable, parse_formula
+from helpers import ground_literal_queries, random_horn_kb, reference_fire_rounds, reference_ground_rules
+from proofplan.fol import Atom, Constant, Exists, ForAll, Not, SymbolTable, Variable, parse_formula
 from proofplan.solver import (
     DomainTooLarge,
     KnowledgeBase,
@@ -18,9 +20,10 @@ from proofplan.solver import (
     decide,
     fire_rounds,
     forward_chain,
-    ground_rules,
     kb_from_repr,
     literal_from_formula,
+    literal_to_formula,
+    rule_templates,
     step_record_from_doc,
     step_record_to_doc,
 )
@@ -62,11 +65,11 @@ def task_definition_repr():
 
 
 def test_ground_rules_single_constant():
-    kb = make_kb([], ["∀x (Cat(x) → Mammal(x))"], {"Cat": 1, "Mammal": 1}, {"tom"})
-    grounded = ground_rules(kb)
-    assert len(grounded) == 1
-    assert grounded[0].premises == (Literal(True, "Cat", ("tom",)),)
-    assert grounded[0].conclusion == Literal(True, "Mammal", ("tom",))
+    kb = make_kb(["Cat(tom)"], ["∀x (Cat(x) → Mammal(x))"], {"Cat": 1, "Mammal": 1}, {"tom"})
+    (ground,) = forward_chain(kb).derivations
+    assert ground.binding == (("x", "tom"),)
+    assert ground.premises == (Literal(True, "Cat", ("tom",)),)
+    assert ground.conclusion == Literal(True, "Mammal", ("tom",))
 
 
 def test_ground_rules_counts_instantiations():
@@ -76,19 +79,25 @@ def test_ground_rules_counts_instantiations():
         {"Likes": 2, "Knows": 2},
         {"a1", "a2", "a3"},
     )
-    assert len(ground_rules(kb)) == 9
+    (rule,) = rule_templates(kb)
+    assert rule.instance_count(kb.table.constants) == 9 == len(reference_ground_rules(kb))
+    assert rule.instance_count(frozenset()) == 0
 
 
 def test_ground_rules_rejects_existential_rule():
     kb = make_kb([], ["∃x P(x)"], {"P": 1}, {"tom"})
     with pytest.raises(UnsupportedFragment):
-        ground_rules(kb)
+        rule_templates(kb)
+    with pytest.raises(UnsupportedFragment):
+        forward_chain(kb)
 
 
 def test_ground_rules_rejects_disjunctive_consequent():
     kb = make_kb([], ["∀x (P(x) → Q(x) ∨ R(x))"], {"P": 1, "Q": 1, "R": 1}, {"tom"})
     with pytest.raises(UnsupportedFragment):
-        ground_rules(kb)
+        rule_templates(kb)
+    with pytest.raises(UnsupportedFragment):
+        forward_chain(kb)
 
 
 def test_ground_rules_domain_bound():
@@ -98,17 +107,28 @@ def test_ground_rules_domain_bound():
         {"Likes": 2, "Knows": 2},
         {"a1", "a2", "a3"},
     )
+    assert len(rule_templates(kb, max_instantiations=9)) == 1
     with pytest.raises(DomainTooLarge):
-        ground_rules(kb, max_instantiations=8)
+        rule_templates(kb, max_instantiations=8)
+    with pytest.raises(DomainTooLarge):
+        forward_chain(kb, max_instantiations=8)
 
 
 def test_ground_rules_bound_counts_bindings_enumerated():
-    # 3 constants and two quantified variables: 9 bindings, but y is unused,
-    # so only 3 distinct ground rules.
-    kb = make_kb([], ["∀x ∀y (P(x) → Q(x))"], {"P": 1, "Q": 1}, {"a1", "a2", "a3"})
-    assert len(ground_rules(kb, max_instantiations=9)) == 3
+    # 3 constants and two quantified variables: 9 bindings count against the
+    # bound, but y is unused, so there are only 3 distinct ground rules, and
+    # each fires with y bound to the least constant.
+    kb = make_kb(["P(a1)", "P(a3)"], ["∀x ∀y (P(x) → Q(x))"], {"P": 1, "Q": 1}, {"a1", "a2", "a3"})
+    (rule,) = rule_templates(kb, max_instantiations=9)
+    assert rule.instance_count(kb.table.constants) == 3 == len(reference_ground_rules(kb))
+    assert [g.binding for g in forward_chain(kb, max_instantiations=9).derivations] == [
+        (("x", "a1"), ("y", "a1")),
+        (("x", "a3"), ("y", "a1")),
+    ]
     with pytest.raises(DomainTooLarge):
-        ground_rules(kb, max_instantiations=5)
+        rule_templates(kb, max_instantiations=5)
+    with pytest.raises(DomainTooLarge):
+        forward_chain(kb, max_instantiations=5)
 
 
 def test_forward_chain_fig1b_reaches_expected_fixpoint():
@@ -173,16 +193,85 @@ def test_forward_chain_fires_in_rounds():
     assert [str(g.conclusion) for g in forward_chain(kb).derivations] == ["Q(tom)", "S(tom)", "R(tom)"]
 
 
+def _with_idle_variable_and_stray_constant(kb):
+    """`kb` with an outer quantified variable no literal mentions on every
+    other rule, and a fact about a constant the table does not declare."""
+    rules = tuple(ForAll("w", rule) if i % 2 == 0 else rule for i, rule in enumerate(kb.rules))
+    name, arity = sorted(kb.table.predicates.items())[0]
+    stray = Literal(True, name, ("zz",) * arity)
+    return replace(kb, rules=rules, literals=kb.literals | {stray})
+
+
+def test_fire_rounds_matches_the_reference_engine():
+    rng = random.Random(606)
+    fired_any = idle = 0
+    for index in range(2000):
+        kb = random_horn_kb(rng)
+        if index % 4 == 3:
+            kb = _with_idle_variable_and_stray_constant(kb)
+        rules = rule_templates(kb)
+        grounded = reference_ground_rules(kb)
+        idle += any(len(g.binding) > len(rules[g.rule_id - 1].used) for g in grounded)
+        for cwa in (False, True):
+            for max_rounds in (1, 2, None):
+                got, want = set(kb.literals), set(kb.literals)
+                fired = fire_rounds(got, rules, kb.table.constants, cwa, max_rounds)
+                assert fired == reference_fire_rounds(want, grounded, cwa, max_rounds)
+                assert got == want
+                fired_any += bool(fired)
+                # A further call on the same literals resumes, as the stub's
+                # rule steps do.
+                more = fire_rounds(got, rules, kb.table.constants, cwa)
+                assert more == reference_fire_rounds(want, grounded, cwa)
+                assert got == want
+    assert fired_any and idle
+
+
+def test_quantified_rules_have_no_instances_without_constants():
+    # The table declares no constants, so only the unquantified rule has an
+    # instance, even though the quantified rule never mentions its variable.
+    kb = make_kb(["P(tom)"], ["∀x (P(tom) → Q(tom))", "P(tom) → R(tom)"], {"P": 1, "Q": 1, "R": 1}, set())
+    quantified, plain = rule_templates(kb)
+    derivations = forward_chain(kb).derivations
+    assert [str(g.conclusion) for g in derivations] == ["R(tom)"]
+    assert list(derivations) == reference_fire_rounds(set(kb.literals), reference_ground_rules(kb))
+    assert (quantified.instance_count(kb.table.constants), plain.instance_count(kb.table.constants)) == (0, 1)
+    cited = derivations[0]
+    assert plain.has_instance(cited.premises, cited.conclusion, kb.table.constants)
+    assert not quantified.has_instance(cited.premises, Literal(True, "Q", ("tom",)), kb.table.constants)
+
+
+def test_forward_chain_joins_150_constants_quickly():
+    constants = [f"c{i:03d}" for i in range(150)]
+    predicates = {f"A{i}": 1 for i in range(51)} | {f"B{k}": 1 for k in range(10)} | {"R": 2}
+    facts = {Literal(True, "A0", (c,)) for c in constants[:40]}
+    facts |= {Literal(True, "R", (a, b)) for a, b in zip(constants, constants[1:])}
+    rules = [f"∀x (A{i}(x) → A{i + 1}(x))" for i in range(50)]
+    rules += [f"∀x ∀y (R(x, y) ∧ A{5 * k}(y) → B{k}(x))" for k in range(10)]
+    kb = KnowledgeBase(
+        table=SymbolTable(predicates=predicates, constants=frozenset(constants)),
+        literals=frozenset(facts),
+        rules=tuple(parse_formula(rule) for rule in rules),
+    )
+    # Enumerating every binding would build 50 * 150 + 10 * 150 ** 2 ground
+    # rules; the join touches only the matches.
+    start = time.perf_counter()
+    out = forward_chain(kb)
+    assert time.perf_counter() - start < 0.5
+    assert len(out.derivations) == 40 * 50 + 10 * 39
+    assert Literal(True, "B9", ("c000",)) in out.literals
+
+
 def test_step_record_codec_round_trips_fired_rules():
     rng = random.Random(23)
     fired_any = 0
     for index in range(200):
         kb = random_horn_kb(rng)
-        grounded = ground_rules(kb)
+        rules = rule_templates(kb)
         literals = set(kb.literals)
         records = [StepRecord(1, "Collect the initial facts.", derived=tuple(sorted(kb.literals)))]
         for step_id, max_rounds in enumerate((1, None), start=2):
-            fired = fire_rounds(literals, grounded, cwa=index % 2 == 1, max_rounds=max_rounds)
+            fired = fire_rounds(literals, rules, kb.table.constants, cwa=index % 2 == 1, max_rounds=max_rounds)
             derived = tuple(g.conclusion for g in fired)
             records.append(StepRecord(step_id, f"fire {max_rounds}", "ok", derived, tuple(fired)))
             fired_any += bool(fired)
@@ -227,6 +316,57 @@ def test_decide_existential():
     assert decide(kb, parse_formula("∃x Mammal(x)")).label == "T"
     unknown = decide(kb, parse_formula("∃x Cat(x)"))
     assert unknown.label == "U" and unknown.notes
+
+
+def test_decide_existential_witness_is_the_least_binding():
+    # Reference: the first binding, in quantifier order over the sorted
+    # constants, whose instance is derived; a variable quantified twice takes
+    # the inner quantifier's value.
+    rng = random.Random(88)
+    witnessed = 0
+    for _ in range(300):
+        kb = forward_chain(random_horn_kb(rng))
+        if kb.contradiction:
+            continue
+        domain = sorted(kb.table.constants)
+        name, arity = rng.choice(sorted(kb.table.predicates.items()))
+        args = tuple(rng.choice(["x", "y", "x", domain[0]]) for _ in range(arity))
+        variables = rng.choice([("x", "y"), ("y", "x"), ("x", "y", "z"), ("x", "y", "x")])
+        atom = Atom(name, tuple(Variable(a) if a in "xy" else Constant(a) for a in args))
+        body = atom if rng.random() < 0.7 else Not(atom)
+        question = body
+        for variable in reversed(variables):
+            question = Exists(variable, question)
+        expected = None
+        for values in product(domain, repeat=len(variables)):
+            binding = dict(zip(variables, values))
+            candidate = Literal(body is atom, name, tuple(binding.get(a, a) for a in args))
+            if candidate in kb.literals:
+                expected = candidate
+                break
+        verdict = decide(kb, question)
+        if expected is None:
+            assert verdict.label == "U"
+        else:
+            witnessed += 1
+            reference = decide(kb, literal_to_formula(expected))
+            assert (verdict.label, verdict.support) == ("T", reference.support)
+    assert witnessed
+
+
+def test_decide_existential_requantified_variable_takes_the_inner_value():
+    kb = make_kb(
+        ["P(ann)", "Q(bob)"],
+        ["∀x (P(x) → R(x, bob))", "∀x (Q(x) → R(x, ann))"],
+        {"P": 1, "Q": 1, "R": 2},
+        {"ann", "bob"},
+    )
+    # Bindings run x, y, x; the first with a derived instance is
+    # (ann, ann, bob), which reads R(bob, ann) because the inner x wins.
+    verdict = decide(kb, parse_formula("∃x ∃y ∃x R(x, y)"))
+    assert [str(g.conclusion) for g in verdict.support] == ["R(bob, ann)"]
+    verdict = decide(kb, parse_formula("∃x ∃y R(x, y)"))
+    assert [str(g.conclusion) for g in verdict.support] == ["R(ann, bob)"]
 
 
 def test_decide_contradiction_yields_note_not_label():
