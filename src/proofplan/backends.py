@@ -186,6 +186,21 @@ _STUB_DEGRADED_PLAN = _chain(
 )
 
 
+def _reply(doc: Any) -> str:
+    return json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+_FULL_PLAN_DOC = planmod.plan_to_json(_STUB_FULL_PLAN)
+# The plan and replan replies never vary, so they are encoded once.
+_STUB_PLAN_REPLIES = {False: _reply(_FULL_PLAN_DOC), True: _reply(planmod.plan_to_json(_STUB_DEGRADED_PLAN))}
+_STUB_REPLAN_REPLY = _reply(
+    {
+        "Revised plan": {"Corrected_plan": _FULL_PLAN_DOC["Plan"], "Matrix": _FULL_PLAN_DOC["Matrix"]},
+        "Rationale": "run rule application to a fixpoint before the judgment step",
+    }
+)
+
+
 class SolverStubBackend(Backend):
     """Deterministic backend that answers every stage with solver output.
 
@@ -213,11 +228,11 @@ class SolverStubBackend(Backend):
         if meta.stage == "translate":
             return self._translate(meta)
         if meta.stage == "plan":
-            return self._plan(meta)
+            return _STUB_PLAN_REPLIES[self.degrade_initial_plan]
         if meta.stage == "solve":
             return self._solve(meta)
         if meta.stage == "replan":
-            return self._replan(meta)
+            return _STUB_REPLAN_REPLY
         raise BackendError(f"unknown stage {meta.stage!r}")
 
     def _translate(self, meta: StageMeta) -> str:
@@ -227,19 +242,7 @@ class SolverStubBackend(Backend):
             "Premises": [{"statement": text, "symbol": text} for text in premises],
             "Proposition": [{"statement": question, "symbol": question}],
         }
-        return json.dumps(doc, ensure_ascii=False, indent=2)
-
-    def _plan(self, meta: StageMeta) -> str:
-        plan = _STUB_DEGRADED_PLAN if self.degrade_initial_plan else _STUB_FULL_PLAN
-        return json.dumps(planmod.plan_to_json(plan), ensure_ascii=False, indent=2)
-
-    def _replan(self, meta: StageMeta) -> str:
-        doc = planmod.plan_to_json(_STUB_FULL_PLAN)
-        reply = {
-            "Revised plan": {"Corrected_plan": doc["Plan"], "Matrix": doc["Matrix"]},
-            "Rationale": "run rule application to a fixpoint before the judgment step",
-        }
-        return json.dumps(reply, ensure_ascii=False, indent=2)
+        return _reply(doc)
 
     def _context(self, meta: StageMeta) -> StructuredRepr:
         context = meta.payload.get("context")
@@ -288,8 +291,7 @@ class SolverStubBackend(Backend):
 
         if answer is None:
             answer = self._answer(context, kb, literals)
-        doc = {"Execution log": [solvermod.step_record_to_doc(r) for r in log], "Final answer": answer}
-        return json.dumps(doc, ensure_ascii=False, indent=2)
+        return _reply({"Execution log": [solvermod.step_record_to_doc(r) for r in log], "Final answer": answer})
 
     @staticmethod
     def _answer(

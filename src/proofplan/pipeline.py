@@ -22,7 +22,7 @@ from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
 from .plan import CycleError, MatrixShapeMismatch, Plan
 from .solver import Literal, StepRecord, Verdict, step_record_from_doc, step_record_to_doc
-from .structured import RawContext, StructuredRepr, doc_to_repr, repr_to_doc, validate_static
+from .structured import RawContext, StructuredRepr, doc_to_repr, validate_static
 
 __all__ = [
     "Problem",
@@ -218,18 +218,6 @@ def normalize_label(value: Any) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _repr_text(context: StructuredRepr | RawContext) -> str:
-    if isinstance(context, RawContext):
-        return context.text
-    return json.dumps(repr_to_doc(context), ensure_ascii=False, indent=2)
-
-
-def _plan_text(plan: Plan) -> str:
-    doc = planmod.plan_to_json(plan)
-    order = ", ".join(str(i) for i in planmod.execution_order(plan))
-    return json.dumps(doc, ensure_ascii=False, indent=2) + f"\nExecution order: {order}"
-
-
 def _call_stage(
     backend: Backend,
     config: PipelineConfig,
@@ -283,7 +271,7 @@ def _plan(
     config: PipelineConfig,
     problem: Problem | None,
 ) -> tuple[Plan, str]:
-    raw = _call_stage(backend, config, "plan", {"repr": _repr_text(context)}, {"context": context}, problem)
+    raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context}, problem)
     doc = extract_json(raw, "plan")
     try:
         parsed = planmod.plan_from_json(doc)
@@ -315,9 +303,12 @@ def _parse_solve_doc(doc: Any, plan: Plan, stage: str, raw: str) -> tuple[tuple[
     if not isinstance(log, list):
         raise StageParseError(stage, '"Execution log" must be a string or array', raw=raw)
     order = planmod.execution_order(plan)
+    literals: dict[str, Literal] = {}  # each distinct literal string is parsed once per reply
     try:
         records = tuple(
-            step_record_from_doc(entry, f"/Execution log/{index}", order[index] if index < len(order) else 0)
+            step_record_from_doc(
+                entry, f"/Execution log/{index}", order[index] if index < len(order) else 0, literals
+            )
             for index, entry in enumerate(log)
         )
     except SchemaError as err:
@@ -334,7 +325,7 @@ def solve_stage(
     round: int = 0,
 ) -> Trace:
     planmod.validate_dag(plan)
-    values = {"repr": _repr_text(context), "plan": _plan_text(plan)}
+    values = {"repr": context.text, "plan": plan.text}
     payload = {"context": context, "plan": plan, "cwa": config.cwa}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
     doc = extract_json(raw, "solve")
@@ -529,8 +520,8 @@ def replan_stage(
     the separate solve call.
     """
     values = {
-        "repr": _repr_text(context),
-        "plan": _plan_text(plan),
+        "repr": context.text,
+        "plan": plan.text,
         "trace": _trace_text(trace),
         "provisional": provisional.label,
         "diagnosis": _diagnosis_text(diagnosis),
@@ -661,11 +652,13 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
 
 
 def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
-    """JSON-ready trace record; deterministic for a fixed backend transcript."""
-    if isinstance(trace.context, RawContext):
-        context_doc: Any = {"raw": trace.context.text}
-    else:
-        context_doc = repr_to_doc(trace.context)
+    """JSON-ready trace record; deterministic for a fixed backend transcript.
+
+    A structured context appears as the representation's kept `doc`, shared
+    with its other traces, so callers serialize the record and do not mutate it.
+    """
+    context = trace.context
+    context_doc = {"raw": context.text} if isinstance(context, RawContext) else context.doc
     return {
         "instance": instance_id,
         "round": trace.round,

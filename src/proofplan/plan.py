@@ -12,6 +12,8 @@ Step ids are 1-based everywhere in the public API.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -123,6 +125,12 @@ class Plan:
     @property
     def size(self) -> int:
         return len(self.steps)
+
+    @functools.cached_property
+    def text(self) -> str:
+        """Prompt rendering: indented `plan_to_json` and the execution order; computed once."""
+        order = ", ".join(str(i) for i in execution_order(self))
+        return json.dumps(plan_to_json(self), ensure_ascii=False, indent=2) + f"\nExecution order: {order}"
 
     def rows(self) -> list[int]:
         out = []

@@ -168,11 +168,15 @@ def step_record_to_doc(record: StepRecord) -> dict[str, Any]:
     }
 
 
-def step_record_from_doc(doc: Any, pointer: str = "", default_step: int = 0) -> StepRecord:
+def step_record_from_doc(
+    doc: Any, pointer: str = "", default_step: int = 0, literals: dict[str, Literal] | None = None
+) -> StepRecord:
     """Inverse of `step_record_to_doc`; also accepts a bare string as the note.
 
     Missing fields take their defaults (`default_step` for the step id), and
-    a shape error raises SchemaError with a pointer below `pointer`.
+    a shape error raises SchemaError with a pointer below `pointer`. Literal
+    strings already in `literals` are not parsed again, and newly parsed ones
+    are added, so the records of one document can share a dict.
     """
     if isinstance(doc, str):
         return StepRecord(step_id=default_step, text=doc)
@@ -184,16 +188,19 @@ def step_record_from_doc(doc: Any, pointer: str = "", default_step: int = 0) -> 
     step_id = doc.get("step", default_step)
     if isinstance(step_id, bool) or not isinstance(step_id, int):
         raise SchemaError(f"{pointer}/step", "expected integer")
+    literals = {} if literals is None else literals
     return StepRecord(
         step_id=step_id,
         text=str(doc.get("note", "")),
         status=str(doc.get("status", "ok")),
-        derived=tuple(_literal_from_doc(item, at) for at, item in _items(doc, "derived", pointer)),
-        derivations=tuple(_derivation_from_doc(item, at) for at, item in _items(doc, "derivations", pointer)),
+        derived=tuple(_literal_from_doc(item, at, literals) for at, item in _items(doc, "derived", pointer)),
+        derivations=tuple(
+            _derivation_from_doc(item, at, literals) for at, item in _items(doc, "derivations", pointer)
+        ),
     )
 
 
-def _derivation_from_doc(doc: Any, pointer: str) -> GroundRule:
+def _derivation_from_doc(doc: Any, pointer: str, literals: dict[str, Literal]) -> GroundRule:
     """Inverse of `derivation_to_doc`."""
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected object")
@@ -206,8 +213,8 @@ def _derivation_from_doc(doc: Any, pointer: str) -> GroundRule:
     return GroundRule(
         rule_id=rule_id,
         binding=tuple(sorted((str(k), str(v)) for k, v in binding.items())),
-        premises=tuple(_literal_from_doc(item, at) for at, item in _items(doc, "premises", pointer)),
-        conclusion=_literal_from_doc(doc.get("literal", ""), f"{pointer}/literal"),
+        premises=tuple(_literal_from_doc(item, at, literals) for at, item in _items(doc, "premises", pointer)),
+        conclusion=_literal_from_doc(doc.get("literal", ""), f"{pointer}/literal", literals),
     )
 
 
@@ -219,13 +226,15 @@ def _items(doc: dict[str, Any], key: str, pointer: str) -> list[tuple[str, Any]]
     return [(f"{pointer}/{key}/{i}", item) for i, item in enumerate(items)]
 
 
-def _literal_from_doc(text: Any, pointer: str) -> Literal:
+def _literal_from_doc(text: Any, pointer: str, literals: dict[str, Literal]) -> Literal:
     if not isinstance(text, str):
         raise SchemaError(pointer, "expected string")
-    try:
-        return literal_from_formula(parse_formula(text))
-    except Exception as err:
-        raise SchemaError(pointer, f"not a ground literal: {err}") from err
+    if text not in literals:
+        try:
+            literals[text] = literal_from_formula(parse_formula(text))
+        except Exception as err:
+            raise SchemaError(pointer, f"not a ground literal: {err}") from err
+    return literals[text]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ groundedness violations without failing.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
@@ -87,6 +88,8 @@ class AlignedStatement:
 
 @dataclass(frozen=True)
 class StructuredRepr:
+    """Immutable; its document form and prompt text are computed on first use and kept."""
+
     table: SymbolTable
     facts: tuple[AlignedStatement, ...]
     rules: tuple[AlignedStatement, ...]
@@ -99,6 +102,16 @@ class StructuredRepr:
     @property
     def premises(self) -> tuple[AlignedStatement, ...]:
         return tuple(s for s in self.statements() if s not in self.questions)
+
+    @functools.cached_property
+    def doc(self) -> dict[str, Any]:
+        """`repr_to_doc` of this representation, computed once; treat it as read-only."""
+        return repr_to_doc(self)
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The document as indented JSON, as prompts carry it; computed once."""
+        return json.dumps(self.doc, ensure_ascii=False, indent=2)
 
 
 @dataclass(frozen=True)
@@ -283,7 +296,7 @@ def repr_to_doc(repr_: StructuredRepr) -> dict[str, Any]:
 
 
 def serialize_repr(repr_: StructuredRepr) -> bytes:
-    return json.dumps(repr_to_doc(repr_), ensure_ascii=False, indent=2).encode("utf-8")
+    return repr_.text.encode("utf-8")
 
 
 def _require(value: Any, kind: type, pointer: str, what: str) -> Any:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -9,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import CannedBackend, ground_literal_queries, random_horn_kb, reference_ground_rules
+from proofplan import plan as planmod
+from proofplan import solver as solvermod
+from proofplan import structured
 from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.fol import parse_formula, render_formula
+from proofplan.harness import load_dataset
 from proofplan.pipeline import (
     Diagnosis,
     PipelineConfig,
@@ -19,6 +24,7 @@ from proofplan.pipeline import (
     StageParseError,
     StepRecord,
     Trace,
+    _parse_solve_doc,
     diagnose,
     extract_json,
     normalize_label,
@@ -30,7 +36,7 @@ from proofplan.pipeline import (
     trace_to_doc,
     translate_stage,
 )
-from proofplan.plan import CycleError, MatrixShapeMismatch, Plan, PlanStep
+from proofplan.plan import CycleError, MatrixShapeMismatch, Plan, PlanStep, plan_to_json
 from proofplan.solver import (
     GroundRule,
     Literal,
@@ -41,8 +47,9 @@ from proofplan.solver import (
     literal_from_formula,
     literal_to_formula,
 )
-from proofplan.structured import StructuredRepr, build_repr
+from proofplan.structured import StructuredRepr, build_repr, repr_to_doc
 
+DATA = Path(__file__).parent / "data"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 FIG1B_PREMISES = (
@@ -270,6 +277,43 @@ def test_solve_stage_missing_final_answer():
     with pytest.raises(StageParseError) as exc:
         solve_stage(backend, RawContext("ctx"), plan)
     assert "Final answer" in str(exc.value)
+
+
+TWO_STEP_PLAN = Plan((PlanStep(1, "apply the rules"), PlanStep(2, "judge")), ((0, 1), (0, 0)))
+
+
+def test_parse_solve_doc_malformed_repeated_literal_names_its_first_occurrence():
+    derivation = {"literal": "Q(tom", "rule": 1, "binding": {"x": "tom"}, "premises": ["P(tom)"]}
+    doc = {
+        "Execution log": [
+            {"step": 1, "derived": ["P(tom)"], "derivations": [derivation]},
+            {"step": 2, "derived": ["Q(tom"]},
+        ],
+        "Final answer": "T",
+    }
+    with pytest.raises(StageParseError) as exc:
+        _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw")
+    assert exc.value.__cause__.pointer == "/Execution log/0/derivations/0/literal"
+
+
+def test_parse_solve_doc_repeated_literals_decode_equal_and_keep_polarity(monkeypatch):
+    derivation = {"literal": "Q(tom)", "rule": 1, "binding": {"x": "tom"}, "premises": ["P(tom)", "¬R(tom)"]}
+    doc = {
+        "Execution log": [
+            {"step": 1, "derived": ["P(tom)", "¬P(tom)", "Q(tom)"], "derivations": [derivation]},
+            {"step": 2, "derived": ["Q(tom)", "P(tom)", "¬R(tom)"]},
+        ],
+        "Final answer": "T",
+    }
+    parsed = []
+    monkeypatch.setattr(solvermod, "parse_formula", lambda text: parsed.append(text) or parse_formula(text))
+    records, label = _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw")
+    assert sorted(parsed) == ["P(tom)", "Q(tom)", "¬P(tom)", "¬R(tom)"]
+    p, not_p, q = lit("P(tom)"), lit("¬P(tom)"), lit("Q(tom)")
+    assert label == "T" and p != not_p
+    assert records[0].derived == (p, not_p, q)
+    assert records[0].derivations == (GroundRule(1, (("x", "tom"),), (p, lit("¬R(tom)")), q),)
+    assert records[1].derived == (q, p, lit("¬R(tom)"))
 
 
 # ---------------------------------------------------------------------------
@@ -557,26 +601,76 @@ def test_run_pipeline_repairs_premature_termination():
     assert any("fixpoint" in c for c in contents)
 
 
+class RecordingBackend:
+    """Passes each call to `inner` and keeps (meta, prompt, reply)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def complete(self, prompt, params):
+        reply = self.inner.complete(prompt, params)
+        self.calls.append((params.meta, prompt, reply))
+        return reply
+
+
 def test_run_pipeline_stage_calls_carry_their_meta():
-    class Recording:
-        def __init__(self, inner):
-            self.inner = inner
-            self.calls = []
-
-        def complete(self, prompt, params):
-            meta = params.meta
-            self.calls.append((meta.stage, meta.round, meta.instance_id, sorted(meta.payload)))
-            return self.inner.complete(prompt, params)
-
-    backend = Recording(SolverStubBackend(degrade_initial_plan=True))
+    backend = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
     run_pipeline(backend, fig1b_problem())
-    assert backend.calls == [
+    assert [(m.stage, m.round, m.instance_id, sorted(m.payload)) for m, _, _ in backend.calls] == [
         ("translate", 0, "fig1b", ["premises", "question"]),
         ("plan", 0, "fig1b", ["context"]),
         ("solve", 0, "fig1b", ["context", "cwa", "plan"]),
         ("replan", 1, "fig1b", ["context", "diagnosis", "plan", "provisional"]),
         ("solve", 1, "fig1b", ["context", "cwa", "plan"]),
     ]
+
+
+# sha256 of every stage prompt, reply and trace line the degraded solver stub
+# produces on a dataset; the prompts and traces must not change when the
+# stage glue is rewritten.
+STUB_TRANSCRIPT_SHA256 = {
+    ("fig1b.json", "default"): "12dee0157a91db2226318620da3bae401c2d44435dbadec1c85805d3a25550a3",
+    ("fig1b.json", "mp"): "524089985397a4ba7f2a54de9a36c9111a4440ce11ddc22c88b2167065c7efc8",
+    ("fig1b.json", "srm"): "5b56c8d689e1be4cafecb41b974211ab56f4e08482bcffb4688ceb5e9ccff973",
+    ("batch3.json", "default"): "be7401b273f40731047845793c2be8eb641c8f2a6fd69483a2d0733d22e5dc69",
+    ("batch3.json", "mp"): "0a3a1eece9d0574b8fb2521f8e3111e3983775211df496b8d5184729e1e40a10",
+    ("batch3.json", "srm"): "8933cd7d1cd27d29b5da9a2fd68b538a3584fc0788f7f86c5f0893dc73ac5a11",
+}
+
+TRANSCRIPT_CONFIGS = {
+    "default": PipelineConfig(max_replan_rounds=2),
+    "mp": PipelineConfig(max_replan_rounds=1, disable_matrix_plan=True),
+    "srm": PipelineConfig(max_replan_rounds=1, disable_structured_repr=True),
+}
+
+
+@pytest.mark.parametrize("dataset, mode", sorted(STUB_TRANSCRIPT_SHA256))
+def test_run_pipeline_stub_prompts_and_replies_are_pinned(dataset, mode):
+    digest = hashlib.sha256()
+    for instance in load_dataset(DATA / dataset):
+        problem = Problem(id=instance.id, premises=instance.premises, question=instance.question)
+        backend = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
+        result = run_pipeline(backend, problem, TRANSCRIPT_CONFIGS[mode])
+        assert result.rounds_used >= 1
+        for meta, prompt, reply in backend.calls:
+            digest.update(f"{meta.stage}/{meta.round}\0{prompt}\0{reply}\0".encode("utf-8"))
+        for trace in result.traces:
+            digest.update(json.dumps(trace_to_doc(trace, instance.id), ensure_ascii=False).encode("utf-8"))
+    assert digest.hexdigest() == STUB_TRANSCRIPT_SHA256[dataset, mode]
+
+
+def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
+    docs, plans = [], []
+    monkeypatch.setattr(structured, "repr_to_doc", lambda r: docs.append(r) or repr_to_doc(r))
+    monkeypatch.setattr(planmod, "plan_to_json", lambda p: plans.append(p) or plan_to_json(p))
+    backend = SolverStubBackend(degrade_initial_plan=True)
+    result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
+    for trace in result.traces:
+        trace_to_doc(trace, "fig1b")
+    assert docs == [result.context]
+    # once for the prompt text and once for the trace that records the plan
+    assert [sum(q is p for q in plans) for p in result.plans] == [2, 2, 2]
 
 
 def test_run_pipeline_trace_raw_holds_each_rounds_replies():

@@ -147,6 +147,19 @@ def test_serialize_round_trip_document_shape():
     assert deserialize_repr(data) == r
 
 
+def test_repr_renderings_are_kept_and_repr_to_doc_stays_fresh():
+    r = build_repr(
+        [("Tom is a human.", "Human(tom)"), ("Humans are mammals.", "∀x (Human(x) → Mammal(x))")],
+        questions=[("Is Tom a mammal?", "Mammal(tom)")],
+    )
+    first = repr_to_doc(r)
+    first["Premises"].clear()
+    assert repr_to_doc(r) is not first and repr_to_doc(r)["Premises"]
+    assert r.doc is r.doc and r.doc == repr_to_doc(r)
+    assert r.text is r.text
+    assert serialize_repr(r) == json.dumps(repr_to_doc(r), ensure_ascii=False, indent=2).encode("utf-8")
+
+
 def test_empty_repr_round_trips():
     r = build_repr([])
     doc = json.loads(serialize_repr(r))
