@@ -8,7 +8,7 @@ ground truth for verification.
 """
 
 from .backends import Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
-from .fol import Formula, SymbolTable, free_vars, parse_formula, render_formula, substitute
+from .fol import Formula, SymbolTable, free_vars, parse_formula, render_formula
 from .harness import Instance, RunReport, evaluate, load_dataset, stratify_by_depth
 from .pipeline import (
     Diagnosis,

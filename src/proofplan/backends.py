@@ -80,7 +80,8 @@ class LiveBackend(Backend):
 
     The API key comes from the environment only (never a config file). At
     most `max_inflight` requests run concurrently; transient failures retry
-    with exponential backoff.
+    with exponential backoff, or after the reply's numeric `Retry-After`
+    seconds (capped at the request timeout) when a 429/5xx reply gives one.
     """
 
     def __init__(
@@ -117,9 +118,11 @@ class LiveBackend(Backend):
         }
         headers = {"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"}
         last_error = "no attempts made"
+        delay: float = 0
         for attempt in range(self._retries):
             if attempt:
-                time.sleep(2 ** (attempt - 1))
+                time.sleep(delay)
+            delay = 2**attempt
             with self._gate:
                 try:
                     response = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
@@ -129,6 +132,7 @@ class LiveBackend(Backend):
             status = getattr(response, "status_code", 0)
             if status == 429 or status >= 500:
                 last_error = f"HTTP {status}"
+                delay = _retry_after(response, self._timeout, delay)
                 continue
             if status != 200:
                 raise BackendError(f"HTTP {status}: {getattr(response, 'text', '')[:200]}")
@@ -140,6 +144,15 @@ class LiveBackend(Backend):
                 raise BackendError("backend returned an empty completion")
             return content
         raise BackendError(f"request failed after {self._retries} attempts: {last_error}")
+
+
+def _retry_after(response: Any, cap: float, default: float) -> float:
+    """The reply's `Retry-After` in seconds, at most `cap`; `default` unless it is a number."""
+    try:
+        seconds = float((getattr(response, "headers", None) or {}).get("Retry-After", ""))
+    except (TypeError, ValueError):
+        return default
+    return min(seconds, cap) if seconds >= 0 else default
 
 
 class ScriptedBackend(Backend):

@@ -32,11 +32,9 @@ __all__ = [
     "FormulaSyntaxError",
     "ArityMismatch",
     "UndeclaredSymbol",
-    "NotAConstant",
     "parse_formula",
     "render_formula",
     "free_vars",
-    "substitute",
     "MAX_DEPTH",
 ]
 
@@ -89,10 +87,6 @@ class UndeclaredSymbol(FolError):
         self.name = name
         self.role = role
         super().__init__(f"undeclared {role}: {name}")
-
-
-class NotAConstant(FolError):
-    pass
 
 
 def _check_ident(name: str, what: str) -> None:
@@ -595,35 +589,3 @@ def free_vars(f: Formula) -> set[str]:
     for child in _children(f):
         out |= free_vars(child)
     return out
-
-
-def substitute(f: Formula, var: str, replacement: Term) -> Formula:
-    """Replace free occurrences of `var` with the constant `replacement`."""
-    if isinstance(replacement, Variable):
-        raise NotAConstant(f"replacement term must be a constant, got variable {replacement.name}")
-
-    def sub_term(t: Term) -> Term:
-        return replacement if isinstance(t, Variable) and t.name == var else t
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.predicate, tuple(sub_term(t) for t in g.args))
-        if isinstance(g, Equality):
-            return Equality(sub_term(g.left), sub_term(g.right))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, And):
-            return And(tuple(walk(item) for item in g.items))
-        if isinstance(g, Or):
-            return Or(tuple(walk(item) for item in g.items))
-        if isinstance(g, Implies):
-            return Implies(walk(g.antecedent), walk(g.consequent))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left), walk(g.right))
-        if isinstance(g, (ForAll, Exists)):
-            if g.var == var:
-                return g
-            return type(g)(g.var, walk(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)

@@ -577,8 +577,6 @@ def replan_stage(
     else:
         raise StageParseError("replan", 'reply has neither "Revised plan" nor "Edits"', raw=raw)
 
-    planmod.validate_dag(revised)
-
     embedded: Trace | None = None
     if "Final answer" in doc:
         records, label = _parse_solve_doc(

@@ -127,6 +127,12 @@ class Plan:
         return len(self.steps)
 
     @functools.cached_property
+    def order(self) -> tuple[int, ...] | None:
+        """Concatenated-frontier order of the 1-based ids, or None if a cycle blocks it; computed once."""
+        order = layered_order_rows(self.rows())
+        return None if order is None else tuple(i + 1 for i in order)
+
+    @functools.cached_property
     def text(self) -> str:
         """Prompt rendering: indented `plan_to_json` and the execution order; computed once."""
         order = ", ".join(str(i) for i in execution_order(self))
@@ -341,13 +347,17 @@ def succ(plan: Plan, i: int) -> set[int]:
 
 def validate_dag(plan: Plan) -> None:
     """Raise ShapeError on a nonzero diagonal, CycleError on a cycle."""
+    if plan.order is not None:
+        return
     rows = plan.rows()
     for i in range(plan.size):
         if (rows[i] >> i) & 1:
             raise ShapeError(f"diagonal entry at step {i + 1} must be zero")
-    cycle = find_cycle_rows(rows)
-    if cycle is not None:
-        raise CycleError([i + 1 for i in cycle])
+    raise _cycle_error(rows)
+
+
+def _cycle_error(rows: Sequence[int]) -> CycleError:
+    return CycleError([i + 1 for i in find_cycle_rows(rows) or []])
 
 
 def frontier(plan: Plan, done: Iterable[int]) -> tuple[int, ...]:
@@ -366,11 +376,9 @@ def frontier(plan: Plan, done: Iterable[int]) -> tuple[int, ...]:
 
 def execution_order(plan: Plan) -> list[int]:
     """Concatenation of successive frontiers; a valid topological order."""
-    order = layered_order_rows(plan.rows())
-    if order is None:
-        cycle = find_cycle_rows(plan.rows())
-        raise CycleError([i + 1 for i in (cycle or [])])
-    return [i + 1 for i in order]
+    if plan.order is None:
+        raise _cycle_error(plan.rows())
+    return list(plan.order)
 
 
 def transitive_reduce(plan: Plan) -> Plan:

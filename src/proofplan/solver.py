@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import SchemaError
 from .fol import (
     And,
@@ -74,6 +72,7 @@ __all__ = [
 
 DEFAULT_GROUNDING_BOUND = 1_000_000
 DEFAULT_ATOM_LIMIT = 24
+_CHUNK_BITS = 18
 
 T, F, U = "T", "F", "U"
 
@@ -752,53 +751,58 @@ def brute_force_entails(kb: KnowledgeBase, question: Formula, atom_limit: int = 
     n = len(atom_index)
     if n > atom_limit:
         raise TooManyAtoms(f"{n} ground atoms occur; the enumeration limit is {atom_limit}")
-    total = 1 << n
-    chunk = 1 << min(n, 18)
+    # Assignments are enumerated in chunks of 2^18, each chunk one Python int
+    # per atom: bit k is the atom's value in the chunk's k-th assignment.
+    # The low atoms take the same columns in every chunk; each higher atom is
+    # constant within a chunk, set by the chunk's number.
+    low = min(n, _CHUNK_BITS)
+    full = (1 << (1 << low)) - 1
+    nbytes = max(1, (1 << low) >> 3)
+    columns = []
+    for i in range(low):
+        if i < 3:
+            unit = bytes([(0xAA, 0xCC, 0xF0)[i]])  # bit k of the byte is bit i of k
+        else:
+            unit = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+        columns.append(int.from_bytes(unit * (nbytes // len(unit)), "little") & full)
+
+    def evaluate(tree: Any) -> int:
+        tag = tree[0]
+        if tag == "atom":
+            return values[tree[1]]
+        if tag == "const":
+            return full if tree[1] else 0
+        if tag == "not":
+            return full ^ evaluate(tree[1])
+        if tag == "and":
+            out = full
+            for sub in tree[1]:
+                out &= evaluate(sub)
+            return out
+        if tag == "or":
+            out = 0
+            for sub in tree[1]:
+                out |= evaluate(sub)
+            return out
+        return full ^ evaluate(tree[1]) ^ evaluate(tree[2])
 
     saw_model = False
     saw_q_true = False
     saw_q_false = False
-    for base in range(0, total, chunk):
-        idx = np.arange(base, min(base + chunk, total), dtype=np.int64)
-        columns: dict[int, np.ndarray] = {}
-
-        def evaluate(tree: Any) -> np.ndarray:
-            tag = tree[0]
-            if tag == "atom":
-                i = tree[1]
-                got = columns.get(i)
-                if got is None:
-                    got = ((idx >> i) & 1).astype(bool)
-                    columns[i] = got
-                return got
-            if tag == "const":
-                return np.full(idx.shape, tree[1], dtype=bool)
-            if tag == "not":
-                return ~evaluate(tree[1])
-            if tag == "and":
-                out = evaluate(tree[1][0])
-                for sub in tree[1][1:]:
-                    out = out & evaluate(sub)
-                return out
-            if tag == "or":
-                out = evaluate(tree[1][0])
-                for sub in tree[1][1:]:
-                    out = out | evaluate(sub)
-                return out
-            return evaluate(tree[1]) == evaluate(tree[2])
-
-        theory = np.ones(idx.shape, dtype=bool)
+    for chunk in range(1 << (n - low)):
+        values = columns + [full if chunk >> j & 1 else 0 for j in range(n - low)]
+        theory = full
         for tree in trees:
-            theory = theory & evaluate(tree)
-            if not theory.any():
+            theory &= evaluate(tree)
+            if not theory:
                 break
-        if not theory.any():
+        if not theory:
             continue
         saw_model = True
         q = evaluate(question_tree)
-        if (theory & q).any():
+        if theory & q:
             saw_q_true = True
-        if (theory & ~q).any():
+        if theory & ~q:
             saw_q_false = True
         if saw_q_true and saw_q_false:
             return U

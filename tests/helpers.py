@@ -13,8 +13,6 @@ import random
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-
 from proofplan.fol import (
     And,
     Atom,
@@ -121,12 +119,16 @@ def random_digraph_matrix(rng: random.Random, n: int, p: float = 0.3) -> list[li
     return matrix
 
 
-def reachability_by_squaring(matrix) -> np.ndarray:
+def reachability_by_squaring(matrix) -> tuple[tuple[bool, ...], ...]:
     """Transitive closure oracle: square the boolean matrix to a fixpoint."""
-    reach = np.array(matrix, dtype=bool)
+    n = len(matrix)
+    reach = tuple(tuple(bool(value) for value in row) for row in matrix)
     while True:
-        step = reach | ((reach.astype(np.int64) @ reach.astype(np.int64)) > 0)
-        if (step == reach).all():
+        step = tuple(
+            tuple(reach[i][j] or any(reach[i][k] and reach[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+        if step == reach:
             return reach
         reach = step
 

@@ -19,10 +19,11 @@ from proofplan.structured import build_repr, repr_to_doc
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -85,6 +86,28 @@ def test_live_backend_gives_up_after_retries(monkeypatch):
     backend = LiveBackend(base_url="http://x/v1", model="m", session=session, max_retries=3)
     with pytest.raises(BackendError):
         backend.complete("p", params())
+
+
+@pytest.mark.parametrize(
+    "retry_after, sleeps",
+    [
+        ("7", [7.0, 7.0]),
+        ("86400", [30.0, 30.0]),  # capped at the request timeout
+        ("Wed, 21 Oct 2026 07:28:00 GMT", [1, 2]),  # an HTTP-date: exponential delay
+        ("nan", [1, 2]),
+        (None, [1, 2]),
+    ],
+)
+def test_live_backend_honours_numeric_retry_after(monkeypatch, retry_after, sleeps):
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    slept = []
+    monkeypatch.setattr("proofplan.backends.time.sleep", slept.append)
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    busy = [FakeResponse(status_code=429, headers=headers), FakeResponse(status_code=503, headers=headers)]
+    session = FakeSession([*busy, completion("ok")])
+    backend = LiveBackend(base_url="http://x/v1", model="m", session=session, timeout_s=30.0)
+    assert backend.complete("p", params()) == "ok"
+    assert slept == sleeps
 
 
 def test_live_backend_rejects_empty_completion(monkeypatch):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,6 +11,17 @@ from proofplan.cli import main
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_cli_import_does_not_load_numpy():
+    # The model-enumeration oracle runs on plain ints, so a cold start loads no numpy.
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, proofplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_prove_task_definition_unknown(capsys):

@@ -21,10 +21,8 @@ from proofplan.fol import (
     UndeclaredSymbol,
     Variable,
     free_vars,
-    NotAConstant,
     parse_formula,
     render_formula,
-    substitute,
 )
 
 
@@ -181,23 +179,6 @@ def test_free_vars():
     assert free_vars(parse_formula("∀x P(x)")) == set()
     assert free_vars(parse_formula("P(x)")) == {"x"}
     assert free_vars(parse_formula("∃x (P(x) ∧ Q(y))")) == {"y"}
-
-
-def test_substitute():
-    f = parse_formula("Cat(x) → Mammal(x)")
-    assert render_formula(substitute(f, "x", Constant("tom"))) == "Cat(tom) → Mammal(tom)"
-    g = parse_formula("∀x P(x)")
-    assert substitute(g, "x", Constant("a")) == g
-    h = parse_formula("Likes(x, y)")
-    assert render_formula(substitute(h, "x", Constant("ada"))) == "Likes(ada, y)"
-    with pytest.raises(NotAConstant):
-        substitute(h, "x", Variable("z"))
-
-
-def test_substitute_free_vars_relation():
-    f = parse_formula("Likes(x, y) ∧ P(x)")
-    out = substitute(f, "x", Constant("tom"))
-    assert free_vars(out) == free_vars(f) - {"x"}
 
 
 @settings(max_examples=300, deadline=None)

@@ -441,6 +441,44 @@ def test_brute_force_atom_limit():
         brute_force_entails(kb, parse_formula("Likes(a1, a2)"), atom_limit=24)
 
 
+def wide_kb(rules):
+    """Atoms 0-9 are facts, atoms 10-17 a free disjunction, and `rules` add atoms 18 up."""
+    facts = [f"P{i:02d}(ada)" for i in range(10)]
+    free = " ∨ ".join(f"R{i}(ada)" for i in range(10, 18))
+    return make_kb(facts, [free, *rules], {}, {"ada"})
+
+
+BEYOND_ONE_CHUNK = [" ∨ ".join(f"Q{i}(ada)" for i in range(18, 24))]
+
+
+@pytest.mark.parametrize(
+    "rules, question, label",
+    [
+        (["P09(ada) → Q18(ada)"], "Q18(ada)", "T"),
+        (["P09(ada) → Q18(ada)"], "¬Q18(ada)", "F"),
+        (["P09(ada) → Q18(ada)"], "Q19(ada)", "U"),
+        (["R17(ada) ↔ Q18(ada)"], "Q18(ada) → R17(ada)", "T"),
+        (["R17(ada) ↔ Q18(ada)"], "Q18(ada)", "U"),
+        (["Q18(ada) ↔ ¬Q19(ada)", "Q20(ada) → Q19(ada)"], "Q18(ada) ∧ Q19(ada)", "F"),
+        (["Q18(ada) ↔ ¬Q19(ada)", "Q20(ada) → Q19(ada)"], "Q20(ada) → ¬Q18(ada)", "T"),
+        (["Q18(ada) ↔ ¬Q19(ada)", "Q20(ada) → Q19(ada)"], "Q20(ada)", "U"),
+        (BEYOND_ONE_CHUNK, "Q23(ada)", "U"),
+        (BEYOND_ONE_CHUNK, BEYOND_ONE_CHUNK[0], "T"),
+        (BEYOND_ONE_CHUNK, " ∧ ".join(f"¬Q{i}(ada)" for i in range(18, 24)), "F"),
+    ],
+)
+def test_brute_force_enumerates_atoms_beyond_the_first_chunk(rules, question, label):
+    # Atoms 18 and up vary from one 2^18-assignment chunk to the next.
+    assert brute_force_entails(wide_kb(rules), parse_formula(question)) == label
+
+
+def test_brute_force_atom_limit_counts_the_question_atoms():
+    kb = wide_kb(BEYOND_ONE_CHUNK)
+    assert brute_force_entails(kb, parse_formula("Q18(ada) ∨ ¬Q18(ada)")) == "T"
+    with pytest.raises(TooManyAtoms, match="25 ground atoms"):
+        brute_force_entails(kb, parse_formula("Q24(ada)"))
+
+
 def test_fixpoint_literals_are_semantically_entailed():
     rng = random.Random(777)
     from proofplan.solver import literal_to_formula
