@@ -47,11 +47,13 @@ class StageMeta:
     The scripted backend keys fixtures on (instance_id, stage, round). The
     `payload` holds the stage's typed inputs, which a backend that computes
     its answer (like the solver stub) reads directly: `premises` and
-    `question` (translate), `context` (plan), `context`, `plan` and `cwa`
-    (solve), and `context`, `plan`, `diagnosis` and `provisional` labels
-    (replan). `context` is a `StructuredRepr`, or a `RawContext` when
+    `question` (translate), `context` (plan), `context`, `plan`, `cwa` and
+    `solver` (solve), and `context`, `plan`, `diagnosis` and `provisional`
+    labels (replan). `context` is a `StructuredRepr`, or a `RawContext` when
     structured management is ablated; `plan` is a `Plan`; `cwa` is the run's
-    closed-world setting. The live backend reads only the prompt.
+    closed-world setting; `solver` is the instance's `SolverForm`, which
+    keeps the context's knowledge base and rule templates from one call to
+    the next. The live backend reads only the prompt.
     """
 
     stage: str
@@ -222,13 +224,15 @@ class SolverStubBackend(Backend):
     The emitted plan is a four-step linear chain; with `degrade_initial_plan`
     the first plan skips the fixpoint step and applies the rules once, which
     reproduces the early-stop failure the replanner is meant to repair (its
-    replan stage always returns the full plan). Each solve call decomposes
-    the rules once (`rule_templates`); rule steps run the solver's
-    `fire_rounds` over them (one round, or to the fixpoint with the
-    closed-world phase when the solve payload's `cwa` is set), and the answer
-    is `decide` over the derived literals. The grounding step only reports
-    how many ground instances the rules have, counted in closed form as the
-    sum over rules of `constants ** variables used`; nothing enumerates them.
+    replan stage always returns the full plan). The rules are decomposed
+    once per instance: the solve payload's `solver` form keeps the knowledge
+    base and rule templates for the next solve call and for `diagnose`. Rule
+    steps run the solver's `fire_rounds` over them (one round, or to the
+    fixpoint with the closed-world phase when the solve payload's `cwa` is
+    set), and the answer is `decide` over the derived literals. The
+    grounding step only reports how many ground instances the rules have,
+    counted in closed form as the sum over rules of `constants ** variables
+    used`; nothing enumerates them.
     """
 
     def __init__(self, degrade_initial_plan: bool = False):
@@ -257,27 +261,26 @@ class SolverStubBackend(Backend):
         }
         return _reply(doc)
 
-    def _context(self, meta: StageMeta) -> StructuredRepr:
+    def _form(self, meta: StageMeta) -> solvermod.SolverForm:
         context = meta.payload.get("context")
         if isinstance(context, RawContext):  # structured management is ablated
             try:
-                context = doc_to_repr(json.loads(context.text))
+                return solvermod.SolverForm(doc_to_repr(json.loads(context.text)))
             except json.JSONDecodeError as err:
                 raise BackendError(f"solver stub cannot read the context: {err}") from err
         if not isinstance(context, StructuredRepr):
             raise BackendError("solver stub call lacks a context")
-        return context
+        return meta.payload.get("solver") or solvermod.SolverForm(context)
 
     def _solve(self, meta: StageMeta) -> str:
-        context = self._context(meta)
+        form = self._form(meta)
         plan = meta.payload.get("plan")
         if not isinstance(plan, planmod.Plan):
             raise BackendError("solver stub solve call lacks a plan")
         order = planmod.execution_order(plan)
         cwa = meta.payload.get("cwa", False)
 
-        kb = solvermod.kb_from_repr(context, cwa=cwa)
-        rules = solvermod.rule_templates(kb)
+        kb, rules = form.kb, form.rules
         domain = kb.table.constants
         literals: set[solvermod.Literal] = set()
         log: list[solvermod.StepRecord] = []
@@ -298,19 +301,17 @@ class SolverStubBackend(Backend):
             elif "ground" in text:
                 note = f"{note} ({sum(r.instance_count(domain) for r in rules)} ground instances)"
             elif planmod.is_judgment(note):
-                answer = self._answer(context, kb, literals)
+                answer = self._answer(form, literals)
                 note = f"{note} -> {answer}"
             log.append(solvermod.StepRecord(step_id, note, derived=derived, derivations=tuple(fired)))
 
         if answer is None:
-            answer = self._answer(context, kb, literals)
+            answer = self._answer(form, literals)
         return _reply({"Execution log": [solvermod.step_record_to_doc(r) for r in log], "Final answer": answer})
 
     @staticmethod
-    def _answer(
-        context: StructuredRepr, kb: solvermod.KnowledgeBase, literals: set[solvermod.Literal]
-    ) -> str:
+    def _answer(form: solvermod.SolverForm, literals: set[solvermod.Literal]) -> str:
         """`decide` against the literals the executed steps derived."""
-        if not context.questions:
+        if not form.context.questions:
             raise BackendError("instance has no question to adjudicate")
-        return solvermod.decide(solvermod.chained_kb(kb, literals), context.questions[0].symbol).label
+        return solvermod.decide(solvermod.chained_kb(form.kb, literals), form.context.questions[0].symbol).label

@@ -29,7 +29,8 @@ from .structured import build_repr, deserialize_repr
 
 
 def _atomic_write(path: Path, data: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if not path.parent.exists():  # a parent that is a file then fails as "Not a directory"
+        path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -41,6 +42,16 @@ def _atomic_write(path: Path, data: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_output(path: str, data: str) -> bool:
+    """`_atomic_write` to `path`; on failure print `error: <path>: <reason>` and return False."""
+    try:
+        _atomic_write(Path(path), data)
+    except OSError as err:
+        print(f"error: {path}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_premises(path: Path):
@@ -107,7 +118,8 @@ def cmd_plan_validate(args: argparse.Namespace) -> int:
         print(f"duplicate content: steps {list(group)}")
     if args.normalize:
         normalized = planmod.normalize(parsed)
-        _atomic_write(Path(args.normalize), json.dumps(planmod.plan_to_json(normalized), indent=2) + "\n")
+        if not _write_output(args.normalize, json.dumps(planmod.plan_to_json(normalized), indent=2) + "\n"):
+            return 1
         print(f"normalized plan written to {args.normalize}")
     return 0
 
@@ -153,8 +165,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(f"error: no instance with id {args.id!r}", file=sys.stderr)
                 return 1
             instance = matches[0]
-        else:
+        elif args.index < len(instances):
             instance = instances[args.index]
+        else:
+            print(f"error: no instance at index {args.index} (dataset has {len(instances)})", file=sys.stderr)
+            return 1
         backend = _make_backend(args)
         config = _pipeline_config(args)
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
@@ -166,7 +181,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"rounds used: {result.rounds_used}")
     if args.traces:
         lines = [json.dumps(trace_to_doc(t, instance.id), ensure_ascii=False) for t in result.traces]
-        _atomic_write(Path(args.traces), "\n".join(lines) + "\n")
+        if not _write_output(args.traces, "\n".join(lines) + "\n"):
+            return 1
         print(f"traces written to {args.traces}")
     return 0
 
@@ -198,11 +214,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for record in report.records:
         status = "ok" if record.correct else f"fail ({record.failure_kind})"
         print(f"  {record.id}: {record.predicted or '-'} vs {record.gold} [{status}]")
-    if args.out:
-        _atomic_write(Path(args.out), json.dumps(report_to_doc(report), ensure_ascii=False, indent=2) + "\n")
+    if args.out and not _write_output(args.out, json.dumps(report_to_doc(report), ensure_ascii=False, indent=2) + "\n"):
+        return 1
     if args.traces:
         lines = [json.dumps(doc, ensure_ascii=False) for doc in report.traces]
-        _atomic_write(Path(args.traces), "\n".join(lines) + ("\n" if lines else ""))
+        if not _write_output(args.traces, "\n".join(lines) + ("\n" if lines else "")):
+            return 1
     return 0
 
 
@@ -291,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("dataset", help="dataset JSON file")
     group = run.add_mutually_exclusive_group()
     group.add_argument("--id", help="instance id to run")
-    group.add_argument("--index", type=int, default=0, help="instance index to run")
+    group.add_argument("--index", type=_integer_at_least(0), default=0, help="instance index to run")
     add_pipeline_args(run)
     run.set_defaults(func=cmd_run)
 

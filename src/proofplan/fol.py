@@ -43,9 +43,10 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # Nesting bound on parsed formulas; guards against adversarial backend output.
 MAX_DEPTH = 64
 
-# Parser recursion cap. Grammar recursion is a constant factor deeper than the
-# resulting AST (precedence ladder, redundant parentheses), so the exact
-# MAX_DEPTH check runs on the finished AST and this only protects the stack.
+# Parser recursion cap, in nesting levels: a parenthesis counts 5, and a ¬, a
+# quantifier or the right operand of → or ↔ counts 1 (the levels of a
+# five-rule precedence ladder). It only protects the stack; the exact
+# MAX_DEPTH check runs on the AST depth the parser computes as it builds.
 _GRAMMAR_CAP = 10 * MAX_DEPTH
 
 # Surface markers of the dataset style `P(a, True)` / `P(a, False)`. They are
@@ -232,239 +233,180 @@ class SymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser: one regex splits the text into words, and precedence climbing
+# (¬ > ∧ > ∨ > → > ↔; ∧ and ∨ collect flat, → and ↔ nest to the right) builds
+# the AST and its depth in the same pass. Words carry no character positions;
+# an error recomputes the one it reports.
 # ---------------------------------------------------------------------------
 
-_T_FORALL = "FORALL"
-_T_EXISTS = "EXISTS"
-_T_NOT = "NOT"
-_T_AND = "AND"
-_T_OR = "OR"
-_T_IMPLIES = "IMPLIES"
-_T_IFF = "IFF"
-_T_EQUALS = "EQUALS"
-_T_LPAREN = "LPAREN"
-_T_RPAREN = "RPAREN"
-_T_COMMA = "COMMA"
-_T_IDENT = "IDENT"
-_T_END = "END"
+_WORD_RE = re.compile(r"<->|->|[A-Za-z][A-Za-z0-9_]*|[∀∃¬~∧&∨|→↔=(),]")
+_END = ""  # the word after the last; the regex never yields an empty word
 
-_SINGLE_CHAR = {
-    "∀": _T_FORALL,
-    "∃": _T_EXISTS,
-    "¬": _T_NOT,
-    "~": _T_NOT,
-    "∧": _T_AND,
-    "&": _T_AND,
-    "∨": _T_OR,
-    "|": _T_OR,
-    "→": _T_IMPLIES,
-    "↔": _T_IFF,
-    "=": _T_EQUALS,
-    "(": _T_LPAREN,
-    ")": _T_RPAREN,
-    ",": _T_COMMA,
-}
-
-_KEYWORDS = {
-    "forall": _T_FORALL,
-    "exists": _T_EXISTS,
-    "not": _T_NOT,
-}
+# Binary connective -> (precedence, node class); both spellings share one tuple.
+_CONJ, _DISJ, _IMP, _BICOND = (4, And), (3, Or), (2, Implies), (1, Iff)
+_BINARY = {"∧": _CONJ, "&": _CONJ, "∨": _DISJ, "|": _DISJ, "→": _IMP, "->": _IMP, "↔": _BICOND, "<->": _BICOND}
+_NEGATIONS = frozenset({"¬", "~", "not"})
+_QUANTIFIERS = {"∀": ForAll, "forall": ForAll, "∃": Exists, "exists": Exists}
+# Every word that is not an identifier.
+_SYMBOLS = frozenset({*_BINARY, *_NEGATIONS, *_QUANTIFIERS, "=", "(", ")", ",", _END})
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append((_T_IFF, "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append((_T_IMPLIES, "->", i))
-            i += 2
-            continue
-        kind = _SINGLE_CHAR.get(ch)
-        if kind is not None:
-            tokens.append((kind, ch, i))
-            i += 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            tokens.append((_KEYWORDS.get(word, _T_IDENT), word, i))
-            i = m.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", text, i)
-    tokens.append((_T_END, "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser (recursive descent; precedence ¬ > ∧ > ∨ > → > ↔, → right-associative)
-# ---------------------------------------------------------------------------
+def _stray_character(text: str) -> FormulaSyntaxError:
+    """The error for the first non-space character of `text` that starts no word."""
+    rest = _WORD_RE.sub(lambda word: " " * len(word.group()), text)
+    position = len(rest) - len(rest.lstrip())
+    return FormulaSyntaxError(f"unexpected character {text[position]!r}", text, position)
 
 
 class _Parser:
+    __slots__ = ("text", "table", "words", "i", "bound")
+
     def __init__(self, text: str, table: SymbolTable | None):
+        words = _WORD_RE.findall(text)
+        if len("".join(words)) != len("".join(text.split())):
+            raise _stray_character(text)
+        words.append(_END)
         self.text = text
         self.table = table
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.words = words
+        self.i = 0
         self.bound: list[str] = []
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def position(self, index: int) -> int:
+        """Character position of word `index` (the text's length for the end)."""
+        starts = [word.start() for word in _WORD_RE.finditer(self.text)]
+        return starts[index] if index < len(starts) else len(self.text)
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, message: str, index: int, expected: tuple[str, ...] = ()) -> FormulaSyntaxError:
+        return FormulaSyntaxError(message, self.text, self.position(index), expected)
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(
-                f"unexpected {tok[1]!r}" if tok[0] != _T_END else "unexpected end of input",
-                self.text,
-                tok[2],
-                expected=(what,),
-            )
-        return self.advance()
-
-    def fail(self, expected: tuple[str, ...]) -> FormulaSyntaxError:
-        tok = self.peek()
-        message = f"unexpected {tok[1]!r}" if tok[0] != _T_END else "unexpected end of input"
-        return FormulaSyntaxError(message, self.text, tok[2], expected=expected)
+    def unexpected(self, expected: tuple[str, ...]) -> FormulaSyntaxError:
+        word = self.words[self.i]
+        return self.error(f"unexpected {word!r}" if word else "unexpected end of input", self.i, expected)
 
     def parse(self) -> Formula:
-        f = self.formula(0)
-        tok = self.peek()
-        if tok[0] != _T_END:
-            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", self.text, tok[2], expected=("end of input",))
-        if _ast_depth(f) > MAX_DEPTH:
+        formula, depth = self.expr(1, 4)
+        if self.words[self.i] != _END:
+            raise self.error(f"trailing input {self.words[self.i]!r}", self.i, ("end of input",))
+        if depth > MAX_DEPTH:
             raise FormulaSyntaxError(f"formula exceeds maximum depth {MAX_DEPTH}", self.text, 0)
-        return f
+        return formula
 
-    def formula(self, depth: int) -> Formula:
-        return self.iff(depth)
+    def expr(self, floor: int, level: int) -> tuple[Formula, int]:
+        """The formula at the current word whose connectives bind at least
+        `floor`, with its AST depth; `level` is the nesting level of its
+        first operand, in `_GRAMMAR_CAP`'s count."""
+        left, depth = self.unary(level)
+        words = self.words
+        while True:
+            connective = _BINARY.get(words[self.i])
+            if connective is None or connective[0] < floor:
+                return left, depth
+            precedence, node = connective
+            self.i += 1
+            if precedence >= 3:  # ∧ and ∨ take every operand of the run into one node
+                items = [left]
+                while True:
+                    item, item_depth = self.unary(level) if precedence == 4 else self.expr(4, level)
+                    items.append(item)
+                    depth = max(depth, item_depth)
+                    if _BINARY.get(words[self.i]) is not connective:
+                        break
+                    self.i += 1
+                left = node(tuple(items))
+            else:  # → and ↔ nest to the right
+                right, right_depth = self.expr(precedence, level + 1)
+                left = node(left, right)
+                depth = max(depth, right_depth)
+            depth += 1
 
-    def iff(self, depth: int) -> Formula:
-        self.check_depth(depth)
-        left = self.implies(depth + 1)
-        if self.peek()[0] == _T_IFF:
-            self.advance()
-            right = self.iff(depth + 1)
-            return Iff(left, right)
-        return left
-
-    def implies(self, depth: int) -> Formula:
-        left = self.disjunction(depth + 1)
-        if self.peek()[0] == _T_IMPLIES:
-            self.advance()
-            right = self.implies(depth + 1)
-            return Implies(left, right)
-        return left
-
-    def disjunction(self, depth: int) -> Formula:
-        items = [self.conjunction(depth + 1)]
-        while self.peek()[0] == _T_OR:
-            self.advance()
-            items.append(self.conjunction(depth + 1))
-        return items[0] if len(items) == 1 else Or(tuple(items))
-
-    def conjunction(self, depth: int) -> Formula:
-        items = [self.unary(depth + 1)]
-        while self.peek()[0] == _T_AND:
-            self.advance()
-            items.append(self.unary(depth + 1))
-        return items[0] if len(items) == 1 else And(tuple(items))
-
-    def unary(self, depth: int) -> Formula:
-        self.check_depth(depth)
-        kind, _, pos = self.peek()
-        if kind == _T_NOT:
-            self.advance()
-            return Not(self.unary(depth + 1))
-        if kind in (_T_FORALL, _T_EXISTS):
-            self.advance()
-            name_tok = self.expect(_T_IDENT, "variable name")
-            var = name_tok[1]
+    def unary(self, level: int) -> tuple[Formula, int]:
+        if level > _GRAMMAR_CAP:
+            raise self.error(f"formula exceeds maximum depth {MAX_DEPTH}", self.i)
+        word = self.words[self.i]
+        if word in _NEGATIONS:
+            self.i += 1
+            body, depth = self.unary(level + 1)
+            return Not(body), depth + 1
+        quantifier = _QUANTIFIERS.get(word)
+        if quantifier is not None:
+            self.i += 1
+            var = self.words[self.i]
+            if var in _SYMBOLS:
+                raise self.unexpected(("variable name",))
             if var in RESERVED_WORDS:
-                raise FormulaSyntaxError(f"{var!r} is reserved", self.text, name_tok[2])
+                raise self.error(f"{var!r} is reserved", self.i)
+            self.i += 1
             self.bound.append(var)
-            try:
-                body = self.unary(depth + 1)
-            finally:
-                self.bound.pop()
-            return ForAll(var, body) if kind == _T_FORALL else Exists(var, body)
-        if kind == _T_LPAREN:
-            self.advance()
-            inner = self.formula(depth + 1)
-            self.expect(_T_RPAREN, "')'")
+            body, depth = self.unary(level + 1)
+            self.bound.pop()
+            return quantifier(var, body), depth + 1
+        if word == "(":
+            self.i += 1
+            inner = self.expr(1, level + 5)
+            if self.words[self.i] != ")":
+                raise self.unexpected(("')'",))
+            self.i += 1
             return inner
-        if kind == _T_IDENT:
-            return self.atom_or_equality(depth)
-        raise self.fail(("formula",))
+        if word in _SYMBOLS:
+            raise self.unexpected(("formula",))
+        return self.atom_or_equality(), 1
 
-    def atom_or_equality(self, depth: int) -> Formula:
-        name_tok = self.advance()
-        name = name_tok[1]
-        nxt = self.peek()
-        if nxt[0] == _T_LPAREN:
-            if name in RESERVED_WORDS:
-                raise FormulaSyntaxError(f"{name!r} is reserved", self.text, name_tok[2])
-            self.advance()
-            args: list[tuple[str, int]] = [self.term_name()]
-            while self.peek()[0] == _T_COMMA:
-                self.advance()
-                args.append(self.term_name())
-            self.expect(_T_RPAREN, "',' or ')'")
-            return self.make_atom(name, name_tok[2], args)
-        if nxt[0] == _T_EQUALS:
-            self.advance()
-            right = self.term_name()
-            return Equality(self.classify(name, name_tok[2]), self.classify(right[0], right[1]))
-        raise self.fail(("'('", "'='"))
-
-    def term_name(self) -> tuple[str, int]:
-        tok = self.expect(_T_IDENT, "term")
-        return tok[1], tok[2]
-
-    def make_atom(self, predicate: str, pred_pos: int, args: list[tuple[str, int]]) -> Formula:
+    def atom_or_equality(self) -> Formula:
+        words = self.words
+        start = self.i
+        name = words[start]
+        self.i += 1
+        if words[self.i] == "=":
+            self.i += 1
+            right = self.term_index()
+            return Equality(self.classify(start), self.classify(right))
+        if words[self.i] != "(":
+            raise self.unexpected(("'('", "'='"))
+        if name in RESERVED_WORDS:
+            raise self.error(f"{name!r} is reserved", start)
+        self.i += 1
+        args = [self.term_index()]
+        while words[self.i] == ",":
+            self.i += 1
+            args.append(self.term_index())
+        if words[self.i] != ")":
+            raise self.unexpected(("',' or ')'",))
+        self.i += 1
         # Fold the dataset-style trailing boolean into polarity.
         negated = False
-        if len(args) >= 2 and args[-1][0] in RESERVED_WORDS:
-            negated = args[-1][0] == "False"
-            args = args[:-1]
-        for name, pos in args:
-            if name in RESERVED_WORDS:
-                raise FormulaSyntaxError(f"{name!r} is reserved", self.text, pos)
+        if len(args) >= 2 and words[args[-1]] in RESERVED_WORDS:
+            negated = words[args.pop()] == "False"
+        for index in args:
+            if words[index] in RESERVED_WORDS:
+                raise self.error(f"{words[index]!r} is reserved", index)
         if self.table is not None:
-            if predicate not in self.table.predicates:
-                raise UndeclaredSymbol(predicate, "predicate")
-            declared = self.table.predicates[predicate]
+            if name not in self.table.predicates:
+                raise UndeclaredSymbol(name, "predicate")
+            declared = self.table.predicates[name]
             if declared != len(args):
-                raise ArityMismatch(predicate, declared, len(args))
-        atom = Atom(predicate, tuple(self.classify(name, pos) for name, pos in args))
+                raise ArityMismatch(name, declared, len(args))
+        atom = Atom(name, tuple(map(self.classify, args)))
         return Not(atom) if negated else atom
 
-    def classify(self, name: str, pos: int) -> Term:
-        """Decide variable vs constant for an identifier in term position.
+    def term_index(self) -> int:
+        """Index of the identifier at the current word, which it consumes."""
+        if self.words[self.i] in _SYMBOLS:
+            raise self.unexpected(("term",))
+        self.i += 1
+        return self.i - 1
+
+    def classify(self, index: int) -> Term:
+        """Decide variable vs constant for the identifier at word `index`.
 
         Quantifier bindings shadow everything; declared constants come next;
         otherwise single lowercase letters read as variables and anything else
         as a constant (undeclared multi-character names are an error when a
         table is enforced).
         """
+        name = self.words[index]
         if name in RESERVED_WORDS:
-            raise FormulaSyntaxError(f"{name!r} is reserved", self.text, pos)
+            raise self.error(f"{name!r} is reserved", index)
         if name in self.bound:
             return Variable(name)
         if self.table is not None:
@@ -476,10 +418,6 @@ class _Parser:
         if len(name) == 1 and name.islower():
             return Variable(name)
         return Constant(name)
-
-    def check_depth(self, depth: int) -> None:
-        if depth > _GRAMMAR_CAP:
-            raise FormulaSyntaxError(f"formula exceeds maximum depth {MAX_DEPTH}", self.text, self.peek()[2])
 
 
 def parse_formula(text: str, table: SymbolTable | None = None) -> Formula:
@@ -553,13 +491,6 @@ def render_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Structural helpers
 # ---------------------------------------------------------------------------
-
-
-def _ast_depth(f: Formula) -> int:
-    children = list(_children(f))
-    if not children:
-        return 1
-    return 1 + max(_ast_depth(c) for c in children)
 
 
 def _children(f: Formula) -> Iterator[Formula]:

@@ -21,7 +21,7 @@ from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
 from .plan import CycleError, MatrixShapeMismatch, Plan
-from .solver import Literal, StepRecord, Verdict, step_record_from_doc, step_record_to_doc
+from .solver import Literal, SolverForm, StepRecord, Verdict, step_record_from_doc, step_record_to_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr, validate_static
 
 __all__ = [
@@ -285,7 +285,11 @@ def _plan(
     return parsed, raw
 
 
-def _parse_solve_doc(doc: Any, plan: Plan, stage: str, raw: str) -> tuple[tuple[StepRecord, ...], str]:
+def _parse_solve_doc(
+    doc: Any, plan: Plan, stage: str, raw: str, literals: dict[str, Literal]
+) -> tuple[tuple[StepRecord, ...], str]:
+    """Records and answer label of a solve reply; `literals` holds the
+    literal strings the instance has decoded so far and gains new ones."""
     if not isinstance(doc, dict):
         raise StageParseError(stage, "expected a JSON object", raw=raw)
     if stage == "solve":
@@ -303,7 +307,6 @@ def _parse_solve_doc(doc: Any, plan: Plan, stage: str, raw: str) -> tuple[tuple[
     if not isinstance(log, list):
         raise StageParseError(stage, '"Execution log" must be a string or array', raw=raw)
     order = planmod.execution_order(plan)
-    literals: dict[str, Literal] = {}  # each distinct literal string is parsed once per reply
     try:
         records = tuple(
             step_record_from_doc(
@@ -323,13 +326,17 @@ def solve_stage(
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
     round: int = 0,
+    form: SolverForm | None = None,
 ) -> Trace:
+    """One solve call; `form`, the instance's `SolverForm`, is shared with the
+    backend and decodes the reply (a fresh one when absent)."""
     planmod.validate_dag(plan)
+    form = SolverForm(context) if form is None else form
     values = {"repr": context.text, "plan": plan.text}
-    payload = {"context": context, "plan": plan, "cwa": config.cwa}
+    payload = {"context": context, "plan": plan, "cwa": config.cwa, "solver": form}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
     doc = extract_json(raw, "solve")
-    records, label = _parse_solve_doc(doc, plan, "solve", raw)
+    records, label = _parse_solve_doc(doc, plan, "solve", raw, form.literals)
     return Trace(
         context=context,
         plan=plan,
@@ -344,27 +351,26 @@ def solve_stage(
 # Diagnosis
 # ---------------------------------------------------------------------------
 
-def diagnose(trace: Trace, provisional: Verdict | None = None, cwa: bool = False) -> Diagnosis:
+def diagnose(
+    trace: Trace, provisional: Verdict | None = None, cwa: bool = False, form: SolverForm | None = None
+) -> Diagnosis:
     """Deterministic audit of a trace; every label carries evidence.
 
     Checks that need structured derivation records or a groundable context
     are skipped when that information is absent, so free-text traces can at
     most be flagged for structural redundancy. With `cwa`, a consumed negative
     premise counts as available while its positive counterpart is not.
+    `form`, the instance's `SolverForm`, supplies the knowledge base and rule
+    templates (a fresh one when absent).
     """
     evidence: list[Evidence] = []
 
-    structured = isinstance(trace.context, StructuredRepr)
-    kb = None
-    rules = None
-    if structured:
-        try:
-            kb = solvermod.kb_from_repr(trace.context)
-            rules = solvermod.rule_templates(kb)
-            domain = kb.table.constants
-        except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
-            kb = None
-            rules = None
+    form = SolverForm(trace.context) if form is None else form
+    try:  # an unstructured context has no knowledge base
+        kb, rules = form.kb, form.rules
+        domain = kb.table.constants
+    except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
+        kb = rules = None
 
     has_structured_records = any(record.derived or record.derivations for record in trace.records)
 
@@ -511,13 +517,15 @@ def replan_stage(
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
     round: int = 1,
+    form: SolverForm | None = None,
 ) -> ReplanOutcome:
     """Ask the backend for a repaired plan and normalize whatever comes back.
 
     The reply may carry a corrected plan, an edit list, or both (the plan
     wins; edits are then informational). When it also embeds a re-execution
     (updated log plus final answer), that is surfaced so the caller can skip
-    the separate solve call.
+    the separate solve call; `form`, the instance's `SolverForm`, decodes its
+    literals.
     """
     values = {
         "repr": context.text,
@@ -584,6 +592,7 @@ def replan_stage(
             revised,
             "replan",
             raw,
+            (SolverForm(context) if form is None else form).literals,
         )
         embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
     return ReplanOutcome(plan=revised, edits=edits, rationale=rationale, raw=raw, embedded_trace=embedded)
@@ -602,20 +611,21 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     propagates and the caller decides how to score the instance.
     """
     context, translate_raw = _translate(backend, problem, config)
+    form = SolverForm(context)  # each formula of the instance is decoded once
     warnings: tuple[str, ...] = ()
     if isinstance(context, StructuredRepr):
         # Static findings against the inferred table are surfaced, not fatal.
         findings = validate_static(context, context.table).findings
         warnings = tuple(f"{f.kind} (statement {f.statement_id}): {f.detail}" for f in findings)
     first_plan, plan_raw = _plan(backend, context, config, problem)
-    trace = solve_stage(backend, context, first_plan, config, problem, round=0)
+    trace = solve_stage(backend, context, first_plan, config, problem, round=0, form=form)
     trace = replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)
 
     traces = [trace]
     plans = [first_plan]
     diagnoses: list[Diagnosis] = []
     for round_index in range(1, config.max_replan_rounds + 1):
-        report = diagnose(traces[-1], traces[-1].provisional, cwa=config.cwa)
+        report = diagnose(traces[-1], traces[-1].provisional, cwa=config.cwa, form=form)
         diagnoses.append(report)
         outcome = replan_stage(
             backend,
@@ -627,11 +637,12 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
             config,
             problem,
             round=round_index,
+            form=form,
         )
         plans.append(outcome.plan)
         new_trace = outcome.embedded_trace
         if new_trace is None:
-            new_trace = solve_stage(backend, context, outcome.plan, config, problem, round=round_index)
+            new_trace = solve_stage(backend, context, outcome.plan, config, problem, round=round_index, form=form)
         traces.append(replace(new_trace, raw={**new_trace.raw, "replan": outcome.raw}))
 
     return PipelineResult(

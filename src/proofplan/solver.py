@@ -4,7 +4,9 @@ Rules are universally quantified implications whose antecedent is a
 conjunction of literals and whose consequent is a single literal. Negation is
 explicit: a negative antecedent matches only a derived negative literal,
 open-world by default, with an opt-in closed-world antecedent mode. Each rule
-is decomposed once into premise and conclusion templates (`rule_templates`).
+is decomposed once into premise and conclusion templates (`rule_templates`);
+`SolverForm` keeps one instance's knowledge base, templates and decoded
+literal strings, so each is built once per instance.
 Forward chaining fires them in rounds, semi-naively, to a least fixpoint with
 full derivation records: each round joins rule bodies against the known
 literals, indexed by polarity and predicate, and after round one only
@@ -21,6 +23,7 @@ path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Any, Collection, Iterable, Mapping, Sequence
@@ -43,7 +46,7 @@ from .fol import (
     parse_formula,
     render_formula,
 )
-from .structured import StructuredRepr
+from .structured import RawContext, StructuredRepr
 
 __all__ = [
     "Literal",
@@ -62,6 +65,7 @@ __all__ = [
     "decide",
     "brute_force_entails",
     "kb_from_repr",
+    "SolverForm",
     "literal_from_formula",
     "literal_to_formula",
     "step_record_to_doc",
@@ -175,7 +179,8 @@ def step_record_from_doc(
     Missing fields take their defaults (`default_step` for the step id), and
     a shape error raises SchemaError with a pointer below `pointer`. Literal
     strings already in `literals` are not parsed again, and newly parsed ones
-    are added, so the records of one document can share a dict.
+    are added, so all the replies of one instance can share a dict
+    (`SolverForm.literals`).
     """
     if isinstance(doc, str):
         return StepRecord(step_id=default_step, text=doc)
@@ -263,6 +268,7 @@ class Verdict:
 def kb_from_repr(repr_: StructuredRepr, cwa: bool = False) -> KnowledgeBase:
     literals = frozenset(literal_from_formula(s.symbol) for s in repr_.facts)
     return KnowledgeBase(table=repr_.table, literals=literals, rules=tuple(s.symbol for s in repr_.rules), cwa=cwa)
+
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +410,31 @@ def rule_templates(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDIN
         if total > max_instantiations:
             raise DomainTooLarge(f"grounding needs more than {max_instantiations} instantiations")
     return rules
+
+
+@dataclass(eq=False)
+class SolverForm:
+    """One instance's formulas in solver form, each decoded at most once.
+
+    `literals` maps each literal string decoded so far, from any reply of the
+    instance, to its Literal. `kb` and `rules` are a structured context's
+    open-world knowledge base and its rule templates, built on first use (a
+    failure raises again on every use). Make one per instance and share it
+    with nothing else.
+    """
+
+    context: StructuredRepr | RawContext
+    literals: dict[str, Literal] = field(default_factory=dict)
+
+    @functools.cached_property
+    def kb(self) -> KnowledgeBase:
+        if not isinstance(self.context, StructuredRepr):
+            raise UnsupportedFragment("an unstructured context has no knowledge base")
+        return kb_from_repr(self.context)
+
+    @functools.cached_property
+    def rules(self) -> tuple[RuleTemplate, ...]:
+        return rule_templates(self.kb)
 
 
 # ---------------------------------------------------------------------------

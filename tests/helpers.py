@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 reachability comes from repeated boolean matrix squaring, the reference
-schedule from a layer-at-a-time indegree count, and the reference chaining
-engine grounds every rule over every binding and scans the ground rules, so
-tests check two unrelated routes to the same answer.
+schedule from a layer-at-a-time indegree count, the reference chaining
+engine grounds every rule over every binding and scans the ground rules, and
+the reference parser tokenizes character by character and descends a
+five-rule precedence ladder, so tests check two unrelated routes to the same
+answer.
 """
 
 from __future__ import annotations
@@ -14,19 +16,27 @@ from itertools import product
 from typing import Sequence
 
 from proofplan.fol import (
+    IDENT_RE,
+    MAX_DEPTH,
+    RESERVED_WORDS,
     And,
+    ArityMismatch,
     Atom,
     Constant,
     Equality,
     Exists,
     ForAll,
     Formula,
+    FormulaSyntaxError,
     Iff,
     Implies,
     Not,
     Or,
     SymbolTable,
+    Term,
+    UndeclaredSymbol,
     Variable,
+    _children,
 )
 from proofplan.plan import Plan, PlanStep
 from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, rule_templates
@@ -85,6 +95,274 @@ def random_formula(rng: random.Random, depth: int, scope: tuple[str, ...] = ()) 
     var = rng.choice([v for v in VARIABLES if v not in scope] or list(VARIABLES))
     body = random_formula(rng, depth - 1, scope + (var,))
     return ForAll(var, body) if rng.random() < 0.5 else Exists(var, body)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the original per-character tokenizer and five-rule
+# recursive-descent ladder, which `parse_formula` must agree with.
+# ---------------------------------------------------------------------------
+
+_GRAMMAR_CAP = 10 * MAX_DEPTH  # the ladder's recursion cap
+
+_T_FORALL = "FORALL"
+_T_EXISTS = "EXISTS"
+_T_NOT = "NOT"
+_T_AND = "AND"
+_T_OR = "OR"
+_T_IMPLIES = "IMPLIES"
+_T_IFF = "IFF"
+_T_EQUALS = "EQUALS"
+_T_LPAREN = "LPAREN"
+_T_RPAREN = "RPAREN"
+_T_COMMA = "COMMA"
+_T_IDENT = "IDENT"
+_T_END = "END"
+
+_SINGLE_CHAR = {
+    "∀": _T_FORALL,
+    "∃": _T_EXISTS,
+    "¬": _T_NOT,
+    "~": _T_NOT,
+    "∧": _T_AND,
+    "&": _T_AND,
+    "∨": _T_OR,
+    "|": _T_OR,
+    "→": _T_IMPLIES,
+    "↔": _T_IFF,
+    "=": _T_EQUALS,
+    "(": _T_LPAREN,
+    ")": _T_RPAREN,
+    ",": _T_COMMA,
+}
+
+_KEYWORDS = {
+    "forall": _T_FORALL,
+    "exists": _T_EXISTS,
+    "not": _T_NOT,
+}
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("<->", i):
+            tokens.append((_T_IFF, "<->", i))
+            i += 3
+            continue
+        if text.startswith("->", i):
+            tokens.append((_T_IMPLIES, "->", i))
+            i += 2
+            continue
+        kind = _SINGLE_CHAR.get(ch)
+        if kind is not None:
+            tokens.append((kind, ch, i))
+            i += 1
+            continue
+        m = IDENT_RE.match(text, i)
+        if m:
+            word = m.group(0)
+            tokens.append((_KEYWORDS.get(word, _T_IDENT), word, i))
+            i = m.end()
+            continue
+        raise FormulaSyntaxError(f"unexpected character {ch!r}", text, i)
+    tokens.append((_T_END, "", n))
+    return tokens
+
+
+# Recursive descent; precedence ¬ > ∧ > ∨ > → > ↔, → right-associative.
+
+
+class _Parser:
+    def __init__(self, text: str, table: SymbolTable | None):
+        self.text = text
+        self.table = table
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.bound: list[str] = []
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != kind:
+            raise FormulaSyntaxError(
+                f"unexpected {tok[1]!r}" if tok[0] != _T_END else "unexpected end of input",
+                self.text,
+                tok[2],
+                expected=(what,),
+            )
+        return self.advance()
+
+    def fail(self, expected: tuple[str, ...]) -> FormulaSyntaxError:
+        tok = self.peek()
+        message = f"unexpected {tok[1]!r}" if tok[0] != _T_END else "unexpected end of input"
+        return FormulaSyntaxError(message, self.text, tok[2], expected=expected)
+
+    def parse(self) -> Formula:
+        f = self.formula(0)
+        tok = self.peek()
+        if tok[0] != _T_END:
+            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", self.text, tok[2], expected=("end of input",))
+        if _ast_depth(f) > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula exceeds maximum depth {MAX_DEPTH}", self.text, 0)
+        return f
+
+    def formula(self, depth: int) -> Formula:
+        return self.iff(depth)
+
+    def iff(self, depth: int) -> Formula:
+        self.check_depth(depth)
+        left = self.implies(depth + 1)
+        if self.peek()[0] == _T_IFF:
+            self.advance()
+            right = self.iff(depth + 1)
+            return Iff(left, right)
+        return left
+
+    def implies(self, depth: int) -> Formula:
+        left = self.disjunction(depth + 1)
+        if self.peek()[0] == _T_IMPLIES:
+            self.advance()
+            right = self.implies(depth + 1)
+            return Implies(left, right)
+        return left
+
+    def disjunction(self, depth: int) -> Formula:
+        items = [self.conjunction(depth + 1)]
+        while self.peek()[0] == _T_OR:
+            self.advance()
+            items.append(self.conjunction(depth + 1))
+        return items[0] if len(items) == 1 else Or(tuple(items))
+
+    def conjunction(self, depth: int) -> Formula:
+        items = [self.unary(depth + 1)]
+        while self.peek()[0] == _T_AND:
+            self.advance()
+            items.append(self.unary(depth + 1))
+        return items[0] if len(items) == 1 else And(tuple(items))
+
+    def unary(self, depth: int) -> Formula:
+        self.check_depth(depth)
+        kind, _, pos = self.peek()
+        if kind == _T_NOT:
+            self.advance()
+            return Not(self.unary(depth + 1))
+        if kind in (_T_FORALL, _T_EXISTS):
+            self.advance()
+            name_tok = self.expect(_T_IDENT, "variable name")
+            var = name_tok[1]
+            if var in RESERVED_WORDS:
+                raise FormulaSyntaxError(f"{var!r} is reserved", self.text, name_tok[2])
+            self.bound.append(var)
+            try:
+                body = self.unary(depth + 1)
+            finally:
+                self.bound.pop()
+            return ForAll(var, body) if kind == _T_FORALL else Exists(var, body)
+        if kind == _T_LPAREN:
+            self.advance()
+            inner = self.formula(depth + 1)
+            self.expect(_T_RPAREN, "')'")
+            return inner
+        if kind == _T_IDENT:
+            return self.atom_or_equality(depth)
+        raise self.fail(("formula",))
+
+    def atom_or_equality(self, depth: int) -> Formula:
+        name_tok = self.advance()
+        name = name_tok[1]
+        nxt = self.peek()
+        if nxt[0] == _T_LPAREN:
+            if name in RESERVED_WORDS:
+                raise FormulaSyntaxError(f"{name!r} is reserved", self.text, name_tok[2])
+            self.advance()
+            args: list[tuple[str, int]] = [self.term_name()]
+            while self.peek()[0] == _T_COMMA:
+                self.advance()
+                args.append(self.term_name())
+            self.expect(_T_RPAREN, "',' or ')'")
+            return self.make_atom(name, name_tok[2], args)
+        if nxt[0] == _T_EQUALS:
+            self.advance()
+            right = self.term_name()
+            return Equality(self.classify(name, name_tok[2]), self.classify(right[0], right[1]))
+        raise self.fail(("'('", "'='"))
+
+    def term_name(self) -> tuple[str, int]:
+        tok = self.expect(_T_IDENT, "term")
+        return tok[1], tok[2]
+
+    def make_atom(self, predicate: str, pred_pos: int, args: list[tuple[str, int]]) -> Formula:
+        # Fold the dataset-style trailing boolean into polarity.
+        negated = False
+        if len(args) >= 2 and args[-1][0] in RESERVED_WORDS:
+            negated = args[-1][0] == "False"
+            args = args[:-1]
+        for name, pos in args:
+            if name in RESERVED_WORDS:
+                raise FormulaSyntaxError(f"{name!r} is reserved", self.text, pos)
+        if self.table is not None:
+            if predicate not in self.table.predicates:
+                raise UndeclaredSymbol(predicate, "predicate")
+            declared = self.table.predicates[predicate]
+            if declared != len(args):
+                raise ArityMismatch(predicate, declared, len(args))
+        atom = Atom(predicate, tuple(self.classify(name, pos) for name, pos in args))
+        return Not(atom) if negated else atom
+
+    def classify(self, name: str, pos: int) -> Term:
+        """Decide variable vs constant for an identifier in term position.
+
+        Quantifier bindings shadow everything; declared constants come next;
+        otherwise single lowercase letters read as variables and anything else
+        as a constant (undeclared multi-character names are an error when a
+        table is enforced).
+        """
+        if name in RESERVED_WORDS:
+            raise FormulaSyntaxError(f"{name!r} is reserved", self.text, pos)
+        if name in self.bound:
+            return Variable(name)
+        if self.table is not None:
+            if name in self.table.constants:
+                return Constant(name)
+            if len(name) == 1 and name.islower():
+                return Variable(name)
+            raise UndeclaredSymbol(name, "constant")
+        if len(name) == 1 and name.islower():
+            return Variable(name)
+        return Constant(name)
+
+    def check_depth(self, depth: int) -> None:
+        if depth > _GRAMMAR_CAP:
+            raise FormulaSyntaxError(f"formula exceeds maximum depth {MAX_DEPTH}", self.text, self.peek()[2])
+
+
+def _ast_depth(f: Formula) -> int:
+    """Nodes on the longest root-to-leaf path, walked without recursion."""
+    depth, stack = 0, [(f, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return depth
+
+
+def reference_parse_formula(text: str, table: SymbolTable | None = None) -> Formula:
+    """`parse_formula` as a per-character tokenizer and a recursive-descent ladder."""
+    return _Parser(text, table).parse()
+
 
 
 # ---------------------------------------------------------------------------

@@ -302,3 +302,42 @@ def test_trace_coerces_a_record_note_to_text(tmp_path, capsys):
     traces.write_text('{"instance": "a", "records": [{"note": 5}]}\n')
     assert main(["trace", str(traces)]) == 0
     assert "  step 0: 5\n" in capsys.readouterr().out
+
+
+def _plan_file(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"Plan": {"1": {"content": "a"}}, "Matrix": [[0]]}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp, out: ["eval", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--out", out],
+        lambda tmp, out: ["eval", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--traces", out],
+        lambda tmp, out: ["run", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--traces", out],
+        lambda tmp, out: ["plan-validate", _plan_file(tmp), "--normalize", out],
+    ],
+    ids=["eval-out", "eval-traces", "run-traces", "plan-validate-normalize"],
+)
+def test_unwritable_output_path_is_an_error_without_traceback(argv, tmp_path, capsys):
+    # The output's parent directory is a regular file, so nothing can be written under it.
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker / "out.json")
+    assert main(argv(tmp_path, out)) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {out}: Not a directory"
+    assert [p.name for p in tmp_path.iterdir() if p.name != "plan.json"] == ["file"]
+
+
+def test_run_negative_index_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--index", "-1"])
+    assert exc.value.code == 2
+    assert "--index: must be at least 0" in capsys.readouterr().err
+
+
+def test_run_index_past_the_dataset_is_an_error(capsys):
+    assert main(["run", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--index", "5"]) == 1
+    assert capsys.readouterr().err.strip() == "error: no instance at index 5 (dataset has 1)"

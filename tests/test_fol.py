@@ -1,15 +1,18 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula
+from helpers import random_formula, reference_parse_formula
 from proofplan.fol import (
+    MAX_DEPTH,
     ArityMismatch,
     Atom,
     Constant,
     Exists,
+    FolError,
     ForAll,
     FormulaSyntaxError,
     Iff,
@@ -187,3 +190,90 @@ def test_render_parse_round_trip(seed, depth):
     rng = random.Random(seed)
     f = random_formula(rng, depth)
     assert parse_formula(render_formula(f)) == f
+
+
+ASCII_ALIASES = {"∀": "forall ", "∃": "exists ", "¬": ("~", "not "), "∧": "&", "∨": "|", "→": "->", "↔": "<->"}
+EDIT_CHARACTERS = list("∀∃¬~∧&∨|→↔=(),<-> \txaT1_é") + ["True", "False", "not", "forall"]
+DIFF_TABLE = SymbolTable(
+    predicates={"Cat": 1, "Dog": 2, "Likes": 2, "Round": 3, "Big": 1}, constants=frozenset({"tom", "jerry", "a"})
+)
+
+
+def _ascii(rng, text):
+    out = []
+    for ch in text:
+        alias = ASCII_ALIASES.get(ch, ch) if rng.random() < 0.7 else ch
+        out.append(rng.choice(alias) if isinstance(alias, tuple) else alias)
+    return "".join(out)
+
+
+def _respace(rng, text):
+    return "".join(rng.choice(["", " ", "  ", "\t", "\n"]) if ch == " " else ch for ch in text)
+
+
+def _edits(rng, text):
+    """Three random one-character edits (delete, insert, replace) and a truncation."""
+    out = []
+    for _ in range(3):
+        k = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(text[:k] + text[k + 1 :])
+        else:
+            out.append(text[:k] + rng.choice(EDIT_CHARACTERS) + text[k + (kind == 2) :])
+    out.append(text[: rng.randrange(len(text) + 1)])
+    return out
+
+
+def _outcome(parse, text, table):
+    try:
+        return parse(text, table)
+    except FolError as err:
+        return (type(err), str(err), *(getattr(err, name, None) for name in ("position", "offset", "expected")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
+def test_parser_agrees_with_the_reference_parser(seed, depth):
+    rng = random.Random(seed)
+    text = render_formula(random_formula(rng, depth))
+    variants = [text, _ascii(rng, text), _respace(rng, text)]
+    for variant in [*variants, *(edited for v in variants for edited in _edits(rng, v))]:
+        for table in (None, DIFF_TABLE):
+            assert _outcome(parse_formula, variant, table) == _outcome(reference_parse_formula, variant, table)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 129 + "P(a)" + ")" * 129,
+        "¬" * 640 + "P(a)",
+        "∀x " * 640 + "P(x)",
+        " → ".join(["P(a)"] * 640),
+        " ↔ ".join(["P(a)"] * 640),
+        "¬" * 700 + "P(a) )",
+        "(" * 130 + "P(a) → Q(",
+    ],
+    ids=["parens", "negations", "quantifiers", "implications", "biconditionals", "then-trailing", "then-truncated"],
+)
+def test_parser_past_the_nesting_cap_agrees_with_the_reference_on_the_message(text):
+    ours = _outcome(parse_formula, text, None)
+    reference = _outcome(reference_parse_formula, text, None)
+    assert ours[0] is reference[0] is FormulaSyntaxError
+    message = f"formula exceeds maximum depth {MAX_DEPTH} at offset "
+    assert ours[1].startswith(message) and reference[1].startswith(message)
+
+
+@pytest.mark.parametrize("unit", ["(", "¬", "∀x ", "P(a) ∧ "])
+def test_hostile_input_fails_fast_without_recursion_error(unit):
+    text = unit * (80_000 // len(unit))
+    start = time.perf_counter()
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_depth_between_the_ast_limit_and_the_nesting_cap_is_a_syntax_error():
+    # 400 negations stay under the nesting cap but far exceed MAX_DEPTH.
+    with pytest.raises(FormulaSyntaxError, match=f"maximum depth {MAX_DEPTH} at offset 0"):
+        parse_formula("¬" * 400 + "P(a)")

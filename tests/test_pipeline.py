@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from proofplan import solver as solvermod
 from proofplan import structured
 from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.fol import parse_formula, render_formula
-from proofplan.harness import load_dataset
+from proofplan.harness import HarnessConfig, Instance, evaluate, load_dataset
 from proofplan.pipeline import (
     Diagnosis,
     PipelineConfig,
@@ -292,7 +293,7 @@ def test_parse_solve_doc_malformed_repeated_literal_names_its_first_occurrence()
         "Final answer": "T",
     }
     with pytest.raises(StageParseError) as exc:
-        _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw")
+        _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw", {})
     assert exc.value.__cause__.pointer == "/Execution log/0/derivations/0/literal"
 
 
@@ -307,7 +308,7 @@ def test_parse_solve_doc_repeated_literals_decode_equal_and_keep_polarity(monkey
     }
     parsed = []
     monkeypatch.setattr(solvermod, "parse_formula", lambda text: parsed.append(text) or parse_formula(text))
-    records, label = _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw")
+    records, label = _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw", {})
     assert sorted(parsed) == ["P(tom)", "Q(tom)", "¬P(tom)", "¬R(tom)"]
     p, not_p, q = lit("P(tom)"), lit("¬P(tom)"), lit("Q(tom)")
     assert label == "T" and p != not_p
@@ -620,10 +621,73 @@ def test_run_pipeline_stage_calls_carry_their_meta():
     assert [(m.stage, m.round, m.instance_id, sorted(m.payload)) for m, _, _ in backend.calls] == [
         ("translate", 0, "fig1b", ["premises", "question"]),
         ("plan", 0, "fig1b", ["context"]),
-        ("solve", 0, "fig1b", ["context", "cwa", "plan"]),
+        ("solve", 0, "fig1b", ["context", "cwa", "plan", "solver"]),
         ("replan", 1, "fig1b", ["context", "diagnosis", "plan", "provisional"]),
-        ("solve", 1, "fig1b", ["context", "cwa", "plan"]),
+        ("solve", 1, "fig1b", ["context", "cwa", "plan", "solver"]),
     ]
+    first, second = (m.payload["solver"] for m, _, _ in backend.calls if m.stage == "solve")
+    assert first is second
+
+
+# A theory of the bench's `stub-deep` shape: ten constants, two-variable rules
+# and derivations up to nine rounds deep.
+DEEP_CONSTANTS = tuple(f"n{i}" for i in range(10))
+DEEP_PREMISES = (
+    *(f"Edge({a}, {b})" for a, b in zip(DEEP_CONSTANTS, DEEP_CONSTANTS[1:])),
+    "Start(n0)",
+    "Big(n3)",
+    "Big(n7)",
+    "¬Red(n4)",
+    "∀x ∀y (Start(x) ∧ Edge(x, y) → Reached(y))",
+    "∀x ∀y (Reached(x) ∧ Edge(x, y) → Reached(y))",
+    "∀x (Reached(x) ∧ Big(x) → Strong(x))",
+    "∀x ∀y (Strong(x) ∧ Edge(x, y) → ¬Weak(y))",
+    "∀x (¬Weak(x) ∧ ¬Red(x) → Calm(x))",
+)
+
+
+def _cited_literals(replies):
+    """Every literal string the execution logs of `replies` cite."""
+    cited = []
+    for reply in replies:
+        for entry in json.loads(reply)["Execution log"]:
+            cited += entry["derived"]
+            for derivation in entry["derivations"]:
+                cited += [derivation["literal"], *derivation["premises"]]
+    return cited
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [fig1b_problem(), Problem(id="deep", premises=DEEP_PREMISES, question="¬Weak(n8)")],
+    ids=["fig1b", "deep"],
+)
+def test_run_pipeline_decodes_rules_and_each_reply_literal_once_per_instance(problem, monkeypatch):
+    templates, parsed = [], []
+    rule_templates, parse = solvermod.rule_templates, solvermod.parse_formula
+    monkeypatch.setattr(solvermod, "rule_templates", lambda kb, *a: templates.append(kb) or rule_templates(kb, *a))
+    monkeypatch.setattr(solvermod, "parse_formula", lambda text: parsed.append(text) or parse(text))
+    backend = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
+    result = run_pipeline(backend, problem)
+    assert result.final.label == ("T" if problem.id == "deep" else "F")
+    # two solve calls and one diagnosis share one set of rule templates
+    assert len(templates) == 1
+    cited = _cited_literals(reply for meta, _, reply in backend.calls if meta.stage == "solve")
+    assert len(cited) > len(set(cited))
+    assert sorted(parsed) == sorted(set(cited))
+
+
+def test_evaluate_decodes_each_instance_on_its_own(monkeypatch):
+    parsed = []
+    parse = solvermod.parse_formula
+    monkeypatch.setattr(solvermod, "parse_formula", lambda text: parsed.append(text) or parse(text))
+    instances = [
+        Instance(id=f"copy{i}", premises=FIG1B_PREMISES, question="¬Sees(mouse, lion)", gold="F") for i in (1, 2)
+    ]
+    report = evaluate(instances, SolverStubBackend(degrade_initial_plan=True), HarnessConfig(concurrency=1))
+    assert report.correct == 2
+    # the instances cite the same strings, and each parses every one of them once
+    assert parsed and set(Counter(parsed).values()) == {2}
 
 
 # sha256 of every stage prompt, reply and trace line the degraded solver stub
