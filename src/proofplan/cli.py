@@ -12,10 +12,10 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import plan as planmod
 from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
@@ -28,13 +28,16 @@ from .solver import Verdict, decide, forward_chain, kb_from_repr, step_record_fr
 from .structured import build_repr, deserialize_repr
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` one at a time to a temp file beside `path`, then rename it over `path`."""
     if not path.parent.exists():  # a parent that is a file then fails as "Not a directory"
         path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL never reuses a file; mode 0o666 lets the umask set the bits, as open(path, "w") does.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -44,10 +47,10 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _write_output(path: str, data: str) -> bool:
+def _write_output(path: str, chunks: Iterable[str]) -> bool:
     """`_atomic_write` to `path`; on failure print `error: <path>: <reason>` and return False."""
     try:
-        _atomic_write(Path(path), data)
+        _atomic_write(Path(path), chunks)
     except OSError as err:
         print(f"error: {path}: {err.strerror or err}", file=sys.stderr)
         return False
@@ -118,7 +121,7 @@ def cmd_plan_validate(args: argparse.Namespace) -> int:
         print(f"duplicate content: steps {list(group)}")
     if args.normalize:
         normalized = planmod.normalize(parsed)
-        if not _write_output(args.normalize, json.dumps(planmod.plan_to_json(normalized), indent=2) + "\n"):
+        if not _write_output(args.normalize, [json.dumps(planmod.plan_to_json(normalized), indent=2) + "\n"]):
             return 1
         print(f"normalized plan written to {args.normalize}")
     return 0
@@ -180,8 +183,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"instance {instance.id}: predicted {result.final.label}, gold {instance.gold}")
     print(f"rounds used: {result.rounds_used}")
     if args.traces:
-        lines = [json.dumps(trace_to_doc(t, instance.id), ensure_ascii=False) for t in result.traces]
-        if not _write_output(args.traces, "\n".join(lines) + "\n"):
+        lines = (json.dumps(trace_to_doc(t, instance.id), ensure_ascii=False) + "\n" for t in result.traces)
+        if not _write_output(args.traces, lines):
             return 1
         print(f"traces written to {args.traces}")
     return 0
@@ -214,44 +217,47 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for record in report.records:
         status = "ok" if record.correct else f"fail ({record.failure_kind})"
         print(f"  {record.id}: {record.predicted or '-'} vs {record.gold} [{status}]")
-    if args.out and not _write_output(args.out, json.dumps(report_to_doc(report), ensure_ascii=False, indent=2) + "\n"):
-        return 1
+    if args.out:
+        if not _write_output(args.out, [json.dumps(report_to_doc(report), ensure_ascii=False, indent=2) + "\n"]):
+            return 1
     if args.traces:
-        lines = [json.dumps(doc, ensure_ascii=False) for doc in report.traces]
-        if not _write_output(args.traces, "\n".join(lines) + ("\n" if lines else "")):
+        lines = (json.dumps(doc, ensure_ascii=False) + "\n" for doc in report.traces)
+        if not _write_output(args.traces, lines):
             return 1
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     try:
-        lines = Path(args.traces).read_text(encoding="utf-8").splitlines()
+        handle = open(args.traces, "rb")  # lines are split on b"\n" only and decoded one by one
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     shown = 0
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            doc: dict[str, Any] = json.loads(line)
-            if not isinstance(doc, dict):
-                raise ValueError("expected a JSON object")
-            if args.instance and doc.get("instance") != args.instance:
-                continue
-            entries = doc.get("records", [])
-            if not isinstance(entries, list):
-                raise SchemaError("/records", "expected array")
-            records = [step_record_from_doc(entry, f"/records/{i}") for i, entry in enumerate(entries)]
-        except (ValueError, RecursionError, SchemaError) as err:
-            print(f"error: {args.traces}:{number}: {err}", file=sys.stderr)
-            return 1
-        shown += 1
-        print(f"instance {doc.get('instance')} round {doc.get('round')}: provisional {doc.get('provisional')}")
-        for record in records:
-            derived = ", ".join(str(lit) for lit in record.derived)
-            suffix = f" | derived: {derived}" if derived else ""
-            print(f"  step {record.step_id}: {record.text[:100]}{suffix}")
+    with handle:
+        for number, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                doc: dict[str, Any] = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise ValueError("expected a JSON object")
+                if args.instance and doc.get("instance") != args.instance:
+                    continue
+                entries = doc.get("records", [])
+                if not isinstance(entries, list):
+                    raise SchemaError("/records", "expected array")
+                records = [step_record_from_doc(entry, f"/records/{i}") for i, entry in enumerate(entries)]
+            except (ValueError, RecursionError, SchemaError) as err:  # UnicodeDecodeError is a ValueError
+                print(f"error: {args.traces}:{number}: {err}", file=sys.stderr)
+                return 1
+            shown += 1
+            print(f"instance {doc.get('instance')} round {doc.get('round')}: provisional {doc.get('provisional')}")
+            for record in records:
+                derived = ", ".join(str(lit) for lit in record.derived)
+                suffix = f" | derived: {derived}" if derived else ""
+                print(f"  step {record.step_id}: {record.text[:100]}{suffix}")
     if not shown:
         print("no matching trace records")
     return 0

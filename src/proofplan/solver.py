@@ -417,14 +417,22 @@ class SolverForm:
     """One instance's formulas in solver form, each decoded at most once.
 
     `literals` maps each literal string decoded so far, from any reply of the
-    instance, to its Literal. `kb` and `rules` are a structured context's
-    open-world knowledge base and its rule templates, built on first use (a
-    failure raises again on every use). Make one per instance and share it
-    with nothing else.
+    instance, to its Literal, and starts with the stated facts. `kb` and
+    `rules` are a structured context's open-world knowledge base and its rule
+    templates, built on first use (a failure raises again on every use). Make
+    one per instance and share it with nothing else.
     """
 
     context: StructuredRepr | RawContext
     literals: dict[str, Literal] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Replies cite stated facts by their text, so those need no parsing. A fact with a
+        # one-letter lowercase argument is left out: parse_formula reads that as a variable.
+        for fact in self.context.facts if isinstance(self.context, StructuredRepr) else ():
+            lit = literal_from_formula(fact.symbol)
+            if not any(len(arg) == 1 and arg.islower() for arg in lit.args):
+                self.literals.setdefault(str(lit), lit)
 
     @functools.cached_property
     def kb(self) -> KnowledgeBase:

@@ -1,13 +1,17 @@
+import contextlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from proofplan.cli import main
+from proofplan import cli
+from proofplan.cli import _write_output, main
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -341,3 +345,121 @@ def test_run_negative_index_is_a_usage_error(capsys):
 def test_run_index_past_the_dataset_is_an_error(capsys):
     assert main(["run", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--index", "5"]) == 1
     assert capsys.readouterr().err.strip() == "error: no instance at index 5 (dataset has 1)"
+
+
+def test_trace_reports_a_line_that_is_not_utf8(tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    traces.write_bytes(b'{"instance":"a","records":[]}\n\xff\n')
+    assert main(["trace", str(traces)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traces}:2: ") and "utf-8" in err and "Traceback" not in err
+
+
+def test_trace_splits_lines_on_newline_only(tmp_path, capsys):
+    # json.dumps(..., ensure_ascii=False) leaves U+2028 unescaped inside a string
+    traces = tmp_path / "t.jsonl"
+    doc = {"instance": "a", "round": 0, "provisional": "T", "records": [{"step": 1, "note": "x\u2028y"}]}
+    traces.write_text(json.dumps(doc, ensure_ascii=False) + "\r\n\n", encoding="utf-8")
+    assert main(["trace", str(traces)]) == 0
+    assert capsys.readouterr().out == "instance a round 0: provisional T\n  step 1: x\u2028y\n"
+
+
+def test_write_output_streams_a_generator_in_bounded_memory(tmp_path):
+    line = json.dumps({"note": "∀x (Big(x) → ¬Small(x))" * 4}, ensure_ascii=False) + "\n"
+    count = 10_000_000 // len(line.encode("utf-8"))
+    out = tmp_path / "big.jsonl"
+    tracemalloc.start()
+    try:
+        assert _write_output(str(out), (line for _ in range(count)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == count * len(line.encode("utf-8")) >= 9_000_000
+    assert peak < 1_000_000
+
+
+def test_write_output_leaves_nothing_behind_when_the_chunks_fail(tmp_path):
+    def chunks():
+        yield "first\n"
+        raise RuntimeError("boom")
+
+    out = tmp_path / "out.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        _write_output(str(out), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+    assert out.read_text(encoding="utf-8") == "old\n"
+
+
+def _fig1b_copies(tmp_path, count, premises=None):
+    """A dataset of `count` copies of the fig1b instance, each with its own id."""
+    (instance,) = json.loads((DATA / "fig1b.json").read_text(encoding="utf-8"))
+    if premises is not None:
+        instance["premises"] = premises
+    path = tmp_path / "copies.json"
+    copies = [{**instance, "id": f"fig1b-{i}"} for i in range(count)]
+    path.write_text(json.dumps(copies, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def _eval_watching_the_write(dataset, traces, monkeypatch):
+    """Run `eval --traces`; returns its report and the traced heap peak after `evaluate` returned."""
+    seen = {}
+    evaluate = cli.evaluate
+
+    def evaluate_then_trace(*args, **kwargs):
+        seen["report"] = report = evaluate(*args, **kwargs)
+        tracemalloc.start()
+        return report
+
+    monkeypatch.setattr(cli, "evaluate", evaluate_then_trace)
+    argv = ["eval", dataset, "--backend", "solver-stub", "--concurrency", "1", "--traces", str(traces)]
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return seen["report"], peak
+
+
+def test_eval_traces_write_adds_little_to_the_heap(tmp_path, monkeypatch):
+    traces = tmp_path / "t.jsonl"
+    report, peak = _eval_watching_the_write(_fig1b_copies(tmp_path, 100), traces, monkeypatch)
+    assert len(report.traces) == 200
+    size = traces.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 10
+
+
+def test_eval_traces_file_is_one_json_line_per_trace(tmp_path, monkeypatch):
+    traces = tmp_path / "t.jsonl"
+    report, _ = _eval_watching_the_write(_fig1b_copies(tmp_path, 3), traces, monkeypatch)
+    lines = [json.dumps(doc, ensure_ascii=False) for doc in report.traces]
+    assert len(lines) == 6
+    assert traces.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_eval_traces_file_is_empty_when_no_instance_made_a_trace(tmp_path, monkeypatch):
+    traces = tmp_path / "t.jsonl"
+    traces.write_text("left over\n", encoding="utf-8")
+    report, _ = _eval_watching_the_write(_fig1b_copies(tmp_path, 2, premises=["∀x ("]), traces, monkeypatch)
+    assert report.total == 2 and report.correct == 0 and report.traces == ()
+    assert traces.read_bytes() == b""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o027, 0o640)], ids=["umask022", "umask002", "umask027"]
+)
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
+    out, traces = tmp_path / "report.json", tmp_path / "t.jsonl"
+    previous = os.umask(umask)
+    try:
+        argv = ["eval", str(DATA / "fig1b.json"), "--backend", "solver-stub", "--out", str(out), "--traces", str(traces)]
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert stat.S_IMODE(traces.stat().st_mode) == mode

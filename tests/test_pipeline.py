@@ -674,7 +674,25 @@ def test_run_pipeline_decodes_rules_and_each_reply_literal_once_per_instance(pro
     assert len(templates) == 1
     cited = _cited_literals(reply for meta, _, reply in backend.calls if meta.stage == "solve")
     assert len(cited) > len(set(cited))
-    assert sorted(parsed) == sorted(set(cited))
+    # stated facts come seeded into the literal table; every other cited string is parsed once
+    assert set(cited) & set(problem.premises)
+    assert sorted(parsed) == sorted(set(cited) - set(problem.premises))
+
+
+def test_run_pipeline_fig1b_parses_only_the_cited_literals_it_was_not_told(monkeypatch):
+    parsed = []
+    parse = solvermod.parse_formula
+    monkeypatch.setattr(solvermod, "parse_formula", lambda text: parsed.append(text) or parse(text))
+    assert run_pipeline(SolverStubBackend(), fig1b_problem()).final.label == "F"
+    # the replies also cite the three stated facts Chases(lion, dog), Chases(lion, mouse), Sees(tiger, lion)
+    assert sorted(parsed) == [
+        "Chases(mouse, dog)",
+        "Kind(mouse)",
+        "Round(lion)",
+        "Round(mouse)",
+        "Sees(lion, lion)",
+        "Sees(mouse, lion)",
+    ]
 
 
 def test_evaluate_decodes_each_instance_on_its_own(monkeypatch):

@@ -3,6 +3,7 @@ import random
 import time
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from proofplan.solver import (
     DomainTooLarge,
     KnowledgeBase,
     Literal,
+    SolverForm,
     StepRecord,
     TooManyAtoms,
     UnsupportedFragment,
@@ -27,7 +29,8 @@ from proofplan.solver import (
     step_record_from_doc,
     step_record_to_doc,
 )
-from proofplan.structured import build_repr
+from proofplan.harness import load_dataset
+from proofplan.structured import build_repr, doc_to_repr
 
 
 def make_kb(facts, rules, predicates, constants, cwa=False):
@@ -515,3 +518,30 @@ def test_definite_monotonicity_adding_facts_never_drops_truth():
             after = decide(bigger, literal_to_formula(query)).label
             if before == "T":
                 assert after == "T"
+
+
+def _declared_context():
+    texts = ("Big(ann)", "¬Big(B)", "Likes(ann, a)", "¬Likes(a, B)", "∀x (Big(x) → Tall(x))")
+    return doc_to_repr(
+        {
+            "Premises": [{"statement": text, "symbol": text} for text in texts],
+            "Proposition": [],
+            "Predicates": {"Big": {"arity": 1}, "Likes": {"arity": 2}, "Tall": {"arity": 1}},
+            "Constants": ["ann", "B", "a"],
+        }
+    )
+
+
+def test_solver_form_seeds_the_stated_facts_except_one_letter_lowercase_arguments():
+    # `a` is a declared constant, but parse_formula alone reads it as a variable
+    form = SolverForm(_declared_context())
+    assert form.literals == {"Big(ann)": Literal(True, "Big", ("ann",)), "¬Big(B)": Literal(False, "Big", ("B",))}
+
+
+@pytest.mark.parametrize("name", ["fig1b.json", "batch3.json", "task_definition.json"])
+def test_solver_form_seeds_strings_that_parse_to_their_literal(name):
+    for instance in load_dataset(Path(__file__).parent / "data" / name):
+        form = SolverForm(build_repr([(text, text) for text in instance.premises]))
+        assert form.literals
+        for text, lit in form.literals.items():
+            assert literal_from_formula(parse_formula(text)) == lit
