@@ -31,8 +31,6 @@ from .plan import (
     execution_order,
     frontier,
     normalize,
-    pred,
-    succ,
     transitive_reduce,
     validate_dag,
 )
@@ -50,7 +48,6 @@ from .structured import (
     build_repr,
     deserialize_repr,
     serialize_repr,
-    validate_static,
 )
 
 __version__ = "0.1.0"

@@ -280,6 +280,13 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _temperature(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="proofplan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--base-url", default="", help=f"live endpoint base URL (key from ${API_KEY_ENV})")
         p.add_argument("--format", default="tfu-json", choices=["tfu-json", "options-json"])
         p.add_argument("--max-replan-rounds", type=_integer_at_least(0), default=1)
-        p.add_argument("--temperature", type=float, default=0.0)
+        p.add_argument("--temperature", type=_temperature, default=0.0)
         p.add_argument("--concurrency", type=_integer_at_least(1), default=4)
         p.add_argument("--timeout-s", type=_seconds, default=300.0)
         p.add_argument("--ablate", default="", help="comma-separated: mp, srm, fdr")

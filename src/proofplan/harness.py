@@ -13,12 +13,11 @@ import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .backends import Backend, BackendError
+from .backends import Backend, BackendError, GenerationParams
 from .errors import SchemaError
 from .pipeline import (
     InvalidEdit,
@@ -205,7 +204,31 @@ def load_dataset(path: str | Path, format: str = "tfu-json") -> list[Instance]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+class _OutOfTime(Exception):
+    """The instance's time ran out before or during a backend call."""
+
+
+class _Deadline(Backend):
+    """Forwards stage calls until `deadline`, a `time.perf_counter` reading.
+
+    No call starts after the deadline, and a reply that returns after it is
+    discarded, so the instance scores `timeout` instead of running on.
+    """
+
+    def __init__(self, backend: Backend, deadline: float):
+        self._backend = backend
+        self._deadline = deadline
+
+    def complete(self, prompt: str, params: GenerationParams) -> str:
+        if time.perf_counter() < self._deadline:
+            reply = self._backend.complete(prompt, params)
+            if time.perf_counter() < self._deadline:
+                return reply
+        raise _OutOfTime
+
+
 _FAILURE_KINDS = {
+    _OutOfTime: "timeout",
     StageParseError: "format",
     SchemaError: "format",
     MatrixShapeMismatch: "format",
@@ -238,7 +261,7 @@ def _run_one(instance: Instance, backend: Backend, config: HarnessConfig) -> tup
     start = time.perf_counter()
     try:
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
-        result = run_pipeline(backend, problem, config.pipeline)
+        result = run_pipeline(_Deadline(backend, start + config.timeout_s), problem, config.pipeline)
         predicted = result.final.label
         traces = [trace_to_doc(t, instance.id) for t in result.traces]
         correct = predicted == instance.gold
@@ -273,7 +296,8 @@ def _failed_record(instance: Instance, failure_kind: str, duration_s: float) -> 
 def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessConfig = HarnessConfig()) -> RunReport:
     """Run the pipeline over every instance with a bounded worker pool.
 
-    Per-instance failures become records, never harness faults. Records and
+    Per-instance failures become records, never harness faults. Each
+    instance's `timeout_s` runs from the moment a worker starts it. Records and
     traces are assembled in the input order, so the report is independent of
     the concurrency level.
     """
@@ -282,11 +306,8 @@ def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessCon
     workers = max(1, config.concurrency)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_one, instance, backend, config) for instance in instances]
-        for instance, future in zip(instances, futures):
-            try:
-                record, instance_traces = future.result(timeout=config.timeout_s)
-            except FuturesTimeout:
-                record, instance_traces = _failed_record(instance, "timeout", config.timeout_s), []
+        for future in futures:
+            record, instance_traces = future.result()
             records.append(record)
             traces.extend(instance_traces)
     correct = sum(1 for r in records if r.correct)

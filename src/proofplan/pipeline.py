@@ -22,7 +22,7 @@ from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
 from .plan import CycleError, MatrixShapeMismatch, Plan
 from .solver import Literal, SolverForm, StepRecord, Verdict, step_record_from_doc, step_record_to_doc
-from .structured import RawContext, StructuredRepr, doc_to_repr, validate_static
+from .structured import RawContext, StructuredRepr, doc_to_repr
 
 __all__ = [
     "Problem",
@@ -612,11 +612,8 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     """
     context, translate_raw = _translate(backend, problem, config)
     form = SolverForm(context)  # each formula of the instance is decoded once
-    warnings: tuple[str, ...] = ()
-    if isinstance(context, StructuredRepr):
-        # Static findings against the inferred table are surfaced, not fatal.
-        findings = validate_static(context, context.table).findings
-        warnings = tuple(f"{f.kind} (statement {f.statement_id}): {f.detail}" for f in findings)
+    # Static findings are surfaced, not fatal.
+    warnings = context.warnings if isinstance(context, StructuredRepr) else ()
     first_plan, plan_raw = _plan(backend, context, config, problem)
     trace = solve_stage(backend, context, first_plan, config, problem, round=0, form=form)
     trace = replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)

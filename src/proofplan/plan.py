@@ -32,8 +32,6 @@ __all__ = [
     "IndexOutOfRange",
     "MergeSelf",
     "MatrixShapeMismatch",
-    "pred",
-    "succ",
     "validate_dag",
     "frontier",
     "execution_order",
@@ -331,18 +329,6 @@ def find_cycle_rows(rows: Sequence[int]) -> list[int] | None:
 def _check_index(index: int, size: int) -> None:
     if not 1 <= index <= size:
         raise IndexOutOfRange(index, size)
-
-
-def pred(plan: Plan, j: int) -> set[int]:
-    """Steps that must finish before step j (column support of A)."""
-    _check_index(j, plan.size)
-    return {i + 1 for i, row in enumerate(plan.matrix) if row[j - 1]}
-
-
-def succ(plan: Plan, i: int) -> set[int]:
-    """Steps unlocked by finishing step i (row support of A)."""
-    _check_index(i, plan.size)
-    return {j + 1 for j, value in enumerate(plan.matrix[i - 1]) if value}
 
 
 def validate_dag(plan: Plan) -> None:

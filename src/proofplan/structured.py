@@ -3,15 +3,15 @@
 A problem is held as natural-language/formula pairs split into ground facts,
 closed rules, and the questions to adjudicate. The JSON document form pairs
 each statement with its symbolic rendering so downstream stages can cite
-either side; static validation reports namespace, arity, sort, and
-groundedness violations without failing.
+either side. Parsing rejects undeclared symbols and wrong arities; the sort
+clashes and open rules that remain are reported as warnings, not errors.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .errors import SchemaError
@@ -33,29 +33,16 @@ __all__ = [
     "AlignedStatement",
     "StructuredRepr",
     "RawContext",
-    "Finding",
-    "StaticReport",
     "BuildError",
     "EmptyNL",
     "ArityConflict",
     "build_repr",
-    "validate_static",
     "serialize_repr",
     "deserialize_repr",
     "repr_to_doc",
     "doc_to_repr",
     "is_ground_literal",
 ]
-
-FINDING_KINDS = (
-    "undeclared-constant",
-    "undeclared-predicate",
-    "arity-mismatch",
-    "sort-mismatch",
-    "open-rule",
-    "non-ground-fact",
-)
-
 
 class EmptyNL(Exception):
     def __init__(self, index: int):
@@ -88,7 +75,7 @@ class AlignedStatement:
 
 @dataclass(frozen=True)
 class StructuredRepr:
-    """Immutable; its document form and prompt text are computed on first use and kept."""
+    """Immutable; its document form, prompt text and warnings are computed on first use and kept."""
 
     table: SymbolTable
     facts: tuple[AlignedStatement, ...]
@@ -98,10 +85,6 @@ class StructuredRepr:
     def statements(self) -> Iterator[AlignedStatement]:
         """All statements in id order."""
         return iter(sorted((*self.facts, *self.rules, *self.questions), key=lambda s: s.id))
-
-    @property
-    def premises(self) -> tuple[AlignedStatement, ...]:
-        return tuple(s for s in self.statements() if s not in self.questions)
 
     @functools.cached_property
     def doc(self) -> dict[str, Any]:
@@ -113,28 +96,46 @@ class StructuredRepr:
         """The document as indented JSON, as prompts carry it; computed once."""
         return json.dumps(self.doc, ensure_ascii=False, indent=2)
 
+    @functools.cached_property
+    def warnings(self) -> tuple[str, ...]:
+        """Static findings as `"<kind> (statement <id>): <detail>"`, in statement order.
+
+        Only two kinds can occur: `sort-mismatch`, a constant whose declared
+        sort differs from the one its argument position declares, and
+        `open-rule`, a rule with free variables. Parsing already rejects
+        undeclared symbols and wrong arities against a declared table, an
+        inferred table holds every symbol, and only ground literals are filed
+        as facts.
+        """
+        table = self.table
+        check_sorts = bool(table.predicate_sorts and table.constant_sorts)
+        rule_ids = {s.id for s in self.rules}
+        found: list[str] = []
+        for stmt in self.statements():
+            if check_sorts:
+                for node in _walk_atoms(stmt.symbol):
+                    if not isinstance(node, Atom):
+                        continue
+                    wanted = table.predicate_sorts.get(node.predicate, ())
+                    for position, (want, term) in enumerate(zip(wanted, node.args)):
+                        have = table.constant_sorts.get(term.name) if isinstance(term, Constant) else None
+                        if want is not None and have is not None and want != have:
+                            found.append(
+                                f"sort-mismatch (statement {stmt.id}): "
+                                f"{node.predicate} arg {position + 1} wants {want}, {term.name} is {have}"
+                            )
+            if stmt.id in rule_ids:
+                open_vars = free_vars(stmt.symbol)
+                if open_vars:
+                    found.append(f"open-rule (statement {stmt.id}): {', '.join(sorted(open_vars))}")
+        return tuple(found)
+
 
 @dataclass(frozen=True)
 class RawContext:
     """Unvalidated stage-one text, used when structured management is ablated."""
 
     text: str
-
-
-@dataclass(frozen=True)
-class Finding:
-    kind: str
-    statement_id: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class StaticReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 def is_ground_literal(f: Formula) -> bool:
@@ -203,58 +204,6 @@ def build_repr(
     facts = tuple(s for s in premise_part if is_ground_literal(s.symbol))
     rules = tuple(s for s in premise_part if not is_ground_literal(s.symbol))
     return StructuredRepr(table=table, facts=facts, rules=rules, questions=tuple(question_part))
-
-
-def validate_static(repr_: StructuredRepr, strict_table: SymbolTable) -> StaticReport:
-    """Check every statement against `strict_table`; findings are data, not errors.
-
-    Findings are ordered by statement id, then by the position of the
-    offending occurrence inside the statement's formula.
-    """
-    findings: list[Finding] = []
-    fact_ids = {s.id for s in repr_.facts}
-    rule_ids = {s.id for s in repr_.rules}
-    for stmt in repr_.statements():
-        for node in _walk_atoms(stmt.symbol):
-            if isinstance(node, Atom):
-                declared_arity = strict_table.predicates.get(node.predicate)
-                if declared_arity is None:
-                    findings.append(Finding("undeclared-predicate", stmt.id, node.predicate))
-                elif declared_arity != len(node.args):
-                    findings.append(
-                        Finding(
-                            "arity-mismatch",
-                            stmt.id,
-                            f"{node.predicate} declared /{declared_arity}, used /{len(node.args)}",
-                        )
-                    )
-                terms = node.args
-            else:
-                terms = (node.left, node.right)
-            for position, term in enumerate(terms):
-                if not isinstance(term, Constant):
-                    continue
-                if term.name not in strict_table.constants:
-                    findings.append(Finding("undeclared-constant", stmt.id, term.name))
-                elif isinstance(node, Atom):
-                    arg_sorts = strict_table.predicate_sorts.get(node.predicate)
-                    want = arg_sorts[position] if arg_sorts and position < len(arg_sorts) else None
-                    have = strict_table.constant_sorts.get(term.name)
-                    if want is not None and have is not None and want != have:
-                        findings.append(
-                            Finding(
-                                "sort-mismatch",
-                                stmt.id,
-                                f"{node.predicate} arg {position + 1} wants {want}, {term.name} is {have}",
-                            )
-                        )
-        if stmt.id in fact_ids and not is_ground_literal(stmt.symbol):
-            findings.append(Finding("non-ground-fact", stmt.id, render_formula(stmt.symbol)))
-        if stmt.id in rule_ids:
-            open_vars = free_vars(stmt.symbol)
-            if open_vars:
-                findings.append(Finding("open-rule", stmt.id, ", ".join(sorted(open_vars))))
-    return StaticReport(findings=tuple(findings))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ reachability comes from repeated boolean matrix squaring, the reference
 schedule from a layer-at-a-time indegree count, the reference chaining
 engine grounds every rule over every binding and scans the ground rules, and
 the reference parser tokenizes character by character and descends a
-five-rule precedence ladder, so tests check two unrelated routes to the same
-answer.
+five-rule precedence ladder, and the reference static check tests every
+statement for all six finding kinds against any table, so tests check two
+unrelated routes to the same answer.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -37,9 +39,12 @@ from proofplan.fol import (
     UndeclaredSymbol,
     Variable,
     _children,
+    free_vars,
+    render_formula,
 )
 from proofplan.plan import Plan, PlanStep
 from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, rule_templates
+from proofplan.structured import StructuredRepr, _walk_atoms, is_ground_literal
 
 VARIABLES = ("x", "y", "z", "u", "v")
 CONSTANTS = ("tom", "jerry", "rex", "ada")
@@ -364,6 +369,85 @@ def reference_parse_formula(text: str, table: SymbolTable | None = None) -> Form
     return _Parser(text, table).parse()
 
 
+# ---------------------------------------------------------------------------
+# Reference static check: the original general validator, which checks a
+# representation against any table and which `StructuredRepr.warnings` must
+# agree with on the representation's own table.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Finding:
+    kind: str
+    statement_id: int
+    detail: str
+
+
+@dataclass(frozen=True)
+class StaticReport:
+    findings: tuple[Finding, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
+
+
+def reference_validate_static(repr_: StructuredRepr, strict_table: SymbolTable) -> StaticReport:
+    """Check every statement against `strict_table`; findings are data, not errors.
+
+    Findings are ordered by statement id, then by the position of the
+    offending occurrence inside the statement's formula.
+    """
+    findings: list[Finding] = []
+    fact_ids = {s.id for s in repr_.facts}
+    rule_ids = {s.id for s in repr_.rules}
+    for stmt in repr_.statements():
+        for node in _walk_atoms(stmt.symbol):
+            if isinstance(node, Atom):
+                declared_arity = strict_table.predicates.get(node.predicate)
+                if declared_arity is None:
+                    findings.append(Finding("undeclared-predicate", stmt.id, node.predicate))
+                elif declared_arity != len(node.args):
+                    findings.append(
+                        Finding(
+                            "arity-mismatch",
+                            stmt.id,
+                            f"{node.predicate} declared /{declared_arity}, used /{len(node.args)}",
+                        )
+                    )
+                terms = node.args
+            else:
+                terms = (node.left, node.right)
+            for position, term in enumerate(terms):
+                if not isinstance(term, Constant):
+                    continue
+                if term.name not in strict_table.constants:
+                    findings.append(Finding("undeclared-constant", stmt.id, term.name))
+                elif isinstance(node, Atom):
+                    arg_sorts = strict_table.predicate_sorts.get(node.predicate)
+                    want = arg_sorts[position] if arg_sorts and position < len(arg_sorts) else None
+                    have = strict_table.constant_sorts.get(term.name)
+                    if want is not None and have is not None and want != have:
+                        findings.append(
+                            Finding(
+                                "sort-mismatch",
+                                stmt.id,
+                                f"{node.predicate} arg {position + 1} wants {want}, {term.name} is {have}",
+                            )
+                        )
+        if stmt.id in fact_ids and not is_ground_literal(stmt.symbol):
+            findings.append(Finding("non-ground-fact", stmt.id, render_formula(stmt.symbol)))
+        if stmt.id in rule_ids:
+            open_vars = free_vars(stmt.symbol)
+            if open_vars:
+                findings.append(Finding("open-rule", stmt.id, ", ".join(sorted(open_vars))))
+    return StaticReport(findings=tuple(findings))
+
+
+def formatted_findings(report: StaticReport) -> tuple[str, ...]:
+    """Findings in the `"<kind> (statement <id>): <detail>"` form traces carry."""
+    return tuple(f"{f.kind} (statement {f.statement_id}): {f.detail}" for f in report.findings)
+
 
 # ---------------------------------------------------------------------------
 # Random graphs and plans
@@ -374,6 +458,16 @@ def plan_from_matrix(matrix) -> Plan:
     n = len(matrix)
     steps = tuple(PlanStep(id=i + 1, content=f"step {i + 1}") for i in range(n))
     return Plan(steps, tuple(tuple(row) for row in matrix))
+
+
+def predecessors(plan: Plan, j: int) -> set[int]:
+    """Steps with an edge into step j, read off `plan.edges()`."""
+    return {i for i, k in plan.edges() if k == j}
+
+
+def successors(plan: Plan, i: int) -> set[int]:
+    """Steps with an edge out of step i, read off `plan.edges()`."""
+    return {k for h, k in plan.edges() if h == i}
 
 
 def random_dag_matrix(rng: random.Random, n: int, p: float = 0.3) -> list[list[int]]:

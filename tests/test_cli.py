@@ -240,13 +240,26 @@ def test_negative_replan_rounds_is_a_usage_error(command, value, capsys):
 @pytest.mark.parametrize("command", ["eval", "run"])
 @pytest.mark.parametrize(
     "option, value",
-    [("--timeout-s", "-1"), ("--timeout-s", "0"), ("--timeout-s", "nan"), ("--concurrency", "0"), ("--concurrency", "-3")],
+    [
+        ("--timeout-s", "-1"),
+        ("--timeout-s", "0"),
+        ("--timeout-s", "nan"),
+        ("--concurrency", "0"),
+        ("--concurrency", "-3"),
+        ("--temperature", "nan"),
+        ("--temperature", "inf"),
+        ("--temperature", "-3"),
+    ],
 )
 def test_non_positive_timeout_or_concurrency_is_a_usage_error(command, option, value, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, str(DATA / "fig1b.json"), "--backend", "solver-stub", option, value])
     assert exc.value.code == 2
-    message = {"--timeout-s": "must be a positive number of seconds", "--concurrency": "must be at least 1"}
+    message = {
+        "--timeout-s": "must be a positive number of seconds",
+        "--concurrency": "must be at least 1",
+        "--temperature": "must be a finite number at least 0",
+    }
     assert f"{option}: {message[option]}" in capsys.readouterr().err
 
 

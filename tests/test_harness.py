@@ -188,6 +188,33 @@ def test_evaluate_times_out_slow_instances():
     assert not report.records[0].correct
 
 
+def test_timeout_runs_per_instance_and_stops_backend_calls():
+    import threading
+    import time as time_module
+
+    class SlowStub(SolverStubBackend):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+            self._lock = threading.Lock()
+
+        def complete(self, prompt, params):
+            with self._lock:
+                self.calls += 1
+            time_module.sleep(0.1)
+            return super().complete(prompt, params)
+
+    instances = load_dataset(DATA / "fig1b.json") * 4
+    backend = SlowStub()
+    start = time_module.perf_counter()
+    report = evaluate(instances, backend, HarnessConfig(timeout_s=0.05, concurrency=1))
+    elapsed = time_module.perf_counter() - start
+    assert [r.failure_kind for r in report.records] == ["timeout"] * 4
+    assert all(r.duration_s >= 0.1 for r in report.records)
+    assert backend.calls <= 4
+    assert elapsed < 1.0
+
+
 def test_stratify_by_depth():
     instances = load_dataset(DATA / "batch3.json")
     backend = ScriptedBackend(FIXTURES / "batch3")

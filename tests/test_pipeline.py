@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CannedBackend, ground_literal_queries, random_horn_kb, reference_ground_rules
+from helpers import CannedBackend, ground_literal_queries, random_horn_kb, reference_ground_rules, successors
 from proofplan import plan as planmod
 from proofplan import solver as solvermod
 from proofplan import structured
@@ -195,9 +195,7 @@ def test_plan_stage_accepts_walkthrough_fixture():
     context = translate_stage(scripted(), WALKTHROUGH)
     plan = plan_stage(scripted(), context, problem=WALKTHROUGH)
     assert plan.size == 11
-    from proofplan.plan import succ
-
-    assert succ(plan, 1) == {2, 3, 4, 5, 6, 7, 8}
+    assert successors(plan, 1) == {2, 3, 4, 5, 6, 7, 8}
 
 
 def test_plan_stage_shape_mismatch():

