@@ -117,6 +117,7 @@ def file_sha256(path: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+_OPTION_LETTERS = "ABCDE"  # the answer letters `normalize_label` accepts
 
 
 def _as_premises(entry: dict[str, Any], pointer: str) -> tuple[str, ...]:
@@ -150,7 +151,7 @@ def _gold_label(entry: dict[str, Any], pointer: str, format: str) -> str:
         raise SchemaError(f"{pointer}/answer", f"unrecognized label {raw!r}")
     if format == "tfu-json" and label not in ("T", "F", "U"):
         raise SchemaError(f"{pointer}/answer", f"label {label} outside T/F/U")
-    if format == "options-json" and label not in ("A", "B", "C", "D", "E"):
+    if format == "options-json" and label not in _OPTION_LETTERS:
         raise SchemaError(f"{pointer}/answer", f"label {label} is not an option letter")
     return label
 
@@ -186,12 +187,17 @@ def load_dataset(path: str | Path, format: str = "tfu-json") -> list[Instance]:
         options = entry.get("options", [])
         if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
             raise SchemaError(f"{pointer}/options", "expected array of strings")
+        if len(options) > len(_OPTION_LETTERS):
+            raise SchemaError(f"{pointer}/options", f"at most {len(_OPTION_LETTERS)} options")
+        gold = _gold_label(entry, pointer, format)
+        if format == "options-json" and options and gold not in _OPTION_LETTERS[: len(options)]:
+            raise SchemaError(f"{pointer}/answer", f"label {gold} is beyond the {len(options)} options")
         instances.append(
             Instance(
                 id=str(identifier),
                 premises=_as_premises(entry, pointer),
                 question=question,
-                gold=_gold_label(entry, pointer, format),
+                gold=gold,
                 depth=depth,
                 dataset=path.stem,
                 options=tuple(options),
@@ -250,10 +256,9 @@ def compose_question(instance: Instance) -> str:
     """Question text with lettered options appended when present."""
     if not instance.options:
         return instance.question
-    letters = "ABCDE"
     lines = [instance.question, "Options:"]
-    for i, option in enumerate(instance.options[:5]):
-        lines.append(f"({letters[i]}) {option}")
+    for letter, option in zip(_OPTION_LETTERS, instance.options):
+        lines.append(f"({letter}) {option}")
     return "\n".join(lines)
 
 
@@ -296,20 +301,26 @@ def _failed_record(instance: Instance, failure_kind: str, duration_s: float) -> 
 def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessConfig = HarnessConfig()) -> RunReport:
     """Run the pipeline over every instance with a bounded worker pool.
 
-    Per-instance failures become records, never harness faults. Each
-    instance's `timeout_s` runs from the moment a worker starts it. Records and
-    traces are assembled in the input order, so the report is independent of
-    the concurrency level.
+    Per-instance failures become records, never harness faults; an interrupt
+    cancels the instances not yet started and propagates. Each instance's
+    `timeout_s` runs from the moment a worker starts it. Records and traces are
+    assembled in the input order, so the report is independent of the
+    concurrency level.
     """
     records: list[InstanceRecord] = []
     traces: list[dict[str, Any]] = []
     workers = max(1, config.concurrency)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_one, instance, backend, config) for instance in instances]
-        for future in futures:
-            record, instance_traces = future.result()
-            records.append(record)
-            traces.extend(instance_traces)
+        try:
+            for future in futures:
+                record, instance_traces = future.result()
+                records.append(record)
+                traces.extend(instance_traces)
+        except BaseException:
+            # An interrupt ends the run: instances not yet started never start.
+            pool.shutdown(cancel_futures=True)
+            raise
     correct = sum(1 for r in records if r.correct)
     total = len(records)
     return RunReport(

@@ -126,19 +126,24 @@ class PipelineConfig:
 class ReplanOutcome:
     plan: Plan
     edits: tuple[planmod.EditOp, ...]
-    rationale: str
     raw: str
     embedded_trace: Trace | None = None  # when the reply re-executed the revised plan
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    final: Verdict
+    """Each round's trace (its context, plan and verdict) and the diagnosis that led to the next."""
+
     traces: tuple[Trace, ...]
-    plans: tuple[Plan, ...]
     diagnoses: tuple[Diagnosis, ...]
-    context: StructuredRepr | RawContext
-    rounds_used: int
+
+    @property
+    def final(self) -> Verdict:
+        return self.traces[-1].provisional
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.traces) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +239,8 @@ def _call_stage(
 
 def translate_stage(
     backend: Backend, problem: Problem, config: PipelineConfig = PipelineConfig()
-) -> StructuredRepr | RawContext:
-    context, _ = _translate(backend, problem, config)
-    return context
-
-
-def _translate(
-    backend: Backend, problem: Problem, config: PipelineConfig
 ) -> tuple[StructuredRepr | RawContext, str]:
+    """The problem context and the raw reply it came from."""
     values = {"premises": "\n".join(problem.premises), "question": problem.question}
     payload = {"premises": list(problem.premises), "question": problem.question}
     raw = _call_stage(backend, config, "translate", values, payload, problem)
@@ -260,17 +259,8 @@ def plan_stage(
     context: StructuredRepr | RawContext,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
-) -> Plan:
-    result, _ = _plan(backend, context, config, problem)
-    return result
-
-
-def _plan(
-    backend: Backend,
-    context: StructuredRepr | RawContext,
-    config: PipelineConfig,
-    problem: Problem | None,
 ) -> tuple[Plan, str]:
+    """The validated plan and the raw reply it came from."""
     raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context}, problem)
     doc = extract_json(raw, "plan")
     try:
@@ -351,9 +341,7 @@ def solve_stage(
 # Diagnosis
 # ---------------------------------------------------------------------------
 
-def diagnose(
-    trace: Trace, provisional: Verdict | None = None, cwa: bool = False, form: SolverForm | None = None
-) -> Diagnosis:
+def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) -> Diagnosis:
     """Deterministic audit of a trace; every label carries evidence.
 
     Checks that need structured derivation records or a groundable context
@@ -509,17 +497,14 @@ def _parse_edit(doc: Any, pointer: str) -> planmod.EditOp:
 
 def replan_stage(
     backend: Backend,
-    context: StructuredRepr | RawContext,
-    plan: Plan,
     trace: Trace,
-    provisional: Verdict,
     diagnosis: Diagnosis,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
-    round: int = 1,
     form: SolverForm | None = None,
 ) -> ReplanOutcome:
-    """Ask the backend for a repaired plan and normalize whatever comes back.
+    """Ask the backend to repair `trace`'s plan, as round `trace.round + 1`,
+    and normalize whatever comes back.
 
     The reply may carry a corrected plan, an edit list, or both (the plan
     wins; edits are then informational). When it also embeds a re-execution
@@ -527,18 +512,20 @@ def replan_stage(
     the separate solve call; `form`, the instance's `SolverForm`, decodes its
     literals.
     """
+    context, plan, provisional = trace.context, trace.plan, trace.provisional.label
+    round = trace.round + 1
     values = {
         "repr": context.text,
         "plan": plan.text,
         "trace": _trace_text(trace),
-        "provisional": provisional.label,
+        "provisional": provisional,
         "diagnosis": _diagnosis_text(diagnosis),
     }
     payload = {
         "context": context,
         "plan": plan,
         "diagnosis": sorted(diagnosis.labels),
-        "provisional": provisional.label,
+        "provisional": provisional,
     }
     raw = _call_stage(backend, config, "replan", values, payload, problem, round)
     doc = extract_json(raw, "replan")
@@ -557,8 +544,7 @@ def replan_stage(
         except SchemaError as err:
             raise StageParseError("replan", str(err), raw=raw) from err
 
-    rationale = doc.get("Rationale", "")
-    if not isinstance(rationale, str):
+    if not isinstance(doc.get("Rationale", ""), str):
         raise StageParseError("replan", '"Rationale" must be a string', raw=raw)
 
     if "Revised plan" in doc:
@@ -573,10 +559,7 @@ def replan_stage(
             )
         except (SchemaError, MatrixShapeMismatch) as err:
             raise StageParseError("replan", str(err), raw=raw) from err
-        before = set(proposed.edges())
         revised = planmod.normalize(proposed)
-        if set(revised.edges()) != before:
-            rationale = (rationale + " " if rationale else "") + "(normalization adjusted the proposed matrix)"
     elif edits:
         try:
             revised = planmod.apply_edits(plan, edits)
@@ -595,7 +578,7 @@ def replan_stage(
             (SolverForm(context) if form is None else form).literals,
         )
         embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
-    return ReplanOutcome(plan=revised, edits=edits, rationale=rationale, raw=raw, embedded_trace=embedded)
+    return ReplanOutcome(plan=revised, edits=edits, raw=raw, embedded_trace=embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -610,46 +593,23 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     the final verdict is the last round's provisional one. Any stage error
     propagates and the caller decides how to score the instance.
     """
-    context, translate_raw = _translate(backend, problem, config)
+    context, translate_raw = translate_stage(backend, problem, config)
     form = SolverForm(context)  # each formula of the instance is decoded once
     # Static findings are surfaced, not fatal.
     warnings = context.warnings if isinstance(context, StructuredRepr) else ()
-    first_plan, plan_raw = _plan(backend, context, config, problem)
-    trace = solve_stage(backend, context, first_plan, config, problem, round=0, form=form)
-    trace = replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)
-
-    traces = [trace]
-    plans = [first_plan]
+    plan, plan_raw = plan_stage(backend, context, config, problem)
+    trace = solve_stage(backend, context, plan, config, problem, round=0, form=form)
+    traces = [replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)]
     diagnoses: list[Diagnosis] = []
-    for round_index in range(1, config.max_replan_rounds + 1):
-        report = diagnose(traces[-1], traces[-1].provisional, cwa=config.cwa, form=form)
+    for _ in range(config.max_replan_rounds):
+        report = diagnose(traces[-1], cwa=config.cwa, form=form)
         diagnoses.append(report)
-        outcome = replan_stage(
-            backend,
-            context,
-            plans[-1],
-            traces[-1],
-            traces[-1].provisional,
-            report,
-            config,
-            problem,
-            round=round_index,
-            form=form,
-        )
-        plans.append(outcome.plan)
-        new_trace = outcome.embedded_trace
-        if new_trace is None:
-            new_trace = solve_stage(backend, context, outcome.plan, config, problem, round=round_index, form=form)
-        traces.append(replace(new_trace, raw={**new_trace.raw, "replan": outcome.raw}))
-
-    return PipelineResult(
-        final=traces[-1].provisional,
-        traces=tuple(traces),
-        plans=tuple(plans),
-        diagnoses=tuple(diagnoses),
-        context=context,
-        rounds_used=len(traces) - 1,
-    )
+        outcome = replan_stage(backend, traces[-1], report, config, problem, form=form)
+        trace = outcome.embedded_trace
+        if trace is None:
+            trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces), form=form)
+        traces.append(replace(trace, raw={**trace.raw, "replan": outcome.raw}))
+    return PipelineResult(traces=tuple(traces), diagnoses=tuple(diagnoses))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .errors import SchemaError
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 STEP_KINDS = ("inference", "guard")
+# Plan algebra is quadratic to cubic in the step count, so a reply may not
+# grow a plan past this many steps.
+MAX_STEPS = 256
 
 
 class ShapeError(Exception):
@@ -93,16 +96,10 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class Plan:
-    """Immutable plan; operations return new plans.
-
-    `id_map` (original id -> id in this plan) is carried by apply_edits so
-    traces recorded against the source plan stay correlatable after merges
-    and insertions. It never takes part in equality.
-    """
+    """Immutable plan; operations return new plans."""
 
     steps: tuple[PlanStep, ...]
     matrix: tuple[tuple[int, ...], ...]
-    id_map: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -371,13 +368,13 @@ def transitive_reduce(plan: Plan) -> Plan:
     """Minimal edge set with the same reachability; unique because acyclic."""
     validate_dag(plan)
     reduced = reduce_rows(plan.rows())
-    return Plan(plan.steps, _rows_to_matrix(reduced, plan.size), id_map=plan.id_map)
+    return Plan(plan.steps, _rows_to_matrix(reduced, plan.size))
 
 
 def normalize(plan: Plan) -> Plan:
     """Make the plan executable: zero diagonal, break cycles, reduce."""
     rows = normalize_rows(plan.rows())
-    return Plan(plan.steps, _rows_to_matrix(rows, plan.size), id_map=plan.id_map)
+    return Plan(plan.steps, _rows_to_matrix(rows, plan.size))
 
 
 def linear_chain(steps: Sequence[PlanStep]) -> Plan:
@@ -456,12 +453,11 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
     Merge(p, q) folds step q into p: contents concatenate (p first),
     predecessors and successors union onto p, q is deleted and ids are
     renumbered. InsertGuard(k) places a guard step directly after k that
-    intercepts all of k's outgoing edges. The returned plan's id_map sends
-    each original step id to its id in the result.
+    intercepts all of k's outgoing edges; one that would take the plan past
+    MAX_STEPS raises ShapeError.
     """
     steps: list[PlanStep] = list(plan.steps)
     rows: list[int] = plan.rows()
-    current: dict[int, int] = {step.id: step.id for step in plan.steps}
 
     for edit in edits:
         n = len(steps)
@@ -495,20 +491,10 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
             rows = [_drop_bit(mask, qi) for mask in rows]
             steps[pi] = merged
             del steps[qi]
-            steps = [
-                PlanStep(id=index + 1, content=s.content, kind=s.kind) for index, s in enumerate(steps)
-            ]
-            remap = {}
-            for orig, cur in current.items():
-                if cur == edit.q:
-                    remap[orig] = edit.p if edit.p < edit.q else edit.p - 1
-                elif cur > edit.q:
-                    remap[orig] = cur - 1
-                else:
-                    remap[orig] = cur
-            current = remap
         elif isinstance(edit, InsertGuard):
             _check_index(edit.k, n)
+            if n >= MAX_STEPS:
+                raise ShapeError(f"a guard after step {edit.k} would exceed {MAX_STEPS} steps")
             ki = edit.k - 1
             gi = ki + 1
             old_succ = rows[ki]
@@ -517,17 +503,11 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
             rows.insert(gi, _insert_zero_bit(old_succ, gi))
             content = edit.content or f"verify dependencies of step {edit.k}"
             steps.insert(gi, PlanStep(id=gi + 1, content=content, kind="guard"))
-            steps = [
-                PlanStep(id=index + 1, content=s.content, kind=s.kind) for index, s in enumerate(steps)
-            ]
-            current = {orig: (cur + 1 if cur > edit.k else cur) for orig, cur in current.items()}
         else:
             raise TypeError(f"unknown edit operator: {edit!r}")
 
-    n = len(steps)
-    normalized = normalize_rows(rows)
-    id_map = tuple(sorted(current.items()))
-    return Plan(tuple(steps), _rows_to_matrix(normalized, n), id_map=id_map)
+    renumbered = tuple(PlanStep(id=index + 1, content=s.content, kind=s.kind) for index, s in enumerate(steps))
+    return Plan(renumbered, _rows_to_matrix(normalize_rows(rows), len(steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +536,8 @@ def plan_from_json(doc: Any) -> Plan:
     if not isinstance(raw_steps, dict) or not raw_steps:
         raise SchemaError("/Plan", "expected nonempty object")
     n = len(raw_steps)
+    if n > MAX_STEPS:
+        raise SchemaError("/Plan", f"{n} steps exceed the limit of {MAX_STEPS}")
     if set(raw_steps) != {str(i) for i in range(1, n + 1)}:
         raise SchemaError("/Plan", f"step keys must be \"1\"..\"{n}\"")
     steps = []

@@ -294,7 +294,7 @@ def test_criterion_5_scripted_end_to_end_replay():
         result = run_pipeline(backend, problem)
         assert result.final.label == "T"
         assert len(result.traces) == 2
-        revised = result.plans[1]
+        revised = result.traces[1].plan
         assert revised.size == 4
         assert revised.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,26 @@ def test_load_dataset_options_format(tmp_path):
         load_dataset(path, format="tfu-json")
 
 
+def _options_dataset(tmp_path, options, answer):
+    path = tmp_path / "d.json"
+    entry = {"id": "q1", "premises": ["P(a)"], "question": "Which?", "options": options, "answer": answer}
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    return path
+
+
+def test_load_dataset_rejects_options_the_prompt_cannot_letter(tmp_path):
+    assert len(load_dataset(_options_dataset(tmp_path, list("uvwxy"), "E"), format="options-json")) == 1
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(_options_dataset(tmp_path, list("uvwxyz"), "A"), format="options-json")
+    assert exc.value.pointer == "/0/options"
+
+
+def test_load_dataset_rejects_gold_letter_beyond_the_options(tmp_path):
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(_options_dataset(tmp_path, ["Ann", "Bob", "Cid"], "D"), format="options-json")
+    assert exc.value.pointer == "/0/answer"
+
+
 def test_load_dataset_task_definition_file():
     instances = load_dataset(DATA / "task_definition.json")
     assert instances[0].gold == "U"
@@ -213,6 +234,58 @@ def test_timeout_runs_per_instance_and_stops_backend_calls():
     assert all(r.duration_s >= 0.1 for r in report.records)
     assert backend.calls <= 4
     assert elapsed < 1.0
+
+
+def test_interrupt_cancels_instances_not_yet_started():
+    class Interrupted(SolverStubBackend):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+
+        def complete(self, prompt, params):
+            self.calls += 1
+            if self.calls == 1:
+                raise KeyboardInterrupt
+            time.sleep(0.005)  # the interrupted caller cancels the queue while this instance runs
+            return super().complete(prompt, params)
+
+    backend = Interrupted()
+    with pytest.raises(KeyboardInterrupt):
+        evaluate(load_dataset(DATA / "fig1b.json") * 20, backend, HarnessConfig(concurrency=1))
+    assert backend.calls <= 10
+
+
+class _OneStageReply(SolverStubBackend):
+    """The solver stub, except that `stage` is answered with `reply`."""
+
+    def __init__(self, stage, reply):
+        super().__init__()
+        self.stage, self.reply = stage, reply
+
+    def complete(self, prompt, params):
+        return self.reply if params.meta.stage == self.stage else super().complete(prompt, params)
+
+
+@pytest.mark.parametrize(
+    "stage, reply",
+    [
+        (
+            "plan",
+            {
+                "Plan": {str(i): {"content": f"step {i}"} for i in range(1, 258)},
+                "Matrix": [[int(j == i + 1) for j in range(257)] for i in range(257)],
+            },
+        ),
+        ("replan", {"Edits": [{"op": "InsertGuard", "k": 1}] * 4000}),
+    ],
+    ids=["plan-257-steps", "replan-4000-guards"],
+)
+def test_oversized_plan_replies_score_format_quickly(stage, reply):
+    backend = _OneStageReply(stage, json.dumps(reply))
+    start = time.perf_counter()
+    report = evaluate(load_dataset(DATA / "fig1b.json"), backend, HarnessConfig(concurrency=1))
+    assert report.records[0].failure_kind == "format"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stratify_by_depth():

@@ -165,7 +165,7 @@ def test_render_prompt_leaves_other_braces_alone():
 
 
 def test_translate_stage_parses_walkthrough_fixture():
-    context = translate_stage(scripted(), WALKTHROUGH)
+    context, _ = translate_stage(scripted(), WALKTHROUGH)
     assert isinstance(context, StructuredRepr)
     rendered = [str(s.symbol) for s in context.rules]
     assert any("Human" in r and "Mammal" in r for r in rendered)
@@ -192,8 +192,8 @@ def test_translate_stage_rejects_arity_conflict():
 
 
 def test_plan_stage_accepts_walkthrough_fixture():
-    context = translate_stage(scripted(), WALKTHROUGH)
-    plan = plan_stage(scripted(), context, problem=WALKTHROUGH)
+    context, _ = translate_stage(scripted(), WALKTHROUGH)
+    plan, _ = plan_stage(scripted(), context, problem=WALKTHROUGH)
     assert plan.size == 11
     assert successors(plan, 1) == {2, 3, 4, 5, 6, 7, 8}
 
@@ -225,8 +225,8 @@ def test_plan_stage_rejects_cycle_without_normalizing():
 def test_solve_stage_stub_task_definition_unknown():
     backend = SolverStubBackend()
     problem = taskdef_problem()
-    context = translate_stage(backend, problem)
-    plan = plan_stage(backend, context, problem=problem)
+    context, _ = translate_stage(backend, problem)
+    plan, _ = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
     assert trace.provisional.label == "U"
 
@@ -234,8 +234,8 @@ def test_solve_stage_stub_task_definition_unknown():
 def test_solve_stage_stub_fig1b_false_after_fixpoint():
     backend = SolverStubBackend()
     problem = fig1b_problem()
-    context = translate_stage(backend, problem)
-    plan = plan_stage(backend, context, problem=problem)
+    context, _ = translate_stage(backend, problem)
+    plan, _ = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
     assert trace.provisional.label == "F"
     fix_record = next(r for r in trace.records if "fixpoint" in r.text.lower())
@@ -243,8 +243,8 @@ def test_solve_stage_stub_fig1b_false_after_fixpoint():
 
 
 def test_solve_stage_scripted_walkthrough_true():
-    context = translate_stage(scripted(), WALKTHROUGH)
-    plan = plan_stage(scripted(), context, problem=WALKTHROUGH)
+    context, _ = translate_stage(scripted(), WALKTHROUGH)
+    plan, _ = plan_stage(scripted(), context, problem=WALKTHROUGH)
     trace = solve_stage(scripted(), context, plan, problem=WALKTHROUGH)
     assert trace.provisional.label == "T"
 
@@ -367,7 +367,7 @@ def test_diagnose_premature_termination_on_single_pass():
             StepRecord(step_id=3, text="judge", status="ok"),
         ]
     )
-    report = diagnose(trace, trace.provisional)
+    report = diagnose(trace)
     assert "premature-termination" in report.labels
 
 
@@ -384,7 +384,7 @@ def test_diagnose_rule_misuse_on_flipped_arguments():
             StepRecord(step_id=2, text="apply", derived=(lit("Round(lion)"),), derivations=(doctored,)),
         ]
     )
-    report = diagnose(trace, trace.provisional)
+    report = diagnose(trace)
     assert "rule-misuse" in report.labels
 
 
@@ -406,7 +406,7 @@ def test_diagnose_missing_prerequisites():
             ),
         ]
     )
-    report = diagnose(trace, trace.provisional)
+    report = diagnose(trace)
     assert "missing-prerequisites" in report.labels
     assert "rule-misuse" not in report.labels
 
@@ -440,7 +440,7 @@ def test_diagnose_closed_world_still_flags_contradicted_negative_premise():
         ],
         context=build_repr([(t, t) for t in (*FIG1B_PREMISES, "∀x (¬Chases(x, dog) → Round(x))")]),
     )
-    report = diagnose(trace, trace.provisional, cwa=True)
+    report = diagnose(trace, cwa=True)
     assert "missing-prerequisites" in report.labels
 
 
@@ -448,7 +448,7 @@ def test_diagnose_redundant_edges():
     steps = (PlanStep(1, "a"), PlanStep(2, "b"), PlanStep(3, "c"))
     dense = Plan(steps, ((0, 1, 1), (0, 0, 1), (0, 0, 0)))
     trace = make_trace([StepRecord(step_id=0, text="free text")], plan=dense)
-    report = diagnose(trace, trace.provisional)
+    report = diagnose(trace)
     assert report.labels == {"redundancy"}
     assert any(e.edge == (1, 3) for e in report.evidence)
 
@@ -456,21 +456,21 @@ def test_diagnose_redundant_edges():
 def test_diagnose_clean_stub_trace_is_empty():
     backend = SolverStubBackend()
     problem = taskdef_problem()
-    context = translate_stage(backend, problem)
-    plan = plan_stage(backend, context, problem=problem)
+    context, _ = translate_stage(backend, problem)
+    plan, _ = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
-    report = diagnose(trace, trace.provisional)
+    report = diagnose(trace)
     assert report.labels == frozenset()
 
 
 def test_diagnose_is_reproducible_from_stored_trace():
     backend = SolverStubBackend(degrade_initial_plan=True)
     problem = fig1b_problem()
-    context = translate_stage(backend, problem)
-    plan = plan_stage(backend, context, problem=problem)
+    context, _ = translate_stage(backend, problem)
+    plan, _ = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
-    first = diagnose(trace, trace.provisional)
-    second = diagnose(trace, trace.provisional)
+    first = diagnose(trace)
+    second = diagnose(trace)
     assert first == second
 
 
@@ -504,7 +504,7 @@ def test_diagnose_rule_misuse_agrees_with_reference_grounding():
         for ground in rng.sample(grounded, min(4, len(grounded))):
             for cited in _mutated_derivations(rng, ground, pool, len(kb.rules)):
                 trace = make_trace([StepRecord(step_id=1, text="apply", derivations=(cited,))], context=context)
-                misuse = "rule-misuse" in diagnose(trace, trace.provisional).labels
+                misuse = "rule-misuse" in diagnose(trace).labels
                 assert misuse == ((cited.rule_id, cited.premises, cited.conclusion) not in valid)
                 verdicts.add(misuse)
     assert verdicts == {True, False}
@@ -516,13 +516,11 @@ def test_diagnose_rule_misuse_agrees_with_reference_grounding():
 
 
 def test_replan_stage_scripted_returns_four_step_plan():
-    context = translate_stage(scripted(), WALKTHROUGH)
-    plan = plan_stage(scripted(), context, problem=WALKTHROUGH)
+    context, _ = translate_stage(scripted(), WALKTHROUGH)
+    plan, _ = plan_stage(scripted(), context, problem=WALKTHROUGH)
     trace = solve_stage(scripted(), context, plan, problem=WALKTHROUGH)
-    report = diagnose(trace, trace.provisional)
-    outcome = replan_stage(
-        scripted(), context, plan, trace, trace.provisional, report, problem=WALKTHROUGH, round=1
-    )
+    report = diagnose(trace)
+    outcome = replan_stage(scripted(), trace, report, problem=WALKTHROUGH)
     assert outcome.plan.size == 4
     assert outcome.plan.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
     embedded = outcome.embedded_trace
@@ -530,14 +528,24 @@ def test_replan_stage_scripted_returns_four_step_plan():
     assert embedded.raw == {"replan": outcome.raw}
 
 
+def test_replan_stage_reads_the_round_state_from_the_trace():
+    backend = RecordingBackend(CannedBackend(json.dumps({"Edits": [{"op": "InsertGuard", "k": 1}]})))
+    trace = replace(make_trace([facts_record()]), provisional=Verdict("F"), round=2)
+    outcome = replan_stage(backend, trace, Diagnosis(frozenset(), ()))
+    [(meta, prompt, _)] = backend.calls
+    assert meta.stage == "replan" and meta.round == trace.round + 1
+    assert meta.payload["provisional"] == trace.provisional.label == "F"
+    assert meta.payload["context"] is trace.context and meta.payload["plan"] is trace.plan
+    assert "Provisional answer:\nF\n" in prompt and trace.plan.text in prompt
+    assert outcome.plan.size == trace.plan.size + 1
+
+
 def test_replan_stage_edit_list_with_cycle_gets_normalized():
     plan = four_step_plan()
     reply = json.dumps({"Edits": [{"op": "AddEdge", "i": 3, "j": 1}], "Rationale": "loop back"})
     backend = CannedBackend(reply)
     trace = make_trace([facts_record()], plan=plan)
-    outcome = replan_stage(
-        backend, trace.context, plan, trace, Verdict("U"), Diagnosis(frozenset(), ())
-    )
+    outcome = replan_stage(backend, trace, Diagnosis(frozenset(), ()))
     from proofplan.plan import validate_dag
 
     validate_dag(outcome.plan)
@@ -552,7 +560,7 @@ def test_replan_stage_out_of_range_edit():
     backend = CannedBackend(reply)
     trace = make_trace([facts_record()], plan=plan)
     with pytest.raises(InvalidEdit):
-        replan_stage(backend, trace.context, plan, trace, Verdict("U"), Diagnosis(frozenset(), ()))
+        replan_stage(backend, trace, Diagnosis(frozenset(), ()))
 
 
 def test_replan_stage_requires_plan_or_edits():
@@ -560,7 +568,7 @@ def test_replan_stage_requires_plan_or_edits():
     backend = CannedBackend(json.dumps({"Rationale": "nothing to change"}))
     trace = make_trace([facts_record()], plan=plan)
     with pytest.raises(StageParseError):
-        replan_stage(backend, trace.context, plan, trace, Verdict("U"), Diagnosis(frozenset(), ()))
+        replan_stage(backend, trace, Diagnosis(frozenset(), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +580,7 @@ def test_run_pipeline_scripted_walkthrough():
     result = run_pipeline(scripted(), WALKTHROUGH)
     assert result.final.label == "T"
     assert len(result.traces) == 2
-    assert result.plans[1].size == 4
+    assert result.traces[1].plan.size == 4
     assert result.rounds_used == 1
 
 
@@ -596,7 +604,7 @@ def test_run_pipeline_repairs_premature_termination():
     assert result.traces[0].provisional.label == "U"
     assert "premature-termination" in result.diagnoses[0].labels
     assert result.final.label == "F"
-    contents = [s.content.lower() for s in result.plans[1].steps]
+    contents = [s.content.lower() for s in result.traces[1].plan.steps]
     assert any("fixpoint" in c for c in contents)
 
 
@@ -748,9 +756,9 @@ def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
     result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
     for trace in result.traces:
         trace_to_doc(trace, "fig1b")
-    assert docs == [result.context]
+    assert docs == [result.traces[0].context]
     # once for the prompt text and once for the trace that records the plan
-    assert [sum(q is p for q in plans) for p in result.plans] == [2, 2, 2]
+    assert [sum(q is t.plan for q in plans) for t in result.traces] == [2, 2, 2]
 
 
 def test_run_pipeline_trace_raw_holds_each_rounds_replies():
@@ -764,14 +772,14 @@ def test_run_pipeline_context_unchanged_across_rounds():
 
     backend = SolverStubBackend(degrade_initial_plan=True)
     result = run_pipeline(backend, fig1b_problem())
-    assert all(t.context == result.context for t in result.traces)
+    assert all(t.context == result.traces[0].context for t in result.traces)
     assert serialize_repr(result.traces[0].context) == serialize_repr(result.traces[-1].context)
 
 
 def test_run_pipeline_ablate_matrix_plan_uses_linear_chain():
     config = PipelineConfig(disable_matrix_plan=True)
     result = run_pipeline(scripted(), WALKTHROUGH, config)
-    first = result.plans[0]
+    first = result.traces[0].plan
     expected = tuple(
         tuple(1 if j == i + 1 else 0 for j in range(first.size)) for i in range(first.size)
     )
@@ -787,7 +795,7 @@ def test_run_pipeline_ablate_replanner():
 def test_run_pipeline_ablate_structured_repr_passes_raw_text():
     config = PipelineConfig(disable_structured_repr=True)
     result = run_pipeline(scripted(), WALKTHROUGH, config)
-    assert isinstance(result.context, RawContext)
+    assert isinstance(result.traces[0].context, RawContext)
     assert result.final.label == "T"
 
 
@@ -827,7 +835,7 @@ def test_run_pipeline_stub_answers_like_decide_on_random_theories():
         labels = []
         for cwa in (False, True):
             result = run_pipeline(SolverStubBackend(), problem, PipelineConfig(cwa=cwa))
-            chained = forward_chain(kb_from_repr(result.context, cwa=cwa))
+            chained = forward_chain(kb_from_repr(result.traces[0].context, cwa=cwa))
             labels.append(decide(chained, literal_to_formula(query)).label)
             assert result.final.label == labels[-1]
             contradictory += chained.contradiction

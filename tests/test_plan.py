@@ -203,10 +203,14 @@ def test_merge_on_chain():
     plan = chain(4)
     out = apply_edits(plan, [Merge(2, 3)])
     assert out.size == 3
-    assert out.steps[1].content == "step 2; step 3"
+    assert [s.content for s in out.steps] == ["step 1", "step 2; step 3", "step 4"]
     assert set(out.edges()) == {(1, 2), (2, 3)}
-    remap = dict(out.id_map)
-    assert remap == {1: 1, 2: 2, 3: 2, 4: 3}
+
+
+def merge_remap(i: int, p: int, q: int) -> int:
+    """Id of original step i after Merge(p, q): q folds into p, and ids above q shift down."""
+    target = p if i == q else i
+    return target - 1 if target > q else target
 
 
 def test_merge_preserves_outside_reachability():
@@ -216,7 +220,6 @@ def test_merge_preserves_outside_reachability():
         plan = plan_from_matrix(random_dag_matrix(rng, n))
         p, q = rng.sample(range(1, n + 1), 2)
         merged = apply_edits(plan, [Merge(p, q)])
-        remap = dict(merged.id_map)
         before = reachability_by_squaring(plan.matrix)
         after = reachability_by_squaring(merged.matrix)
         survivors = [i for i in range(1, n + 1) if i not in (p, q)]
@@ -227,7 +230,7 @@ def test_merge_preserves_outside_reachability():
                 # reachability between surviving steps may grow through the
                 # merged node but never shrinks
                 if before[a - 1][b - 1]:
-                    assert after[remap[a] - 1][remap[b] - 1]
+                    assert after[merge_remap(a, p, q) - 1][merge_remap(b, p, q) - 1]
 
 
 def test_merge_self_rejected():
@@ -242,7 +245,7 @@ def test_insert_guard():
     guard = out.steps[2]
     assert guard.kind == "guard" and guard.content == "verify premises used"
     assert set(out.edges()) == {(1, 2), (2, 3), (3, 4)}
-    assert dict(out.id_map) == {1: 1, 2: 2, 3: 4}
+    assert [s.content for s in out.steps] == ["step 1", "step 2", "verify premises used", "step 3"]
 
 
 def test_insert_guard_default_content():

@@ -185,7 +185,7 @@ def test_warnings_match_reference_validator_on_bundled_instances():
             scripted = [d for d in FIXTURES.iterdir() if (d / f"{instance.id}__translate__0.txt").is_file()]
             backend = ScriptedBackend(scripted[0]) if scripted else SolverStubBackend()
             problem = Problem(id=instance.id, premises=instance.premises, question=instance.question)
-            r = translate_stage(backend, problem)
+            r, _ = translate_stage(backend, problem)
             assert r.warnings == formatted_findings(reference_validate_static(r, r.table))
             checked += 1
     assert checked >= 6
