@@ -226,7 +226,8 @@ class SolverStubBackend(Backend):
     reproduces the early-stop failure the replanner is meant to repair (its
     replan stage always returns the full plan). The rules are decomposed
     once per instance: the solve payload's `solver` form keeps the knowledge
-    base and rule templates for the next solve call and for `diagnose`. Rule
+    base and rule templates for the next solve call and for `diagnose`, and
+    the reply to each distinct (plan, `cwa`) pair in its `memo`. Rule
     steps run the solver's `fire_rounds` over them (one round, or to the
     fixpoint with the closed-world phase when the solve payload's `cwa` is
     set), and the answer is `decide` over the derived literals. The
@@ -261,25 +262,37 @@ class SolverStubBackend(Backend):
         }
         return _reply(doc)
 
-    def _form(self, meta: StageMeta) -> solvermod.SolverForm:
-        context = meta.payload.get("context")
-        if isinstance(context, RawContext):  # structured management is ablated
-            try:
-                return solvermod.SolverForm(doc_to_repr(json.loads(context.text)))
-            except json.JSONDecodeError as err:
-                raise BackendError(f"solver stub cannot read the context: {err}") from err
-        if not isinstance(context, StructuredRepr):
-            raise BackendError("solver stub call lacks a context")
-        return meta.payload.get("solver") or solvermod.SolverForm(context)
-
     def _solve(self, meta: StageMeta) -> str:
-        form = self._form(meta)
+        """The reply for the payload's plan and `cwa`, computed once per instance
+        and kept in the memo of its `solver` form (a fresh one when absent)."""
+        context = meta.payload.get("context")
+        if not isinstance(context, (StructuredRepr, RawContext)):
+            raise BackendError("solver stub call lacks a context")
+        form = meta.payload.get("solver") or solvermod.SolverForm(context)
         plan = meta.payload.get("plan")
         if not isinstance(plan, planmod.Plan):
             raise BackendError("solver stub solve call lacks a plan")
-        order = planmod.execution_order(plan)
         cwa = meta.payload.get("cwa", False)
+        key = ("stub solve", plan.text, cwa)  # the text determines the plan
+        if key not in form.memo:
+            form.memo[key] = self._execute(self._structured(form), plan, cwa)
+        return form.memo[key]
 
+    @staticmethod
+    def _structured(form: solvermod.SolverForm) -> solvermod.SolverForm:
+        """`form`, or with structured management ablated the form of its decoded context, decoded once."""
+        if not isinstance(form.context, RawContext):
+            return form
+        key = ("stub context",)
+        if key not in form.memo:
+            try:
+                form.memo[key] = solvermod.SolverForm(doc_to_repr(json.loads(form.context.text)))
+            except json.JSONDecodeError as err:
+                raise BackendError(f"solver stub cannot read the context: {err}") from err
+        return form.memo[key]
+
+    def _execute(self, form: solvermod.SolverForm, plan: planmod.Plan, cwa: bool) -> str:
+        order = planmod.execution_order(plan)
         kb, rules = form.kb, form.rules
         domain = kb.table.constants
         literals: set[solvermod.Literal] = set()

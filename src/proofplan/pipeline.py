@@ -125,7 +125,6 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class ReplanOutcome:
     plan: Plan
-    edits: tuple[planmod.EditOp, ...]
     raw: str
     embedded_trace: Trace | None = None  # when the reply re-executed the revised plan
 
@@ -319,14 +318,17 @@ def solve_stage(
     form: SolverForm | None = None,
 ) -> Trace:
     """One solve call; `form`, the instance's `SolverForm`, is shared with the
-    backend and decodes the reply (a fresh one when absent)."""
+    backend and decodes the reply (a fresh one when absent). Each distinct
+    reply and execution order is decoded once, into `form.memo`."""
     planmod.validate_dag(plan)
     form = SolverForm(context) if form is None else form
     values = {"repr": context.text, "plan": plan.text}
     payload = {"context": context, "plan": plan, "cwa": config.cwa, "solver": form}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
-    doc = extract_json(raw, "solve")
-    records, label = _parse_solve_doc(doc, plan, "solve", raw, form.literals)
+    key = ("solve", raw, plan.order)
+    if key not in form.memo:  # a reply that fails to parse is not stored, so it raises again
+        form.memo[key] = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, form.literals)
+    records, label = form.memo[key]
     return Trace(
         context=context,
         plan=plan,
@@ -507,10 +509,11 @@ def replan_stage(
     and normalize whatever comes back.
 
     The reply may carry a corrected plan, an edit list, or both (the plan
-    wins; edits are then informational). When it also embeds a re-execution
-    (updated log plus final answer), that is surfaced so the caller can skip
-    the separate solve call; `form`, the instance's `SolverForm`, decodes its
-    literals.
+    wins; edits are then only validated). A revised plan equal to `trace`'s
+    is `trace.plan` itself, which keeps its cached text and order. When the
+    reply also embeds a re-execution (updated log plus final answer), that is
+    surfaced so the caller can skip the separate solve call; `form`, the
+    instance's `SolverForm`, decodes its literals.
     """
     context, plan, provisional = trace.context, trace.plan, trace.provisional.label
     round = trace.round + 1
@@ -567,6 +570,7 @@ def replan_stage(
             raise InvalidEdit(str(err)) from err
     else:
         raise StageParseError("replan", 'reply has neither "Revised plan" nor "Edits"', raw=raw)
+    revised = plan if revised == plan else revised
 
     embedded: Trace | None = None
     if "Final answer" in doc:
@@ -578,7 +582,7 @@ def replan_stage(
             (SolverForm(context) if form is None else form).literals,
         )
         embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
-    return ReplanOutcome(plan=revised, edits=edits, raw=raw, embedded_trace=embedded)
+    return ReplanOutcome(plan=revised, raw=raw, embedded_trace=embedded)
 
 
 # ---------------------------------------------------------------------------

@@ -419,12 +419,16 @@ class SolverForm:
     `literals` maps each literal string decoded so far, from any reply of the
     instance, to its Literal, and starts with the stated facts. `kb` and
     `rules` are a structured context's open-world knowledge base and its rule
-    templates, built on first use (a failure raises again on every use). Make
-    one per instance and share it with nothing else.
+    templates, built on first use (a failure raises again on every use).
+    `memo` keeps what the stages compute from the instance's inputs, keyed by
+    a tuple that names the work and holds those inputs, so a hit is what a
+    recomputation would give. Make one per instance and share it with nothing
+    else.
     """
 
     context: StructuredRepr | RawContext
     literals: dict[str, Literal] = field(default_factory=dict)
+    memo: dict[tuple[Any, ...], Any] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Replies cite stated facts by their text, so those need no parsing. A fact with a

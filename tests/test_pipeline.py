@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import CannedBackend, ground_literal_queries, random_horn_kb, reference_ground_rules, successors
+from proofplan import backends, pipeline
 from proofplan import plan as planmod
 from proofplan import solver as solvermod
 from proofplan import structured
@@ -549,7 +551,9 @@ def test_replan_stage_edit_list_with_cycle_gets_normalized():
     from proofplan.plan import validate_dag
 
     validate_dag(outcome.plan)
-    assert outcome.edits
+    # breaking the cycle drops the added back edge, which leaves the plan as it was
+    assert (3, 1) not in outcome.plan.edges()
+    assert outcome.plan is plan
 
 
 def test_replan_stage_out_of_range_edit():
@@ -757,8 +761,69 @@ def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
     for trace in result.traces:
         trace_to_doc(trace, "fig1b")
     assert docs == [result.traces[0].context]
-    # once for the prompt text and once for the trace that records the plan
-    assert [sum(q is t.plan for q in plans) for t in result.traces] == [2, 2, 2]
+    # once for the prompt text and once for each trace that records the plan;
+    # the replan of round 2 returns round 1's plan unchanged, so they share it
+    assert result.traces[1].plan is result.traces[2].plan
+    assert [sum(q is t.plan for q in plans) for t in result.traces] == [2, 3, 3]
+
+
+def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
+    callers, parsed = [], []
+    fire_rounds, parse_solve_doc = solvermod.fire_rounds, pipeline._parse_solve_doc
+
+    def counting_fire_rounds(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return fire_rounds(*args, **kwargs)
+
+    monkeypatch.setattr(solvermod, "fire_rounds", counting_fire_rounds)
+    monkeypatch.setattr(pipeline, "_parse_solve_doc", lambda *a: parsed.append(a[3]) or parse_solve_doc(*a))
+    backend = SolverStubBackend(degrade_initial_plan=True)
+    result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
+    # rounds 1 and 2 run the same full plan: the stub answers it once, and its reply is decoded once
+    assert len({t.plan for t in result.traces}) == callers.count("proofplan.backends") == 2
+    assert callers.count("proofplan.pipeline") == 2  # one diagnose per replan round
+    assert parsed == [result.traces[0].raw["solve"], result.traces[1].raw["solve"]]
+    assert result.traces[2].raw["solve"] == result.traces[1].raw["solve"]
+    assert result.traces[2].records == result.traces[1].records
+
+
+def test_replan_stage_keeps_the_plan_object_only_when_the_plan_is_unchanged():
+    full, _ = plan_stage(SolverStubBackend(), fig1b_context())
+    degraded, _ = plan_stage(SolverStubBackend(degrade_initial_plan=True), fig1b_context())
+    clean = Diagnosis(frozenset(), ())
+    assert replan_stage(SolverStubBackend(), make_trace([], plan=full), clean).plan is full
+    revised = replan_stage(SolverStubBackend(), make_trace([], plan=degraded), clean).plan
+    assert revised is not degraded and revised == full and revised is not full
+
+
+def test_solve_stage_decodes_each_distinct_reply_and_execution_order():
+    form = solvermod.SolverForm(fig1b_context())
+    log = [{"note": "collect"}, {"note": "apply", "derived": ["Round(lion)"]}, {"note": "judge"}]
+    first = json.dumps({"Execution log": log, "Final answer": "T"})
+    second = json.dumps({"Execution log": log[:1], "Final answer": "F"})
+    backend = CannedBackend(first, second, first, first, "no JSON here", "no JSON here")
+    plan = four_step_plan()
+    swapped = Plan(plan.steps, ((0, 0, 1), (0, 0, 0), (0, 1, 0)))  # runs 1, 3, 2
+    rounds = [solve_stage(backend, fig1b_context(), p, round=i, form=form) for i, p in enumerate([plan, plan])]
+    assert [t.provisional.label for t in rounds] == ["T", "F"]
+    assert [len(t.records) for t in rounds] == [3, 1]
+    # the same reply under another execution order numbers its steps by that order
+    assert [r.step_id for r in solve_stage(backend, fig1b_context(), swapped, form=form).records] == [1, 3, 2]
+    assert [r.step_id for r in solve_stage(backend, fig1b_context(), plan, form=form).records] == [1, 2, 3]
+    for _ in range(2):  # a reply that fails to parse is not kept, so it fails every time
+        with pytest.raises(StageParseError):
+            solve_stage(backend, fig1b_context(), plan, form=form)
+
+
+def test_solver_stub_decodes_an_unstructured_context_once_per_instance(monkeypatch):
+    decoded, decomposed = [], []
+    doc_to_repr, rule_templates = backends.doc_to_repr, solvermod.rule_templates
+    monkeypatch.setattr(backends, "doc_to_repr", lambda doc: decoded.append(doc) or doc_to_repr(doc))
+    monkeypatch.setattr(solvermod, "rule_templates", lambda kb: decomposed.append(kb) or rule_templates(kb))
+    config = PipelineConfig(disable_structured_repr=True)
+    result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), fig1b_problem(), config)
+    assert result.traces[0].plan != result.traces[1].plan  # two solve calls that miss the reply memo
+    assert len(decoded) == len(decomposed) == 1
 
 
 def test_run_pipeline_trace_raw_holds_each_rounds_replies():
