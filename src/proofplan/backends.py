@@ -20,6 +20,7 @@ from typing import Any, Mapping
 
 from . import plan as planmod
 from . import solver as solvermod
+from .errors import SchemaError
 from .structured import RawContext, StructuredRepr, doc_to_repr
 
 __all__ = [
@@ -287,7 +288,7 @@ class SolverStubBackend(Backend):
         if key not in form.memo:
             try:
                 form.memo[key] = solvermod.SolverForm(doc_to_repr(json.loads(form.context.text)))
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, SchemaError) as err:
                 raise BackendError(f"solver stub cannot read the context: {err}") from err
         return form.memo[key]
 

@@ -20,7 +20,6 @@ from typing import Any, Sequence
 from .backends import Backend, BackendError, GenerationParams
 from .errors import SchemaError
 from .pipeline import (
-    InvalidEdit,
     PipelineConfig,
     Problem,
     StageParseError,
@@ -28,7 +27,7 @@ from .pipeline import (
     run_pipeline,
     trace_to_doc,
 )
-from .plan import CycleError, MatrixShapeMismatch, ShapeError
+from .plan import CycleError
 
 __all__ = [
     "Instance",
@@ -123,16 +122,18 @@ _OPTION_LETTERS = "ABCDE"  # the answer letters `normalize_label` accepts
 def _as_premises(entry: dict[str, Any], pointer: str) -> tuple[str, ...]:
     if "premises" in entry:
         raw = entry["premises"]
-        if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
-            raise SchemaError(f"{pointer}/premises", "expected array of strings")
+        if not isinstance(raw, list) or not raw or not all(isinstance(p, str) for p in raw):
+            raise SchemaError(f"{pointer}/premises", "expected nonempty array of strings")
         return tuple(raw)
     for key in ("context", "theory"):
         if key in entry:
             raw = entry[key]
             if not isinstance(raw, str):
                 raise SchemaError(f"{pointer}/{key}", "expected string")
-            parts = [p.strip() for p in _SENTENCE_SPLIT.split(raw) if p.strip()]
-            return tuple(parts) if parts else (raw,)
+            parts = tuple(p.strip() for p in _SENTENCE_SPLIT.split(raw) if p.strip())
+            if not parts:
+                raise SchemaError(f"{pointer}/{key}", "expected nonempty text")
+            return parts
     raise SchemaError(f"{pointer}/premises", "missing premises/context")
 
 
@@ -236,10 +237,6 @@ class _Deadline(Backend):
 _FAILURE_KINDS = {
     _OutOfTime: "timeout",
     StageParseError: "format",
-    SchemaError: "format",
-    MatrixShapeMismatch: "format",
-    ShapeError: "format",
-    InvalidEdit: "format",
     CycleError: "cycle",
     BackendError: "backend",
 }

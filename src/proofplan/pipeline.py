@@ -20,7 +20,7 @@ from . import plan as planmod
 from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
-from .plan import CycleError, MatrixShapeMismatch, Plan
+from .plan import CycleError, Plan
 from .solver import Literal, SolverForm, StepRecord, Verdict, step_record_from_doc, step_record_to_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr
 
@@ -35,7 +35,6 @@ __all__ = [
     "PipelineResult",
     "ReplanOutcome",
     "StageParseError",
-    "InvalidEdit",
     "normalize_label",
     "extract_json",
     "render_prompt",
@@ -62,10 +61,6 @@ class StageParseError(Exception):
         self.stage = stage
         self.raw = raw
         super().__init__(f"{stage} stage: {message}")
-
-
-class InvalidEdit(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -101,12 +96,11 @@ class Evidence:
 
 @dataclass(frozen=True)
 class Diagnosis:
-    labels: frozenset[str]
     evidence: tuple[Evidence, ...]
 
     @property
-    def clean(self) -> bool:
-        return not self.labels
+    def labels(self) -> frozenset[str]:
+        return frozenset(e.label for e in self.evidence)
 
 
 @dataclass(frozen=True)
@@ -264,13 +258,13 @@ def plan_stage(
     doc = extract_json(raw, "plan")
     try:
         parsed = planmod.plan_from_json(doc)
-    except SchemaError as err:
+        if config.disable_matrix_plan:
+            # Ablation: keep the steps, replace the dependency structure with
+            # the linear chain 1 -> 2 -> ... -> N.
+            parsed = planmod.linear_chain(parsed.steps)
+        planmod.validate_dag(parsed)  # a cycle raises CycleError, which scores as `cycle`
+    except (SchemaError, planmod.ShapeError) as err:
         raise StageParseError("plan", str(err), raw=raw) from err
-    if config.disable_matrix_plan:
-        # Ablation: keep the steps, replace the dependency structure with the
-        # linear chain 1 -> 2 -> ... -> N.
-        parsed = planmod.linear_chain(parsed.steps)
-    planmod.validate_dag(parsed)
     return parsed, raw
 
 
@@ -344,7 +338,8 @@ def solve_stage(
 # ---------------------------------------------------------------------------
 
 def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) -> Diagnosis:
-    """Deterministic audit of a trace; every label carries evidence.
+    """Deterministic audit of a trace, in one walk over its records; every
+    label carries evidence.
 
     Checks that need structured derivation records or a groundable context
     are skipped when that information is absent, so free-text traces can at
@@ -362,12 +357,19 @@ def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) ->
     except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
         kb = rules = None
 
-    has_structured_records = any(record.derived or record.derivations for record in trace.records)
-
-    # missing prerequisites and rule misuse need per-derivation records
-    if rules is not None and has_structured_records:
-        available: set[Literal] = set(kb.literals)
-        for record in trace.records:
+    # Premises are given, so they count as available from the start.
+    available: set[Literal] = set(kb.literals) if kb is not None else set()
+    seen: set[Literal] = set()  # what earlier records derived
+    judgment: tuple[int, set[Literal]] | None = None  # the first judgment step, and what was known then
+    for record in trace.records:
+        if rules is not None:
+            if (
+                judgment is None
+                and 1 <= record.step_id <= trace.plan.size
+                and planmod.is_judgment(trace.plan.steps[record.step_id - 1].content)
+            ):
+                judgment = (record.step_id, set(available))
+            # rule misuse and missing prerequisites, per derivation
             for derivation in record.derivations:
                 rule = rules[derivation.rule_id - 1] if 1 <= derivation.rule_id <= len(rules) else None
                 if rule is None or not rule.has_instance(derivation.premises, derivation.conclusion, domain):
@@ -391,37 +393,29 @@ def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) ->
                                 )
                             )
                 available.add(derivation.conclusion)
-            for lit in record.derived:
-                available.add(lit)
+            available.update(record.derived)
 
-    # premature termination: the judgment ran while rules could still fire
-    if rules is not None and has_structured_records:
-        judgment_id = None
-        cutoff = len(trace.records)
-        for index, record in enumerate(trace.records):
-            if 1 <= record.step_id <= trace.plan.size and planmod.is_judgment(
-                trace.plan.steps[record.step_id - 1].content
-            ):
-                judgment_id = record.step_id
-                cutoff = index
-                break
-        if judgment_id is not None:
-            # Premises are given, so they count as available from the start.
-            available = set(kb.literals)
-            for record in trace.records[:cutoff]:
-                available.update(record.derived)
-                available.update(d.conclusion for d in record.derivations)
-            derivable = solvermod.fire_rounds(available, rules, domain, max_rounds=1)
-            if derivable:
-                evidence.append(
-                    Evidence(
-                        "premature-termination",
-                        step_id=judgment_id,
-                        note=f"{derivable[0].conclusion} was still derivable at the final judgment",
-                    )
+        # redundancy: a step that only re-derives what earlier steps derived
+        produced = set(record.derived) | {d.conclusion for d in record.derivations}
+        if produced and produced <= seen:
+            evidence.append(Evidence("redundancy", step_id=record.step_id, note="step only re-derives known facts"))
+        seen |= produced
+
+    # premature termination: the judgment ran while rules could still fire.
+    # It is audited only when the records show derivations at all.
+    if judgment is not None and seen:
+        step_id, known = judgment
+        derivable = solvermod.fire_rounds(known, rules, domain, max_rounds=1)
+        if derivable:
+            evidence.append(
+                Evidence(
+                    "premature-termination",
+                    step_id=step_id,
+                    note=f"{derivable[0].conclusion} was still derivable at the final judgment",
                 )
+            )
 
-    # redundancy: transitively implied edges, and steps that only re-derive
+    # redundancy: transitively implied edges
     try:
         reduced = planmod.transitive_reduce(trace.plan)
         removed = sorted(set(trace.plan.edges()) - set(reduced.edges()))
@@ -429,19 +423,10 @@ def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) ->
         removed = []
     for edge in removed:
         evidence.append(Evidence("redundancy", edge=edge, note="edge implied by transitive reduction"))
-    if has_structured_records:
-        seen: set[Literal] = set()
-        for record in trace.records:
-            produced = set(record.derived) | {d.conclusion for d in record.derivations}
-            if produced and produced <= seen:
-                evidence.append(
-                    Evidence("redundancy", step_id=record.step_id, note="step only re-derives known facts")
-                )
-            seen |= produced
 
     order = {label: i for i, label in enumerate(DIAGNOSIS_LABELS)}
     evidence.sort(key=lambda e: (order[e.label], e.step_id or 0, e.edge or (0, 0)))
-    return Diagnosis(labels=frozenset(e.label for e in evidence), evidence=tuple(evidence))
+    return Diagnosis(tuple(evidence))
 
 
 def _diagnosis_text(diagnosis: Diagnosis) -> str:
@@ -560,16 +545,18 @@ def replan_stage(
             proposed = planmod.plan_from_json(
                 {"Plan": revised_doc["Corrected_plan"], "Matrix": revised_doc["Matrix"]}
             )
-        except (SchemaError, MatrixShapeMismatch) as err:
+        except SchemaError as err:
             raise StageParseError("replan", str(err), raw=raw) from err
         revised = planmod.normalize(proposed)
     elif edits:
         try:
             revised = planmod.apply_edits(plan, edits)
-        except (planmod.IndexOutOfRange, planmod.MergeSelf) as err:
-            raise InvalidEdit(str(err)) from err
+        except (planmod.IndexOutOfRange, planmod.MergeSelf, planmod.ShapeError) as err:
+            raise StageParseError("replan", str(err), raw=raw) from err
     else:
         raise StageParseError("replan", 'reply has neither "Revised plan" nor "Edits"', raw=raw)
+    if config.disable_matrix_plan:  # the ablation holds for revised plans too
+        revised = planmod.linear_chain(revised.steps)
     revised = plan if revised == plan else revised
 
     embedded: Trace | None = None

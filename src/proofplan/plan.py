@@ -31,7 +31,6 @@ __all__ = [
     "ShapeError",
     "IndexOutOfRange",
     "MergeSelf",
-    "MatrixShapeMismatch",
     "validate_dag",
     "frontier",
     "execution_order",
@@ -74,10 +73,6 @@ class IndexOutOfRange(Exception):
 
 
 class MergeSelf(Exception):
-    pass
-
-
-class MatrixShapeMismatch(Exception):
     pass
 
 
@@ -560,13 +555,13 @@ def plan_from_json(doc: Any) -> Plan:
     if not isinstance(raw_matrix, list):
         raise SchemaError("/Matrix", "expected array")
     if len(raw_matrix) != n:
-        raise MatrixShapeMismatch(f"matrix has {len(raw_matrix)} rows for {n} steps")
+        raise SchemaError("/Matrix", f"{len(raw_matrix)} rows for {n} steps")
     matrix = []
     for i, row in enumerate(raw_matrix):
         if not isinstance(row, list):
             raise SchemaError(f"/Matrix/{i}", "expected array")
         if len(row) != n:
-            raise MatrixShapeMismatch(f"matrix row {i + 1} has {len(row)} entries for {n} steps")
+            raise SchemaError(f"/Matrix/{i}", f"{len(row)} entries for {n} steps")
         for j, value in enumerate(row):
             if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
                 raise SchemaError(f"/Matrix/{i}/{j}", "entries must be the integers 0 or 1")

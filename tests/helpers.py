@@ -5,8 +5,9 @@ reachability comes from repeated boolean matrix squaring, the reference
 schedule from a layer-at-a-time indegree count, the reference chaining
 engine grounds every rule over every binding and scans the ground rules, and
 the reference parser tokenizes character by character and descends a
-five-rule precedence ladder, and the reference static check tests every
-statement for all six finding kinds against any table, so tests check two
+five-rule precedence ladder, the reference static check tests every
+statement for all six finding kinds against any table, and the reference
+diagnosis walks a trace's records once per check, so tests check two
 unrelated routes to the same answer.
 """
 
@@ -42,8 +43,11 @@ from proofplan.fol import (
     free_vars,
     render_formula,
 )
-from proofplan.plan import Plan, PlanStep
-from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, rule_templates
+from proofplan import plan as planmod
+from proofplan import solver as solvermod
+from proofplan.pipeline import DIAGNOSIS_LABELS, Diagnosis, Evidence, Trace
+from proofplan.plan import CycleError, Plan, PlanStep
+from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, SolverForm, rule_templates
 from proofplan.structured import StructuredRepr, _walk_atoms, is_ground_literal
 
 VARIABLES = ("x", "y", "z", "u", "v")
@@ -665,3 +669,114 @@ def reference_fire_rounds(
             fired.extend(new.values())
             candidates = sorted({index for lit in new for index in watchers.get(lit, ())})
     return fired
+
+
+# ---------------------------------------------------------------------------
+# Reference diagnosis: one walk of the records per check
+# ---------------------------------------------------------------------------
+
+
+def reference_diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) -> Diagnosis:
+    """Deterministic audit of a trace; every label carries evidence.
+
+    The three-walk audit `pipeline.diagnose` replaced, kept as it was apart
+    from building a `Diagnosis` from its evidence alone: the rule and
+    prerequisite checks, the premature-termination check and the step
+    redundancy check each walk the records on their own.
+
+    Checks that need structured derivation records or a groundable context
+    are skipped when that information is absent, so free-text traces can at
+    most be flagged for structural redundancy. With `cwa`, a consumed negative
+    premise counts as available while its positive counterpart is not.
+    `form`, the instance's `SolverForm`, supplies the knowledge base and rule
+    templates (a fresh one when absent).
+    """
+    evidence: list[Evidence] = []
+
+    form = SolverForm(trace.context) if form is None else form
+    try:  # an unstructured context has no knowledge base
+        kb, rules = form.kb, form.rules
+        domain = kb.table.constants
+    except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
+        kb = rules = None
+
+    has_structured_records = any(record.derived or record.derivations for record in trace.records)
+
+    # missing prerequisites and rule misuse need per-derivation records
+    if rules is not None and has_structured_records:
+        available: set[Literal] = set(kb.literals)
+        for record in trace.records:
+            for derivation in record.derivations:
+                rule = rules[derivation.rule_id - 1] if 1 <= derivation.rule_id <= len(rules) else None
+                if rule is None or not rule.has_instance(derivation.premises, derivation.conclusion, domain):
+                    evidence.append(
+                        Evidence(
+                            "rule-misuse",
+                            step_id=record.step_id,
+                            note=f"rule {derivation.rule_id} has no instantiation "
+                            f"{[str(p) for p in derivation.premises]} -> {derivation.conclusion}",
+                        )
+                    )
+                else:
+                    for premise in derivation.premises:
+                        closed = cwa and not premise.positive and premise.negated() not in available
+                        if premise not in available and not closed:
+                            evidence.append(
+                                Evidence(
+                                    "missing-prerequisites",
+                                    step_id=record.step_id,
+                                    note=f"consumed {premise} before any step derived it",
+                                )
+                            )
+                available.add(derivation.conclusion)
+            for lit in record.derived:
+                available.add(lit)
+
+    # premature termination: the judgment ran while rules could still fire
+    if rules is not None and has_structured_records:
+        judgment_id = None
+        cutoff = len(trace.records)
+        for index, record in enumerate(trace.records):
+            if 1 <= record.step_id <= trace.plan.size and planmod.is_judgment(
+                trace.plan.steps[record.step_id - 1].content
+            ):
+                judgment_id = record.step_id
+                cutoff = index
+                break
+        if judgment_id is not None:
+            # Premises are given, so they count as available from the start.
+            available = set(kb.literals)
+            for record in trace.records[:cutoff]:
+                available.update(record.derived)
+                available.update(d.conclusion for d in record.derivations)
+            derivable = solvermod.fire_rounds(available, rules, domain, max_rounds=1)
+            if derivable:
+                evidence.append(
+                    Evidence(
+                        "premature-termination",
+                        step_id=judgment_id,
+                        note=f"{derivable[0].conclusion} was still derivable at the final judgment",
+                    )
+                )
+
+    # redundancy: transitively implied edges, and steps that only re-derive
+    try:
+        reduced = planmod.transitive_reduce(trace.plan)
+        removed = sorted(set(trace.plan.edges()) - set(reduced.edges()))
+    except (CycleError, planmod.ShapeError):
+        removed = []
+    for edge in removed:
+        evidence.append(Evidence("redundancy", edge=edge, note="edge implied by transitive reduction"))
+    if has_structured_records:
+        seen: set[Literal] = set()
+        for record in trace.records:
+            produced = set(record.derived) | {d.conclusion for d in record.derivations}
+            if produced and produced <= seen:
+                evidence.append(
+                    Evidence("redundancy", step_id=record.step_id, note="step only re-derives known facts")
+                )
+            seen |= produced
+
+    order = {label: i for i, label in enumerate(DIAGNOSIS_LABELS)}
+    evidence.sort(key=lambda e: (order[e.label], e.step_id or 0, e.edge or (0, 0)))
+    return Diagnosis(tuple(evidence))

@@ -206,3 +206,7 @@ def test_solver_stub_solve_needs_context_and_plan():
         _stub_solve(context, None)
     with pytest.raises(BackendError):
         _stub_solve(RawContext("not json"), plan)
+    # a translation whose symbols are not formulas, as with structured management ablated
+    prose = {"Premises": [{"statement": "Tom is big.", "symbol": "Tom is big."}], "Proposition": []}
+    with pytest.raises(BackendError, match="cannot read the context"):
+        _stub_solve(RawContext(json.dumps(prose)), plan)

@@ -102,6 +102,23 @@ def test_load_dataset_rejects_label_outside_alphabet(tmp_path):
     assert exc.value.pointer == "/0/answer"
 
 
+@pytest.mark.parametrize(
+    "entry, pointer",
+    [
+        ({"premises": []}, "/1/premises"),
+        ({"context": ""}, "/1/context"),
+        ({"theory": " \n\t "}, "/1/theory"),
+    ],
+)
+def test_load_dataset_rejects_an_instance_without_premises(tmp_path, entry, pointer):
+    path = tmp_path / "d.json"
+    good = {"premises": ["P(a)"], "question": "P(a)", "answer": "T"}
+    path.write_text(json.dumps([good, {**entry, "question": "P(a)", "answer": "T"}]), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(path)
+    assert exc.value.pointer == pointer
+
+
 def test_load_dataset_options_format(tmp_path):
     path = tmp_path / "d.json"
     path.write_text(

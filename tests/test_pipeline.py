@@ -8,10 +8,18 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import CannedBackend, ground_literal_queries, random_horn_kb, reference_ground_rules, successors
+from helpers import (
+    CannedBackend,
+    ground_literal_queries,
+    random_horn_kb,
+    reachability_by_squaring,
+    reference_diagnose,
+    reference_ground_rules,
+    successors,
+)
 from proofplan import backends, pipeline
 from proofplan import plan as planmod
 from proofplan import solver as solvermod
@@ -39,7 +47,7 @@ from proofplan.pipeline import (
     trace_to_doc,
     translate_stage,
 )
-from proofplan.plan import CycleError, MatrixShapeMismatch, Plan, PlanStep, plan_to_json
+from proofplan.plan import CycleError, Plan, PlanStep, plan_to_json
 from proofplan.solver import (
     GroundRule,
     Literal,
@@ -206,7 +214,7 @@ def test_plan_stage_shape_mismatch():
         "Matrix": [[0] * 4 for _ in range(4)],
     }
     backend = CannedBackend(json.dumps(doc))
-    with pytest.raises(MatrixShapeMismatch):
+    with pytest.raises(StageParseError, match="/Matrix: 4 rows for 3 steps"):
         plan_stage(backend, RawContext("ctx"))
 
 
@@ -512,6 +520,85 @@ def test_diagnose_rule_misuse_agrees_with_reference_grounding():
     assert verdicts == {True, False}
 
 
+def test_diagnose_flags_a_step_that_only_rederives_earlier_steps_facts():
+    round_lion, kind_mouse = lit("Round(lion)"), lit("Kind(mouse)")
+    trace = make_trace(
+        [
+            facts_record(),
+            StepRecord(step_id=2, text="apply", derived=(round_lion,)),
+            # derives one new literal, so it is not redundant
+            StepRecord(step_id=2, text="apply again", derived=(round_lion, kind_mouse)),
+            StepRecord(step_id=3, text="repeat", derived=(kind_mouse, lit("Chases(lion, dog)"))),
+        ]
+    )
+    redundant = [e for e in diagnose(trace).evidence if e.label == "redundancy"]
+    assert [(e.step_id, e.edge, e.note) for e in redundant] == [(3, None, "step only re-derives known facts")]
+
+
+def _with_an_implied_edge(rng, plan):
+    """`plan` plus one edge (i, j) it lacks whose step j is reachable from
+    step i, or `plan` itself when no such edge exists."""
+    reach = reachability_by_squaring(plan.matrix)
+    n = plan.size
+    implied = [(i, j) for i in range(n) for j in range(n) if i != j and reach[i][j] and not plan.matrix[i][j]]
+    if not implied:
+        return plan
+    i, j = rng.choice(implied)
+    matrix = [list(row) for row in plan.matrix]
+    matrix[i][j] = 1
+    return Plan(plan.steps, matrix)
+
+
+def _record_variants(rng, records, pool, rule_count):
+    """`records`, and reversed, shuffled (derivations too), truncated, with a
+    record duplicated or turned into free text, with a derivation mutated, or
+    all free text."""
+    records = list(records)
+    yield records
+    yield records[::-1]
+    shuffled = rng.sample(records, len(records))
+    yield [replace(r, derivations=tuple(rng.sample(r.derivations, len(r.derivations)))) for r in shuffled]
+    yield records[: rng.randrange(len(records) + 1)]
+    if records:
+        k, m = rng.randrange(len(records)), rng.randrange(len(records) + 1)
+        yield records[:m] + [records[k]] + records[m:]
+        yield records[:k] + [replace(records[k], derived=(), derivations=())] + records[k + 1 :]
+    cited = [(i, j) for i, record in enumerate(records) for j in range(len(record.derivations))]
+    if cited:
+        i, j = rng.choice(cited)
+        for derivation in _mutated_derivations(rng, records[i].derivations[j], pool, rule_count):
+            derivations = list(records[i].derivations)
+            derivations[j] = derivation
+            yield records[:i] + [replace(records[i], derivations=tuple(derivations))] + records[i + 1 :]
+    yield [replace(r, derived=(), derivations=()) for r in records]
+    yield [StepRecord(step_id=0, text="free text")]
+
+
+def test_diagnose_agrees_with_the_reference_on_mutated_stub_traces():
+    rng = random.Random(61)
+    problems = [fig1b_problem(), Problem(id="deep", premises=DEEP_PREMISES, question="¬Weak(n8)")]
+    for index in range(40):
+        kb = random_horn_kb(rng)
+        premises = [str(fact) for fact in sorted(kb.literals)] + [render_formula(rule) for rule in kb.rules]
+        query = ground_literal_queries(rng, kb, count=1)[0]
+        problems.append(Problem(id=f"horn-{index}", premises=tuple(premises), question=str(query)))
+    labels = Counter()
+    for problem, cwa in [(p, cwa) for p in problems for cwa in (False, True)]:
+        result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), problem, PipelineConfig(cwa=cwa))
+        form = solvermod.SolverForm(result.traces[0].context)
+        for trace in result.traces:  # the degraded plan, then the full one
+            pool = sorted({literal for r in trace.records for literal in r.derived})
+            pool += [literal.negated() for literal in pool[:3]] + [Literal(True, "P", ("zz",))]
+            plan = _with_an_implied_edge(rng, trace.plan) if rng.random() < 0.5 else trace.plan
+            for records in _record_variants(rng, trace.records, pool, len(form.rules)):
+                variant = replace(trace, plan=plan, records=tuple(records))
+                for audit_cwa in (False, True):
+                    want = reference_diagnose(variant, cwa=audit_cwa, form=form)
+                    assert diagnose(variant, cwa=audit_cwa, form=form) == want
+                    labels.update(want.labels)
+    assert set(labels) == {"missing-prerequisites", "rule-misuse", "premature-termination", "redundancy"}
+
+
 # ---------------------------------------------------------------------------
 # Replanning
 # ---------------------------------------------------------------------------
@@ -533,7 +620,7 @@ def test_replan_stage_scripted_returns_four_step_plan():
 def test_replan_stage_reads_the_round_state_from_the_trace():
     backend = RecordingBackend(CannedBackend(json.dumps({"Edits": [{"op": "InsertGuard", "k": 1}]})))
     trace = replace(make_trace([facts_record()]), provisional=Verdict("F"), round=2)
-    outcome = replan_stage(backend, trace, Diagnosis(frozenset(), ()))
+    outcome = replan_stage(backend, trace, Diagnosis(()))
     [(meta, prompt, _)] = backend.calls
     assert meta.stage == "replan" and meta.round == trace.round + 1
     assert meta.payload["provisional"] == trace.provisional.label == "F"
@@ -547,7 +634,7 @@ def test_replan_stage_edit_list_with_cycle_gets_normalized():
     reply = json.dumps({"Edits": [{"op": "AddEdge", "i": 3, "j": 1}], "Rationale": "loop back"})
     backend = CannedBackend(reply)
     trace = make_trace([facts_record()], plan=plan)
-    outcome = replan_stage(backend, trace, Diagnosis(frozenset(), ()))
+    outcome = replan_stage(backend, trace, Diagnosis(()))
     from proofplan.plan import validate_dag
 
     validate_dag(outcome.plan)
@@ -557,14 +644,12 @@ def test_replan_stage_edit_list_with_cycle_gets_normalized():
 
 
 def test_replan_stage_out_of_range_edit():
-    from proofplan.pipeline import InvalidEdit
-
     plan = four_step_plan()
     reply = json.dumps({"Edits": [{"op": "AddEdge", "i": 9, "j": 1}]})
     backend = CannedBackend(reply)
     trace = make_trace([facts_record()], plan=plan)
-    with pytest.raises(InvalidEdit):
-        replan_stage(backend, trace, Diagnosis(frozenset(), ()))
+    with pytest.raises(StageParseError, match="out of range"):
+        replan_stage(backend, trace, Diagnosis(()))
 
 
 def test_replan_stage_requires_plan_or_edits():
@@ -572,7 +657,19 @@ def test_replan_stage_requires_plan_or_edits():
     backend = CannedBackend(json.dumps({"Rationale": "nothing to change"}))
     trace = make_trace([facts_record()], plan=plan)
     with pytest.raises(StageParseError):
-        replan_stage(backend, trace, Diagnosis(frozenset(), ()))
+        replan_stage(backend, trace, Diagnosis(()))
+
+
+def test_replan_stage_ablate_matrix_plan_chains_the_revised_plan():
+    plan = four_step_plan()  # the chain 1 -> 2 -> 3
+    plan_doc = plan_to_json(plan)["Plan"]
+    dag = json.dumps({"Revised plan": {"Corrected_plan": plan_doc, "Matrix": [[0, 1, 1], [0, 0, 0], [0, 0, 0]]}})
+    cut = json.dumps({"Edits": [{"op": "DelEdge", "i": 2, "j": 3}]})
+    trace = make_trace([facts_record()], plan=plan)
+    for reply in (dag, cut):
+        assert replan_stage(CannedBackend(reply), trace, Diagnosis(())).plan != plan
+        ablated = replan_stage(CannedBackend(reply), trace, Diagnosis(()), PipelineConfig(disable_matrix_plan=True))
+        assert ablated.plan is plan
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +887,7 @@ def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
 def test_replan_stage_keeps_the_plan_object_only_when_the_plan_is_unchanged():
     full, _ = plan_stage(SolverStubBackend(), fig1b_context())
     degraded, _ = plan_stage(SolverStubBackend(degrade_initial_plan=True), fig1b_context())
-    clean = Diagnosis(frozenset(), ())
+    clean = Diagnosis(())
     assert replan_stage(SolverStubBackend(), make_trace([], plan=full), clean).plan is full
     revised = replan_stage(SolverStubBackend(), make_trace([], plan=degraded), clean).plan
     assert revised is not degraded and revised == full and revised is not full
@@ -933,13 +1030,53 @@ def test_translate_stage_total_on_garbage_text(text):
 @settings(max_examples=150, deadline=None)
 @given(_json_values)
 def test_plan_stage_total_on_arbitrary_json(doc):
-    from proofplan.errors import SchemaError
-    from proofplan.plan import ShapeError
-
     backend = CannedBackend(json.dumps(doc))
     try:
         plan_stage(backend, RawContext("ctx"))
-    except (StageParseError, MatrixShapeMismatch, CycleError, SchemaError, ShapeError):
+    except (StageParseError, CycleError):
+        pass
+
+
+_indices = st.integers(min_value=-1, max_value=6)
+_edit_docs = st.fixed_dictionaries(
+    {"op": st.sampled_from(["AddEdge", "DelEdge", "Merge", "InsertGuard", "Swap"])},
+    optional={
+        **{name: _indices | _json_values for name in ("i", "j", "p", "q", "k")},
+        "content": st.text(max_size=8) | _json_values,
+    },
+)
+_revised_plans = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "Corrected_plan": st.fixed_dictionaries({str(i): st.just({"content": f"s{i}"}) for i in range(1, n + 1)}),
+            "Matrix": st.lists(
+                st.lists(st.integers(min_value=0, max_value=1), min_size=n - 1, max_size=n + 1),
+                min_size=n - 1,
+                max_size=n + 1,
+            ),
+        }
+    )
+)
+# One step short of the step limit, so two guards take it past the limit.
+_NEARLY_FULL_PLAN = planmod.linear_chain([PlanStep(i, f"s{i}") for i in range(1, planmod.MAX_STEPS)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_edit_docs, max_size=4),
+    st.none() | _revised_plans | _json_values,
+    st.sampled_from(["small", "nearly full"]),
+)
+@example([{"op": "InsertGuard", "k": 1}] * 2, None, "nearly full")
+@example([{"op": "Merge", "p": 2, "q": 2}], None, "small")
+@example([{"op": "AddEdge", "i": 9, "j": 1}], None, "small")
+@example([], {"Corrected_plan": {"1": {"content": "a"}}, "Matrix": [[0], [0]]}, "small")
+def test_replan_stage_total_on_arbitrary_edits_and_plans(edits, revised, plan):
+    reply = {"Edits": edits} if revised is None else {"Edits": edits, "Revised plan": revised}
+    plan = four_step_plan() if plan == "small" else _NEARLY_FULL_PLAN
+    try:
+        replan_stage(CannedBackend(json.dumps(reply)), make_trace([facts_record()], plan=plan), Diagnosis(()))
+    except StageParseError:
         pass
 
 

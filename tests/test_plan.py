@@ -20,7 +20,6 @@ from proofplan.plan import (
     DelEdge,
     IndexOutOfRange,
     InsertGuard,
-    MatrixShapeMismatch,
     Merge,
     MergeSelf,
     Plan,
@@ -301,7 +300,7 @@ def test_plan_json_round_trip():
 def test_plan_json_validation():
     good = {"Plan": {"1": {"content": "a"}, "2": {"content": "b"}}, "Matrix": [[0, 1], [0, 0]]}
     plan_from_json(good)
-    with pytest.raises(MatrixShapeMismatch):
+    with pytest.raises(SchemaError, match="/Matrix: 3 rows for 2 steps"):
         plan_from_json({"Plan": good["Plan"], "Matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]})
     with pytest.raises(SchemaError):
         plan_from_json({"Plan": good["Plan"], "Matrix": [[0, 2], [0, 0]]})
