@@ -162,13 +162,15 @@ class ScriptedBackend(Backend):
     """Replays recorded stage outputs from a fixture directory.
 
     Fixtures are text files named `<instance_id>__<stage>__<round>.txt`,
-    with `<stage>__<round>.txt` as an instance-agnostic fallback.
+    with `<stage>__<round>.txt` as an instance-agnostic fallback. A name
+    that leads outside the directory raises BackendError.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise BackendError(f"fixture directory not found: {self.directory}")
+        self._root = os.path.join(os.path.abspath(self.directory), "")
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         meta = params.meta
@@ -179,6 +181,8 @@ class ScriptedBackend(Backend):
             names.insert(0, f"{meta.instance_id}__{meta.stage}__{meta.round}.txt")
         for name in names:
             path = self.directory / name
+            if not os.path.abspath(path).startswith(self._root):
+                raise BackendError(f"fixture name {name!r} leads outside {self.directory}")
             if path.is_file():
                 return path.read_text(encoding="utf-8")
         raise BackendError(f"no fixture for stage={meta.stage} round={meta.round} (tried {names})")
@@ -265,7 +269,8 @@ class SolverStubBackend(Backend):
 
     def _solve(self, meta: StageMeta) -> str:
         """The reply for the payload's plan and `cwa`, computed once per instance
-        and kept in the memo of its `solver` form (a fresh one when absent)."""
+        and kept in the memo of its `solver` form (a fresh one when absent);
+        BackendError when the solver cannot run the context or its question."""
         context = meta.payload.get("context")
         if not isinstance(context, (StructuredRepr, RawContext)):
             raise BackendError("solver stub call lacks a context")
@@ -276,7 +281,10 @@ class SolverStubBackend(Backend):
         cwa = meta.payload.get("cwa", False)
         key = ("stub solve", plan.text, cwa)  # the text determines the plan
         if key not in form.memo:
-            form.memo[key] = self._execute(self._structured(form), plan, cwa)
+            try:
+                form.memo[key] = self._execute(self._structured(form), plan, cwa)
+            except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge) as err:
+                raise BackendError(f"solver stub cannot run this context: {err}") from err
         return form.memo[key]
 
     @staticmethod

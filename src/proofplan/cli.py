@@ -21,7 +21,7 @@ from . import plan as planmod
 from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
 from .errors import SchemaError
 from .fol import parse_formula
-from .harness import HarnessConfig, MissingDepth, compose_question, evaluate, file_sha256, load_dataset
+from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset
 from .harness import report_to_doc, stratify_by_depth
 from .pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
 from .solver import Verdict, decide, forward_chain, kb_from_repr, step_record_from_doc
@@ -207,13 +207,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(f"instances: {report.total}  correct: {report.correct}  accuracy: {report.accuracy:.4f}")
-    try:
-        table = stratify_by_depth(report)
+    table = stratify_by_depth(report)
+    if table:
         print("depth  accuracy")
         for depth, accuracy in table.items():
             print(f"{depth:>5}  {accuracy:.4f}")
-    except MissingDepth:
-        pass
     for record in report.records:
         status = "ok" if record.correct else f"fail ({record.failure_kind})"
         print(f"  {record.id}: {record.predicted or '-'} vs {record.gold} [{status}]")

@@ -34,7 +34,6 @@ __all__ = [
     "InstanceRecord",
     "RunReport",
     "HarnessConfig",
-    "MissingDepth",
     "compose_question",
     "load_dataset",
     "evaluate",
@@ -42,9 +41,6 @@ __all__ = [
     "report_to_doc",
     "file_sha256",
 ]
-
-class MissingDepth(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -332,9 +328,7 @@ def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessCon
 
 
 def stratify_by_depth(report: RunReport) -> dict[int, float]:
-    """Accuracy per reasoning depth; depths with no instances are omitted."""
-    if all(record.depth is None for record in report.records):
-        raise MissingDepth("no instance carries a depth annotation")
+    """Accuracy per annotated reasoning depth; empty when no instance carries a depth."""
     totals: dict[int, int] = {}
     hits: dict[int, int] = {}
     for record in report.records:
@@ -366,8 +360,7 @@ def report_to_doc(report: RunReport) -> dict[str, Any]:
             for r in report.records
         ],
     }
-    try:
-        doc["by_depth"] = {str(k): v for k, v in stratify_by_depth(report).items()}
-    except MissingDepth:
-        pass
+    table = stratify_by_depth(report)
+    if table:
+        doc["by_depth"] = {str(k): v for k, v in table.items()}
     return doc

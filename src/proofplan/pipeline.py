@@ -551,7 +551,7 @@ def replan_stage(
     elif edits:
         try:
             revised = planmod.apply_edits(plan, edits)
-        except (planmod.IndexOutOfRange, planmod.MergeSelf, planmod.ShapeError) as err:
+        except planmod.ShapeError as err:
             raise StageParseError("replan", str(err), raw=raw) from err
     else:
         raise StageParseError("replan", 'reply has neither "Revised plan" nor "Edits"', raw=raw)

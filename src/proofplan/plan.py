@@ -29,8 +29,6 @@ __all__ = [
     "InsertGuard",
     "CycleError",
     "ShapeError",
-    "IndexOutOfRange",
-    "MergeSelf",
     "validate_dag",
     "frontier",
     "execution_order",
@@ -63,17 +61,6 @@ class CycleError(Exception):
     def __init__(self, cycle: list[int]):
         self.cycle = cycle
         super().__init__(f"dependency cycle: {cycle}")
-
-
-class IndexOutOfRange(Exception):
-    def __init__(self, index: int, size: int):
-        self.index = index
-        self.size = size
-        super().__init__(f"step index {index} out of range 1..{size}")
-
-
-class MergeSelf(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -320,7 +307,7 @@ def find_cycle_rows(rows: Sequence[int]) -> list[int] | None:
 
 def _check_index(index: int, size: int) -> None:
     if not 1 <= index <= size:
-        raise IndexOutOfRange(index, size)
+        raise ShapeError(f"step index {index} out of range 1..{size}")
 
 
 def validate_dag(plan: Plan) -> None:
@@ -448,8 +435,9 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
     Merge(p, q) folds step q into p: contents concatenate (p first),
     predecessors and successors union onto p, q is deleted and ids are
     renumbered. InsertGuard(k) places a guard step directly after k that
-    intercepts all of k's outgoing edges; one that would take the plan past
-    MAX_STEPS raises ShapeError.
+    intercepts all of k's outgoing edges. A step index out of range, a step
+    merged with itself, or a guard that would take the plan past MAX_STEPS
+    raises ShapeError.
     """
     steps: list[PlanStep] = list(plan.steps)
     rows: list[int] = plan.rows()
@@ -466,7 +454,7 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
             rows[edit.i - 1] &= ~(1 << (edit.j - 1))
         elif isinstance(edit, Merge):
             if edit.p == edit.q:
-                raise MergeSelf(f"cannot merge step {edit.p} with itself")
+                raise ShapeError(f"cannot merge step {edit.p} with itself")
             _check_index(edit.p, n)
             _check_index(edit.q, n)
             pi, qi = edit.p - 1, edit.q - 1

@@ -55,7 +55,6 @@ __all__ = [
     "Verdict",
     "StepRecord",
     "UnsupportedFragment",
-    "UnsupportedQuestion",
     "DomainTooLarge",
     "TooManyAtoms",
     "RuleTemplate",
@@ -82,10 +81,6 @@ T, F, U = "T", "F", "U"
 
 
 class UnsupportedFragment(Exception):
-    pass
-
-
-class UnsupportedQuestion(Exception):
     pass
 
 
@@ -235,9 +230,14 @@ def _literal_from_doc(text: Any, pointer: str, literals: dict[str, Literal]) -> 
         raise SchemaError(pointer, "expected string")
     if text not in literals:
         try:
-            literals[text] = literal_from_formula(parse_formula(text))
+            f = parse_formula(text)
         except Exception as err:
             raise SchemaError(pointer, f"not a ground literal: {err}") from err
+        atom = f.body if isinstance(f, Not) else f
+        if not isinstance(atom, Atom):
+            raise SchemaError(pointer, f"not a ground literal: {render_formula(f)}")
+        # A cited literal is ground, so even a one-letter lowercase argument names a constant.
+        literals[text] = Literal(atom is f, atom.predicate, tuple(t.name for t in atom.args))
     return literals[text]
 
 
@@ -431,12 +431,10 @@ class SolverForm:
     memo: dict[tuple[Any, ...], Any] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Replies cite stated facts by their text, so those need no parsing. A fact with a
-        # one-letter lowercase argument is left out: parse_formula reads that as a variable.
+        # Replies cite stated facts by their text, so those need no parsing.
         for fact in self.context.facts if isinstance(self.context, StructuredRepr) else ():
             lit = literal_from_formula(fact.symbol)
-            if not any(len(arg) == 1 and arg.islower() for arg in lit.args):
-                self.literals.setdefault(str(lit), lit)
+            self.literals.setdefault(str(lit), lit)
 
     @functools.cached_property
     def kb(self) -> KnowledgeBase:
@@ -644,12 +642,12 @@ def existential_targets(question: Formula) -> tuple[bool, str, _TemplateArgs, tu
         positive = False
         body = body.body
     if not isinstance(body, Atom):
-        raise UnsupportedQuestion(f"unsupported question: {render_formula(question)}")
+        raise UnsupportedFragment(f"unsupported question: {render_formula(question)}")
     args: list[tuple[bool, str]] = []
     for term in body.args:
         if isinstance(term, Variable):
             if term.name not in variables:
-                raise UnsupportedQuestion(f"question has free variable {term.name}")
+                raise UnsupportedFragment(f"question has free variable {term.name}")
             args.append((True, term.name))
         else:
             args.append((False, term.name))
@@ -663,7 +661,8 @@ def decide(kb: KnowledgeBase, question: Formula, max_instantiations: int = DEFAU
     negation is derived, U otherwise. Existential atom questions answer T on
     any derived witness and otherwise U (refuting an existential is beyond
     forward chaining). A contradictory knowledge base yields U with a
-    contradiction note instead of an arbitrary label.
+    contradiction note instead of an arbitrary label; other questions raise
+    UnsupportedFragment.
     """
     chained = kb if kb.chained else forward_chain(kb, max_instantiations)
     if chained.contradiction:
@@ -688,10 +687,7 @@ def decide(kb: KnowledgeBase, question: Formula, max_instantiations: int = DEFAU
             return Verdict(T, support=_support_chain(witness, chained.derivations))
         return Verdict(U, notes=("existential not witnessed; its refutation is out of fragment",))
 
-    try:
-        lit = literal_from_formula(question)
-    except UnsupportedFragment as err:
-        raise UnsupportedQuestion(str(err)) from err
+    lit = literal_from_formula(question)
     if lit in chained.literals:
         return Verdict(T, support=_support_chain(lit, chained.derivations))
     if lit.negated() in chained.literals:
@@ -716,7 +712,7 @@ def _ground_tree(
         for term in f.args:
             if isinstance(term, Variable):
                 if term.name not in env:
-                    raise UnsupportedQuestion(f"formula has free variable {term.name}")
+                    raise UnsupportedFragment(f"formula has free variable {term.name}")
                 names.append(env[term.name])
             else:
                 names.append(term.name)
@@ -729,7 +725,7 @@ def _ground_tree(
         for term in (f.left, f.right):
             if isinstance(term, Variable):
                 if term.name not in env:
-                    raise UnsupportedQuestion(f"formula has free variable {term.name}")
+                    raise UnsupportedFragment(f"formula has free variable {term.name}")
                 sides.append(env[term.name])
             else:
                 sides.append(term.name)
@@ -779,7 +775,8 @@ def brute_force_entails(kb: KnowledgeBase, question: Formula, atom_limit: int = 
     Returns T if the question holds in every model, F if it fails in every
     model, U otherwise. Only ground atoms occurring in the grounded theory or
     question are enumerated (absent atoms are unconstrained either way); more
-    than `atom_limit` of them raises TooManyAtoms.
+    than `atom_limit` of them raises TooManyAtoms, and a free variable raises
+    UnsupportedFragment.
     """
     domain = tuple(sorted(kb.table.constants))
     atom_index: dict[tuple[str, tuple[str, ...]], int] = {}

@@ -33,9 +33,6 @@ __all__ = [
     "AlignedStatement",
     "StructuredRepr",
     "RawContext",
-    "BuildError",
-    "EmptyNL",
-    "ArityConflict",
     "build_repr",
     "serialize_repr",
     "deserialize_repr",
@@ -43,27 +40,6 @@ __all__ = [
     "doc_to_repr",
     "is_ground_literal",
 ]
-
-class EmptyNL(Exception):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"empty natural-language statement at index {index}")
-
-
-class BuildError(Exception):
-    """A statement failed to parse; `index` locates the offending pair."""
-
-    def __init__(self, index: int, cause: Exception):
-        self.index = index
-        self.cause = cause
-        super().__init__(f"statement {index}: {cause}")
-
-
-class ArityConflict(Exception):
-    def __init__(self, predicate: str, arities: set[int]):
-        self.predicate = predicate
-        self.arities = arities
-        super().__init__(f"predicate {predicate} used with conflicting arities {sorted(arities)}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +141,8 @@ def _infer_table(formulas: Iterable[Formula]) -> SymbolTable:
                 arity = len(node.args)
                 seen = predicates.get(node.predicate)
                 if seen is not None and seen != arity:
-                    raise ArityConflict(node.predicate, {seen, arity})
+                    detail = f"predicate {node.predicate} used with conflicting arities {sorted({seen, arity})}"
+                    raise SchemaError("/Premises", detail)
                 predicates[node.predicate] = arity
                 terms = node.args
             else:
@@ -183,19 +160,21 @@ def build_repr(
 
     Premise statements are classified structurally: a ground literal becomes a
     fact, anything else a rule. Question pairs are kept separate. Without a
-    declared table, one is inferred from the parsed symbols; conflicting
-    inferred arities are a hard error.
+    declared table, one is inferred from the parsed symbols. A SchemaError
+    points into the document form: `/Premises/<i>` or `/Proposition/<j>`
+    (then `statement` or `symbol`), or `/Premises` for conflicting arities.
     """
     pairs = list(pairs)
     questions = list(questions)
     parsed: list[AlignedStatement] = []
     for index, (nl, text) in enumerate([*pairs, *questions]):
+        pointer = f"/Premises/{index}" if index < len(pairs) else f"/Proposition/{index - len(pairs)}"
         if not nl:
-            raise EmptyNL(index)
+            raise SchemaError(f"{pointer}/statement", "empty natural-language statement")
         try:
             symbol = parse_formula(text, declared)
         except FolError as err:
-            raise BuildError(index, err) from err
+            raise SchemaError(f"{pointer}/symbol", str(err)) from err
         parsed.append(AlignedStatement(id=index + 1, nl=nl, symbol=symbol))
 
     table = declared if declared is not None else _infer_table(s.symbol for s in parsed)
@@ -334,17 +313,7 @@ def doc_to_repr(doc: Any) -> StructuredRepr:
 
     premises = [_parse_pair(item, f"/Premises/{i}") for i, item in enumerate(premises_raw)]
     questions = [_parse_pair(item, f"/Proposition/{i}") for i, item in enumerate(proposition_raw)]
-    declared = _parse_declarations(doc)
-    try:
-        return build_repr(premises, questions, declared)
-    except (BuildError, EmptyNL) as err:
-        index = err.index
-        section = "Premises" if index < len(premises) else "Proposition"
-        local = index if index < len(premises) else index - len(premises)
-        leaf = "statement" if isinstance(err, EmptyNL) else "symbol"
-        raise SchemaError(f"/{section}/{local}/{leaf}", str(err)) from err
-    except ArityConflict as err:
-        raise SchemaError("/Premises", str(err)) from err
+    return build_repr(premises, questions, _parse_declarations(doc))
 
 
 def deserialize_repr(data: bytes | str) -> StructuredRepr:

@@ -140,6 +140,21 @@ def test_scripted_backend_lookup_and_fallback(tmp_path):
         backend.complete("p", GenerationParams())
 
 
+@pytest.mark.parametrize("where", ["relative", "absolute"])
+def test_scripted_backend_keeps_lookups_inside_its_directory(tmp_path, where):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "translate__0.txt").write_text("generic", encoding="utf-8")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "leak__translate__0.txt").write_text("secret", encoding="utf-8")
+    instance_id = "../outside/leak" if where == "relative" else str(outside / "leak")
+    backend = ScriptedBackend(fixtures)
+    meta = StageMeta(stage="translate", round=0, instance_id=instance_id)
+    with pytest.raises(BackendError, match="outside"):
+        backend.complete("p", GenerationParams(meta=meta))
+
+
 def test_scripted_backend_missing_directory():
     with pytest.raises(BackendError):
         ScriptedBackend("/nonexistent/fixtures")

@@ -73,6 +73,14 @@ def test_prove_bad_formula_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_prove_bad_formula_names_its_line_by_pointer(tmp_path, capsys):
+    premises = tmp_path / "bad.txt"
+    premises.write_text("# facts\nP(ada)\nP(ada\n", encoding="utf-8")
+    assert main(["prove", str(premises), "-q", "P(ada)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /Premises/1/symbol: ") and "statement 1" not in err
+
+
 def test_plan_validate_ok(tmp_path, capsys):
     plan = {
         "Plan": {"1": {"content": "a"}, "2": {"content": "b"}, "3": {"content": "c"}},
@@ -312,6 +320,14 @@ def test_trace_reports_wrong_shaped_records(tmp_path, capsys, line):
     assert main(["trace", str(traces)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traces}:1: /records") and "Traceback" not in err
+
+
+def test_trace_reads_a_one_letter_constant(tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    record = {"step": 1, "note": "apply", "derived": ["P(a)", "¬Q(a, bob)"]}
+    traces.write_text(json.dumps({"instance": "a", "round": 0, "records": [record]}) + "\n", encoding="utf-8")
+    assert main(["trace", str(traces)]) == 0
+    assert "  step 1: apply | derived: P(a), ¬Q(a, bob)\n" in capsys.readouterr().out
 
 
 def test_trace_coerces_a_record_note_to_text(tmp_path, capsys):

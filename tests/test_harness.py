@@ -5,21 +5,22 @@ from pathlib import Path
 
 import pytest
 
+from helpers import random_formula, random_horn_kb
 from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.errors import SchemaError
 from proofplan.harness import (
     HarnessConfig,
     Instance,
-    MissingDepth,
+    _run_one,
     evaluate,
     load_dataset,
     report_to_doc,
     stratify_by_depth,
 )
 from proofplan.pipeline import PipelineConfig
-from proofplan.solver import brute_force_entails, kb_from_repr
+from proofplan.solver import brute_force_entails, kb_from_repr, literal_to_formula
 from proofplan.structured import build_repr
-from proofplan.fol import parse_formula
+from proofplan.fol import parse_formula, render_formula
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -320,8 +321,8 @@ def test_stratify_by_depth():
 def test_stratify_requires_depth():
     instance = Instance(id="x", premises=("P(a)",), question="P(a)", gold="T")
     report = evaluate([instance], SolverStubBackend(), HarnessConfig())
-    with pytest.raises(MissingDepth):
-        stratify_by_depth(report)
+    assert stratify_by_depth(report) == {}
+    assert "by_depth" not in report_to_doc(report)
 
 
 def test_report_doc_shape_and_fingerprint_stability():
@@ -433,3 +434,40 @@ def test_stub_accuracy_is_flat_across_depths():
     table = stratify_by_depth(report)
     assert set(table) == set(range(6))
     assert all(accuracy == 1.0 for accuracy in table.values())
+
+
+@pytest.mark.parametrize(
+    "premises, question",
+    [
+        (("P(tom) ∨ Q(tom)",), "P(tom)"),  # a premise outside the Horn fragment
+        (("P(tom)",), "∀x P(x)"),  # a question decide cannot answer
+        ((*(f"P(c{i})" for i in range(101)), "∀x ∀y ∀z (P(x) ∧ P(y) → R(x, y, z))"), "P(c0)"),  # 101**3 bindings
+    ],
+    ids=["non-horn-premise", "universal-question", "domain-too-large"],
+)
+def test_solver_stub_scores_an_unrunnable_context_as_backend(premises, question):
+    instance = Instance(id="x", premises=premises, question=question, gold="T")
+    record, traces = _run_one(instance, SolverStubBackend(), HarnessConfig())
+    assert record.failure_kind == "backend" and traces == []
+
+
+def test_solver_stub_scores_no_random_theory_as_an_unexpected_error():
+    # Random Horn theories, some with arbitrary closed formulas mixed into the
+    # premises, against arbitrary closed questions: every failure the stub can
+    # meet on such input has a kind of its own, so none may score `error`.
+    backend = SolverStubBackend()
+    kinds = set()
+    for seed in range(500):
+        rng = random.Random(seed)
+        kb = random_horn_kb(rng)
+        premises = [render_formula(literal_to_formula(lit)) for lit in sorted(kb.literals)]
+        premises += [render_formula(rule) for rule in kb.rules]
+        for _ in range(rng.randint(0, 2)):
+            premises.insert(rng.randrange(len(premises) + 1), render_formula(random_formula(rng, rng.randint(1, 3))))
+        question = render_formula(random_formula(rng, rng.randint(1, 3)))
+        instance = Instance(id=f"r{seed}", premises=tuple(premises), question=question, gold="T")
+        for cwa in (False, True):
+            record, _ = _run_one(instance, backend, HarnessConfig(pipeline=PipelineConfig(cwa=cwa)))
+            assert record.failure_kind != "error", (premises, question, cwa)
+            kinds.add(record.failure_kind)
+    assert {"backend", "format", "wrong-label", None} <= kinds

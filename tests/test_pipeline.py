@@ -325,6 +325,28 @@ def test_parse_solve_doc_repeated_literals_decode_equal_and_keep_polarity(monkey
     assert records[1].derived == (q, p, lit("¬R(tom)"))
 
 
+def test_run_pipeline_decodes_a_declared_one_letter_constant():
+    # parse_formula alone reads the declared constant `a` as a variable, so the
+    # stub's replies citing P(a) and Q(a) must still decode as ground literals
+    doc = {
+        "Predicates": {"P": {"arity": 1}, "Q": {"arity": 1}},
+        "Constants": ["a", "bob"],
+        "Premises": [{"statement": "P(a)", "symbol": "P(a)"}, {"statement": "rule", "symbol": "∀x (P(x) → Q(x))"}],
+        "Proposition": [{"statement": "Q(a)", "symbol": "Q(a)"}],
+    }
+
+    class TranslatedStub(SolverStubBackend):
+        def complete(self, prompt, params):
+            if params.meta.stage == "translate":
+                return json.dumps(doc)
+            return super().complete(prompt, params)
+
+    result = run_pipeline(TranslatedStub(), Problem(id="a", premises=("P(a)",), question="Q(a)"))
+    assert result.final.label == "T"
+    derived = {lit for trace in result.traces for record in trace.records for lit in record.derived}
+    assert derived == {Literal(True, "P", ("a",)), Literal(True, "Q", ("a",))}
+
+
 # ---------------------------------------------------------------------------
 # Diagnosis
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import ground_literal_queries, random_horn_kb, reference_fire_rounds, reference_ground_rules
+from proofplan.errors import SchemaError
 from proofplan.fol import Atom, Constant, Exists, ForAll, Not, SymbolTable, Variable, parse_formula
 from proofplan.solver import (
     DomainTooLarge,
@@ -17,7 +18,6 @@ from proofplan.solver import (
     StepRecord,
     TooManyAtoms,
     UnsupportedFragment,
-    UnsupportedQuestion,
     brute_force_entails,
     decide,
     fire_rounds,
@@ -381,9 +381,9 @@ def test_decide_contradiction_yields_note_not_label():
 
 def test_decide_rejects_unsupported_question():
     kb = make_kb(["P(tom)"], [], {"P": 1, "Q": 1}, {"tom"})
-    with pytest.raises(UnsupportedQuestion):
+    with pytest.raises(UnsupportedFragment):
         decide(kb, parse_formula("∀x P(x)"))
-    with pytest.raises(UnsupportedQuestion):
+    with pytest.raises(UnsupportedFragment):
         decide(kb, parse_formula("P(tom) ∧ Q(tom)"))
 
 
@@ -532,10 +532,31 @@ def _declared_context():
     )
 
 
-def test_solver_form_seeds_the_stated_facts_except_one_letter_lowercase_arguments():
-    # `a` is a declared constant, but parse_formula alone reads it as a variable
+def test_solver_form_seeds_every_stated_fact():
+    # `a` is a declared constant; parse_formula alone would read it as a variable
     form = SolverForm(_declared_context())
-    assert form.literals == {"Big(ann)": Literal(True, "Big", ("ann",)), "¬Big(B)": Literal(False, "Big", ("B",))}
+    assert form.literals == {
+        "Big(ann)": Literal(True, "Big", ("ann",)),
+        "¬Big(B)": Literal(False, "Big", ("B",)),
+        "Likes(ann, a)": Literal(True, "Likes", ("ann", "a")),
+        "¬Likes(a, B)": Literal(False, "Likes", ("a", "B")),
+    }
+
+
+def test_step_record_from_doc_reads_every_cited_argument_as_a_constant():
+    doc = {
+        "step": 1,
+        "derived": ["P(a)", "¬Likes(x, bob)"],
+        "derivations": [{"rule": 1, "binding": {"x": "a"}, "premises": ["P(a)"], "literal": "Q(a)"}],
+    }
+    record = step_record_from_doc(doc)
+    assert record.derived == (Literal(True, "P", ("a",)), Literal(False, "Likes", ("x", "bob")))
+    assert record.derivations[0].premises == (Literal(True, "P", ("a",)),)
+    assert record.derivations[0].conclusion == Literal(True, "Q", ("a",))
+    assert step_record_from_doc(step_record_to_doc(record)) == record
+    for text in ("P(a) ∧ Q(a)", "∀x P(x)", "¬¬P(a)", "a = b"):
+        with pytest.raises(SchemaError, match="not a ground literal"):
+            step_record_from_doc({"derived": [text]})
 
 
 @pytest.mark.parametrize("name", ["fig1b.json", "batch3.json", "task_definition.json"])

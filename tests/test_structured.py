@@ -13,9 +13,6 @@ from proofplan.fol import SymbolTable, parse_formula
 from proofplan.harness import load_dataset
 from proofplan.pipeline import Problem, translate_stage
 from proofplan.structured import (
-    ArityConflict,
-    BuildError,
-    EmptyNL,
     build_repr,
     deserialize_repr,
     doc_to_repr,
@@ -41,20 +38,30 @@ def test_build_classifies_ground_atom_as_fact():
 
 
 def test_build_rejects_empty_nl():
-    with pytest.raises(EmptyNL) as exc:
+    with pytest.raises(SchemaError) as exc:
         build_repr([("", "P(a)")])
-    assert exc.value.index == 0
+    assert exc.value.pointer == "/Premises/0/statement"
+    assert exc.value.message == "empty natural-language statement"
 
 
 def test_build_reports_offending_pair_index():
-    with pytest.raises(BuildError) as exc:
+    with pytest.raises(SchemaError) as exc:
         build_repr([("fine.", "P(a)"), ("broken.", "Q(a")])
-    assert exc.value.index == 1
+    assert exc.value.pointer == "/Premises/1/symbol"
+    assert not exc.value.message.startswith("statement")
+    with pytest.raises(SchemaError) as exc:
+        build_repr([("fine.", "P(a)")], questions=[("fine.", "P(a)"), ("", "P(a)")])
+    assert exc.value.pointer == "/Proposition/1/statement"
+    with pytest.raises(SchemaError) as exc:
+        build_repr([("fine.", "P(a)")], questions=[("broken.", "P(a")])
+    assert exc.value.pointer == "/Proposition/0/symbol"
 
 
 def test_build_rejects_arity_conflict():
-    with pytest.raises(ArityConflict):
+    with pytest.raises(SchemaError) as exc:
         build_repr([("one.", "P(a)"), ("two.", "P(a, b)")])
+    assert exc.value.pointer == "/Premises"
+    assert exc.value.message == "predicate P used with conflicting arities [1, 2]"
 
 
 def test_statement_ids_are_contiguous():
