@@ -29,7 +29,6 @@ from .plan import (
     PlanStep,
     apply_edits,
     execution_order,
-    frontier,
     normalize,
     transitive_reduce,
     validate_dag,
@@ -47,7 +46,6 @@ from .structured import (
     StructuredRepr,
     build_repr,
     deserialize_repr,
-    serialize_repr,
 )
 
 __version__ = "0.1.0"

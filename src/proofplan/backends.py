@@ -48,13 +48,14 @@ class StageMeta:
     The scripted backend keys fixtures on (instance_id, stage, round). The
     `payload` holds the stage's typed inputs, which a backend that computes
     its answer (like the solver stub) reads directly: `premises` and
-    `question` (translate), `context` (plan), `context`, `plan`, `cwa` and
-    `solver` (solve), and `context`, `plan`, `diagnosis` and `provisional`
-    labels (replan). `context` is a `StructuredRepr`, or a `RawContext` when
-    structured management is ablated; `plan` is a `Plan`; `cwa` is the run's
-    closed-world setting; `solver` is the instance's `SolverForm`, which
-    keeps the context's knowledge base and rule templates from one call to
-    the next. The live backend reads only the prompt.
+    `question` (translate), `context` and `solver` (plan), `context`, `plan`,
+    `cwa` and `solver` (solve), and `context`, `plan`, `diagnosis`,
+    `provisional` labels and `solver` (replan). `context` is a
+    `StructuredRepr`, or a `RawContext` when structured management is
+    ablated; `plan` is a `Plan`; `cwa` is the run's closed-world setting;
+    `solver` is the instance's `SolverForm`, which keeps the context's
+    knowledge base and rule templates from one call to the next. The live
+    backend reads only the prompt.
     """
 
     stage: str
@@ -188,37 +189,8 @@ class ScriptedBackend(Backend):
         raise BackendError(f"no fixture for stage={meta.stage} round={meta.round} (tried {names})")
 
 
-def _chain(*contents: str) -> planmod.Plan:
-    return planmod.linear_chain([planmod.PlanStep(i, text) for i, text in enumerate(contents, start=1)])
-
-
-_STUB_FULL_PLAN = _chain(
-    "Collect the initial facts from the premises.",
-    "Ground the rules over the declared constants.",
-    "Run the ground rules to a fixpoint.",
-    "Judge the question against the derived facts.",
-)
-
-_STUB_DEGRADED_PLAN = _chain(
-    "Collect the initial facts from the premises.",
-    "Apply the ground rules once.",
-    "Judge the question against the derived facts.",
-)
-
-
 def _reply(doc: Any) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2)
-
-
-_FULL_PLAN_DOC = planmod.plan_to_json(_STUB_FULL_PLAN)
-# The plan and replan replies never vary, so they are encoded once.
-_STUB_PLAN_REPLIES = {False: _reply(_FULL_PLAN_DOC), True: _reply(planmod.plan_to_json(_STUB_DEGRADED_PLAN))}
-_STUB_REPLAN_REPLY = _reply(
-    {
-        "Revised plan": {"Corrected_plan": _FULL_PLAN_DOC["Plan"], "Matrix": _FULL_PLAN_DOC["Matrix"]},
-        "Rationale": "run rule application to a fixpoint before the judgment step",
-    }
-)
 
 
 class SolverStubBackend(Backend):
@@ -226,19 +198,19 @@ class SolverStubBackend(Backend):
 
     Translation treats each premise and the question as formula text, so it
     only suits instances whose statements are already first-order formulas.
-    The emitted plan is a four-step linear chain; with `degrade_initial_plan`
-    the first plan skips the fixpoint step and applies the rules once, which
-    reproduces the early-stop failure the replanner is meant to repair (its
-    replan stage always returns the full plan). The rules are decomposed
-    once per instance: the solve payload's `solver` form keeps the knowledge
-    base and rule templates for the next solve call and for `diagnose`, and
-    the reply to each distinct (plan, `cwa`) pair in its `memo`. Rule
-    steps run the solver's `fire_rounds` over them (one round, or to the
-    fixpoint with the closed-world phase when the solve payload's `cwa` is
-    set), and the answer is `decide` over the derived literals. The
-    grounding step only reports how many ground instances the rules have,
-    counted in closed form as the sum over rules of `constants ** variables
-    used`; nothing enumerates them.
+    The emitted plan is a three-step linear chain read from the context: a
+    step that cites its facts, one that cites its rules, and the judgment.
+    With `degrade_initial_plan` the first plan leaves out the rules step,
+    which reproduces the early-stop failure the replanner is meant to repair
+    (its replan stage always returns the full plan). Execution reads only
+    the plan's data: the plan's judgment step runs `decide` over the derived
+    literals, and every other step asserts the facts it cites and then fires
+    the rules it cites to their fixpoint with the solver's `fire_rounds`
+    (with the closed-world phase when the solve payload's `cwa` is set). The
+    rules are decomposed once per instance: the payload's `solver` form keeps
+    the knowledge base and rule templates for the next call and for
+    `diagnose`, and the reply to each distinct (plan, `cwa`) pair in its
+    `memo`.
     """
 
     def __init__(self, degrade_initial_plan: bool = False):
@@ -251,11 +223,14 @@ class SolverStubBackend(Backend):
         if meta.stage == "translate":
             return self._translate(meta)
         if meta.stage == "plan":
-            return _STUB_PLAN_REPLIES[self.degrade_initial_plan]
+            return _reply(planmod.plan_to_json(self._plan(meta, self.degrade_initial_plan)))
         if meta.stage == "solve":
             return self._solve(meta)
         if meta.stage == "replan":
-            return _STUB_REPLAN_REPLY
+            doc = planmod.plan_to_json(self._plan(meta, False))
+            revised = {"Corrected_plan": doc["Plan"], "Matrix": doc["Matrix"]}
+            rationale = "run rule application to a fixpoint before the judgment step"
+            return _reply({"Revised plan": revised, "Rationale": rationale})
         raise BackendError(f"unknown stage {meta.stage!r}")
 
     def _translate(self, meta: StageMeta) -> str:
@@ -267,14 +242,29 @@ class SolverStubBackend(Backend):
         }
         return _reply(doc)
 
+    def _plan(self, meta: StageMeta, degraded: bool) -> planmod.Plan:
+        """Facts, then rules (left out when `degraded`), then the judgment, each step citing its statements."""
+        context = self._structured(self._form(meta)).context
+        facts, rules = tuple(s.id for s in context.facts), tuple(s.id for s in context.rules)
+        steps = [planmod.PlanStep(1, "Collect the initial facts from the premises.", uses=facts)]
+        if not degraded:
+            steps.append(planmod.PlanStep(2, "Run the rules to a fixpoint.", uses=rules))
+        steps.append(planmod.PlanStep(len(steps) + 1, "Judge the question against the derived facts.", "judgment"))
+        return planmod.linear_chain(steps)
+
+    @staticmethod
+    def _form(meta: StageMeta) -> solvermod.SolverForm:
+        """The payload's `solver` form, or a fresh one for its context."""
+        context = meta.payload.get("context")
+        if not isinstance(context, (StructuredRepr, RawContext)):
+            raise BackendError("solver stub call lacks a context")
+        return meta.payload.get("solver") or solvermod.SolverForm(context)
+
     def _solve(self, meta: StageMeta) -> str:
         """The reply for the payload's plan and `cwa`, computed once per instance
         and kept in the memo of its `solver` form (a fresh one when absent);
         BackendError when the solver cannot run the context or its question."""
-        context = meta.payload.get("context")
-        if not isinstance(context, (StructuredRepr, RawContext)):
-            raise BackendError("solver stub call lacks a context")
-        form = meta.payload.get("solver") or solvermod.SolverForm(context)
+        form = self._form(meta)
         plan = meta.payload.get("plan")
         if not isinstance(plan, planmod.Plan):
             raise BackendError("solver stub solve call lacks a plan")
@@ -302,38 +292,25 @@ class SolverStubBackend(Backend):
 
     def _execute(self, form: solvermod.SolverForm, plan: planmod.Plan, cwa: bool) -> str:
         order = planmod.execution_order(plan)
-        kb, rules = form.kb, form.rules
-        domain = kb.table.constants
+        context, domain = form.context, form.kb.table.constants
+        if plan.judgment is None or not context.questions:
+            raise BackendError("solver stub needs a plan with steps and a question to adjudicate")
+        facts = {s.id: solvermod.literal_from_formula(s.symbol) for s in context.facts}
+        rules = {s.id: template for s, template in zip(context.rules, form.rules)}
         literals: set[solvermod.Literal] = set()
         log: list[solvermod.StepRecord] = []
-        answer: str | None = None
 
         for step_id in order:
-            note = plan.steps[step_id - 1].content
-            text = note.lower()
-            derived: tuple[solvermod.Literal, ...] = ()
-            fired: list[solvermod.GroundRule] = []
-            fixpoint = "fixpoint" in text or "until no new" in text
-            if fixpoint or "once" in text:
-                fired = solvermod.fire_rounds(literals, rules, domain, cwa, None if fixpoint else 1)
-                derived = tuple(g.conclusion for g in fired)
-            elif "initial fact" in text or "establish" in text:
-                literals.update(kb.literals)
-                derived = tuple(sorted(kb.literals))
-            elif "ground" in text:
-                note = f"{note} ({sum(r.instance_count(domain) for r in rules)} ground instances)"
-            elif planmod.is_judgment(note):
-                answer = self._answer(form, literals)
-                note = f"{note} -> {answer}"
-            log.append(solvermod.StepRecord(step_id, note, derived=derived, derivations=tuple(fired)))
+            step = plan.steps[step_id - 1]
+            if step_id == plan.judgment:  # `decide` against the literals the steps so far derived
+                answer = solvermod.decide(solvermod.chained_kb(form.kb, literals), context.questions[0].symbol).label
+                log.append(solvermod.StepRecord(step_id, f"{step.content} -> {answer}"))
+                continue
+            asserted = sorted({facts[i] for i in step.uses if i in facts})
+            literals.update(asserted)
+            cited = [rule for i, rule in rules.items() if i in step.uses]
+            fired = solvermod.fire_rounds(literals, cited, domain, cwa) if cited else []
+            derived = (*asserted, *(g.conclusion for g in fired))
+            log.append(solvermod.StepRecord(step_id, step.content, derived=derived, derivations=tuple(fired)))
 
-        if answer is None:
-            answer = self._answer(form, literals)
         return _reply({"Execution log": [solvermod.step_record_to_doc(r) for r in log], "Final answer": answer})
-
-    @staticmethod
-    def _answer(form: solvermod.SolverForm, literals: set[solvermod.Literal]) -> str:
-        """`decide` against the literals the executed steps derived."""
-        if not form.context.questions:
-            raise BackendError("instance has no question to adjudicate")
-        return solvermod.decide(solvermod.chained_kb(form.kb, literals), form.context.questions[0].symbol).label

@@ -58,16 +58,19 @@ def _write_output(path: str, chunks: Iterable[str]) -> bool:
 
 
 def _load_premises(path: Path):
+    """The document JSON in `path`, or its formulas one per line (blank and
+    `#` lines skipped); a bad formula raises ValueError naming `<path>:<line>`."""
     text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return deserialize_repr(text)
-    pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            pairs.append((line, line))
-    return build_repr(pairs)
+    lines = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1)]
+    kept = [(number, line) for number, line in lines if line and not line.startswith("#")]
+    try:
+        return build_repr((line, line) for _, line in kept)
+    except SchemaError as err:
+        parts = err.pointer.split("/")  # "/Premises/<i>/symbol", or "/Premises" for conflicting arities
+        where = f"{path}:{kept[int(parts[2])][0]}" if len(parts) > 2 else str(path)
+        raise ValueError(f"{where}: {err.message}") from err
 
 
 def _print_support(verdict: Verdict) -> None:

@@ -252,12 +252,15 @@ def plan_stage(
     context: StructuredRepr | RawContext,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
+    form: SolverForm | None = None,
 ) -> tuple[Plan, str]:
-    """The validated plan and the raw reply it came from."""
-    raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context}, problem)
+    """The validated plan and the raw reply it came from; `form`, the
+    instance's `SolverForm`, is shared with the backend (a fresh one when absent)."""
+    form = SolverForm(context) if form is None else form
+    raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context, "solver": form}, problem)
     doc = extract_json(raw, "plan")
     try:
-        parsed = planmod.plan_from_json(doc)
+        parsed = planmod.plan_from_json(doc, _citable(context))
         if config.disable_matrix_plan:
             # Ablation: keep the steps, replace the dependency structure with
             # the linear chain 1 -> 2 -> ... -> N.
@@ -266,6 +269,11 @@ def plan_stage(
     except (SchemaError, planmod.ShapeError) as err:
         raise StageParseError("plan", str(err), raw=raw) from err
     return parsed, raw
+
+
+def _citable(context: StructuredRepr | RawContext) -> set[int] | None:
+    """Ids a plan step may cite: a structured context's facts and rules, or None (no check) for a raw one."""
+    return {s.id for s in (*context.facts, *context.rules)} if isinstance(context, StructuredRepr) else None
 
 
 def _parse_solve_doc(
@@ -360,14 +368,11 @@ def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) ->
     # Premises are given, so they count as available from the start.
     available: set[Literal] = set(kb.literals) if kb is not None else set()
     seen: set[Literal] = set()  # what earlier records derived
-    judgment: tuple[int, set[Literal]] | None = None  # the first judgment step, and what was known then
+    judgment_id = trace.plan.judgment
+    judgment: tuple[int, set[Literal]] | None = None  # the first judgment record, and what was known then
     for record in trace.records:
         if rules is not None:
-            if (
-                judgment is None
-                and 1 <= record.step_id <= trace.plan.size
-                and planmod.is_judgment(trace.plan.steps[record.step_id - 1].content)
-            ):
+            if judgment is None and record.step_id == judgment_id:
                 judgment = (record.step_id, set(available))
             # rule misuse and missing prerequisites, per derivation
             for derivation in record.derivations:
@@ -497,8 +502,10 @@ def replan_stage(
     wins; edits are then only validated). A revised plan equal to `trace`'s
     is `trace.plan` itself, which keeps its cached text and order. When the
     reply also embeds a re-execution (updated log plus final answer), that is
-    surfaced so the caller can skip the separate solve call; `form`, the
-    instance's `SolverForm`, decodes its literals.
+    surfaced so the caller can skip the separate solve call. `form`, the
+    instance's `SolverForm`, is shared with the backend and decodes the
+    embedded log's literals (a fresh one when absent). A revised plan may
+    cite only the facts and rules of a structured context.
     """
     context, plan, provisional = trace.context, trace.plan, trace.provisional.label
     round = trace.round + 1
@@ -509,11 +516,13 @@ def replan_stage(
         "provisional": provisional,
         "diagnosis": _diagnosis_text(diagnosis),
     }
+    form = SolverForm(context) if form is None else form
     payload = {
         "context": context,
         "plan": plan,
         "diagnosis": sorted(diagnosis.labels),
         "provisional": provisional,
+        "solver": form,
     }
     raw = _call_stage(backend, config, "replan", values, payload, problem, round)
     doc = extract_json(raw, "replan")
@@ -543,7 +552,7 @@ def replan_stage(
             )
         try:
             proposed = planmod.plan_from_json(
-                {"Plan": revised_doc["Corrected_plan"], "Matrix": revised_doc["Matrix"]}
+                {"Plan": revised_doc["Corrected_plan"], "Matrix": revised_doc["Matrix"]}, _citable(context)
             )
         except SchemaError as err:
             raise StageParseError("replan", str(err), raw=raw) from err
@@ -566,7 +575,7 @@ def replan_stage(
             revised,
             "replan",
             raw,
-            (SolverForm(context) if form is None else form).literals,
+            form.literals,
         )
         embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
     return ReplanOutcome(plan=revised, raw=raw, embedded_trace=embedded)
@@ -588,7 +597,7 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     form = SolverForm(context)  # each formula of the instance is decoded once
     # Static findings are surfaced, not fatal.
     warnings = context.warnings if isinstance(context, StructuredRepr) else ()
-    plan, plan_raw = plan_stage(backend, context, config, problem)
+    plan, plan_raw = plan_stage(backend, context, config, problem, form)
     trace = solve_stage(backend, context, plan, config, problem, round=0, form=form)
     traces = [replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)]
     diagnoses: list[Diagnosis] = []

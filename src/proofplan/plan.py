@@ -3,7 +3,9 @@
 A plan is an ordered list of steps plus a binary matrix A where A[i][j] = 1
 means step i directly precedes step j. Scheduling reads the matrix directly:
 the frontier is every unfinished step whose predecessors are all finished,
-and execution order is the concatenation of successive frontiers.
+and execution order is the concatenation of successive frontiers. A step may
+cite the statements it applies (`uses`, statement ids of the context), and
+its `kind` marks the judgment of the question (`Plan.judgment`).
 
 The algorithms work on row bitmasks (`rows[i]` holds bit j iff A[i][j] = 1);
 the *_rows functions are the core and the Plan-level operations wrap them 1:1.
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Collection, Iterable, Sequence
 
 from .errors import SchemaError
 
@@ -30,14 +32,12 @@ __all__ = [
     "CycleError",
     "ShapeError",
     "validate_dag",
-    "frontier",
     "execution_order",
     "transitive_reduce",
     "normalize",
     "apply_edits",
     "duplicate_content",
     "linear_chain",
-    "is_judgment",
     "plan_from_json",
     "plan_to_json",
     "closure_rows",
@@ -47,7 +47,7 @@ __all__ = [
     "layered_order_rows",
 ]
 
-STEP_KINDS = ("inference", "guard")
+STEP_KINDS = ("inference", "guard", "judgment")
 # Plan algebra is quadratic to cubic in the step count, so a reply may not
 # grow a plan past this many steps.
 MAX_STEPS = 256
@@ -68,6 +68,7 @@ class PlanStep:
     id: int
     content: str
     kind: str = "inference"
+    uses: tuple[int, ...] = ()  # ids of the context statements the step applies
 
     def __post_init__(self) -> None:
         if not self.content:
@@ -108,6 +109,12 @@ class Plan:
         """Concatenated-frontier order of the 1-based ids, or None if a cycle blocks it; computed once."""
         order = layered_order_rows(self.rows())
         return None if order is None else tuple(i + 1 for i in order)
+
+    @functools.cached_property
+    def judgment(self) -> int | None:
+        """Id of the first "judgment" step in execution order, else of its last step; None on a cycle or no steps."""
+        order = self.order
+        return next((i for i in order if self.steps[i - 1].kind == "judgment"), order[-1]) if order else None
 
     @functools.cached_property
     def text(self) -> str:
@@ -325,20 +332,6 @@ def _cycle_error(rows: Sequence[int]) -> CycleError:
     return CycleError([i + 1 for i in find_cycle_rows(rows) or []])
 
 
-def frontier(plan: Plan, done: Iterable[int]) -> tuple[int, ...]:
-    """Unfinished steps whose predecessors are all in `done`, ascending."""
-    done_set = set(done)
-    for index in done_set:
-        _check_index(index, plan.size)
-    preds = _pred_rows(plan.rows())
-    done_mask = 0
-    for index in done_set:
-        done_mask |= 1 << (index - 1)
-    return tuple(
-        j + 1 for j in range(plan.size) if not (done_mask >> j) & 1 and not (preds[j] & ~done_mask)
-    )
-
-
 def execution_order(plan: Plan) -> list[int]:
     """Concatenation of successive frontiers; a valid topological order."""
     if plan.order is None:
@@ -363,15 +356,6 @@ def linear_chain(steps: Sequence[PlanStep]) -> Plan:
     """The steps run in sequence: the dependency chain 1 -> 2 -> ... -> N."""
     n = len(steps)
     return Plan(tuple(steps), tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n)))
-
-
-_JUDGE_WORDS = ("judge", "judgment", "judgement", "decide", "final answer", "adjudicate")
-
-
-def is_judgment(content: str) -> bool:
-    """Whether a step's content asks for the final judgment of the question."""
-    low = content.lower()
-    return any(word in low for word in _JUDGE_WORDS)
 
 
 def duplicate_content(plan: Plan) -> list[tuple[int, ...]]:
@@ -432,12 +416,13 @@ def _insert_zero_bit(mask: int, position: int) -> int:
 def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
     """Apply edits sequentially, then normalize.
 
-    Merge(p, q) folds step q into p: contents concatenate (p first),
-    predecessors and successors union onto p, q is deleted and ids are
-    renumbered. InsertGuard(k) places a guard step directly after k that
-    intercepts all of k's outgoing edges. A step index out of range, a step
-    merged with itself, or a guard that would take the plan past MAX_STEPS
-    raises ShapeError.
+    Merge(p, q) folds step q into p: contents concatenate (p first), cited
+    statements and predecessors and successors union onto p, the merged step
+    is the judgment if either was (else it keeps p's kind), q is deleted and
+    ids are renumbered. InsertGuard(k) places a guard step directly after k
+    that intercepts all of k's outgoing edges and cites nothing. A step index
+    out of range, a step merged with itself, or a guard that would take the
+    plan past MAX_STEPS raises ShapeError.
     """
     steps: list[PlanStep] = list(plan.steps)
     rows: list[int] = plan.rows()
@@ -458,10 +443,12 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
             _check_index(edit.p, n)
             _check_index(edit.q, n)
             pi, qi = edit.p - 1, edit.q - 1
+            p, q = steps[pi], steps[qi]
             merged = PlanStep(
                 id=edit.p,
-                content=f"{steps[pi].content}; {steps[qi].content}",
-                kind=steps[pi].kind,
+                content=f"{p.content}; {q.content}",
+                kind="judgment" if "judgment" in (p.kind, q.kind) else p.kind,
+                uses=tuple(dict.fromkeys((*p.uses, *q.uses))),
             )
             rows[pi] |= rows[qi]
             q_bit = 1 << qi
@@ -489,7 +476,7 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
         else:
             raise TypeError(f"unknown edit operator: {edit!r}")
 
-    renumbered = tuple(PlanStep(id=index + 1, content=s.content, kind=s.kind) for index, s in enumerate(steps))
+    renumbered = tuple(replace(s, id=index + 1) for index, s in enumerate(steps))
     return Plan(renumbered, _rows_to_matrix(normalize_rows(rows), len(steps)))
 
 
@@ -498,14 +485,16 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
 # ---------------------------------------------------------------------------
 
 _PLAN_TOP_KEYS = {"Plan", "Matrix"}
-_STEP_KEYS = {"content", "kind"}
+_STEP_KEYS = {"content", "kind", "uses"}
 
 
-def plan_from_json(doc: Any) -> Plan:
-    """Parse {"Plan": {"1": {"content": ...}, ...}, "Matrix": [[...], ...]}.
+def plan_from_json(doc: Any, citable: Collection[int] | None = None) -> Plan:
+    """Parse {"Plan": {"1": {"content": ..., "uses": [...], "kind": ...}, ...}, "Matrix": [[...], ...]}.
 
-    Matrix entries must be the integers 0 or 1 (booleans rejected); the matrix
-    must be square with side equal to the step count.
+    `uses` and `kind` are optional. `uses` holds integers >= 1, and when
+    `citable` (the problem's fact and rule ids) is given, members of it.
+    Matrix entries must be the integers 0 or 1; booleans are rejected in
+    both. The matrix must be square with side equal to the step count.
     """
     if not isinstance(doc, dict):
         raise SchemaError("", "expected object")
@@ -538,7 +527,15 @@ def plan_from_json(doc: Any) -> Plan:
         kind = entry.get("kind", "inference")
         if kind not in STEP_KINDS:
             raise SchemaError(f"{pointer}/kind", f"expected one of {STEP_KINDS}")
-        steps.append(PlanStep(id=i, content=content, kind=kind))
+        uses = entry.get("uses", [])
+        if not isinstance(uses, list):
+            raise SchemaError(f"{pointer}/uses", "expected array")
+        for k, value in enumerate(uses):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise SchemaError(f"{pointer}/uses/{k}", "statement ids must be integers >= 1")
+            if citable is not None and value not in citable:
+                raise SchemaError(f"{pointer}/uses/{k}", f"statement {value} is not a fact or rule of the problem")
+        steps.append(PlanStep(id=i, content=content, kind=kind, uses=tuple(uses)))
     raw_matrix = doc["Matrix"]
     if not isinstance(raw_matrix, list):
         raise SchemaError("/Matrix", "expected array")
@@ -561,6 +558,8 @@ def plan_to_json(plan: Plan) -> dict[str, Any]:
     step_doc: dict[str, Any] = {}
     for step in plan.steps:
         entry: dict[str, Any] = {"content": step.content}
+        if step.uses:
+            entry["uses"] = list(step.uses)
         if step.kind != "inference":
             entry["kind"] = step.kind
         step_doc[str(step.id)] = entry

@@ -337,10 +337,6 @@ class RuleTemplate:
     conclusion: _LiteralTemplate
     used: tuple[str, ...]
 
-    def instance_count(self, domain: Collection[str]) -> int:
-        """Distinct ground instances over `domain`: one per binding of the used variables."""
-        return len(domain) ** len(self.used) if domain or not self.variables else 0
-
     def has_instance(self, premises: Sequence[Literal], conclusion: Literal, domain: Collection[str]) -> bool:
         """Whether a binding over `domain` instantiates this rule to `premises` -> `conclusion`."""
         if len(premises) != len(self.premises) or (self.variables and not domain):

@@ -34,7 +34,6 @@ __all__ = [
     "StructuredRepr",
     "RawContext",
     "build_repr",
-    "serialize_repr",
     "deserialize_repr",
     "repr_to_doc",
     "doc_to_repr",
@@ -223,10 +222,6 @@ def repr_to_doc(repr_: StructuredRepr) -> dict[str, Any]:
     }
 
 
-def serialize_repr(repr_: StructuredRepr) -> bytes:
-    return repr_.text.encode("utf-8")
-
-
 def _require(value: Any, kind: type, pointer: str, what: str) -> Any:
     if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise SchemaError(pointer, f"expected {what}")
@@ -317,7 +312,7 @@ def doc_to_repr(doc: Any) -> StructuredRepr:
 
 
 def deserialize_repr(data: bytes | str) -> StructuredRepr:
-    """Parse the JSON document form; inverse of serialize_repr."""
+    """Parse the JSON document form, as `StructuredRepr.text` holds it, in text or UTF-8 bytes."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:

@@ -734,16 +734,13 @@ def reference_diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None 
 
     # premature termination: the judgment ran while rules could still fire
     if rules is not None and has_structured_records:
-        judgment_id = None
-        cutoff = len(trace.records)
-        for index, record in enumerate(trace.records):
-            if 1 <= record.step_id <= trace.plan.size and planmod.is_judgment(
-                trace.plan.steps[record.step_id - 1].content
-            ):
-                judgment_id = record.step_id
-                cutoff = index
-                break
-        if judgment_id is not None:
+        # the judgment step: the first of kind "judgment" in the layered
+        # schedule, else the schedule's last step; none on a cycle
+        schedule = kahn_layers_reference(trace.plan.matrix) or []
+        judges = [i for i in schedule if trace.plan.steps[i - 1].kind == "judgment"] + schedule[-1:]
+        judgment_id = judges[0] if judges else None
+        cutoff = next((k for k, r in enumerate(trace.records) if r.step_id == judgment_id), None)
+        if cutoff is not None:
             # Premises are given, so they count as available from the start.
             available = set(kb.literals)
             for record in trace.records[:cutoff]:

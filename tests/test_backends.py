@@ -168,11 +168,36 @@ def test_solver_stub_translate_passes_formula_text_through():
     assert doc["Proposition"] == [{"statement": "P(tom)", "symbol": "P(tom)"}]
 
 
+STUB_PREMISES = ("P(tom)", "∀x (P(x) → Q(x))", "R(tom)", "∀x (Q(x) → S(x))")
+
+
+def _stub_plan(context, stage="plan", backend=None):
+    meta = StageMeta(stage=stage, payload={"context": context})
+    return json.loads((backend or SolverStubBackend()).complete("p", GenerationParams(meta=meta)))
+
+
 def test_solver_stub_plan_is_linear_chain():
-    backend = SolverStubBackend()
-    doc = json.loads(backend.complete("p", GenerationParams(meta=StageMeta(stage="plan"))))
+    doc = _stub_plan(build_repr([(p, p) for p in STUB_PREMISES], [("S(tom)", "S(tom)")]))
     n = len(doc["Plan"])
     assert doc["Matrix"] == [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def test_solver_stub_plan_cites_the_facts_then_the_rules_then_judges():
+    context = build_repr([(p, p) for p in STUB_PREMISES], [("S(tom)", "S(tom)")])
+    facts = {"content": "Collect the initial facts from the premises.", "uses": [1, 3]}
+    rules = {"content": "Run the rules to a fixpoint.", "uses": [2, 4]}
+    judge = {"content": "Judge the question against the derived facts.", "kind": "judgment"}
+    assert _stub_plan(context)["Plan"] == {"1": facts, "2": rules, "3": judge}
+    # the degraded first plan leaves out the rules step; its replan restores the full plan
+    degraded = SolverStubBackend(degrade_initial_plan=True)
+    assert _stub_plan(context, backend=degraded)["Plan"] == {"1": facts, "2": judge}
+    revised = _stub_plan(context, "replan", degraded)["Revised plan"]
+    assert revised["Corrected_plan"] == {"1": facts, "2": rules, "3": judge}
+    # with structured management ablated, the ids come from the decoded translation text
+    raw = RawContext(json.dumps(repr_to_doc(context), ensure_ascii=False))
+    assert _stub_plan(raw)["Plan"] == {"1": facts, "2": rules, "3": judge}
+    with pytest.raises(BackendError, match="lacks a context"):
+        _stub_plan(None)
 
 
 def test_solver_stub_requires_metadata():
@@ -190,9 +215,9 @@ def test_solver_stub_solve_reads_typed_context_and_plan(question):
     premises = ["∀x (Cat(x) → Mammal(x))", "∀x (Dog(x) → Mammal(x))", "Dog(tom)"]
     context = build_repr([(p, p) for p in premises], [(question, question)])
     steps = (
-        PlanStep(1, "Collect the initial facts from the premises."),
-        PlanStep(2, "Run the ground rules to a fixpoint."),
-        PlanStep(3, "Judge the question against the derived facts."),
+        PlanStep(1, "Collect the initial facts from the premises.", uses=(3,)),
+        PlanStep(2, "Run the ground rules to a fixpoint.", uses=(1, 2)),
+        PlanStep(3, "Judge the question against the derived facts.", kind="judgment"),
     )
     plan = Plan(steps, ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
     expected = decide(forward_chain(kb_from_repr(context)), parse_formula(question)).label
@@ -204,12 +229,35 @@ def test_solver_stub_solve_reads_typed_context_and_plan(question):
 
 def test_solver_stub_notes_the_answer_on_an_adjudicate_step():
     context = build_repr([("Dog(tom)", "Dog(tom)")], [("Dog(tom)", "Dog(tom)")])
-    steps = (PlanStep(1, "Collect the initial facts from the premises."), PlanStep(2, "Adjudicate the question."))
+    steps = (
+        PlanStep(1, "Collect the initial facts from the premises.", uses=(1,)),
+        PlanStep(2, "Adjudicate the question."),
+    )
     plan = Plan(steps, ((0, 1), (0, 0)))
     meta = StageMeta(stage="solve", payload={"context": context, "plan": plan})
     doc = json.loads(SolverStubBackend().complete("p", GenerationParams(meta=meta)))
     assert doc["Final answer"] == "T"
     assert doc["Execution log"][-1]["note"] == "Adjudicate the question. -> T"
+
+
+def test_solver_stub_runs_each_step_from_its_citations_and_kind():
+    context = build_repr([(p, p) for p in STUB_PREMISES], [("S(tom)", "S(tom)")])
+    steps = (
+        PlanStep(1, "Run every rule to a fixpoint, then judge.", uses=(1,)),  # the wording is not read
+        PlanStep(2, "Apply the first rule.", uses=(2,)),
+        PlanStep(3, "Weigh what is known.", kind="judgment"),
+        PlanStep(4, "Apply the second rule.", uses=(4,)),
+    )
+    plan = Plan(steps, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    meta = StageMeta(stage="solve", payload={"context": context, "plan": plan})
+    doc = json.loads(SolverStubBackend().complete("p", GenerationParams(meta=meta)))
+    assert [(e["note"], e["derived"]) for e in doc["Execution log"]] == [
+        ("Run every rule to a fixpoint, then judge.", ["P(tom)"]),
+        ("Apply the first rule.", ["Q(tom)"]),
+        ("Weigh what is known. -> U", []),
+        ("Apply the second rule.", ["S(tom)"]),
+    ]
+    assert doc["Final answer"] == "U"  # judged before the second rule fired
 
 
 def test_solver_stub_solve_needs_context_and_plan():

@@ -73,12 +73,12 @@ def test_prove_bad_formula_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_prove_bad_formula_names_its_line_by_pointer(tmp_path, capsys):
+def test_prove_bad_formula_names_its_file_line(tmp_path, capsys):
     premises = tmp_path / "bad.txt"
-    premises.write_text("# facts\nP(ada)\nP(ada\n", encoding="utf-8")
+    premises.write_text("# facts\n\nP(ada)\nP(ada\n", encoding="utf-8")
     assert main(["prove", str(premises), "-q", "P(ada)"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: /Premises/1/symbol: ") and "statement 1" not in err
+    assert err.startswith(f"error: {premises}:4: ") and "/Premises" not in err
 
 
 def test_plan_validate_ok(tmp_path, capsys):

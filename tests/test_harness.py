@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_formula, random_horn_kb
 from proofplan.backends import ScriptedBackend, SolverStubBackend
@@ -471,3 +473,77 @@ def test_solver_stub_scores_no_random_theory_as_an_unexpected_error():
             assert record.failure_kind != "error", (premises, question, cwa)
             kinds.add(record.failure_kind)
     assert {"backend", "format", "wrong-label", None} <= kinds
+
+
+
+# Per mutation: what it puts in place. Citations range over valid ids, 0,
+# negatives, the question's id (8 for fig1b, 2 for batch3) and past the last
+# statement, with booleans and other types mixed in.
+_CITATION = st.one_of(st.booleans(), st.integers(-1, 12), st.sampled_from([1.5, "1", None]))
+_MUTANT_VALUES = {
+    "drop": st.none(),
+    "rename": st.sampled_from(["_", "Plan", "content", "uses"]),
+    "retype": st.sampled_from([None, True, 0, -1, 1.5, "", "x", [], {}, [1], {"a": 1}]),
+    "garble": st.tuples(st.integers(0, 200), st.sampled_from("()¬∀→,x ")),
+    "uses": st.one_of(_CITATION, st.lists(_CITATION, max_size=3)),
+    "kind": st.sampled_from(["bogus", "", 3, None, "Judgment", "judgment", "guard"]),
+}
+
+
+def _mutate(doc, path, op, value):
+    """`doc` with one change: a plan step's `uses` or `kind` set to `value`,
+    or at the node that `path` picks (each index modulo the fan-out) a key
+    dropped or renamed, a value retyped, or a character put into a string."""
+    if op in ("uses", "kind"):
+        steps = doc.get("Plan") or doc.get("Revised plan", {}).get("Corrected_plan")
+        if not steps:  # a solve reply has no plan
+            return doc
+        steps[sorted(steps)[path[0] % len(steps) if path else 0]][op] = value
+        return doc
+    parent, key, node = None, None, doc
+    for index in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent, key = node, (sorted(node) if isinstance(node, dict) else range(len(node)))[index % len(node)]
+        node = node[key]
+    if parent is None:
+        return value
+    if op == "drop":
+        del parent[key]
+    elif op == "rename" and isinstance(parent, dict):
+        parent[f"{key}{value}"] = parent.pop(key)
+    elif op == "garble" and isinstance(node, str):
+        cut = value[0] % (len(node) + 1)
+        parent[key] = node[:cut] + value[1] + node[cut:]
+    elif op == "retype":
+        parent[key] = value
+    return doc
+
+
+class _MutatingStub:
+    """The solver stub, with its reply to one stage passed through `mutate`."""
+
+    def __init__(self, stage, mutate):
+        self.inner, self.stage, self.mutate = SolverStubBackend(), stage, mutate
+
+    def complete(self, prompt, params):
+        reply = self.inner.complete(prompt, params)
+        return json.dumps(self.mutate(json.loads(reply))) if params.meta.stage == self.stage else reply
+
+
+_STUB_INSTANCES = load_dataset(DATA / "fig1b.json") + load_dataset(DATA / "batch3.json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_stub_replies_never_score_an_unexpected_error(data):
+    instance = data.draw(st.sampled_from(_STUB_INSTANCES), label="instance")
+    stage = data.draw(st.sampled_from(["plan", "solve", "replan"]), label="stage")
+    op = data.draw(st.sampled_from(sorted(_MUTANT_VALUES)), label="op")
+    value = data.draw(_MUTANT_VALUES[op], label="value")
+    path = data.draw(st.lists(st.integers(0, 40), max_size=6), label="path")
+    # every run gets a fresh copy of the stub's reply, so both runs see the same mutation
+    backend = _MutatingStub(stage, lambda doc: _mutate(doc, path, op, value))
+    for cwa in (False, True):
+        record, _ = _run_one(instance, backend, HarnessConfig(pipeline=PipelineConfig(cwa=cwa)))
+        assert record.failure_kind != "error", (instance.id, stage, op, value, path, cwa)

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 
@@ -26,7 +25,6 @@ from proofplan.plan import (
     apply_edits,
     duplicate_content,
     execution_order,
-    frontier,
     normalize,
     plan_from_json,
     plan_to_json,
@@ -93,23 +91,6 @@ def test_validate_dag_shape_error_on_diagonal():
     plan = plan_from_matrix([[1]])
     with pytest.raises(ShapeError):
         validate_dag(plan)
-
-
-def test_frontier_chain_and_diamond():
-    plan = chain(3)
-    assert frontier(plan, set()) == (1,)
-    assert frontier(plan, {1}) == (2,)
-    diamond = edges_plan(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
-    assert frontier(diamond, {1, 2}) == (3,)
-
-
-def test_frontier_matches_brute_force_on_diamond():
-    diamond = edges_plan(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
-    preds = {j: predecessors(diamond, j) for j in range(1, 5)}
-    for size in range(5):
-        for done in map(set, itertools.combinations(range(1, 5), size)):
-            expected = tuple(sorted(j for j in range(1, 5) if j not in done and preds[j] <= done))
-            assert frontier(diamond, done) == expected
 
 
 def test_execution_order_examples():
@@ -230,6 +211,42 @@ def test_merge_preserves_outside_reachability():
                     assert after[merge_remap(a, p, q) - 1][merge_remap(b, p, q) - 1]
 
 
+def test_merge_unions_citations_and_keeps_the_judgment_kind():
+    steps = (
+        PlanStep(1, "collect", uses=(3, 1)),
+        PlanStep(2, "judge", kind="judgment", uses=(1, 4)),
+        PlanStep(3, "apply", uses=(2,)),
+        PlanStep(4, "check", kind="guard"),
+    )
+    plan = Plan(steps, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    merged = apply_edits(plan, [Merge(1, 2)])
+    assert merged.steps[0] == PlanStep(1, "collect; judge", kind="judgment", uses=(3, 1, 4))
+    assert merged.steps[1:] == (PlanStep(2, "apply", uses=(2,)), PlanStep(3, "check", kind="guard"))
+    assert apply_edits(plan, [Merge(3, 2)]).steps[1] == PlanStep(2, "apply; judge", kind="judgment", uses=(2, 1, 4))
+    # neither is the judgment: p's kind is kept
+    assert apply_edits(plan, [Merge(4, 3)]).steps[2] == PlanStep(3, "check; apply", kind="guard", uses=(2,))
+    # a guard cites nothing, and renumbering keeps every citation
+    guarded = apply_edits(plan, [InsertGuard(1)])
+    assert [(s.id, s.kind, s.uses) for s in guarded.steps] == [
+        (1, "inference", (3, 1)),
+        (2, "guard", ()),
+        (3, "judgment", (1, 4)),
+        (4, "inference", (2,)),
+        (5, "guard", ()),
+    ]
+
+
+def test_judgment_is_the_first_judgment_kind_step_in_execution_order():
+    steps = tuple(PlanStep(i, f"s{i}") for i in range(1, 5))
+    # execution order 2, 4, 3, 1
+    matrix = ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0))
+    assert Plan(steps, matrix).judgment == 1  # no judgment kind: the last step in execution order
+    judged = (steps[0], PlanStep(2, "s2", kind="judgment"), steps[2], PlanStep(4, "s4", kind="judgment"))
+    assert Plan(judged, matrix).judgment == 2
+    assert Plan(judged[:1] + (steps[1],) + judged[2:], matrix).judgment == 4
+    assert Plan(steps[:2], ((0, 1), (1, 0))).judgment is None  # a cycle has no execution order
+
+
 def test_merge_self_rejected():
     with pytest.raises(ShapeError, match="cannot merge step 2 with itself"):
         apply_edits(chain(3), [Merge(2, 2)])
@@ -310,6 +327,26 @@ def test_plan_json_validation():
         plan_from_json({"Plan": good["Plan"], "Matrix": [[0, 1], [0, 0]], "Extra": 1})
 
 
+def test_plan_json_reads_and_writes_citations_and_the_judgment_kind():
+    doc = {
+        "Plan": {"1": {"content": "a", "uses": [2, 1]}, "2": {"content": "b", "kind": "judgment"}},
+        "Matrix": [[0, 1], [0, 0]],
+    }
+    plan = plan_from_json(doc)
+    assert plan.steps == (PlanStep(1, "a", uses=(2, 1)), PlanStep(2, "b", kind="judgment"))
+    assert plan_to_json(plan) == doc
+    # an empty citation list is the same as none, and is not written
+    bare = {"Plan": {"1": {"content": "a", "uses": []}}, "Matrix": [[0]]}
+    assert plan_to_json(plan_from_json(bare)) == {"Plan": {"1": {"content": "a"}}, "Matrix": [[0]]}
+    for uses, pointer in [(1, "/Plan/1/uses"), ({"1": 1}, "/Plan/1/uses"), ([True], "/Plan/1/uses/0"),
+                          ([1, 0], "/Plan/1/uses/1"), ([-2], "/Plan/1/uses/0"), ([1.0], "/Plan/1/uses/0")]:
+        with pytest.raises(SchemaError) as err:
+            plan_from_json({"Plan": {"1": {"content": "a", "uses": uses}}, "Matrix": [[0]]})
+        assert err.value.pointer == pointer
+    with pytest.raises(SchemaError, match="/Plan/1/kind"):
+        plan_from_json({"Plan": {"1": {"content": "a", "kind": "verdict"}}, "Matrix": [[0]]})
+
+
 def test_plan_constructor_validation():
     with pytest.raises(ShapeError):
         Plan((PlanStep(1, "a"),), ((0, 1),))
@@ -325,24 +362,6 @@ def test_execution_order_matches_reference_on_random_dags():
         matrix = random_dag_matrix(rng, rng.randint(1, 10))
         plan = plan_from_matrix(matrix)
         assert execution_order(plan) == kahn_layers_reference(matrix)
-
-
-def test_frontier_trajectory_respects_dependencies():
-    rng = random.Random(5)
-    for _ in range(50):
-        matrix = random_dag_matrix(rng, rng.randint(1, 9))
-        plan = plan_from_matrix(matrix)
-        done: set[int] = set()
-        position: dict[int, int] = {}
-        clock = 0
-        while len(done) < plan.size:
-            layer = frontier(plan, done)
-            assert layer
-            for step in layer:
-                position[step] = clock
-                assert all(position[p] < clock for p in predecessors(plan, step))
-            clock += 1
-            done.update(layer)
 
 
 def test_normalize_random_digraphs_always_executable():

@@ -18,7 +18,6 @@ from proofplan.structured import (
     doc_to_repr,
     is_ground_literal,
     repr_to_doc,
-    serialize_repr,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -206,7 +205,7 @@ def test_serialize_round_trip_document_shape():
         ],
         questions=[("There is an animal.", "∃x Animal(x)")],
     )
-    data = serialize_repr(r)
+    data = r.text.encode("utf-8")
     doc = json.loads(data)
     assert set(doc) == {"Predicates", "Constants", "Premises", "Proposition"}
     assert doc["Premises"][0] == {
@@ -226,14 +225,14 @@ def test_repr_renderings_are_kept_and_repr_to_doc_stays_fresh():
     assert repr_to_doc(r) is not first and repr_to_doc(r)["Premises"]
     assert r.doc is r.doc and r.doc == repr_to_doc(r)
     assert r.text is r.text
-    assert serialize_repr(r) == json.dumps(repr_to_doc(r), ensure_ascii=False, indent=2).encode("utf-8")
+    assert r.text.encode("utf-8") == json.dumps(repr_to_doc(r), ensure_ascii=False, indent=2).encode("utf-8")
 
 
 def test_empty_repr_round_trips():
     r = build_repr([])
-    doc = json.loads(serialize_repr(r))
+    doc = json.loads(r.text.encode("utf-8"))
     assert doc["Premises"] == [] and doc["Proposition"] == []
-    assert deserialize_repr(serialize_repr(r)) == r
+    assert deserialize_repr(r.text.encode("utf-8")) == r
 
 
 def test_missing_symbol_key_reports_pointer():
@@ -268,7 +267,7 @@ def test_declared_blocks_round_trip_sorts():
     }
     r = deserialize_repr(json.dumps(doc))
     assert r.table.predicate_sorts["Weighs"] == ("animal", "quantity")
-    assert deserialize_repr(serialize_repr(r)) == r
+    assert deserialize_repr(r.text.encode("utf-8")) == r
 
 
 def test_is_ground_literal():
@@ -308,6 +307,6 @@ def test_serialize_round_trip_generated(seed):
     ]
     questions = [("q?", "∃x P(x)")] if rng.random() < 0.5 else []
     r = build_repr(facts + rules, questions=questions)
-    assert deserialize_repr(serialize_repr(r)) == r
+    assert deserialize_repr(r.text.encode("utf-8")) == r
     doc = repr_to_doc(r)
     assert deserialize_repr(json.dumps(doc)) == r
