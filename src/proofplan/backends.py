@@ -190,7 +190,7 @@ class ScriptedBackend(Backend):
 
 
 def _reply(doc: Any) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2)
+    return json.dumps(doc, ensure_ascii=False)
 
 
 class SolverStubBackend(Backend):

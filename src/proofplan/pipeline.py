@@ -21,7 +21,7 @@ from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
 from .plan import CycleError, Plan
-from .solver import Literal, SolverForm, StepRecord, Verdict, step_record_from_doc, step_record_to_doc
+from .solver import Literal, SolverForm, StepRecord, Verdict, step_record_from_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr
 
 __all__ = [
@@ -602,9 +602,11 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     traces = [replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)]
     diagnoses: list[Diagnosis] = []
     for _ in range(config.max_replan_rounds):
-        report = diagnose(traces[-1], cwa=config.cwa, form=form)
-        diagnoses.append(report)
-        outcome = replan_stage(backend, traces[-1], report, config, problem, form=form)
+        last = traces[-1]
+        # a diagnosis reads only the context, plan and records, so a round that repeats them repeats it
+        unchanged = len(traces) > 1 and last.plan is traces[-2].plan and last.records is traces[-2].records
+        diagnoses.append(diagnoses[-1] if unchanged else diagnose(last, cwa=config.cwa, form=form))
+        outcome = replan_stage(backend, last, diagnoses[-1], config, problem, form=form)
         trace = outcome.embedded_trace
         if trace is None:
             trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces), form=form)
@@ -620,8 +622,9 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
 def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
     """JSON-ready trace record; deterministic for a fixed backend transcript.
 
-    A structured context appears as the representation's kept `doc`, shared
-    with its other traces, so callers serialize the record and do not mutate it.
+    A structured context and each step record appear as their kept `doc`,
+    shared with the other traces that hold them, so callers serialize the
+    record and do not mutate it.
     """
     context = trace.context
     context_doc = {"raw": context.text} if isinstance(context, RawContext) else context.doc
@@ -632,6 +635,6 @@ def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
         "warnings": list(trace.warnings),
         "context": context_doc,
         "plan": planmod.plan_to_json(trace.plan),
-        "records": [step_record_to_doc(r) for r in trace.records],
+        "records": [r.doc for r in trace.records],
         "raw": dict(sorted(trace.raw.items())),
     }

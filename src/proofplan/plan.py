@@ -118,9 +118,9 @@ class Plan:
 
     @functools.cached_property
     def text(self) -> str:
-        """Prompt rendering: indented `plan_to_json` and the execution order; computed once."""
+        """Prompt rendering: compact `plan_to_json` and the execution order; computed once."""
         order = ", ".join(str(i) for i in execution_order(self))
-        return json.dumps(plan_to_json(self), ensure_ascii=False, indent=2) + f"\nExecution order: {order}"
+        return json.dumps(plan_to_json(self), ensure_ascii=False) + f"\nExecution order: {order}"
 
     def rows(self) -> list[int]:
         out = []

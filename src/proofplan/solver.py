@@ -151,6 +151,11 @@ class StepRecord:
     derived: tuple[Literal, ...] = ()
     derivations: tuple[GroundRule, ...] = ()
 
+    @functools.cached_property
+    def doc(self) -> dict[str, Any]:
+        """`step_record_to_doc` of this record, computed once; treat it as read-only."""
+        return step_record_to_doc(self)
+
 
 _STEP_RECORD_KEYS = {"step", "note", "status", "derived", "derivations"}
 

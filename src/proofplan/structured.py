@@ -68,8 +68,8 @@ class StructuredRepr:
 
     @functools.cached_property
     def text(self) -> str:
-        """The document as indented JSON, as prompts carry it; computed once."""
-        return json.dumps(self.doc, ensure_ascii=False, indent=2)
+        """The document as compact JSON, as prompts carry it; computed once."""
+        return json.dumps(self.doc, ensure_ascii=False)
 
     @functools.cached_property
     def warnings(self) -> tuple[str, ...]:
@@ -177,11 +177,11 @@ def build_repr(
         parsed.append(AlignedStatement(id=index + 1, nl=nl, symbol=symbol))
 
     table = declared if declared is not None else _infer_table(s.symbol for s in parsed)
-    premise_part = parsed[: len(pairs)]
-    question_part = parsed[len(pairs) :]
-    facts = tuple(s for s in premise_part if is_ground_literal(s.symbol))
-    rules = tuple(s for s in premise_part if not is_ground_literal(s.symbol))
-    return StructuredRepr(table=table, facts=facts, rules=rules, questions=tuple(question_part))
+    facts: list[AlignedStatement] = []
+    rules: list[AlignedStatement] = []
+    for s in parsed[: len(pairs)]:
+        (facts if is_ground_literal(s.symbol) else rules).append(s)
+    return StructuredRepr(table, tuple(facts), tuple(rules), tuple(parsed[len(pairs) :]))
 
 
 # ---------------------------------------------------------------------------

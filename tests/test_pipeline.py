@@ -920,12 +920,12 @@ def test_evaluate_decodes_each_instance_on_its_own(monkeypatch):
 # produces on a dataset; the prompts and traces must not change when the
 # stage glue is rewritten.
 STUB_TRANSCRIPT_SHA256 = {
-    ("fig1b.json", "default"): "4029ce5421461e1f2f7a8681e3378d3bce1a93c37b9a84e7e5a117ffa9a53bca",
-    ("fig1b.json", "mp"): "797bad6c8ba7574df851858124346ea3fc574cd61713753730aaed4136292a90",
-    ("fig1b.json", "srm"): "66fae1fb1dfe7f15f98c843c451d2aa7ab97ae2c7b2d9990e5f7f87225615870",
-    ("batch3.json", "default"): "6a31c9d8cb93c30e5b86b5b245c9a915d6c3250ab71e1f52338aa97f5f8e70e6",
-    ("batch3.json", "mp"): "207d8ea3bbea66e2d6c2a6eae7281cace076cc5ad0db75327fe5485a01f536a1",
-    ("batch3.json", "srm"): "99b8286751527fea56adf5bd3d9747bf24c23972a32ce139b5b187c983935661",
+    ("fig1b.json", "default"): "745c39731e7e8bc9996cc52e3639955c6bc81d223c1cc8dae4530006fecd08f8",
+    ("fig1b.json", "mp"): "8384907e91e6798d677ccc30c4e71be5058ae4548e39e174de724c7d84b56a15",
+    ("fig1b.json", "srm"): "db7d5dc8eb061f8ecb8d38c0caee5d76f744701601c32c928906d9c5718bd5fc",
+    ("batch3.json", "default"): "693df1c89839f32f823aa8d22e6940e7831ecb746fec0796dbe1c06a9a9b3216",
+    ("batch3.json", "mp"): "e8158a6c5d1fb6bdd82d71f000869ebab295a968129cad7c9478baff75a3c74d",
+    ("batch3.json", "srm"): "3a0b184f9ab7192c36e99b504fe49e43e54a068ba2639d9bdf45846695754dc6",
 }
 
 TRANSCRIPT_CONFIGS = {
@@ -948,6 +948,51 @@ def test_run_pipeline_stub_prompts_and_replies_are_pinned(dataset, mode):
         for trace in result.traces:
             digest.update(json.dumps(trace_to_doc(trace, instance.id), ensure_ascii=False).encode("utf-8"))
     assert digest.hexdigest() == STUB_TRANSCRIPT_SHA256[dataset, mode]
+
+
+@pytest.mark.parametrize("mode", ["default", "srm"])
+def test_solver_stub_replies_carry_no_indentation(mode):
+    stages = set()
+    for name in ("fig1b.json", "batch3.json"):
+        for instance in load_dataset(DATA / name):
+            problem = Problem(id=instance.id, premises=instance.premises, question=instance.question)
+            backend = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
+            run_pipeline(backend, problem, TRANSCRIPT_CONFIGS[mode])
+            for meta, _, reply in backend.calls:
+                stages.add(meta.stage)
+                assert "\n  " not in reply
+    assert stages == {"translate", "plan", "solve", "replan"}
+
+
+def test_trace_to_doc_encodes_each_derivation_once(monkeypatch):
+    encoded = []  # keeps every encoded object alive, so their ids stay distinct
+    derivation_to_doc = solvermod.derivation_to_doc
+    monkeypatch.setattr(solvermod, "derivation_to_doc", lambda g: encoded.append(g) or derivation_to_doc(g))
+    result = run_pipeline(SolverStubBackend(), fig1b_problem(), PipelineConfig(max_replan_rounds=2))
+    docs = [trace_to_doc(trace, "fig1b") for trace in result.traces]
+    # every round runs the same plan, so the traces share one records tuple
+    assert result.traces[0].records is result.traces[2].records
+    kept = {id(d) for trace in result.traces for record in trace.records for d in record.derivations}
+    assert kept and kept <= {id(g) for g in encoded}
+    assert len({id(g) for g in encoded}) == len(encoded)
+    assert docs[0]["records"] == docs[2]["records"]
+
+
+def test_run_pipeline_reuses_the_diagnosis_of_an_unchanged_round(monkeypatch):
+    callers = []
+    fire_rounds = solvermod.fire_rounds
+
+    def counting_fire_rounds(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return fire_rounds(*args, **kwargs)
+
+    monkeypatch.setattr(solvermod, "fire_rounds", counting_fire_rounds)
+    result = run_pipeline(SolverStubBackend(), fig1b_problem(), PipelineConfig(max_replan_rounds=2))
+    assert callers.count("proofplan.pipeline") == 1
+    first, second = result.traces[:2]
+    assert second.plan is first.plan and second.records is first.records
+    assert result.diagnoses[1] is result.diagnoses[0]
+    assert result.diagnoses[1] == diagnose(second)
 
 
 def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):

@@ -312,6 +312,17 @@ def test_plan_json_round_trip():
     assert again.matrix == plan.matrix
 
 
+def test_plan_text_is_compact_plan_json_then_the_execution_order():
+    cited = Plan(
+        (PlanStep(1, "Sammle die Fakten (∀x).", uses=(2, 1)), PlanStep(2, "Urteile.", "judgment")),
+        ((0, 1), (0, 0)),
+    )
+    for plan in (apply_edits(chain(3), [InsertGuard(2)]), cited):
+        head, _, order = plan.text.partition("\n")
+        assert plan_from_json(json.loads(head)) == plan
+        assert order == "Execution order: " + ", ".join(str(i) for i in execution_order(plan))
+
+
 def test_plan_json_validation():
     good = {"Plan": {"1": {"content": "a"}, "2": {"content": "b"}}, "Matrix": [[0, 1], [0, 0]]}
     plan_from_json(good)

@@ -225,7 +225,25 @@ def test_repr_renderings_are_kept_and_repr_to_doc_stays_fresh():
     assert repr_to_doc(r) is not first and repr_to_doc(r)["Premises"]
     assert r.doc is r.doc and r.doc == repr_to_doc(r)
     assert r.text is r.text
-    assert r.text.encode("utf-8") == json.dumps(repr_to_doc(r), ensure_ascii=False, indent=2).encode("utf-8")
+    assert r.text.encode("utf-8") == json.dumps(repr_to_doc(r), ensure_ascii=False).encode("utf-8")
+
+
+def test_repr_text_is_compact_json_that_reads_back():
+    contexts = [
+        translate_stage(SolverStubBackend(), Problem(i.id, i.premises, i.question))[0]
+        for name in ("fig1b.json", "batch3.json")
+        for i in load_dataset(DATA / name)
+    ]
+    declared = {
+        "Predicates": {"Wiegt": {"arity": 2, "sorts": ["Tier", ""]}},
+        "Constants": {"mieze": {"sort": "Tier"}, "kilo": {}},
+        "Premises": [{"statement": "Das Kätzchen wiegt ein Kilo.", "symbol": "Wiegt(mieze, kilo)"}],
+        "Proposition": [{"statement": "Wiegt es nichts?", "symbol": "¬Wiegt(mieze, kilo)"}],
+    }
+    contexts.append(deserialize_repr(json.dumps(declared)))
+    for r in contexts:
+        assert r.text == json.dumps(r.doc, ensure_ascii=False)
+        assert deserialize_repr(r.text) == r
 
 
 def test_empty_repr_round_trips():
