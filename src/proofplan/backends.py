@@ -21,7 +21,7 @@ from typing import Any, Mapping
 from . import plan as planmod
 from . import solver as solvermod
 from .errors import SchemaError
-from .structured import RawContext, StructuredRepr, doc_to_repr
+from .structured import RawContext, StructuredRepr
 
 __all__ = [
     "API_KEY_ENV",
@@ -209,8 +209,7 @@ class SolverStubBackend(Backend):
     (with the closed-world phase when the solve payload's `cwa` is set). The
     rules are decomposed once per instance: the payload's `solver` form keeps
     the knowledge base and rule templates for the next call and for
-    `diagnose`, and the reply to each distinct (plan, `cwa`) pair in its
-    `memo`.
+    `diagnose`. Each solve call executes its plan afresh.
     """
 
     def __init__(self, degrade_initial_plan: bool = False):
@@ -261,34 +260,24 @@ class SolverStubBackend(Backend):
         return meta.payload.get("solver") or solvermod.SolverForm(context)
 
     def _solve(self, meta: StageMeta) -> str:
-        """The reply for the payload's plan and `cwa`, computed once per instance
-        and kept in the memo of its `solver` form (a fresh one when absent);
-        BackendError when the solver cannot run the context or its question."""
+        """The reply for the payload's plan and `cwa`, executed afresh; BackendError
+        when the solver cannot run the context or its question."""
         form = self._form(meta)
         plan = meta.payload.get("plan")
         if not isinstance(plan, planmod.Plan):
             raise BackendError("solver stub solve call lacks a plan")
-        cwa = meta.payload.get("cwa", False)
-        key = ("stub solve", plan.text, cwa)  # the text determines the plan
-        if key not in form.memo:
-            try:
-                form.memo[key] = self._execute(self._structured(form), plan, cwa)
-            except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge) as err:
-                raise BackendError(f"solver stub cannot run this context: {err}") from err
-        return form.memo[key]
+        try:
+            return self._execute(self._structured(form), plan, meta.payload.get("cwa", False))
+        except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge) as err:
+            raise BackendError(f"solver stub cannot run this context: {err}") from err
 
     @staticmethod
     def _structured(form: solvermod.SolverForm) -> solvermod.SolverForm:
-        """`form`, or with structured management ablated the form of its decoded context, decoded once."""
-        if not isinstance(form.context, RawContext):
-            return form
-        key = ("stub context",)
-        if key not in form.memo:
-            try:
-                form.memo[key] = solvermod.SolverForm(doc_to_repr(json.loads(form.context.text)))
-            except (json.JSONDecodeError, SchemaError) as err:
-                raise BackendError(f"solver stub cannot read the context: {err}") from err
-        return form.memo[key]
+        """`form.structured`, with a context it cannot decode as BackendError."""
+        try:
+            return form.structured
+        except SchemaError as err:
+            raise BackendError(f"solver stub cannot read the context: {err}") from err
 
     def _execute(self, form: solvermod.SolverForm, plan: planmod.Plan, cwa: bool) -> str:
         order = planmod.execution_order(plan)

@@ -308,13 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default="solver-stub", help="live, scripted:<dir>, or solver-stub")
         p.add_argument("--model", default="", help="model name for the live backend")
         p.add_argument("--base-url", default="", help=f"live endpoint base URL (key from ${API_KEY_ENV})")
-        p.add_argument("--format", default="tfu-json", choices=["tfu-json", "options-json"])
-        p.add_argument("--max-replan-rounds", type=_integer_at_least(0), default=1)
-        p.add_argument("--temperature", type=_temperature, default=0.0)
-        p.add_argument("--concurrency", type=_integer_at_least(1), default=4)
-        p.add_argument("--timeout-s", type=_seconds, default=300.0)
+        p.add_argument("--format", default="tfu-json", choices=["tfu-json", "options-json"], help="dataset label form")
+        rounds = "cap on replan rounds; a replan that keeps the plan and does not re-execute it ends the loop early"
+        p.add_argument("--max-replan-rounds", type=_integer_at_least(0), default=1, help=rounds)
+        p.add_argument("--temperature", type=_temperature, default=0.0, help="sampling temperature, finite and >= 0")
+        p.add_argument("--concurrency", type=_integer_at_least(1), default=4, help="instances run at once")
+        p.add_argument("--timeout-s", type=_seconds, default=300.0, help="per-instance time limit in seconds")
         p.add_argument("--ablate", default="", help="comma-separated: mp, srm, fdr")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="recorded in the report fingerprint")
         p.add_argument("--cwa", action="store_true", help="closed-world antecedent matching")
         p.add_argument("--traces", default="", help="write JSONL traces here")
 

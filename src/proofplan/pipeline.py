@@ -4,7 +4,7 @@ Each stage prompts the backend, extracts the first well-formed fenced JSON
 block from the reply, and parses it strictly; formatting violations raise
 StageParseError, which the harness scores as incorrect. The replan loop is
 driven by `diagnose`, a deterministic engine-side audit of the previous
-trace, and re-executes against the unchanged problem context.
+trace, and re-executes each revised plan against the unchanged context.
 """
 
 from __future__ import annotations
@@ -320,17 +320,13 @@ def solve_stage(
     form: SolverForm | None = None,
 ) -> Trace:
     """One solve call; `form`, the instance's `SolverForm`, is shared with the
-    backend and decodes the reply (a fresh one when absent). Each distinct
-    reply and execution order is decoded once, into `form.memo`."""
+    backend and decodes the reply's literals (a fresh one when absent)."""
     planmod.validate_dag(plan)
     form = SolverForm(context) if form is None else form
     values = {"repr": context.text, "plan": plan.text}
     payload = {"context": context, "plan": plan, "cwa": config.cwa, "solver": form}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
-    key = ("solve", raw, plan.order)
-    if key not in form.memo:  # a reply that fails to parse is not stored, so it raises again
-        form.memo[key] = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, form.literals)
-    records, label = form.memo[key]
+    records, label = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, form.literals)
     return Trace(
         context=context,
         plan=plan,
@@ -590,8 +586,10 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     """Translate, plan, solve, then diagnose/replan/re-solve up to the round cap.
 
     The problem context from translation is reused unchanged for every round;
-    the final verdict is the last round's provisional one. Any stage error
-    propagates and the caller decides how to score the instance.
+    the final verdict is the last round's provisional one. A replan that keeps
+    the plan and embeds no re-execution ends the loop with a round that keeps
+    the previous records and verdict. Any stage error propagates and the
+    caller decides how to score the instance.
     """
     context, translate_raw = translate_stage(backend, problem, config)
     form = SolverForm(context)  # each formula of the instance is decoded once
@@ -603,12 +601,13 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     diagnoses: list[Diagnosis] = []
     for _ in range(config.max_replan_rounds):
         last = traces[-1]
-        # a diagnosis reads only the context, plan and records, so a round that repeats them repeats it
-        unchanged = len(traces) > 1 and last.plan is traces[-2].plan and last.records is traces[-2].records
-        diagnoses.append(diagnoses[-1] if unchanged else diagnose(last, cwa=config.cwa, form=form))
+        diagnoses.append(diagnose(last, cwa=config.cwa, form=form))
         outcome = replan_stage(backend, last, diagnoses[-1], config, problem, form=form)
         trace = outcome.embedded_trace
         if trace is None:
+            if outcome.plan is last.plan:  # nothing new to execute, and another round would repeat this one
+                traces.append(replace(last, round=len(traces), raw={"replan": outcome.raw}, warnings=()))
+                break
             trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces), form=form)
         traces.append(replace(trace, raw={**trace.raw, "replan": outcome.raw}))
     return PipelineResult(traces=tuple(traces), diagnoses=tuple(diagnoses))
@@ -622,9 +621,9 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
 def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
     """JSON-ready trace record; deterministic for a fixed backend transcript.
 
-    A structured context and each step record appear as their kept `doc`,
-    shared with the other traces that hold them, so callers serialize the
-    record and do not mutate it.
+    A structured context, the plan and each step record appear as their kept
+    `doc`, shared with the other traces that hold them, so callers serialize
+    the record and do not mutate it.
     """
     context = trace.context
     context_doc = {"raw": context.text} if isinstance(context, RawContext) else context.doc
@@ -634,7 +633,7 @@ def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
         "provisional": trace.provisional.label,
         "warnings": list(trace.warnings),
         "context": context_doc,
-        "plan": planmod.plan_to_json(trace.plan),
+        "plan": trace.plan.doc,
         "records": [r.doc for r in trace.records],
         "raw": dict(sorted(trace.raw.items())),
     }

@@ -117,10 +117,15 @@ class Plan:
         return next((i for i in order if self.steps[i - 1].kind == "judgment"), order[-1]) if order else None
 
     @functools.cached_property
+    def doc(self) -> dict[str, Any]:
+        """`plan_to_json` of this plan, computed once; treat it as read-only."""
+        return plan_to_json(self)
+
+    @functools.cached_property
     def text(self) -> str:
-        """Prompt rendering: compact `plan_to_json` and the execution order; computed once."""
+        """Prompt rendering: the compact `doc` and the execution order; computed once."""
         order = ", ".join(str(i) for i in execution_order(self))
-        return json.dumps(plan_to_json(self), ensure_ascii=False) + f"\nExecution order: {order}"
+        return json.dumps(self.doc, ensure_ascii=False) + f"\nExecution order: {order}"
 
     def rows(self) -> list[int]:
         out = []

@@ -46,7 +46,7 @@ from .fol import (
     parse_formula,
     render_formula,
 )
-from .structured import RawContext, StructuredRepr
+from .structured import RawContext, StructuredRepr, deserialize_repr
 
 __all__ = [
     "Literal",
@@ -420,16 +420,14 @@ class SolverForm:
     `literals` maps each literal string decoded so far, from any reply of the
     instance, to its Literal, and starts with the stated facts. `kb` and
     `rules` are a structured context's open-world knowledge base and its rule
-    templates, built on first use (a failure raises again on every use).
-    `memo` keeps what the stages compute from the instance's inputs, keyed by
-    a tuple that names the work and holds those inputs, so a hit is what a
-    recomputation would give. Make one per instance and share it with nothing
-    else.
+    templates, and `structured` is the form of the context decoded into a
+    `StructuredRepr` (this form itself when it already is one); each is built
+    on first use, and a failure raises again on every use. Make one per
+    instance and share it with nothing else.
     """
 
     context: StructuredRepr | RawContext
     literals: dict[str, Literal] = field(default_factory=dict)
-    memo: dict[tuple[Any, ...], Any] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Replies cite stated facts by their text, so those need no parsing.
@@ -446,6 +444,13 @@ class SolverForm:
     @functools.cached_property
     def rules(self) -> tuple[RuleTemplate, ...]:
         return rule_templates(self.kb)
+
+    @functools.cached_property
+    def structured(self) -> SolverForm:
+        """This form, or for a raw context the form of `deserialize_repr` of its text (SchemaError if it has none)."""
+        if isinstance(self.context, StructuredRepr):
+            return self
+        return SolverForm(deserialize_repr(self.context.text))
 
 
 # ---------------------------------------------------------------------------

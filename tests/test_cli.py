@@ -454,8 +454,8 @@ def _eval_watching_the_write(dataset, traces, monkeypatch):
 
 def test_eval_traces_write_adds_little_to_the_heap(tmp_path, monkeypatch):
     traces = tmp_path / "t.jsonl"
-    report, peak = _eval_watching_the_write(_fig1b_copies(tmp_path, 120), traces, monkeypatch)
-    assert len(report.traces) == 240
+    report, peak = _eval_watching_the_write(_fig1b_copies(tmp_path, 140), traces, monkeypatch)
+    assert len(report.traces) == 280
     size = traces.stat().st_size
     assert size > 1_000_000
     assert peak < size / 10

@@ -21,7 +21,7 @@ from helpers import (
     reference_ground_rules,
     successors,
 )
-from proofplan import backends, pipeline
+from proofplan import pipeline
 from proofplan import plan as planmod
 from proofplan import solver as solvermod
 from proofplan import structured
@@ -920,10 +920,10 @@ def test_evaluate_decodes_each_instance_on_its_own(monkeypatch):
 # produces on a dataset; the prompts and traces must not change when the
 # stage glue is rewritten.
 STUB_TRANSCRIPT_SHA256 = {
-    ("fig1b.json", "default"): "745c39731e7e8bc9996cc52e3639955c6bc81d223c1cc8dae4530006fecd08f8",
+    ("fig1b.json", "default"): "291625c93082bc36708ae5bc2e41255f7ea38bd18b0c5bc82394b1f9d55043fd",
     ("fig1b.json", "mp"): "8384907e91e6798d677ccc30c4e71be5058ae4548e39e174de724c7d84b56a15",
     ("fig1b.json", "srm"): "db7d5dc8eb061f8ecb8d38c0caee5d76f744701601c32c928906d9c5718bd5fc",
-    ("batch3.json", "default"): "693df1c89839f32f823aa8d22e6940e7831ecb746fec0796dbe1c06a9a9b3216",
+    ("batch3.json", "default"): "90429c96017830ff2ec09a26f7e3ebffe8035ad1a464f35d4895fffa04ba4c90",
     ("batch3.json", "mp"): "e8158a6c5d1fb6bdd82d71f000869ebab295a968129cad7c9478baff75a3c74d",
     ("batch3.json", "srm"): "3a0b184f9ab7192c36e99b504fe49e43e54a068ba2639d9bdf45846695754dc6",
 }
@@ -970,29 +970,56 @@ def test_trace_to_doc_encodes_each_derivation_once(monkeypatch):
     monkeypatch.setattr(solvermod, "derivation_to_doc", lambda g: encoded.append(g) or derivation_to_doc(g))
     result = run_pipeline(SolverStubBackend(), fig1b_problem(), PipelineConfig(max_replan_rounds=2))
     docs = [trace_to_doc(trace, "fig1b") for trace in result.traces]
-    # every round runs the same plan, so the traces share one records tuple
-    assert result.traces[0].records is result.traces[2].records
+    # the replan keeps the plan, so the unchanged round shares round 0's records tuple
+    assert result.traces[0].records is result.traces[1].records
     kept = {id(d) for trace in result.traces for record in trace.records for d in record.derivations}
     assert kept and kept <= {id(g) for g in encoded}
     assert len({id(g) for g in encoded}) == len(encoded)
-    assert docs[0]["records"] == docs[2]["records"]
+    assert docs[0]["records"] == docs[1]["records"]
 
 
-def test_run_pipeline_reuses_the_diagnosis_of_an_unchanged_round(monkeypatch):
-    callers = []
-    fire_rounds = solvermod.fire_rounds
-
-    def counting_fire_rounds(*args, **kwargs):
-        callers.append(sys._getframe(1).f_globals["__name__"])
-        return fire_rounds(*args, **kwargs)
-
-    monkeypatch.setattr(solvermod, "fire_rounds", counting_fire_rounds)
-    result = run_pipeline(SolverStubBackend(), fig1b_problem(), PipelineConfig(max_replan_rounds=2))
-    assert callers.count("proofplan.pipeline") == 1
-    first, second = result.traces[:2]
+def test_run_pipeline_ends_on_a_replan_that_keeps_the_plan():
+    backend = RecordingBackend(SolverStubBackend())
+    result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=3))
+    assert [m.stage for m, _, _ in backend.calls] == ["translate", "plan", "solve", "replan"]
+    assert result.rounds_used == 1 and len(result.diagnoses) == 1
+    first, second = result.traces
     assert second.plan is first.plan and second.records is first.records
-    assert result.diagnoses[1] is result.diagnoses[0]
-    assert result.diagnoses[1] == diagnose(second)
+    assert second.provisional == first.provisional and second.round == 1
+    assert sorted(second.raw) == ["replan"]
+
+
+def test_run_pipeline_solves_a_changed_plan_and_then_ends():
+    backend = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
+    result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=3))
+    stages = [m.stage for m, _, _ in backend.calls]
+    assert stages == ["translate", "plan", "solve", "replan", "solve", "replan"]
+    assert result.rounds_used == 2 and len(result.diagnoses) == 2
+    assert result.traces[2].plan is result.traces[1].plan and result.final.label == "F"
+
+
+def test_run_pipeline_uses_an_embedded_re_execution_of_an_unchanged_plan():
+    translate_doc = {
+        "Premises": [{"statement": "Cat(tom)", "symbol": "Cat(tom)"}],
+        "Proposition": [{"statement": "Cat(tom)", "symbol": "Cat(tom)"}],
+    }
+    steps = {"1": {"content": "Judge the question.", "kind": "judgment"}}
+    plan_doc = {"Plan": steps, "Matrix": [[0]]}
+    revised = {"Corrected_plan": steps, "Matrix": [[0]]}
+    backend = CannedBackend(
+        json.dumps(translate_doc),
+        json.dumps(plan_doc),
+        json.dumps({"Execution log": "no look", "Final answer": "U"}),
+        json.dumps({"Revised plan": revised, "Updated Execution log": "Cat(tom) is stated", "Final answer": "T"}),
+        json.dumps({"Revised plan": revised}),
+    )
+    problem = Problem(id="cat", premises=("Cat(tom)",), question="Cat(tom)")
+    result = run_pipeline(backend, problem, PipelineConfig(max_replan_rounds=3))
+    assert [stage for stage, _ in backend.calls] == ["translate", "plan", "solve", "replan", "replan"]
+    assert [t.provisional.label for t in result.traces] == ["U", "T", "T"]
+    assert all(t.plan is result.traces[0].plan for t in result.traces)
+    assert result.traces[1].records[0].text == "Cat(tom) is stated"
+    assert result.rounds_used == 2 and result.final.label == "T"
 
 
 def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
@@ -1004,10 +1031,10 @@ def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
     for trace in result.traces:
         trace_to_doc(trace, "fig1b")
     assert docs == [result.traces[0].context]
-    # once for the prompt text and once for each trace that records the plan;
-    # the replan of round 2 returns round 1's plan unchanged, so they share it
+    # one `doc` per distinct plan serves its prompt text and every trace that
+    # records it; the replan of round 2 returns round 1's plan unchanged
     assert result.traces[1].plan is result.traces[2].plan
-    assert [sum(q is t.plan for q in plans) for t in result.traces] == [2, 3, 3]
+    assert [sum(q is t.plan for q in plans) for t in result.traces] == [1, 1, 1]
 
 
 def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
@@ -1022,14 +1049,14 @@ def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
     monkeypatch.setattr(pipeline, "_parse_solve_doc", lambda *a: parsed.append(a[3]) or parse_solve_doc(*a))
     backend = SolverStubBackend(degrade_initial_plan=True)
     result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
-    # rounds 1 and 2 run the same full plan: the stub answers it once, and its reply is decoded once;
+    # round 2's replan keeps round 1's full plan, so round 2 makes no solve call;
     # only the full plan has a step that cites rules
     assert len({t.plan for t in result.traces}) == 2
     assert callers.count("proofplan.backends") == 1
     assert callers.count("proofplan.pipeline") == 2  # one diagnose per replan round
     assert parsed == [result.traces[0].raw["solve"], result.traces[1].raw["solve"]]
-    assert result.traces[2].raw["solve"] == result.traces[1].raw["solve"]
-    assert result.traces[2].records == result.traces[1].records
+    assert sorted(result.traces[2].raw) == ["replan"]
+    assert result.traces[2].records is result.traces[1].records
 
 
 def test_replan_stage_keeps_the_plan_object_only_when_the_plan_is_unchanged():
@@ -1041,7 +1068,7 @@ def test_replan_stage_keeps_the_plan_object_only_when_the_plan_is_unchanged():
     assert revised is not degraded and revised == full and revised is not full
 
 
-def test_solve_stage_decodes_each_distinct_reply_and_execution_order():
+def test_solve_stage_numbers_records_by_the_execution_order_and_rejects_a_bad_reply():
     form = solvermod.SolverForm(fig1b_context())
     log = [{"note": "collect"}, {"note": "apply", "derived": ["Round(lion)"]}, {"note": "judge"}]
     first = json.dumps({"Execution log": log, "Final answer": "T"})
@@ -1055,19 +1082,19 @@ def test_solve_stage_decodes_each_distinct_reply_and_execution_order():
     # the same reply under another execution order numbers its steps by that order
     assert [r.step_id for r in solve_stage(backend, fig1b_context(), swapped, form=form).records] == [1, 3, 2]
     assert [r.step_id for r in solve_stage(backend, fig1b_context(), plan, form=form).records] == [1, 2, 3]
-    for _ in range(2):  # a reply that fails to parse is not kept, so it fails every time
+    for _ in range(2):
         with pytest.raises(StageParseError):
             solve_stage(backend, fig1b_context(), plan, form=form)
 
 
 def test_solver_stub_decodes_an_unstructured_context_once_per_instance(monkeypatch):
     decoded, decomposed = [], []
-    doc_to_repr, rule_templates = backends.doc_to_repr, solvermod.rule_templates
-    monkeypatch.setattr(backends, "doc_to_repr", lambda doc: decoded.append(doc) or doc_to_repr(doc))
+    doc_to_repr, rule_templates = structured.doc_to_repr, solvermod.rule_templates
+    monkeypatch.setattr(structured, "doc_to_repr", lambda doc: decoded.append(doc) or doc_to_repr(doc))
     monkeypatch.setattr(solvermod, "rule_templates", lambda kb: decomposed.append(kb) or rule_templates(kb))
     config = PipelineConfig(disable_structured_repr=True)
     result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), fig1b_problem(), config)
-    assert result.traces[0].plan != result.traces[1].plan  # two solve calls that miss the reply memo
+    assert result.traces[0].plan != result.traces[1].plan  # two solve calls, for two plans
     assert len(decoded) == len(decomposed) == 1
 
 
