@@ -9,50 +9,63 @@ Exit codes: 0 success, 1 logic or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import secrets
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from . import plan as planmod
 from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
 from .errors import SchemaError
 from .fol import parse_formula
 from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset
-from .harness import report_to_doc, stratify_by_depth
+from .harness import report_to_doc, stratify_by_depth, trace_lines
 from .pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
 from .solver import Verdict, decide, forward_chain, kb_from_repr, step_record_from_doc
 from .structured import build_repr, deserialize_repr
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write `chunks` one at a time to a temp file beside `path`, then rename it over `path`."""
-    if not path.parent.exists():  # a parent that is a file then fails as "Not a directory"
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    # O_EXCL never reuses a file; mode 0o666 lets the umask set the bits, as open(path, "w") does.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _error(err: Exception) -> int:
+    """Print `error: <path>: <reason>` for a file error, else `error: <err>`; return 1."""
+    text = f"{err.filename}: {err.strerror or err}" if isinstance(err, OSError) and err.filename else err
+    print(f"error: {text}", file=sys.stderr)
+    return 1
+
+
+@contextlib.contextmanager
+def _atomic_write(path: str) -> Iterator[TextIO]:
+    """A handle on a temp file beside `path`, renamed over `path` when the block ends; a failure
+    unlinks the temp file, leaving any earlier `path` as it was, and an `OSError` names `path`."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
+        if not target.parent.exists():  # a parent that is a file then fails as "Not a directory"
+            target.parent.mkdir(parents=True, exist_ok=True)
+        # O_EXCL never reuses a file; mode 0o666 lets the umask set the bits, as open(path, "w") does.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                yield handle
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise OSError(err.errno, err.strerror or str(err), path) from err
 
 
 def _write_output(path: str, chunks: Iterable[str]) -> bool:
-    """`_atomic_write` to `path`; on failure print `error: <path>: <reason>` and return False."""
+    """Write `chunks` one at a time through `_atomic_write`; on failure print the error and return False."""
     try:
-        _atomic_write(Path(path), chunks)
+        with _atomic_write(path) as handle:
+            handle.writelines(chunks)
     except OSError as err:
-        print(f"error: {path}: {err.strerror or err}", file=sys.stderr)
+        _error(err)
         return False
     return True
 
@@ -92,8 +105,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         kb = forward_chain(kb_from_repr(context, cwa=args.cwa))
         verdict = decide(kb, question)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     print(verdict.label)
     if args.explain:
         _print_support(verdict)
@@ -105,16 +117,14 @@ def cmd_plan_validate(args: argparse.Namespace) -> int:
         doc = json.loads(Path(args.plan).read_text(encoding="utf-8"))
         parsed = planmod.plan_from_json(doc)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     try:
         planmod.validate_dag(parsed)
     except planmod.CycleError as err:
         print(f"cycle: {err.cycle}")
         return 1
     except planmod.ShapeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     order = planmod.execution_order(parsed)
     reduced = planmod.transitive_reduce(parsed)
     redundant = len(parsed.edges()) - len(reduced.edges())
@@ -181,19 +191,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
         result = run_pipeline(backend, problem, config)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     print(f"instance {instance.id}: predicted {result.final.label}, gold {instance.gold}")
     print(f"rounds used: {result.rounds_used}")
     if args.traces:
-        lines = (json.dumps(trace_to_doc(t, instance.id), ensure_ascii=False) + "\n" for t in result.traces)
-        if not _write_output(args.traces, lines):
+        if not _write_output(args.traces, [trace_lines(trace_to_doc(t, instance.id) for t in result.traces)]):
             return 1
         print(f"traces written to {args.traces}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    """Evaluate a dataset; `--traces` is opened before any backend call, then renamed in once `evaluate` returns."""
     try:
         instances = load_dataset(args.dataset, format=args.format)
         backend = _make_backend(args)
@@ -205,10 +214,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             backend_label=args.backend,
             dataset_hash=file_sha256(args.dataset),
         )
-        report = evaluate(instances, backend, config)
+        with _atomic_write(args.traces) if args.traces else contextlib.nullcontext() as traces:
+            report = evaluate(instances, backend, config, traces.write if traces else None)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     print(f"instances: {report.total}  correct: {report.correct}  accuracy: {report.accuracy:.4f}")
     table = stratify_by_depth(report)
     if table:
@@ -221,10 +230,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.out:
         if not _write_output(args.out, [json.dumps(report_to_doc(report), ensure_ascii=False, indent=2) + "\n"]):
             return 1
-    if args.traces:
-        lines = (json.dumps(doc, ensure_ascii=False) + "\n" for doc in report.traces)
-        if not _write_output(args.traces, lines):
-            return 1
     return 0
 
 
@@ -232,8 +237,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         handle = open(args.traces, "rb")  # lines are split on b"\n" only and decoded one by one
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     shown = 0
     with handle:
         for number, raw in enumerate(handle, 1):

@@ -14,8 +14,9 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .backends import Backend, BackendError, GenerationParams
 from .errors import SchemaError
@@ -37,6 +38,7 @@ __all__ = [
     "compose_question",
     "load_dataset",
     "evaluate",
+    "trace_lines",
     "stratify_by_depth",
     "report_to_doc",
     "file_sha256",
@@ -100,7 +102,6 @@ class RunReport:
     accuracy: float
     fingerprint: str
     config: HarnessConfig
-    traces: tuple[dict[str, Any], ...] = field(default=(), compare=False)
 
 
 def file_sha256(path: str | Path) -> str:
@@ -255,13 +256,19 @@ def compose_question(instance: Instance) -> str:
     return "\n".join(lines)
 
 
-def _run_one(instance: Instance, backend: Backend, config: HarnessConfig) -> tuple[InstanceRecord, list[dict]]:
+def trace_lines(docs: Iterable[dict[str, Any]]) -> str:
+    """Trace documents as a traces file holds them: compact JSON, one line each."""
+    return "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in docs)
+
+
+def _run_one(instance: Instance, backend: Backend, config: HarnessConfig, traced: bool) -> tuple[InstanceRecord, str]:
+    """One instance's record and, when `traced`, its `trace_lines`, encoded once `duration_s` is read."""
     start = time.perf_counter()
     try:
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
         result = run_pipeline(_Deadline(backend, start + config.timeout_s), problem, config.pipeline)
         predicted = result.final.label
-        traces = [trace_to_doc(t, instance.id) for t in result.traces]
+        docs = [trace_to_doc(t, instance.id) for t in result.traces] if traced else []
         correct = predicted == instance.gold
         record = InstanceRecord(
             id=instance.id,
@@ -273,9 +280,9 @@ def _run_one(instance: Instance, backend: Backend, config: HarnessConfig) -> tup
             duration_s=time.perf_counter() - start,
             depth=instance.depth,
         )
-        return record, traces
+        return record, trace_lines(docs)
     except Exception as err:
-        return _failed_record(instance, _classify_failure(err), time.perf_counter() - start), []
+        return _failed_record(instance, _classify_failure(err), time.perf_counter() - start), ""
 
 
 def _failed_record(instance: Instance, failure_kind: str, duration_s: float) -> InstanceRecord:
@@ -291,27 +298,29 @@ def _failed_record(instance: Instance, failure_kind: str, duration_s: float) -> 
     )
 
 
-def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessConfig = HarnessConfig()) -> RunReport:
+def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessConfig = HarnessConfig(),
+             write_traces: Callable[[str], object] | None = None) -> RunReport:
     """Run the pipeline over every instance with a bounded worker pool.
 
-    Per-instance failures become records, never harness faults; an interrupt
-    cancels the instances not yet started and propagates. Each instance's
-    `timeout_s` runs from the moment a worker starts it. Records and traces are
-    assembled in the input order, so the report is independent of the
-    concurrency level.
+    Per-instance failures become records, never harness faults; an interrupt,
+    or an exception from `write_traces`, cancels the instances not yet started
+    and propagates. Each instance's `timeout_s` runs from the moment a worker
+    starts it. Records are assembled in the input order, so the report is
+    independent of the concurrency level. `write_traces` (a file's `write`, say)
+    gets each instance's `trace_lines` in input order as its turn comes, and
+    neither they nor its future are kept; without it no trace is encoded.
     """
     records: list[InstanceRecord] = []
-    traces: list[dict[str, Any]] = []
-    workers = max(1, config.concurrency)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_one, instance, backend, config) for instance in instances]
+    traced = write_traces is not None
+    with ThreadPoolExecutor(max_workers=max(1, config.concurrency)) as pool:
         try:
-            for future in futures:
-                record, instance_traces = future.result()
+            # map's iterator drops each future as it yields the future's result
+            for record, lines in pool.map(_run_one, instances, repeat(backend), repeat(config), repeat(traced)):
                 records.append(record)
-                traces.extend(instance_traces)
+                if lines:
+                    write_traces(lines)
         except BaseException:
-            # An interrupt ends the run: instances not yet started never start.
+            # The run ends here: instances not yet started never start.
             pool.shutdown(cancel_futures=True)
             raise
     correct = sum(1 for r in records if r.correct)
@@ -323,7 +332,6 @@ def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessCon
         accuracy=(correct / total) if total else 0.0,
         fingerprint=config.fingerprint(),
         config=config,
-        traces=tuple(traces),
     )
 
 

@@ -445,11 +445,13 @@ class SolverForm:
     def rules(self) -> tuple[RuleTemplate, ...]:
         return rule_templates(self.kb)
 
-    @functools.cached_property
+    @property
     def structured(self) -> SolverForm:
         """This form, or for a raw context the form of `deserialize_repr` of its text (SchemaError if it has none)."""
-        if isinstance(self.context, StructuredRepr):
-            return self
+        return self if isinstance(self.context, StructuredRepr) else self._decoded
+
+    @functools.cached_property
+    def _decoded(self) -> SolverForm:  # apart from `structured`, where caching `self` would make a reference cycle
         return SolverForm(deserialize_repr(self.context.text))
 
 

@@ -14,6 +14,7 @@ unrelated routes to the same answer.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -44,6 +45,7 @@ from proofplan.fol import (
     render_formula,
 )
 from proofplan import plan as planmod
+from proofplan.backends import SolverStubBackend
 from proofplan import solver as solvermod
 from proofplan.pipeline import DIAGNOSIS_LABELS, Diagnosis, Evidence, Trace
 from proofplan.plan import CycleError, Plan, PlanStep
@@ -68,6 +70,23 @@ class CannedBackend:
         if not self.replies:
             raise RuntimeError("canned backend ran out of replies")
         return self.replies.pop(0)
+
+
+class CountingStub(SolverStubBackend):
+    """The solver stub, 5 ms slower per call, counting the instances it starts
+    (one translate call each); it raises KeyboardInterrupt as instance `interrupt_at` starts."""
+
+    def __init__(self, interrupt_at=None):
+        super().__init__()
+        self.started, self.interrupt_at = 0, interrupt_at
+
+    def complete(self, prompt, params):
+        if params.meta.stage == "translate":
+            self.started += 1
+            if params.meta.instance_id == self.interrupt_at:
+                raise KeyboardInterrupt
+        time.sleep(0.005)  # a caller that ends the run cancels the queue while this instance runs
+        return super().complete(prompt, params)
 
 
 # ---------------------------------------------------------------------------

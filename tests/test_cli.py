@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import os
 import stat
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import CountingStub
 from proofplan import cli
+from proofplan.backends import SolverStubBackend
 from proofplan.cli import _write_output, main
+from proofplan.harness import HarnessConfig, evaluate, load_dataset
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -431,50 +435,102 @@ def _fig1b_copies(tmp_path, count, premises=None):
     return str(path)
 
 
-def _eval_watching_the_write(dataset, traces, monkeypatch):
-    """Run `eval --traces`; returns its report and the traced heap peak after `evaluate` returned."""
-    seen = {}
-    evaluate = cli.evaluate
+def _eval_traces(dataset, traces, *extra):
+    argv = ["eval", dataset, "--backend", "solver-stub", "--concurrency", "1", "--traces", str(traces), *extra]
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        return main(argv)
 
-    def evaluate_then_trace(*args, **kwargs):
-        seen["report"] = report = evaluate(*args, **kwargs)
-        tracemalloc.start()
+
+def _stub_lines(dataset):
+    """What `evaluate` hands a `list.append` sink on `dataset`, and its report."""
+    written = []
+    report = evaluate(load_dataset(dataset), SolverStubBackend(), HarnessConfig(concurrency=1), written.append)
+    return written, report
+
+
+def test_eval_streams_traces_without_holding_them(tmp_path, monkeypatch):
+    # Each instance's lines go to the file as its turn comes: what `evaluate`
+    # leaves live, and the peak of the whole command, stay below the file's size.
+    seen = {}
+    evaluate_ = cli.evaluate
+
+    def evaluate_then_measure(*args, **kwargs):
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        report = evaluate_(*args, **kwargs)
+        gc.collect()
+        seen["live"] = tracemalloc.get_traced_memory()[0] - before
         return report
 
-    monkeypatch.setattr(cli, "evaluate", evaluate_then_trace)
-    argv = ["eval", dataset, "--backend", "solver-stub", "--concurrency", "1", "--traces", str(traces)]
-    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    return seen["report"], peak
-
-
-def test_eval_traces_write_adds_little_to_the_heap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate", evaluate_then_measure)
     traces = tmp_path / "t.jsonl"
-    report, peak = _eval_watching_the_write(_fig1b_copies(tmp_path, 140), traces, monkeypatch)
-    assert len(report.traces) == 280
+    tracemalloc.start()
+    try:
+        assert _eval_traces(_fig1b_copies(tmp_path, 140), traces) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     size = traces.stat().st_size
-    assert size > 1_000_000
-    assert peak < size / 10
+    assert size > 1_000_000 and traces.read_text(encoding="utf-8").count("\n") == 280
+    assert seen["live"] < size / 10
+    assert peak < size
 
 
-def test_eval_traces_file_is_one_json_line_per_trace(tmp_path, monkeypatch):
-    traces = tmp_path / "t.jsonl"
-    report, _ = _eval_watching_the_write(_fig1b_copies(tmp_path, 3), traces, monkeypatch)
-    lines = [json.dumps(doc, ensure_ascii=False) for doc in report.traces]
+def test_eval_traces_file_is_one_json_line_per_trace(tmp_path):
+    dataset, traces = _fig1b_copies(tmp_path, 3), tmp_path / "t.jsonl"
+    assert _eval_traces(dataset, traces) == 0
+    written, _ = _stub_lines(dataset)
+    lines = [json.dumps(json.loads(line), ensure_ascii=False) for line in "".join(written).split("\n")[:-1]]
     assert len(lines) == 6
     assert traces.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def test_eval_traces_file_is_empty_when_no_instance_made_a_trace(tmp_path, monkeypatch):
-    traces = tmp_path / "t.jsonl"
+def test_eval_traces_file_is_empty_when_no_instance_made_a_trace(tmp_path):
+    dataset, traces = _fig1b_copies(tmp_path, 2, premises=["∀x ("]), tmp_path / "t.jsonl"
     traces.write_text("left over\n", encoding="utf-8")
-    report, _ = _eval_watching_the_write(_fig1b_copies(tmp_path, 2, premises=["∀x ("]), traces, monkeypatch)
-    assert report.total == 2 and report.correct == 0 and report.traces == ()
+    assert _eval_traces(dataset, traces) == 0
+    written, report = _stub_lines(dataset)
+    assert report.total == 2 and report.correct == 0 and written == []
     assert traces.read_bytes() == b""
+
+
+def test_unwritable_traces_path_fails_before_any_backend_call(tmp_path, monkeypatch, capsys):
+    backend = CountingStub()
+    monkeypatch.setattr(cli, "_make_backend", lambda args: backend)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    traces, report = blocker / "t.jsonl", tmp_path / "report.json"
+    assert _eval_traces(str(DATA / "fig1b.json"), traces, "--out", str(report)) == 1
+    assert capsys.readouterr().err.strip() == f"error: {traces}: Not a directory"
+    assert backend.started == 0 and not report.exists()
+
+
+def test_interrupted_eval_leaves_an_earlier_traces_file_as_it_was(tmp_path, monkeypatch):
+    backend = CountingStub(interrupt_at="fig1b-2")
+    monkeypatch.setattr(cli, "_make_backend", lambda args: backend)
+    dataset, traces = _fig1b_copies(tmp_path, 20), tmp_path / "t.jsonl"
+    traces.write_text("old\n", encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt):
+        _eval_traces(dataset, traces)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["copies.json", "t.jsonl"]
+    assert traces.read_text(encoding="utf-8") == "old\n"
+    assert backend.started <= 4  # two instances done, the third interrupted, at most one more started
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda path: ["eval", path, "--backend", "solver-stub"],
+        lambda path: ["run", path, "--backend", "solver-stub"],
+        lambda path: ["prove", path, "-q", "P(ada)"],
+        lambda path: ["trace", path],
+    ],
+    ids=["eval", "run", "prove", "trace"],
+)
+def test_missing_input_file_names_the_path(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    assert main(argv(path)) == 1
+    assert capsys.readouterr().err.strip() == f"error: {path}: No such file or directory"
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")

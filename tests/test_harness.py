@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import threading
 import time
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula, random_horn_kb
+from helpers import CountingStub, random_formula, random_horn_kb
 from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.errors import SchemaError
 from proofplan.harness import (
@@ -173,11 +175,12 @@ def test_load_dataset_task_definition_file():
 
 def test_evaluate_with_solver_stub_on_bundled_files():
     instances = load_dataset(DATA / "task_definition.json") + load_dataset(DATA / "fig1b.json")
-    report = evaluate(instances, SolverStubBackend(), HarnessConfig(concurrency=2))
+    written = []
+    report = evaluate(instances, SolverStubBackend(), HarnessConfig(concurrency=2), written.append)
     assert report.total == 2 and report.correct == 2
     assert report.accuracy == 1.0
     assert all(r.failure_kind is None for r in report.records)
-    assert len(report.traces) == 4  # two rounds per instance
+    assert "".join(written).count("\n") == 4  # two rounds per instance
 
 
 def test_evaluate_scores_missing_final_answer_as_format_failure():
@@ -273,6 +276,47 @@ def test_interrupt_cancels_instances_not_yet_started():
     with pytest.raises(KeyboardInterrupt):
         evaluate(load_dataset(DATA / "fig1b.json") * 20, backend, HarnessConfig(concurrency=1))
     assert backend.calls <= 10
+
+
+def _copies(count):
+    (instance,) = load_dataset(DATA / "fig1b.json")
+    return [dataclasses.replace(instance, id=f"i{k}") for k in range(count)]
+
+
+def test_a_failing_trace_sink_cancels_instances_not_yet_started():
+    calls = []
+
+    def sink(lines):
+        calls.append(lines)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+
+    backend = CountingStub()
+    with pytest.raises(OSError):
+        evaluate(_copies(20), backend, HarnessConfig(concurrency=1), sink)
+    assert len(calls) == 2 and backend.started <= 4
+
+
+def test_trace_sink_gets_instances_in_input_order_when_they_finish_out_of_order():
+    finished, lock = [], threading.Lock()
+
+    class EarlierIsSlower(SolverStubBackend):
+        def complete(self, prompt, params):
+            reply = super().complete(prompt, params)
+            if params.meta.stage == "translate":
+                time.sleep(0.02 * (8 - int(params.meta.instance_id[1:])))
+            if params.meta.stage == "replan":
+                with lock:
+                    finished.append(params.meta.instance_id)
+            return reply
+
+    written = []
+    instances = _copies(8)
+    report = evaluate(instances, EarlierIsSlower(), HarnessConfig(concurrency=4), written.append)
+    ids = [i.id for i in instances]
+    assert sorted(finished) == sorted(ids) and finished != ids  # the run did finish out of order
+    assert [json.loads(chunk.split("\n")[0])["instance"] for chunk in written] == ids
+    assert [r.id for r in report.records] == ids and report.correct == 8
 
 
 class _OneStageReply(SolverStubBackend):
@@ -449,8 +493,8 @@ def test_stub_accuracy_is_flat_across_depths():
 )
 def test_solver_stub_scores_an_unrunnable_context_as_backend(premises, question):
     instance = Instance(id="x", premises=premises, question=question, gold="T")
-    record, traces = _run_one(instance, SolverStubBackend(), HarnessConfig())
-    assert record.failure_kind == "backend" and traces == []
+    record, lines = _run_one(instance, SolverStubBackend(), HarnessConfig(), True)
+    assert record.failure_kind == "backend" and lines == ""
 
 
 def test_solver_stub_scores_no_random_theory_as_an_unexpected_error():
@@ -469,7 +513,7 @@ def test_solver_stub_scores_no_random_theory_as_an_unexpected_error():
         question = render_formula(random_formula(rng, rng.randint(1, 3)))
         instance = Instance(id=f"r{seed}", premises=tuple(premises), question=question, gold="T")
         for cwa in (False, True):
-            record, _ = _run_one(instance, backend, HarnessConfig(pipeline=PipelineConfig(cwa=cwa)))
+            record, _ = _run_one(instance, backend, HarnessConfig(pipeline=PipelineConfig(cwa=cwa)), True)
             assert record.failure_kind != "error", (premises, question, cwa)
             kinds.add(record.failure_kind)
     assert {"backend", "format", "wrong-label", None} <= kinds
@@ -545,5 +589,5 @@ def test_mutated_stub_replies_never_score_an_unexpected_error(data):
     # every run gets a fresh copy of the stub's reply, so both runs see the same mutation
     backend = _MutatingStub(stage, lambda doc: _mutate(doc, path, op, value))
     for cwa in (False, True):
-        record, _ = _run_one(instance, backend, HarnessConfig(pipeline=PipelineConfig(cwa=cwa)))
+        record, _ = _run_one(instance, backend, HarnessConfig(pipeline=PipelineConfig(cwa=cwa)), True)
         assert record.failure_kind != "error", (instance.id, stage, op, value, path, cwa)
