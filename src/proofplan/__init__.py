@@ -23,8 +23,6 @@ from .plan import (
     AddEdge,
     DelEdge,
     EditOp,
-    InsertGuard,
-    Merge,
     Plan,
     PlanStep,
     apply_edits,

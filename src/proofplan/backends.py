@@ -50,9 +50,10 @@ class StageMeta:
     its answer (like the solver stub) reads directly: `premises` and
     `question` (translate), `context` and `solver` (plan), `context`, `plan`,
     `cwa` and `solver` (solve), and `context`, `plan`, `diagnosis`,
-    `provisional` labels and `solver` (replan). `context` is a
+    `provisional` label and `solver` (replan). `context` is a
     `StructuredRepr`, or a `RawContext` when structured management is
-    ablated; `plan` is a `Plan`; `cwa` is the run's closed-world setting;
+    ablated; `plan` is a `Plan`; `diagnosis` is the `Diagnosis` that led to
+    the replan; `cwa` is the run's closed-world setting;
     `solver` is the instance's `SolverForm`, which keeps the context's
     knowledge base and rule templates from one call to the next. The live
     backend reads only the prompt.

@@ -39,9 +39,11 @@ def _error(err: Exception) -> int:
 @contextlib.contextmanager
 def _atomic_write(path: str) -> Iterator[TextIO]:
     """A handle on a temp file beside `path`, renamed over `path` when the block ends; a failure
-    unlinks the temp file, leaving any earlier `path` as it was, and an `OSError` names `path`."""
+    unlinks the temp file, leaving any earlier `path` as it was. An `OSError` names `path`, unless
+    the block raised it naming another file (such as a second `_atomic_write` opened inside it)."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    in_block = False
     try:
         if not target.parent.exists():  # a parent that is a file then fails as "Not a directory"
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -49,13 +51,17 @@ def _atomic_write(path: str) -> Iterator[TextIO]:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                in_block = True
                 yield handle
+                in_block = False
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
     except OSError as err:
+        if in_block and err.filename is not None:
+            raise
         raise OSError(err.errno, err.strerror or str(err), path) from err
 
 
@@ -202,7 +208,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    """Evaluate a dataset; `--traces` is opened before any backend call, then renamed in once `evaluate` returns."""
+    """Evaluate a dataset; `--traces` and `--out` are opened before any backend call, and both are
+    renamed in once the report is written (a failure leaves neither)."""
     try:
         instances = load_dataset(args.dataset, format=args.format)
         backend = _make_backend(args)
@@ -214,22 +221,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
             backend_label=args.backend,
             dataset_hash=file_sha256(args.dataset),
         )
-        with _atomic_write(args.traces) if args.traces else contextlib.nullcontext() as traces:
+        with contextlib.ExitStack() as stack:
+            traces = stack.enter_context(_atomic_write(args.traces)) if args.traces else None
+            out = stack.enter_context(_atomic_write(args.out)) if args.out else None
             report = evaluate(instances, backend, config, traces.write if traces else None)
+            print(f"instances: {report.total}  correct: {report.correct}  accuracy: {report.accuracy:.4f}")
+            table = stratify_by_depth(report)
+            if table:
+                print("depth  accuracy")
+                for depth, accuracy in table.items():
+                    print(f"{depth:>5}  {accuracy:.4f}")
+            for record in report.records:
+                status = "ok" if record.correct else f"fail ({record.failure_kind})"
+                print(f"  {record.id}: {record.predicted or '-'} vs {record.gold} [{status}]")
+            if out:
+                out.write(json.dumps(report_to_doc(report), ensure_ascii=False, indent=2) + "\n")
     except Exception as err:
         return _error(err)
-    print(f"instances: {report.total}  correct: {report.correct}  accuracy: {report.accuracy:.4f}")
-    table = stratify_by_depth(report)
-    if table:
-        print("depth  accuracy")
-        for depth, accuracy in table.items():
-            print(f"{depth:>5}  {accuracy:.4f}")
-    for record in report.records:
-        status = "ok" if record.correct else f"fail ({record.failure_kind})"
-        print(f"  {record.id}: {record.predicted or '-'} vs {record.gold} [{status}]")
-    if args.out:
-        if not _write_output(args.out, [json.dumps(report_to_doc(report), ensure_ascii=False, indent=2) + "\n"]):
-            return 1
     return 0
 
 

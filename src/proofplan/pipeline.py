@@ -455,32 +455,23 @@ def _trace_text(trace: Trace) -> str:
 # Replanning
 # ---------------------------------------------------------------------------
 
-_EDIT_KINDS = {"AddEdge", "DelEdge", "Merge", "InsertGuard"}
+_EDIT_KINDS = {"AddEdge": planmod.AddEdge, "DelEdge": planmod.DelEdge}
 
 
 def _parse_edit(doc: Any, pointer: str) -> planmod.EditOp:
+    """Read `{"op": "AddEdge" | "DelEdge", "i": int, "j": int}`; any other `op` fails at `<pointer>/op`."""
     if not isinstance(doc, dict) or "op" not in doc:
         raise SchemaError(pointer, 'expected an object with an "op" field')
     op = doc["op"]
-    if op not in _EDIT_KINDS:
+    if not isinstance(op, str) or op not in _EDIT_KINDS:
         raise SchemaError(f"{pointer}/op", f"expected one of {sorted(_EDIT_KINDS)}")
-
-    def int_field(name: str) -> int:
+    ends = []
+    for name in ("i", "j"):
         value = doc.get(name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{pointer}/{name}", "expected integer")
-        return value
-
-    if op == "AddEdge":
-        return planmod.AddEdge(int_field("i"), int_field("j"))
-    if op == "DelEdge":
-        return planmod.DelEdge(int_field("i"), int_field("j"))
-    if op == "Merge":
-        return planmod.Merge(int_field("p"), int_field("q"))
-    content = doc.get("content")
-    if content is not None and not isinstance(content, str):
-        raise SchemaError(f"{pointer}/content", "expected string")
-    return planmod.InsertGuard(int_field("k"), content)
+        ends.append(value)
+    return _EDIT_KINDS[op](*ends)
 
 
 def replan_stage(
@@ -494,8 +485,8 @@ def replan_stage(
     """Ask the backend to repair `trace`'s plan, as round `trace.round + 1`,
     and normalize whatever comes back.
 
-    The reply may carry a corrected plan, an edit list, or both (the plan
-    wins; edits are then only validated). A revised plan equal to `trace`'s
+    The reply may carry a corrected plan, a list of edge edits, or both (the
+    plan wins; edits are then only validated). A revised plan equal to `trace`'s
     is `trace.plan` itself, which keeps its cached text and order. When the
     reply also embeds a re-execution (updated log plus final answer), that is
     surfaced so the caller can skip the separate solve call. `form`, the
@@ -516,7 +507,7 @@ def replan_stage(
     payload = {
         "context": context,
         "plan": plan,
-        "diagnosis": sorted(diagnosis.labels),
+        "diagnosis": diagnosis,
         "provisional": provisional,
         "solver": form,
     }

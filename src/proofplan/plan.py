@@ -5,7 +5,8 @@ means step i directly precedes step j. Scheduling reads the matrix directly:
 the frontier is every unfinished step whose predecessors are all finished,
 and execution order is the concatenation of successive frontiers. A step may
 cite the statements it applies (`uses`, statement ids of the context), and
-its `kind` marks the judgment of the question (`Plan.judgment`).
+its `kind` marks the judgment of the question (`Plan.judgment`). Replan
+edits (`AddEdge`, `DelEdge`) change only the matrix, never the steps.
 
 The algorithms work on row bitmasks (`rows[i]` holds bit j iff A[i][j] = 1);
 the *_rows functions are the core and the Plan-level operations wrap them 1:1.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Collection, Iterable, Sequence
 
 from .errors import SchemaError
@@ -27,8 +28,6 @@ __all__ = [
     "EditOp",
     "AddEdge",
     "DelEdge",
-    "Merge",
-    "InsertGuard",
     "CycleError",
     "ShapeError",
     "validate_dag",
@@ -47,9 +46,9 @@ __all__ = [
     "layered_order_rows",
 ]
 
-STEP_KINDS = ("inference", "guard", "judgment")
-# Plan algebra is quadratic to cubic in the step count, so a reply may not
-# grow a plan past this many steps.
+STEP_KINDS = ("inference", "judgment")
+# Plan algebra is quadratic to cubic in the step count, so a plan reply may
+# not have more steps than this.
 MAX_STEPS = 256
 
 
@@ -394,95 +393,25 @@ class DelEdge(EditOp):
     j: int
 
 
-@dataclass(frozen=True, slots=True)
-class Merge(EditOp):
-    p: int
-    q: int
-
-
-@dataclass(frozen=True, slots=True)
-class InsertGuard(EditOp):
-    k: int
-    content: str | None = None
-
-
-def _drop_bit(mask: int, position: int) -> int:
-    low = mask & ((1 << position) - 1)
-    high = mask >> (position + 1)
-    return low | (high << position)
-
-
-def _insert_zero_bit(mask: int, position: int) -> int:
-    low = mask & ((1 << position) - 1)
-    high = mask >> position
-    return low | (high << (position + 1))
-
-
 def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
-    """Apply edits sequentially, then normalize.
+    """Set (AddEdge) or clear (DelEdge) one matrix entry per edit, in order, then normalize.
 
-    Merge(p, q) folds step q into p: contents concatenate (p first), cited
-    statements and predecessors and successors union onto p, the merged step
-    is the judgment if either was (else it keeps p's kind), q is deleted and
-    ids are renumbered. InsertGuard(k) places a guard step directly after k
-    that intercepts all of k's outgoing edges and cites nothing. A step index
-    out of range, a step merged with itself, or a guard that would take the
-    plan past MAX_STEPS raises ShapeError.
+    Edits never touch the steps, so ids and `uses` citations stay put. A
+    step index out of range raises ShapeError.
     """
-    steps: list[PlanStep] = list(plan.steps)
-    rows: list[int] = plan.rows()
-
+    n = plan.size
+    rows = plan.rows()
     for edit in edits:
-        n = len(steps)
-        if isinstance(edit, AddEdge):
-            _check_index(edit.i, n)
-            _check_index(edit.j, n)
-            rows[edit.i - 1] |= 1 << (edit.j - 1)
-        elif isinstance(edit, DelEdge):
-            _check_index(edit.i, n)
-            _check_index(edit.j, n)
-            rows[edit.i - 1] &= ~(1 << (edit.j - 1))
-        elif isinstance(edit, Merge):
-            if edit.p == edit.q:
-                raise ShapeError(f"cannot merge step {edit.p} with itself")
-            _check_index(edit.p, n)
-            _check_index(edit.q, n)
-            pi, qi = edit.p - 1, edit.q - 1
-            p, q = steps[pi], steps[qi]
-            merged = PlanStep(
-                id=edit.p,
-                content=f"{p.content}; {q.content}",
-                kind="judgment" if "judgment" in (p.kind, q.kind) else p.kind,
-                uses=tuple(dict.fromkeys((*p.uses, *q.uses))),
-            )
-            rows[pi] |= rows[qi]
-            q_bit = 1 << qi
-            p_bit = 1 << pi
-            for i in range(n):
-                if rows[i] & q_bit:
-                    rows[i] |= p_bit
-            rows[pi] &= ~p_bit
-            del rows[qi]
-            rows = [_drop_bit(mask, qi) for mask in rows]
-            steps[pi] = merged
-            del steps[qi]
-        elif isinstance(edit, InsertGuard):
-            _check_index(edit.k, n)
-            if n >= MAX_STEPS:
-                raise ShapeError(f"a guard after step {edit.k} would exceed {MAX_STEPS} steps")
-            ki = edit.k - 1
-            gi = ki + 1
-            old_succ = rows[ki]
-            rows = [_insert_zero_bit(mask, gi) for mask in rows]
-            rows[ki] = 1 << gi
-            rows.insert(gi, _insert_zero_bit(old_succ, gi))
-            content = edit.content or f"verify dependencies of step {edit.k}"
-            steps.insert(gi, PlanStep(id=gi + 1, content=content, kind="guard"))
-        else:
+        if not isinstance(edit, (AddEdge, DelEdge)):
             raise TypeError(f"unknown edit operator: {edit!r}")
-
-    renumbered = tuple(replace(s, id=index + 1) for index, s in enumerate(steps))
-    return Plan(renumbered, _rows_to_matrix(normalize_rows(rows), len(steps)))
+        _check_index(edit.i, n)
+        _check_index(edit.j, n)
+        bit = 1 << (edit.j - 1)
+        if isinstance(edit, AddEdge):
+            rows[edit.i - 1] |= bit
+        else:
+            rows[edit.i - 1] &= ~bit
+    return Plan(plan.steps, _rows_to_matrix(normalize_rows(rows), n))
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,27 @@ def test_unwritable_traces_path_fails_before_any_backend_call(tmp_path, monkeypa
     assert backend.started == 0 and not report.exists()
 
 
+def test_unwritable_out_path_fails_before_any_backend_call(tmp_path, monkeypatch, capsys):
+    backend = CountingStub()
+    monkeypatch.setattr(cli, "_make_backend", lambda args: backend)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    traces, report = tmp_path / "t.jsonl", blocker / "r.json"
+    assert main(["eval", str(DATA / "fig1b.json"), "--traces", str(traces), "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {report}: Not a directory" and captured.out == ""
+    assert backend.started == 0 and sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_eval_failing_to_rename_the_report_leaves_neither_output(tmp_path, capsys):
+    # The report's path is a directory, so only the final rename fails, after every instance ran.
+    traces, report = tmp_path / "t.jsonl", tmp_path / "r.json"
+    report.mkdir()
+    assert _eval_traces(str(DATA / "fig1b.json"), traces, "--out", str(report)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {report}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"] and not any(report.iterdir())
+
+
 def test_interrupted_eval_leaves_an_earlier_traces_file_as_it_was(tmp_path, monkeypatch):
     backend = CountingStub(interrupt_at="fig1b-2")
     monkeypatch.setattr(cli, "_make_backend", lambda args: backend)

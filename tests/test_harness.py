@@ -16,12 +16,13 @@ from proofplan.harness import (
     HarnessConfig,
     Instance,
     _run_one,
+    compose_question,
     evaluate,
     load_dataset,
     report_to_doc,
     stratify_by_depth,
 )
-from proofplan.pipeline import PipelineConfig
+from proofplan.pipeline import PipelineConfig, Problem, StageParseError, run_pipeline
 from proofplan.solver import brute_force_entails, kb_from_repr, literal_to_formula
 from proofplan.structured import build_repr
 from proofplan.fol import parse_formula, render_formula
@@ -340,9 +341,9 @@ class _OneStageReply(SolverStubBackend):
                 "Matrix": [[int(j == i + 1) for j in range(257)] for i in range(257)],
             },
         ),
-        ("replan", {"Edits": [{"op": "InsertGuard", "k": 1}] * 4000}),
+        ("replan", {"Edits": [{"op": "AddEdge", "i": 1, "j": 2}] * 4000 + [{"op": "AddEdge", "i": 1, "j": 99}]}),
     ],
-    ids=["plan-257-steps", "replan-4000-guards"],
+    ids=["plan-257-steps", "replan-4000-edits"],
 )
 def test_oversized_plan_replies_score_format_quickly(stage, reply):
     backend = _OneStageReply(stage, json.dumps(reply))
@@ -350,6 +351,27 @@ def test_oversized_plan_replies_score_format_quickly(stage, reply):
     report = evaluate(load_dataset(DATA / "fig1b.json"), backend, HarnessConfig(concurrency=1))
     assert report.records[0].failure_kind == "format"
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "stage, reply, pointer",
+    [
+        ("plan", {"Plan": {"1": {"content": "Check.", "kind": "guard"}}, "Matrix": [[0]]}, "/Plan/1/kind"),
+        ("replan", {"Edits": [{"op": []}]}, "/Edits/0/op"),
+        ("replan", {"Edits": [{"op": {}}]}, "/Edits/0/op"),
+        ("replan", {"Edits": [{"op": "Merge", "p": 1, "q": 2}]}, "/Edits/0/op"),
+        ("replan", {"Edits": [{"op": "InsertGuard", "k": 1}]}, "/Edits/0/op"),
+    ],
+    ids=["guard-kind", "list-op", "object-op", "merge-op", "insert-guard-op"],
+)
+def test_unknown_step_kinds_and_edit_ops_score_format(stage, reply, pointer):
+    backend = _OneStageReply(stage, json.dumps(reply))
+    [instance] = load_dataset(DATA / "fig1b.json")
+    report = evaluate([instance], backend, HarnessConfig(concurrency=1))
+    assert report.records[0].failure_kind == "format"
+    problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
+    with pytest.raises(StageParseError, match=f"^{stage} stage: {pointer}: expected one of "):
+        run_pipeline(backend, problem)
 
 
 def test_stratify_by_depth():

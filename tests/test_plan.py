@@ -17,8 +17,6 @@ from proofplan.plan import (
     AddEdge,
     CycleError,
     DelEdge,
-    InsertGuard,
-    Merge,
     Plan,
     PlanStep,
     ShapeError,
@@ -177,65 +175,6 @@ def test_apply_edits_empty_equals_normalize():
     assert apply_edits(plan, []).matrix == normalize(plan).matrix
 
 
-def test_merge_on_chain():
-    plan = chain(4)
-    out = apply_edits(plan, [Merge(2, 3)])
-    assert out.size == 3
-    assert [s.content for s in out.steps] == ["step 1", "step 2; step 3", "step 4"]
-    assert set(out.edges()) == {(1, 2), (2, 3)}
-
-
-def merge_remap(i: int, p: int, q: int) -> int:
-    """Id of original step i after Merge(p, q): q folds into p, and ids above q shift down."""
-    target = p if i == q else i
-    return target - 1 if target > q else target
-
-
-def test_merge_preserves_outside_reachability():
-    rng = random.Random(21)
-    for _ in range(40):
-        n = rng.randint(3, 7)
-        plan = plan_from_matrix(random_dag_matrix(rng, n))
-        p, q = rng.sample(range(1, n + 1), 2)
-        merged = apply_edits(plan, [Merge(p, q)])
-        before = reachability_by_squaring(plan.matrix)
-        after = reachability_by_squaring(merged.matrix)
-        survivors = [i for i in range(1, n + 1) if i not in (p, q)]
-        for a in survivors:
-            for b in survivors:
-                if a == b:
-                    continue
-                # reachability between surviving steps may grow through the
-                # merged node but never shrinks
-                if before[a - 1][b - 1]:
-                    assert after[merge_remap(a, p, q) - 1][merge_remap(b, p, q) - 1]
-
-
-def test_merge_unions_citations_and_keeps_the_judgment_kind():
-    steps = (
-        PlanStep(1, "collect", uses=(3, 1)),
-        PlanStep(2, "judge", kind="judgment", uses=(1, 4)),
-        PlanStep(3, "apply", uses=(2,)),
-        PlanStep(4, "check", kind="guard"),
-    )
-    plan = Plan(steps, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
-    merged = apply_edits(plan, [Merge(1, 2)])
-    assert merged.steps[0] == PlanStep(1, "collect; judge", kind="judgment", uses=(3, 1, 4))
-    assert merged.steps[1:] == (PlanStep(2, "apply", uses=(2,)), PlanStep(3, "check", kind="guard"))
-    assert apply_edits(plan, [Merge(3, 2)]).steps[1] == PlanStep(2, "apply; judge", kind="judgment", uses=(2, 1, 4))
-    # neither is the judgment: p's kind is kept
-    assert apply_edits(plan, [Merge(4, 3)]).steps[2] == PlanStep(3, "check; apply", kind="guard", uses=(2,))
-    # a guard cites nothing, and renumbering keeps every citation
-    guarded = apply_edits(plan, [InsertGuard(1)])
-    assert [(s.id, s.kind, s.uses) for s in guarded.steps] == [
-        (1, "inference", (3, 1)),
-        (2, "guard", ()),
-        (3, "judgment", (1, 4)),
-        (4, "inference", (2,)),
-        (5, "guard", ()),
-    ]
-
-
 def test_judgment_is_the_first_judgment_kind_step_in_execution_order():
     steps = tuple(PlanStep(i, f"s{i}") for i in range(1, 5))
     # execution order 2, 4, 3, 1
@@ -247,44 +186,23 @@ def test_judgment_is_the_first_judgment_kind_step_in_execution_order():
     assert Plan(steps[:2], ((0, 1), (1, 0))).judgment is None  # a cycle has no execution order
 
 
-def test_merge_self_rejected():
-    with pytest.raises(ShapeError, match="cannot merge step 2 with itself"):
-        apply_edits(chain(3), [Merge(2, 2)])
-
-
-def test_insert_guard():
-    plan = chain(3)
-    out = apply_edits(plan, [InsertGuard(2, "verify premises used")])
-    assert out.size == 4
-    guard = out.steps[2]
-    assert guard.kind == "guard" and guard.content == "verify premises used"
-    assert set(out.edges()) == {(1, 2), (2, 3), (3, 4)}
-    assert [s.content for s in out.steps] == ["step 1", "step 2", "verify premises used", "step 3"]
-
-
-def test_insert_guard_default_content():
-    out = apply_edits(chain(2), [InsertGuard(1)])
-    assert out.steps[1].content == "verify dependencies of step 1"
-
-
 def test_apply_edits_index_bounds():
     with pytest.raises(ShapeError, match=r"step index 5 out of range 1\.\.2"):
         apply_edits(chain(2), [AddEdge(1, 5)])
 
 
-def test_apply_edits_sequential_indices():
-    # after the merge shrinks the plan, edit indices address the new numbering
-    plan = chain(4)
-    out = apply_edits(plan, [Merge(2, 3), AddEdge(1, 3)])
-    assert out.size == 3
-    assert (1, 3) not in set(out.edges())  # transitively implied, normalized away
-
-
 def test_added_edges_stay_reachable_unless_cyclic():
-    rng = random.Random(77)
+    rng, edit_rng = random.Random(77), random.Random(78)
     for _ in range(60):
         n = rng.randint(2, 8)
-        plan = plan_from_matrix(random_dag_matrix(rng, n))
+        steps = tuple(PlanStep(k, f"step {k}", "judgment" if k == n else "inference", (k,)) for k in range(1, n + 1))
+        plan = Plan(steps, random_dag_matrix(rng, n))
+        # edge edits never touch the steps: ids, kinds and citations stay put
+        edits = [
+            edit_rng.choice((AddEdge, DelEdge))(edit_rng.randint(1, n), edit_rng.randint(1, n))
+            for _ in range(edit_rng.randint(0, 6))
+        ]
+        assert apply_edits(plan, edits).steps == plan.steps
         i, j = rng.sample(range(1, n + 1), 2)
         before = reachability_by_squaring(plan.matrix)
         if before[j - 1][i - 1]:
@@ -304,8 +222,14 @@ def test_duplicate_content_reported():
     assert duplicate_content(plan) == [(1, 3)]
 
 
+def _judged_chain() -> Plan:
+    """A three-step chain whose steps cite statements and end in a judgment, so every field has a non-default value."""
+    steps = (PlanStep(1, "step 1", uses=(1, 3)), PlanStep(2, "step 2", uses=(2,)), PlanStep(3, "judge", "judgment"))
+    return Plan(steps, chain(3).matrix)
+
+
 def test_plan_json_round_trip():
-    plan = apply_edits(chain(3), [InsertGuard(2)])
+    plan = _judged_chain()
     doc = plan_to_json(plan)
     again = plan_from_json(doc)
     assert again.steps == plan.steps
@@ -317,7 +241,7 @@ def test_plan_text_is_compact_plan_json_then_the_execution_order():
         (PlanStep(1, "Sammle die Fakten (∀x).", uses=(2, 1)), PlanStep(2, "Urteile.", "judgment")),
         ((0, 1), (0, 0)),
     )
-    for plan in (apply_edits(chain(3), [InsertGuard(2)]), cited):
+    for plan in (_judged_chain(), cited):
         head, _, order = plan.text.partition("\n")
         assert plan_from_json(json.loads(head)) == plan
         assert order == "Execution order: " + ", ".join(str(i) for i in execution_order(plan))
