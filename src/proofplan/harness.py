@@ -52,7 +52,6 @@ class Instance:
     question: str
     gold: str
     depth: int | None = None
-    dataset: str = ""
     options: tuple[str, ...] = ()
 
 
@@ -197,7 +196,6 @@ def load_dataset(path: str | Path, format: str = "tfu-json") -> list[Instance]:
                 question=question,
                 gold=gold,
                 depth=depth,
-                dataset=path.stem,
                 options=tuple(options),
             )
         )

@@ -348,7 +348,8 @@ def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) ->
     Checks that need structured derivation records or a groundable context
     are skipped when that information is absent, so free-text traces can at
     most be flagged for structural redundancy. With `cwa`, a consumed negative
-    premise counts as available while its positive counterpart is not.
+    premise counts as available while its positive counterpart is not, and
+    the premature-termination probe matches closed-world as the solver does.
     `form`, the instance's `SolverForm`, supplies the knowledge base and rule
     templates (a fresh one when absent).
     """
@@ -406,7 +407,7 @@ def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) ->
     # It is audited only when the records show derivations at all.
     if judgment is not None and seen:
         step_id, known = judgment
-        derivable = solvermod.fire_rounds(known, rules, domain, max_rounds=1)
+        derivable = solvermod.fire_rounds(known, rules, domain, cwa)
         if derivable:
             evidence.append(
                 Evidence(
@@ -541,8 +542,9 @@ def replan_stage(
             proposed = planmod.plan_from_json(
                 {"Plan": revised_doc["Corrected_plan"], "Matrix": revised_doc["Matrix"]}, _citable(context)
             )
-        except SchemaError as err:
-            raise StageParseError("replan", str(err), raw=raw) from err
+        except SchemaError as err:  # point into the reply, where "Plan" is "Corrected_plan"
+            pointer = "/Revised plan" + err.pointer.replace("/Plan", "/Corrected_plan", 1)
+            raise StageParseError("replan", str(SchemaError(pointer, err.message)), raw=raw) from err
         revised = planmod.normalize(proposed)
     elif edits:
         try:

@@ -1,15 +1,16 @@
 """Dependency-matrix plans and their algebra.
 
 A plan is an ordered list of steps plus a binary matrix A where A[i][j] = 1
-means step i directly precedes step j. Scheduling reads the matrix directly:
+means step i directly precedes step j. A `Plan` holds A once, as the row
+bitmasks its algebra runs on (`rows[i]` holds bit j iff A[i][j] = 1), and
+`Plan.matrix` is a 0/1 view derived from them. Scheduling reads the rows:
 the frontier is every unfinished step whose predecessors are all finished,
 and execution order is the concatenation of successive frontiers. A step may
 cite the statements it applies (`uses`, statement ids of the context), and
 its `kind` marks the judgment of the question (`Plan.judgment`). Replan
-edits (`AddEdge`, `DelEdge`) change only the matrix, never the steps.
+edits (`AddEdge`, `DelEdge`) change only the rows, never the steps.
 
-The algorithms work on row bitmasks (`rows[i]` holds bit j iff A[i][j] = 1);
-the *_rows functions are the core and the Plan-level operations wrap them 1:1.
+The *_rows functions are the core; the Plan-level operations wrap them 1:1.
 Step ids are 1-based everywhere in the public API.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Collection, Iterable, Sequence
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
 from .errors import SchemaError
 
@@ -78,35 +79,37 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class Plan:
-    """Immutable plan; operations return new plans."""
+    """Immutable plan; operations return new plans. `rows[i]` holds bit j iff step i + 1 precedes step j + 1."""
 
     steps: tuple[PlanStep, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
+        object.__setattr__(self, "rows", tuple(self.rows))
         n = len(self.steps)
         for position, step in enumerate(self.steps, start=1):
             if step.id != position:
                 raise ShapeError(f"step ids must be contiguous from 1, found {step.id} at position {position}")
-        if len(self.matrix) != n:
-            raise ShapeError(f"matrix has {len(self.matrix)} rows for {n} steps")
-        for i, row in enumerate(self.matrix):
-            if len(row) != n:
-                raise ShapeError(f"matrix row {i + 1} has {len(row)} entries, expected {n}")
-            for value in row:
-                if isinstance(value, bool) or value not in (0, 1):
-                    raise ShapeError(f"matrix entries must be 0 or 1, found {value!r}")
+        if len(self.rows) != n:
+            raise ShapeError(f"{len(self.rows)} rows for {n} steps")
+        for i, row in enumerate(self.rows, start=1):
+            if isinstance(row, bool) or not isinstance(row, int) or not 0 <= row < 1 << n:
+                raise ShapeError(f"row {i} must be an integer bitmask below 2**{n}, found {row!r}")
 
     @property
     def size(self) -> int:
         return len(self.steps)
 
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The 0/1 dependency matrix, derived from `rows` on each access."""
+        return tuple(tuple((row >> j) & 1 for j in range(self.size)) for row in self.rows)
+
     @functools.cached_property
     def order(self) -> tuple[int, ...] | None:
         """Concatenated-frontier order of the 1-based ids, or None if a cycle blocks it; computed once."""
-        order = layered_order_rows(self.rows())
+        order = layered_order_rows(self.rows)
         return None if order is None else tuple(i + 1 for i in order)
 
     @functools.cached_property
@@ -126,32 +129,21 @@ class Plan:
         order = ", ".join(str(i) for i in execution_order(self))
         return json.dumps(self.doc, ensure_ascii=False) + f"\nExecution order: {order}"
 
-    def rows(self) -> list[int]:
-        out = []
-        for row in self.matrix:
-            bits = 0
-            for j, value in enumerate(row):
-                if value:
-                    bits |= 1 << j
-            out.append(bits)
-        return out
-
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i + 1, j + 1)
-            for i, row in enumerate(self.matrix)
-            for j, value in enumerate(row)
-            if value
-        ]
-
-
-def _rows_to_matrix(rows: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((rows[i] >> j) & 1 for j in range(n)) for i in range(n))
+        return [(i + 1, j + 1) for i, row in enumerate(self.rows) for j in _bits(row)]
 
 
 # ---------------------------------------------------------------------------
 # Row-bitmask core
 # ---------------------------------------------------------------------------
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def closure_rows(rows: Sequence[int]) -> list[int]:
@@ -170,11 +162,9 @@ def closure_rows(rows: Sequence[int]) -> list[int]:
 def _pred_rows(rows: Sequence[int]) -> list[int]:
     """Column bitmasks: `preds[j]` holds bit i iff rows[i] holds bit j."""
     preds = [0] * len(rows)
-    for i, m in enumerate(rows):
-        while m:
-            j = (m & -m).bit_length() - 1
+    for i, row in enumerate(rows):
+        for j in _bits(row):
             preds[j] |= 1 << i
-            m &= m - 1
     return preds
 
 
@@ -200,17 +190,13 @@ def reduce_rows(rows: Sequence[int]) -> list[int]:
 
     An edge i->j is dropped iff j is reachable from another successor of i.
     """
-    n = len(rows)
     reach = closure_rows(rows)
     out = []
-    for i in range(n):
+    for row in rows:
         acc = 0
-        m = rows[i]
-        while m:
-            k = (m & -m).bit_length() - 1
+        for k in _bits(row):
             acc |= reach[k]
-            m &= m - 1
-        out.append(rows[i] & ~acc)
+        out.append(row & ~acc)
     return out
 
 
@@ -223,43 +209,23 @@ def break_cycles_rows(rows: Sequence[int]) -> list[int]:
     n = len(rows)
     rows = [rows[i] & ~(1 << i) for i in range(n)]
     color = [0] * n  # 0 unvisited, 1 on stack, 2 finished
-    nodes: list[int] = []
-    cursors: list[int] = []
     for root in range(n):
         if color[root]:
             continue
         color[root] = 1
-        nodes.append(root)
-        cursors.append(0)
-        while nodes:
-            node = nodes[-1]
-            cursor = cursors[-1]
-            row = rows[node]
-            descended = False
-            while True:
-                m = row >> cursor
-                if not m:
-                    break
-                j = cursor + (m & -m).bit_length() - 1
-                state = color[j]
-                if state == 1:  # back edge
-                    row &= ~(1 << j)
-                    cursor = j + 1
-                elif state == 2:
-                    cursor = j + 1
-                else:
-                    rows[node] = row
-                    cursors[-1] = j + 1
+        stack = [(root, _bits(rows[root]))]  # (node, its successors not yet tried)
+        while stack:
+            node, successors = stack[-1]
+            for j in successors:
+                if color[j] == 1:  # back edge
+                    rows[node] &= ~(1 << j)
+                elif not color[j]:
                     color[j] = 1
-                    nodes.append(j)
-                    cursors.append(0)
-                    descended = True
+                    stack.append((j, _bits(rows[j])))
                     break
-            if not descended:
-                rows[node] = row
+            else:
                 color[node] = 2
-                nodes.pop()
-                cursors.pop()
+                stack.pop()
     return rows
 
 
@@ -285,11 +251,8 @@ def find_cycle_rows(rows: Sequence[int]) -> list[int] | None:
             if (rows[u] >> start) & 1:
                 return True
             m = rows[u] & ~banned & ~seen
-            while m:
-                j = (m & -m).bit_length() - 1
-                seen |= 1 << j
-                stack.append(j)
-                m &= m - 1
+            seen |= m
+            stack.extend(_bits(m))
         return False
 
     path = [start]
@@ -298,15 +261,12 @@ def find_cycle_rows(rows: Sequence[int]) -> list[int] | None:
     while True:
         if (rows[node] >> start) & 1:
             return path
-        m = rows[node] & ~visited
-        while m:
-            j = (m & -m).bit_length() - 1
+        for j in _bits(rows[node] & ~visited):
             if reaches(j, visited):
                 path.append(j)
                 visited |= 1 << j
                 node = j
                 break
-            m &= m - 1
         else:
             raise RuntimeError("cycle search lost its witness")
 
@@ -325,11 +285,10 @@ def validate_dag(plan: Plan) -> None:
     """Raise ShapeError on a nonzero diagonal, CycleError on a cycle."""
     if plan.order is not None:
         return
-    rows = plan.rows()
-    for i in range(plan.size):
-        if (rows[i] >> i) & 1:
+    for i, row in enumerate(plan.rows):
+        if (row >> i) & 1:
             raise ShapeError(f"diagonal entry at step {i + 1} must be zero")
-    raise _cycle_error(rows)
+    raise _cycle_error(plan.rows)
 
 
 def _cycle_error(rows: Sequence[int]) -> CycleError:
@@ -339,27 +298,25 @@ def _cycle_error(rows: Sequence[int]) -> CycleError:
 def execution_order(plan: Plan) -> list[int]:
     """Concatenation of successive frontiers; a valid topological order."""
     if plan.order is None:
-        raise _cycle_error(plan.rows())
+        raise _cycle_error(plan.rows)
     return list(plan.order)
 
 
 def transitive_reduce(plan: Plan) -> Plan:
     """Minimal edge set with the same reachability; unique because acyclic."""
     validate_dag(plan)
-    reduced = reduce_rows(plan.rows())
-    return Plan(plan.steps, _rows_to_matrix(reduced, plan.size))
+    return Plan(plan.steps, reduce_rows(plan.rows))
 
 
 def normalize(plan: Plan) -> Plan:
     """Make the plan executable: zero diagonal, break cycles, reduce."""
-    rows = normalize_rows(plan.rows())
-    return Plan(plan.steps, _rows_to_matrix(rows, plan.size))
+    return Plan(plan.steps, normalize_rows(plan.rows))
 
 
 def linear_chain(steps: Sequence[PlanStep]) -> Plan:
     """The steps run in sequence: the dependency chain 1 -> 2 -> ... -> N."""
     n = len(steps)
-    return Plan(tuple(steps), tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n)))
+    return Plan(tuple(steps), tuple(2 << i if i + 1 < n else 0 for i in range(n)))
 
 
 def duplicate_content(plan: Plan) -> list[tuple[int, ...]]:
@@ -400,7 +357,7 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
     step index out of range raises ShapeError.
     """
     n = plan.size
-    rows = plan.rows()
+    rows = list(plan.rows)
     for edit in edits:
         if not isinstance(edit, (AddEdge, DelEdge)):
             raise TypeError(f"unknown edit operator: {edit!r}")
@@ -411,7 +368,7 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
             rows[edit.i - 1] |= bit
         else:
             rows[edit.i - 1] &= ~bit
-    return Plan(plan.steps, _rows_to_matrix(normalize_rows(rows), n))
+    return Plan(plan.steps, normalize_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +432,19 @@ def plan_from_json(doc: Any, citable: Collection[int] | None = None) -> Plan:
         raise SchemaError("/Matrix", "expected array")
     if len(raw_matrix) != n:
         raise SchemaError("/Matrix", f"{len(raw_matrix)} rows for {n} steps")
-    matrix = []
+    rows = []
     for i, row in enumerate(raw_matrix):
         if not isinstance(row, list):
             raise SchemaError(f"/Matrix/{i}", "expected array")
         if len(row) != n:
             raise SchemaError(f"/Matrix/{i}", f"{len(row)} entries for {n} steps")
+        bits = 0
         for j, value in enumerate(row):
             if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
                 raise SchemaError(f"/Matrix/{i}/{j}", "entries must be the integers 0 or 1")
-        matrix.append(tuple(row))
-    return Plan(tuple(steps), tuple(matrix))
+            bits |= value << j
+        rows.append(bits)
+    return Plan(tuple(steps), rows)
 
 
 def plan_to_json(plan: Plan) -> dict[str, Any]:

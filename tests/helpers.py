@@ -477,10 +477,11 @@ def formatted_findings(report: StaticReport) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def plan_from_matrix(matrix) -> Plan:
-    n = len(matrix)
-    steps = tuple(PlanStep(id=i + 1, content=f"step {i + 1}") for i in range(n))
-    return Plan(steps, tuple(tuple(row) for row in matrix))
+def plan_from_matrix(matrix, steps=None) -> Plan:
+    """The plan over `steps` (by default "step 1".."step N") whose rows pack the 0/1 `matrix`."""
+    if steps is None:
+        steps = tuple(PlanStep(id=i + 1, content=f"step {i + 1}") for i in range(len(matrix)))
+    return Plan(steps, tuple(sum(value << j for j, value in enumerate(row)) for row in matrix))
 
 
 def predecessors(plan: Plan, j: int) -> set[int]:
@@ -699,8 +700,9 @@ def reference_diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None 
     """Deterministic audit of a trace; every label carries evidence.
 
     The three-walk audit `pipeline.diagnose` replaced, kept as it was apart
-    from building a `Diagnosis` from its evidence alone: the rule and
-    prerequisite checks, the premature-termination check and the step
+    from building a `Diagnosis` from its evidence alone and, as `diagnose`
+    does, probing premature termination closed-world under `cwa`: the rule
+    and prerequisite checks, the premature-termination check and the step
     redundancy check each walk the records on their own.
 
     Checks that need structured derivation records or a groundable context
@@ -765,7 +767,7 @@ def reference_diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None 
             for record in trace.records[:cutoff]:
                 available.update(record.derived)
                 available.update(d.conclusion for d in record.derivations)
-            derivable = solvermod.fire_rounds(available, rules, domain, max_rounds=1)
+            derivable = solvermod.fire_rounds(available, rules, domain, cwa)
             if derivable:
                 evidence.append(
                     Evidence(

@@ -63,17 +63,6 @@ def criterion(name: str):
     print(f"PASS  {name}  ({time.perf_counter() - started:.2f}s)")
 
 
-def rows_of(matrix) -> tuple[int, ...]:
-    out = []
-    for row in matrix:
-        bits = 0
-        for j, value in enumerate(row):
-            if value:
-                bits |= 1 << j
-        out.append(bits)
-    return tuple(out)
-
-
 def matrix_of(rows, n) -> list[list[int]]:
     return [[(rows[i] >> j) & 1 for j in range(n)] for i in range(n)]
 
@@ -169,7 +158,7 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
                 l4[(g >> 16) & 15],
             )
             plan = plan_from_matrix(matrix_of(rows, 5))
-            assert rows_of(normalize(plan).matrix) == tuple(normalize_rows(rows))
+            assert normalize(plan).rows == tuple(normalize_rows(rows))
 
         # 500 random DAGs with up to 12 nodes through the public API.
         rng = random.Random(20240501)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import plan_from_matrix
 from proofplan.backends import (
     API_KEY_ENV,
     BackendError,
@@ -13,7 +14,7 @@ from proofplan.backends import (
 )
 from proofplan.fol import parse_formula
 from proofplan.pipeline import RawContext
-from proofplan.plan import Plan, PlanStep
+from proofplan.plan import PlanStep
 from proofplan.solver import decide, forward_chain, kb_from_repr
 from proofplan.structured import build_repr, repr_to_doc
 
@@ -219,7 +220,7 @@ def test_solver_stub_solve_reads_typed_context_and_plan(question):
         PlanStep(2, "Run the ground rules to a fixpoint.", uses=(1, 2)),
         PlanStep(3, "Judge the question against the derived facts.", kind="judgment"),
     )
-    plan = Plan(steps, ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    plan = plan_from_matrix(((0, 1, 0), (0, 0, 1), (0, 0, 0)), steps)
     expected = decide(forward_chain(kb_from_repr(context)), parse_formula(question)).label
     assert _stub_solve(context, plan) == expected
     # With structured management ablated, the context is the translation text.
@@ -233,7 +234,7 @@ def test_solver_stub_notes_the_answer_on_an_adjudicate_step():
         PlanStep(1, "Collect the initial facts from the premises.", uses=(1,)),
         PlanStep(2, "Adjudicate the question."),
     )
-    plan = Plan(steps, ((0, 1), (0, 0)))
+    plan = plan_from_matrix(((0, 1), (0, 0)), steps)
     meta = StageMeta(stage="solve", payload={"context": context, "plan": plan})
     doc = json.loads(SolverStubBackend().complete("p", GenerationParams(meta=meta)))
     assert doc["Final answer"] == "T"
@@ -248,7 +249,7 @@ def test_solver_stub_runs_each_step_from_its_citations_and_kind():
         PlanStep(3, "Weigh what is known.", kind="judgment"),
         PlanStep(4, "Apply the second rule.", uses=(4,)),
     )
-    plan = Plan(steps, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    plan = plan_from_matrix(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)), steps)
     meta = StageMeta(stage="solve", payload={"context": context, "plan": plan})
     doc = json.loads(SolverStubBackend().complete("p", GenerationParams(meta=meta)))
     assert [(e["note"], e["derived"]) for e in doc["Execution log"]] == [
@@ -262,7 +263,7 @@ def test_solver_stub_runs_each_step_from_its_citations_and_kind():
 
 def test_solver_stub_solve_needs_context_and_plan():
     context = build_repr([("P(tom)", "P(tom)")], [("P(tom)", "P(tom)")])
-    plan = Plan((PlanStep(1, "Judge the question."),), ((0,),))
+    plan = plan_from_matrix(((0,),), (PlanStep(1, "Judge the question."),))
     with pytest.raises(BackendError):
         _stub_solve(None, plan)
     with pytest.raises(BackendError):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     CannedBackend,
     ground_literal_queries,
+    plan_from_matrix,
     random_horn_kb,
     reachability_by_squaring,
     reference_diagnose,
@@ -48,7 +49,7 @@ from proofplan.pipeline import (
     trace_to_doc,
     translate_stage,
 )
-from proofplan.plan import CycleError, Plan, PlanStep, plan_to_json
+from proofplan.plan import CycleError, PlanStep, plan_to_json
 from proofplan.solver import (
     GroundRule,
     Literal,
@@ -267,7 +268,7 @@ def test_solve_stage_string_array_log_maps_onto_execution_order():
     }
     backend = CannedBackend(json.dumps(doc))
     steps = (PlanStep(1, "first"), PlanStep(2, "second"))
-    plan = Plan(steps, ((0, 1), (0, 0)))
+    plan = plan_from_matrix(((0, 1), (0, 0)), steps)
     trace = solve_stage(backend, RawContext("ctx"), plan)
     assert [r.step_id for r in trace.records] == [1, 2]
     assert trace.records[0].text == "did the first step"
@@ -275,7 +276,7 @@ def test_solve_stage_string_array_log_maps_onto_execution_order():
 
 def test_solve_stage_rejects_a_log_field_that_is_not_an_array():
     doc = {"Execution log": [{"step": 1, "derived": "P(tom)"}], "Final answer": "U"}
-    plan = Plan((PlanStep(1, "judge"),), ((0,),))
+    plan = plan_from_matrix(((0,),), (PlanStep(1, "judge"),))
     with pytest.raises(StageParseError) as exc:
         solve_stage(CannedBackend(json.dumps(doc)), RawContext("ctx"), plan)
     assert "/Execution log/0/derived: expected array" in str(exc.value)
@@ -283,13 +284,13 @@ def test_solve_stage_rejects_a_log_field_that_is_not_an_array():
 
 def test_solve_stage_missing_final_answer():
     backend = CannedBackend(json.dumps({"Execution log": "thinking"}))
-    plan = Plan((PlanStep(1, "judge"),), ((0,),))
+    plan = plan_from_matrix(((0,),), (PlanStep(1, "judge"),))
     with pytest.raises(StageParseError) as exc:
         solve_stage(backend, RawContext("ctx"), plan)
     assert "Final answer" in str(exc.value)
 
 
-TWO_STEP_PLAN = Plan((PlanStep(1, "apply the rules"), PlanStep(2, "judge")), ((0, 1), (0, 0)))
+TWO_STEP_PLAN = plan_from_matrix(((0, 1), (0, 0)), (PlanStep(1, "apply the rules"), PlanStep(2, "judge")))
 
 
 def test_parse_solve_doc_malformed_repeated_literal_names_its_first_occurrence():
@@ -366,8 +367,7 @@ def four_step_plan():
         PlanStep(2, "Apply the rules."),
         PlanStep(3, "Judge the question against the derived facts."),
     )
-    matrix = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
-    return Plan(steps, matrix)
+    return plan_from_matrix(((0, 1, 0), (0, 0, 1), (0, 0, 0)), steps)
 
 
 def lit(text):
@@ -497,7 +497,7 @@ def test_diagnose_reports_premature_termination_at_a_judgment_step_in_mid_plan()
 def test_diagnose_falls_back_to_the_last_step_in_execution_order():
     # 2 -> 3 -> 1: step 1 runs last, so it is the judgment, not step 3
     steps = (PlanStep(1, "State the answer."), PlanStep(2, "Collect."), PlanStep(3, "Apply rule 1 once."))
-    plan = Plan(steps, ((0, 0, 0), (0, 0, 1), (1, 0, 0)))
+    plan = plan_from_matrix(((0, 0, 0), (0, 0, 1), (1, 0, 0)), steps)
     assert plan.judgment == 1
     once = GroundRule(1, (("x", "lion"),), (lit("Chases(lion, dog)"),), lit("Round(lion)"))
     records = [
@@ -513,7 +513,7 @@ def test_diagnose_falls_back_to_the_last_step_in_execution_order():
 
 def test_diagnose_redundant_edges():
     steps = (PlanStep(1, "a"), PlanStep(2, "b"), PlanStep(3, "c"))
-    dense = Plan(steps, ((0, 1, 1), (0, 0, 1), (0, 0, 0)))
+    dense = plan_from_matrix(((0, 1, 1), (0, 0, 1), (0, 0, 0)), steps)
     trace = make_trace([StepRecord(step_id=0, text="free text")], plan=dense)
     report = diagnose(trace)
     assert report.labels == {"redundancy"}
@@ -603,7 +603,7 @@ def _with_an_implied_edge(rng, plan):
     i, j = rng.choice(implied)
     matrix = [list(row) for row in plan.matrix]
     matrix[i][j] = 1
-    return Plan(plan.steps, matrix)
+    return plan_from_matrix(matrix, plan.steps)
 
 
 def _record_variants(rng, records, pool, rule_count):
@@ -676,7 +676,7 @@ def test_replan_stage_scripted_returns_four_step_plan():
 
 def test_replan_stage_reads_the_round_state_from_the_trace():
     backend = RecordingBackend(CannedBackend(json.dumps({"Edits": [{"op": "AddEdge", "i": 1, "j": 3}]})))
-    unlinked = Plan(four_step_plan().steps, ((0, 0, 0),) * 3)
+    unlinked = plan_from_matrix(((0, 0, 0),) * 3, four_step_plan().steps)
     trace = replace(make_trace([facts_record()], plan=unlinked), provisional=Verdict("F"), round=2)
     outcome = replan_stage(backend, trace, Diagnosis(()))
     [(meta, prompt, _)] = backend.calls
@@ -728,12 +728,47 @@ def test_plan_and_replan_stages_reject_a_bad_or_foreign_citation(uses, message):
     planned = json.dumps({"Plan": steps, "Matrix": matrix})
     with pytest.raises(StageParseError, match=re.escape(f"plan stage: {message}")):
         plan_stage(CannedBackend(planned), context)
+    # a revised plan's pointer names where the value sits in the replan reply
     replanned = json.dumps({"Revised plan": {"Corrected_plan": steps, "Matrix": matrix}})
-    with pytest.raises(StageParseError, match=re.escape(f"replan stage: {message}")):
+    revised_message = message.replace("/Plan/", "/Revised plan/Corrected_plan/")
+    with pytest.raises(StageParseError, match=re.escape(f"replan stage: {revised_message}")):
         replan_stage(CannedBackend(replanned), make_trace([], context=context), Diagnosis(()))
     # a raw context has no statement ids, so only the shape of a citation is checked
     if "not a fact or rule" in message:
         assert plan_stage(CannedBackend(planned), RawContext(context.text))[0].steps[0].uses == tuple(uses)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0, 2], [0, 0]], "/Revised plan/Matrix/0/1: entries must be the integers 0 or 1"),
+        ([[0, 1], [False, 0]], "/Revised plan/Matrix/1/0: entries must be the integers 0 or 1"),
+        ([[0, 1], 0], "/Revised plan/Matrix/1: expected array"),
+        ([[0, 1]], "/Revised plan/Matrix: 1 rows for 2 steps"),
+    ],
+)
+def test_replan_stage_points_a_bad_matrix_entry_into_the_revised_plan(matrix, message):
+    steps = {"1": {"content": "Apply the rules."}, "2": {"content": "Judge.", "kind": "judgment"}}
+    reply = json.dumps({"Revised plan": {"Corrected_plan": steps, "Matrix": matrix}})
+    with pytest.raises(StageParseError, match=re.escape(f"replan stage: {message}")):
+        replan_stage(CannedBackend(reply), make_trace([facts_record()]), Diagnosis(()))
+
+
+def test_plan_and_replan_stages_handle_a_dense_cyclic_plan_at_the_step_limit():
+    n = planmod.MAX_STEPS
+    steps = {str(i): {"content": f"Step {i}."} for i in range(1, n + 1)}
+    matrix = [[int(i != j) for j in range(n)] for i in range(n)]  # every pair of steps, both ways
+    context = fig1b_context()
+    started = time.perf_counter()
+    with pytest.raises(CycleError):  # the harness scores it as `cycle`
+        plan_stage(CannedBackend(json.dumps({"Plan": steps, "Matrix": matrix})), context)
+    assert time.perf_counter() - started < 1.0
+    started = time.perf_counter()
+    reply = json.dumps({"Revised plan": {"Corrected_plan": steps, "Matrix": matrix}})
+    revised = replan_stage(CannedBackend(reply), make_trace([], context=context), Diagnosis(())).plan
+    assert time.perf_counter() - started < 1.0
+    # the search runs 1 -> 2 -> ... -> n, so every edge back down goes, and reduction leaves the chain
+    assert revised.edges() == [(i, i + 1) for i in range(1, n)]
 
 
 def _prompt_example(stage):
@@ -809,6 +844,20 @@ def test_run_pipeline_repairs_premature_termination():
     assert result.final.label == "F"
     contents = [s.content.lower() for s in result.traces[1].plan.steps]
     assert any("fixpoint" in c for c in contents)
+
+
+def test_run_pipeline_cwa_diagnoses_premature_termination_closed_world():
+    # the rule needs ¬Flies(tweety), which only closed-world matching supplies
+    premises = ("Bird(tweety)", "∀x (Bird(x) ∧ ¬Flies(x) → Grounded(x))")
+    problem = Problem(id="tweety", premises=premises, question="Grounded(tweety)")
+    closed = run_pipeline(SolverStubBackend(degrade_initial_plan=True), problem, PipelineConfig(cwa=True))
+    assert [t.provisional.label for t in closed.traces] == ["U", "T"]
+    [item] = closed.diagnoses[0].evidence
+    assert (item.label, item.step_id) == ("premature-termination", 2)
+    assert item.note.startswith("Grounded(tweety) ")
+    opened = run_pipeline(SolverStubBackend(degrade_initial_plan=True), problem, PipelineConfig())
+    assert [t.provisional.label for t in opened.traces] == ["U", "U"]
+    assert opened.diagnoses[0].evidence == ()
 
 
 class RecordingBackend:
@@ -1079,7 +1128,7 @@ def test_solve_stage_numbers_records_by_the_execution_order_and_rejects_a_bad_re
     second = json.dumps({"Execution log": log[:1], "Final answer": "F"})
     backend = CannedBackend(first, second, first, first, "no JSON here", "no JSON here")
     plan = four_step_plan()
-    swapped = Plan(plan.steps, ((0, 0, 1), (0, 0, 0), (0, 1, 0)))  # runs 1, 3, 2
+    swapped = plan_from_matrix(((0, 0, 1), (0, 0, 0), (0, 1, 0)), plan.steps)  # runs 1, 3, 2
     rounds = [solve_stage(backend, fig1b_context(), p, round=i, form=form) for i, p in enumerate([plan, plan])]
     assert [t.provisional.label for t in rounds] == ["T", "F"]
     assert [len(t.records) for t in rounds] == [3, 1]
@@ -1254,7 +1303,7 @@ def test_replan_stage_total_on_arbitrary_edits_and_plans(edits, revised):
 @given(_json_values)
 def test_solve_stage_total_on_arbitrary_json(doc):
     backend = CannedBackend(json.dumps(doc))
-    plan = Plan((PlanStep(1, "judge"),), ((0,),))
+    plan = plan_from_matrix(((0,),), (PlanStep(1, "judge"),))
     try:
         solve_stage(backend, RawContext("ctx"), plan)
     except StageParseError:

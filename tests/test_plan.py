@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -179,11 +180,11 @@ def test_judgment_is_the_first_judgment_kind_step_in_execution_order():
     steps = tuple(PlanStep(i, f"s{i}") for i in range(1, 5))
     # execution order 2, 4, 3, 1
     matrix = ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0))
-    assert Plan(steps, matrix).judgment == 1  # no judgment kind: the last step in execution order
+    assert plan_from_matrix(matrix, steps).judgment == 1  # no judgment kind: the last step in execution order
     judged = (steps[0], PlanStep(2, "s2", kind="judgment"), steps[2], PlanStep(4, "s4", kind="judgment"))
-    assert Plan(judged, matrix).judgment == 2
-    assert Plan(judged[:1] + (steps[1],) + judged[2:], matrix).judgment == 4
-    assert Plan(steps[:2], ((0, 1), (1, 0))).judgment is None  # a cycle has no execution order
+    assert plan_from_matrix(matrix, judged).judgment == 2
+    assert plan_from_matrix(matrix, judged[:1] + (steps[1],) + judged[2:]).judgment == 4
+    assert plan_from_matrix(((0, 1), (1, 0)), steps[:2]).judgment is None  # a cycle has no execution order
 
 
 def test_apply_edits_index_bounds():
@@ -196,7 +197,7 @@ def test_added_edges_stay_reachable_unless_cyclic():
     for _ in range(60):
         n = rng.randint(2, 8)
         steps = tuple(PlanStep(k, f"step {k}", "judgment" if k == n else "inference", (k,)) for k in range(1, n + 1))
-        plan = Plan(steps, random_dag_matrix(rng, n))
+        plan = plan_from_matrix(random_dag_matrix(rng, n), steps)
         # edge edits never touch the steps: ids, kinds and citations stay put
         edits = [
             edit_rng.choice((AddEdge, DelEdge))(edit_rng.randint(1, n), edit_rng.randint(1, n))
@@ -218,14 +219,14 @@ def test_duplicate_content_reported():
         PlanStep(2, "judge"),
         PlanStep(3, "collect facts"),
     )
-    plan = Plan(steps, ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    plan = plan_from_matrix(((0, 1, 0), (0, 0, 1), (0, 0, 0)), steps)
     assert duplicate_content(plan) == [(1, 3)]
 
 
 def _judged_chain() -> Plan:
     """A three-step chain whose steps cite statements and end in a judgment, so every field has a non-default value."""
     steps = (PlanStep(1, "step 1", uses=(1, 3)), PlanStep(2, "step 2", uses=(2,)), PlanStep(3, "judge", "judgment"))
-    return Plan(steps, chain(3).matrix)
+    return Plan(steps, chain(3).rows)
 
 
 def test_plan_json_round_trip():
@@ -237,9 +238,9 @@ def test_plan_json_round_trip():
 
 
 def test_plan_text_is_compact_plan_json_then_the_execution_order():
-    cited = Plan(
-        (PlanStep(1, "Sammle die Fakten (∀x).", uses=(2, 1)), PlanStep(2, "Urteile.", "judgment")),
+    cited = plan_from_matrix(
         ((0, 1), (0, 0)),
+        (PlanStep(1, "Sammle die Fakten (∀x).", uses=(2, 1)), PlanStep(2, "Urteile.", "judgment")),
     )
     for plan in (_judged_chain(), cited):
         head, _, order = plan.text.partition("\n")
@@ -283,12 +284,51 @@ def test_plan_json_reads_and_writes_citations_and_the_judgment_kind():
 
 
 def test_plan_constructor_validation():
-    with pytest.raises(ShapeError):
-        Plan((PlanStep(1, "a"),), ((0, 1),))
-    with pytest.raises(ShapeError):
-        Plan((PlanStep(2, "a"),), ((0,),))
+    one, two = (PlanStep(1, "a"),), (PlanStep(1, "a"), PlanStep(2, "b"))
+    with pytest.raises(ShapeError, match="contiguous"):
+        Plan((PlanStep(2, "a"),), (0,))
+    for steps, rows in [
+        (one, (2,)),  # bit 1 names a second step the plan lacks
+        (two, (4, 0)),
+        (two, (True, 0)),
+        (two, (-1, 0)),
+        (two, ((0, 1), (0, 0))),  # a matrix row, not a bitmask
+        (two, (1.0, 0)),
+        (two, (0,)),
+        (two, (0, 0, 0)),
+        (one, ()),
+    ]:
+        with pytest.raises(ShapeError):
+            Plan(steps, rows)
+    # the diagonal bit is legal here: `normalize` takes it, `validate_dag` rejects it
+    assert Plan(two, (1, 0)).matrix == ((1, 0), (0, 0))
+    assert Plan(two, [2, 0]).rows == (2, 0)
+    assert Plan((), ()).matrix == ()
     with pytest.raises(ValueError):
         PlanStep(1, "")
+
+
+def test_plan_holds_rows_and_derives_its_matrix():
+    plan = edges_plan(3, [(1, 2), (1, 3), (3, 2)])
+    assert plan.rows == (0b110, 0, 0b010)
+    assert plan.matrix == ((0, 1, 1), (0, 0, 0), (0, 1, 0))
+    assert plan.edges() == [(1, 2), (1, 3), (3, 2)]
+    assert [f.name for f in dataclasses.fields(Plan)] == ["steps", "rows"]
+    with pytest.raises(AttributeError):
+        plan.matrix = ((0, 0, 0),) * 3
+    assert plan_from_json(plan_to_json(plan)) == plan
+
+
+def test_apply_edits_breaks_a_new_cycle_at_its_back_edge():
+    # 2 -> 1 and 1 -> 3, then 1 -> 2: the search from step 1 enters 2 first,
+    # so 2 -> 1 is its back edge and goes
+    plan = edges_plan(3, [(2, 1), (1, 3)])
+    assert set(apply_edits(plan, [AddEdge(1, 2)]).edges()) == {(1, 2), (1, 3)}
+
+
+def test_normalize_breaks_a_three_cycle_at_its_back_edge():
+    plan = edges_plan(3, [(1, 2), (2, 3), (3, 1)])
+    assert set(normalize(plan).edges()) == {(1, 2), (2, 3)}
 
 
 def test_execution_order_matches_reference_on_random_dags():
