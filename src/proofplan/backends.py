@@ -48,15 +48,13 @@ class StageMeta:
     The scripted backend keys fixtures on (instance_id, stage, round). The
     `payload` holds the stage's typed inputs, which a backend that computes
     its answer (like the solver stub) reads directly: `premises` and
-    `question` (translate), `context` and `solver` (plan), `context`, `plan`,
-    `cwa` and `solver` (solve), and `context`, `plan`, `diagnosis`,
-    `provisional` label and `solver` (replan). `context` is a
-    `StructuredRepr`, or a `RawContext` when structured management is
-    ablated; `plan` is a `Plan`; `diagnosis` is the `Diagnosis` that led to
-    the replan; `cwa` is the run's closed-world setting;
-    `solver` is the instance's `SolverForm`, which keeps the context's
-    knowledge base and rule templates from one call to the next. The live
-    backend reads only the prompt.
+    `question` (translate), `context` (plan), `context`, `plan` and `cwa`
+    (solve), and `context`, `plan`, `diagnosis` and `provisional` label
+    (replan). `context` is a `StructuredRepr`, which keeps its knowledge
+    base and rule templates from one call to the next, or a `RawContext`
+    when structured management is ablated; `plan` is a `Plan`; `diagnosis`
+    is the `Diagnosis` that led to the replan; `cwa` is the run's
+    closed-world setting. The live backend reads only the prompt.
     """
 
     stage: str
@@ -208,9 +206,10 @@ class SolverStubBackend(Backend):
     literals, and every other step asserts the facts it cites and then fires
     the rules it cites to their fixpoint with the solver's `fire_rounds`
     (with the closed-world phase when the solve payload's `cwa` is set). The
-    rules are decomposed once per instance: the payload's `solver` form keeps
-    the knowledge base and rule templates for the next call and for
-    `diagnose`. Each solve call executes its plan afresh.
+    rules are decomposed once per instance: the context keeps its knowledge
+    base and rule templates for the next call and for `diagnose`, and a raw
+    context keeps the representation its text decodes to. Each solve call
+    executes its plan afresh.
     """
 
     def __init__(self, degrade_initial_plan: bool = False):
@@ -244,7 +243,7 @@ class SolverStubBackend(Backend):
 
     def _plan(self, meta: StageMeta, degraded: bool) -> planmod.Plan:
         """Facts, then rules (left out when `degraded`), then the judgment, each step citing its statements."""
-        context = self._structured(self._form(meta)).context
+        context = self._structured(meta)
         facts, rules = tuple(s.id for s in context.facts), tuple(s.id for s in context.rules)
         steps = [planmod.PlanStep(1, "Collect the initial facts from the premises.", uses=facts)]
         if not degraded:
@@ -253,47 +252,44 @@ class SolverStubBackend(Backend):
         return planmod.linear_chain(steps)
 
     @staticmethod
-    def _form(meta: StageMeta) -> solvermod.SolverForm:
-        """The payload's `solver` form, or a fresh one for its context."""
+    def _structured(meta: StageMeta) -> StructuredRepr:
+        """The payload's context, or for a `RawContext` the representation its
+        text decodes to; BackendError when it lacks one or the text does not decode."""
         context = meta.payload.get("context")
-        if not isinstance(context, (StructuredRepr, RawContext)):
+        if isinstance(context, RawContext):
+            try:
+                return context.structured
+            except SchemaError as err:
+                raise BackendError(f"solver stub cannot read the context: {err}") from err
+        if not isinstance(context, StructuredRepr):
             raise BackendError("solver stub call lacks a context")
-        return meta.payload.get("solver") or solvermod.SolverForm(context)
+        return context
 
     def _solve(self, meta: StageMeta) -> str:
         """The reply for the payload's plan and `cwa`, executed afresh; BackendError
         when the solver cannot run the context or its question."""
-        form = self._form(meta)
+        context = self._structured(meta)
         plan = meta.payload.get("plan")
         if not isinstance(plan, planmod.Plan):
             raise BackendError("solver stub solve call lacks a plan")
         try:
-            return self._execute(self._structured(form), plan, meta.payload.get("cwa", False))
+            return self._execute(context, plan, meta.payload.get("cwa", False))
         except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge) as err:
             raise BackendError(f"solver stub cannot run this context: {err}") from err
 
-    @staticmethod
-    def _structured(form: solvermod.SolverForm) -> solvermod.SolverForm:
-        """`form.structured`, with a context it cannot decode as BackendError."""
-        try:
-            return form.structured
-        except SchemaError as err:
-            raise BackendError(f"solver stub cannot read the context: {err}") from err
-
-    def _execute(self, form: solvermod.SolverForm, plan: planmod.Plan, cwa: bool) -> str:
-        order = planmod.execution_order(plan)
-        context, domain = form.context, form.kb.table.constants
+    def _execute(self, context: StructuredRepr, plan: planmod.Plan, cwa: bool) -> str:
+        order, domain = planmod.execution_order(plan), context.kb.table.constants
         if plan.judgment is None or not context.questions:
             raise BackendError("solver stub needs a plan with steps and a question to adjudicate")
         facts = {s.id: solvermod.literal_from_formula(s.symbol) for s in context.facts}
-        rules = {s.id: template for s, template in zip(context.rules, form.rules)}
+        rules = {s.id: template for s, template in zip(context.rules, context.templates)}
         literals: set[solvermod.Literal] = set()
         log: list[solvermod.StepRecord] = []
 
         for step_id in order:
             step = plan.steps[step_id - 1]
             if step_id == plan.judgment:  # `decide` against the literals the steps so far derived
-                answer = solvermod.decide(solvermod.chained_kb(form.kb, literals), context.questions[0].symbol).label
+                answer = solvermod.decide(solvermod.chained_kb(context.kb, literals), context.questions[0].symbol).label
                 log.append(solvermod.StepRecord(step_id, f"{step.content} -> {answer}"))
                 continue
             asserted = sorted({facts[i] for i in step.uses if i in facts})

@@ -15,6 +15,7 @@ import math
 import os
 import secrets
 import sys
+import time
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -23,7 +24,7 @@ from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedB
 from .errors import SchemaError
 from .fol import parse_formula
 from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset
-from .harness import report_to_doc, stratify_by_depth, trace_lines
+from .harness import _Deadline, _OutOfTime, report_to_doc, stratify_by_depth, trace_lines
 from .pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
 from .solver import Verdict, decide, forward_chain, kb_from_repr, step_record_from_doc
 from .structured import build_repr, deserialize_repr
@@ -179,6 +180,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Run one instance; as in `eval`, no backend call starts once its `--timeout-s` has run out."""
     try:
         instances = load_dataset(args.dataset, format=args.format)
         if args.id is not None:
@@ -195,7 +197,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         backend = _make_backend(args)
         config = _pipeline_config(args)
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
-        result = run_pipeline(backend, problem, config)
+        result = run_pipeline(_Deadline(backend, time.perf_counter() + args.timeout_s), problem, config)
+    except _OutOfTime:
+        print(f"error: instance {instance.id} ran out of time (--timeout-s {args.timeout_s:g})", file=sys.stderr)
+        return 1
     except Exception as err:
         return _error(err)
     print(f"instance {instance.id}: predicted {result.final.label}, gold {instance.gold}")

@@ -21,7 +21,7 @@ from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
 from .plan import CycleError, Plan
-from .solver import Literal, SolverForm, StepRecord, Verdict, step_record_from_doc
+from .solver import Literal, StepRecord, Verdict, step_record_from_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr
 
 __all__ = [
@@ -83,7 +83,6 @@ class Trace:
     provisional: Verdict
     raw: Mapping[str, str]
     round: int = 0
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,9 @@ def render_prompt(template: str, values: Mapping[str, str]) -> str:
 # Stage reply handling
 # ---------------------------------------------------------------------------
 
-_FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n(.*?)```", re.DOTALL)
+# Only blanks, not newlines, may follow the info string, so a long run of
+# newlines after an opener is not rescanned from every position.
+_FENCE_RE = re.compile(r"```[a-zA-Z]*[^\S\n]*\n(.*?)```", re.DOTALL)
 # Deeply nested arrays or objects make the decoder recurse past the limit;
 # an integer past Python's digit limit raises a plain ValueError, of which
 # JSONDecodeError is a subclass.
@@ -252,12 +253,9 @@ def plan_stage(
     context: StructuredRepr | RawContext,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
-    form: SolverForm | None = None,
 ) -> tuple[Plan, str]:
-    """The validated plan and the raw reply it came from; `form`, the
-    instance's `SolverForm`, is shared with the backend (a fresh one when absent)."""
-    form = SolverForm(context) if form is None else form
-    raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context, "solver": form}, problem)
+    """The validated plan and the raw reply it came from."""
+    raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context}, problem)
     doc = extract_json(raw, "plan")
     try:
         parsed = planmod.plan_from_json(doc, _citable(context))
@@ -274,6 +272,12 @@ def plan_stage(
 def _citable(context: StructuredRepr | RawContext) -> set[int] | None:
     """Ids a plan step may cite: a structured context's facts and rules, or None (no check) for a raw one."""
     return {s.id for s in (*context.facts, *context.rules)} if isinstance(context, StructuredRepr) else None
+
+
+def _literal_table(context: StructuredRepr | RawContext) -> dict[str, Literal]:
+    """A new literal table for one instance's replies: each stated fact's text
+    to its Literal (replies cite them by text), empty for a raw context."""
+    return {str(lit): lit for lit in context.kb.literals} if isinstance(context, StructuredRepr) else {}
 
 
 def _parse_solve_doc(
@@ -317,16 +321,16 @@ def solve_stage(
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
     round: int = 0,
-    form: SolverForm | None = None,
+    literals: dict[str, Literal] | None = None,
 ) -> Trace:
-    """One solve call; `form`, the instance's `SolverForm`, is shared with the
-    backend and decodes the reply's literals (a fresh one when absent)."""
+    """One solve call; the reply's literal strings are decoded through
+    `literals`, the instance's literal table (a new one when absent)."""
     planmod.validate_dag(plan)
-    form = SolverForm(context) if form is None else form
+    literals = _literal_table(context) if literals is None else literals
     values = {"repr": context.text, "plan": plan.text}
-    payload = {"context": context, "plan": plan, "cwa": config.cwa, "solver": form}
+    payload = {"context": context, "plan": plan, "cwa": config.cwa}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
-    records, label = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, form.literals)
+    records, label = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, literals)
     return Trace(
         context=context,
         plan=plan,
@@ -341,7 +345,7 @@ def solve_stage(
 # Diagnosis
 # ---------------------------------------------------------------------------
 
-def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) -> Diagnosis:
+def diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
     """Deterministic audit of a trace, in one walk over its records; every
     label carries evidence.
 
@@ -350,17 +354,17 @@ def diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) ->
     most be flagged for structural redundancy. With `cwa`, a consumed negative
     premise counts as available while its positive counterpart is not, and
     the premature-termination probe matches closed-world as the solver does.
-    `form`, the instance's `SolverForm`, supplies the knowledge base and rule
-    templates (a fresh one when absent).
+    A structured context supplies its kept knowledge base and rule templates.
     """
     evidence: list[Evidence] = []
 
-    form = SolverForm(trace.context) if form is None else form
-    try:  # an unstructured context has no knowledge base
-        kb, rules = form.kb, form.rules
-        domain = kb.table.constants
-    except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
-        kb = rules = None
+    kb = rules = None  # an unstructured context has no knowledge base
+    if isinstance(trace.context, StructuredRepr):
+        try:
+            kb, rules = trace.context.kb, trace.context.templates
+            domain = kb.table.constants
+        except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
+            pass
 
     # Premises are given, so they count as available from the start.
     available: set[Literal] = set(kb.literals) if kb is not None else set()
@@ -481,7 +485,7 @@ def replan_stage(
     diagnosis: Diagnosis,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
-    form: SolverForm | None = None,
+    literals: dict[str, Literal] | None = None,
 ) -> ReplanOutcome:
     """Ask the backend to repair `trace`'s plan, as round `trace.round + 1`,
     and normalize whatever comes back.
@@ -490,10 +494,10 @@ def replan_stage(
     plan wins; edits are then only validated). A revised plan equal to `trace`'s
     is `trace.plan` itself, which keeps its cached text and order. When the
     reply also embeds a re-execution (updated log plus final answer), that is
-    surfaced so the caller can skip the separate solve call. `form`, the
-    instance's `SolverForm`, is shared with the backend and decodes the
-    embedded log's literals (a fresh one when absent). A revised plan may
-    cite only the facts and rules of a structured context.
+    surfaced so the caller can skip the separate solve call; its literal
+    strings are decoded through `literals`, the instance's literal table (a
+    new one when absent). A revised plan may cite only the facts and rules of
+    a structured context.
     """
     context, plan, provisional = trace.context, trace.plan, trace.provisional.label
     round = trace.round + 1
@@ -504,14 +508,7 @@ def replan_stage(
         "provisional": provisional,
         "diagnosis": _diagnosis_text(diagnosis),
     }
-    form = SolverForm(context) if form is None else form
-    payload = {
-        "context": context,
-        "plan": plan,
-        "diagnosis": diagnosis,
-        "provisional": provisional,
-        "solver": form,
-    }
+    payload = {"context": context, "plan": plan, "diagnosis": diagnosis, "provisional": provisional}
     raw = _call_stage(backend, config, "replan", values, payload, problem, round)
     doc = extract_json(raw, "replan")
     if not isinstance(doc, dict):
@@ -564,7 +561,7 @@ def replan_stage(
             revised,
             "replan",
             raw,
-            form.literals,
+            _literal_table(context) if literals is None else literals,
         )
         embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
     return ReplanOutcome(plan=revised, raw=raw, embedded_trace=embedded)
@@ -585,23 +582,21 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     caller decides how to score the instance.
     """
     context, translate_raw = translate_stage(backend, problem, config)
-    form = SolverForm(context)  # each formula of the instance is decoded once
-    # Static findings are surfaced, not fatal.
-    warnings = context.warnings if isinstance(context, StructuredRepr) else ()
-    plan, plan_raw = plan_stage(backend, context, config, problem, form)
-    trace = solve_stage(backend, context, plan, config, problem, round=0, form=form)
-    traces = [replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw}, warnings=warnings)]
+    literals = _literal_table(context)  # each distinct literal string of the instance is decoded once
+    plan, plan_raw = plan_stage(backend, context, config, problem)
+    trace = solve_stage(backend, context, plan, config, problem, round=0, literals=literals)
+    traces = [replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw})]
     diagnoses: list[Diagnosis] = []
     for _ in range(config.max_replan_rounds):
         last = traces[-1]
-        diagnoses.append(diagnose(last, cwa=config.cwa, form=form))
-        outcome = replan_stage(backend, last, diagnoses[-1], config, problem, form=form)
+        diagnoses.append(diagnose(last, cwa=config.cwa))
+        outcome = replan_stage(backend, last, diagnoses[-1], config, problem, literals)
         trace = outcome.embedded_trace
         if trace is None:
             if outcome.plan is last.plan:  # nothing new to execute, and another round would repeat this one
-                traces.append(replace(last, round=len(traces), raw={"replan": outcome.raw}, warnings=()))
+                traces.append(replace(last, round=len(traces), raw={"replan": outcome.raw}))
                 break
-            trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces), form=form)
+            trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces), literals=literals)
         traces.append(replace(trace, raw={**trace.raw, "replan": outcome.raw}))
     return PipelineResult(traces=tuple(traces), diagnoses=tuple(diagnoses))
 
@@ -616,16 +611,18 @@ def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
 
     A structured context, the plan and each step record appear as their kept
     `doc`, shared with the other traces that hold them, so callers serialize
-    the record and do not mutate it.
+    the record and do not mutate it. The context's static findings, which
+    are surfaced and not fatal, go in the warnings of the record that
+    carries the translate reply; every other record has none.
     """
     context = trace.context
-    context_doc = {"raw": context.text} if isinstance(context, RawContext) else context.doc
+    structured = isinstance(context, StructuredRepr)
     return {
         "instance": instance_id,
         "round": trace.round,
         "provisional": trace.provisional.label,
-        "warnings": list(trace.warnings),
-        "context": context_doc,
+        "warnings": list(context.warnings) if structured and "translate" in trace.raw else [],
+        "context": context.doc if structured else {"raw": context.text},
         "plan": trace.plan.doc,
         "records": [r.doc for r in trace.records],
         "raw": dict(sorted(trace.raw.items())),

@@ -5,8 +5,8 @@ conjunction of literals and whose consequent is a single literal. Negation is
 explicit: a negative antecedent matches only a derived negative literal,
 open-world by default, with an opt-in closed-world antecedent mode. Each rule
 is decomposed once into premise and conclusion templates (`rule_templates`);
-`SolverForm` keeps one instance's knowledge base, templates and decoded
-literal strings, so each is built once per instance.
+a `StructuredRepr` keeps its knowledge base and templates, so each is built
+once per context.
 Forward chaining fires them in rounds, semi-naively, to a least fixpoint with
 full derivation records: each round joins rule bodies against the known
 literals, indexed by polarity and predicate, and after round one only
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Mapping, Sequence
 
 from .errors import SchemaError
 from .fol import (
@@ -46,7 +46,9 @@ from .fol import (
     parse_formula,
     render_formula,
 )
-from .structured import RawContext, StructuredRepr, deserialize_repr
+
+if TYPE_CHECKING:
+    from .structured import StructuredRepr
 
 __all__ = [
     "Literal",
@@ -64,7 +66,6 @@ __all__ = [
     "decide",
     "brute_force_entails",
     "kb_from_repr",
-    "SolverForm",
     "literal_from_formula",
     "literal_to_formula",
     "step_record_to_doc",
@@ -179,8 +180,8 @@ def step_record_from_doc(
     Missing fields take their defaults (`default_step` for the step id), and
     a shape error raises SchemaError with a pointer below `pointer`. Literal
     strings already in `literals` are not parsed again, and newly parsed ones
-    are added, so all the replies of one instance can share a dict
-    (`SolverForm.literals`).
+    are added, so all the replies of one instance can share a dict (the
+    pipeline's literal table).
     """
     if isinstance(doc, str):
         return StepRecord(step_id=default_step, text=doc)
@@ -273,7 +274,6 @@ class Verdict:
 def kb_from_repr(repr_: StructuredRepr, cwa: bool = False) -> KnowledgeBase:
     literals = frozenset(literal_from_formula(s.symbol) for s in repr_.facts)
     return KnowledgeBase(table=repr_.table, literals=literals, rules=tuple(s.symbol for s in repr_.rules), cwa=cwa)
-
 
 
 # ---------------------------------------------------------------------------
@@ -411,48 +411,6 @@ def rule_templates(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDIN
         if total > max_instantiations:
             raise DomainTooLarge(f"grounding needs more than {max_instantiations} instantiations")
     return rules
-
-
-@dataclass(eq=False)
-class SolverForm:
-    """One instance's formulas in solver form, each decoded at most once.
-
-    `literals` maps each literal string decoded so far, from any reply of the
-    instance, to its Literal, and starts with the stated facts. `kb` and
-    `rules` are a structured context's open-world knowledge base and its rule
-    templates, and `structured` is the form of the context decoded into a
-    `StructuredRepr` (this form itself when it already is one); each is built
-    on first use, and a failure raises again on every use. Make one per
-    instance and share it with nothing else.
-    """
-
-    context: StructuredRepr | RawContext
-    literals: dict[str, Literal] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # Replies cite stated facts by their text, so those need no parsing.
-        for fact in self.context.facts if isinstance(self.context, StructuredRepr) else ():
-            lit = literal_from_formula(fact.symbol)
-            self.literals.setdefault(str(lit), lit)
-
-    @functools.cached_property
-    def kb(self) -> KnowledgeBase:
-        if not isinstance(self.context, StructuredRepr):
-            raise UnsupportedFragment("an unstructured context has no knowledge base")
-        return kb_from_repr(self.context)
-
-    @functools.cached_property
-    def rules(self) -> tuple[RuleTemplate, ...]:
-        return rule_templates(self.kb)
-
-    @property
-    def structured(self) -> SolverForm:
-        """This form, or for a raw context the form of `deserialize_repr` of its text (SchemaError if it has none)."""
-        return self if isinstance(self.context, StructuredRepr) else self._decoded
-
-    @functools.cached_property
-    def _decoded(self) -> SolverForm:  # apart from `structured`, where caching `self` would make a reference cycle
-        return SolverForm(deserialize_repr(self.context.text))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
+from . import solver as solvermod
 from .errors import SchemaError
 from .fol import (
     Atom,
@@ -50,7 +51,8 @@ class AlignedStatement:
 
 @dataclass(frozen=True)
 class StructuredRepr:
-    """Immutable; its document form, prompt text and warnings are computed on first use and kept."""
+    """Immutable; its document form, prompt text, warnings, knowledge base and
+    rule templates are computed on first use and kept."""
 
     table: SymbolTable
     facts: tuple[AlignedStatement, ...]
@@ -70,6 +72,17 @@ class StructuredRepr:
     def text(self) -> str:
         """The document as compact JSON, as prompts carry it; computed once."""
         return json.dumps(self.doc, ensure_ascii=False)
+
+    @functools.cached_property
+    def kb(self) -> solvermod.KnowledgeBase:
+        """The open-world `kb_from_repr` of this representation, computed once."""
+        return solvermod.kb_from_repr(self)
+
+    @functools.cached_property
+    def templates(self) -> tuple[solvermod.RuleTemplate, ...]:
+        """`rule_templates` of the knowledge base, computed once; its
+        UnsupportedFragment or DomainTooLarge raises again on every use."""
+        return solvermod.rule_templates(self.kb)
 
     @functools.cached_property
     def warnings(self) -> tuple[str, ...]:
@@ -111,6 +124,11 @@ class RawContext:
     """Unvalidated stage-one text, used when structured management is ablated."""
 
     text: str
+
+    @functools.cached_property
+    def structured(self) -> StructuredRepr:
+        """`deserialize_repr` of the text, computed once; its SchemaError raises again on every use."""
+        return deserialize_repr(self.text)
 
 
 def is_ground_literal(f: Formula) -> bool:

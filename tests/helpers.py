@@ -49,7 +49,7 @@ from proofplan.backends import SolverStubBackend
 from proofplan import solver as solvermod
 from proofplan.pipeline import DIAGNOSIS_LABELS, Diagnosis, Evidence, Trace
 from proofplan.plan import CycleError, Plan, PlanStep
-from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, SolverForm, rule_templates
+from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, rule_templates
 from proofplan.structured import StructuredRepr, _walk_atoms, is_ground_literal
 
 VARIABLES = ("x", "y", "z", "u", "v")
@@ -696,7 +696,7 @@ def reference_fire_rounds(
 # ---------------------------------------------------------------------------
 
 
-def reference_diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None = None) -> Diagnosis:
+def reference_diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
     """Deterministic audit of a trace; every label carries evidence.
 
     The three-walk audit `pipeline.diagnose` replaced, kept as it was apart
@@ -709,17 +709,17 @@ def reference_diagnose(trace: Trace, cwa: bool = False, form: SolverForm | None 
     are skipped when that information is absent, so free-text traces can at
     most be flagged for structural redundancy. With `cwa`, a consumed negative
     premise counts as available while its positive counterpart is not.
-    `form`, the instance's `SolverForm`, supplies the knowledge base and rule
-    templates (a fresh one when absent).
+    A structured context supplies its kept knowledge base and rule templates.
     """
     evidence: list[Evidence] = []
 
-    form = SolverForm(trace.context) if form is None else form
-    try:  # an unstructured context has no knowledge base
-        kb, rules = form.kb, form.rules
-        domain = kb.table.constants
-    except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
-        kb = rules = None
+    kb = rules = None  # an unstructured context has no knowledge base
+    if isinstance(trace.context, StructuredRepr):
+        try:
+            kb, rules = trace.context.kb, trace.context.templates
+            domain = kb.table.constants
+        except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
+            pass
 
     has_structured_records = any(record.derived or record.derivations for record in trace.records)
 

@@ -158,6 +158,30 @@ def test_run_single_instance(capsys, tmp_path):
     assert lines and lines[0]["instance"] == "fig1b"
 
 
+class SlowStub(SolverStubBackend):
+    """The solver stub, 0.4 s slower per call, counting its calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def complete(self, prompt, params):
+        self.calls += 1
+        time.sleep(0.4)
+        return super().complete(prompt, params)
+
+
+def test_run_stops_at_the_instance_timeout(monkeypatch, capsys):
+    # Four calls would take 1.6 s; the third returns after the deadline and no fourth starts.
+    backend = SlowStub()
+    monkeypatch.setattr(cli, "_make_backend", lambda args: backend)
+    start = time.perf_counter()
+    assert main(["run", str(DATA / "fig1b.json"), "--timeout-s", "1"]) == 1
+    assert time.perf_counter() - start < 1.5 and backend.calls <= 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: instance fig1b ran out of time (--timeout-s 1)\n"
+
+
 def test_eval_scripted_batch(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     traces_path = tmp_path / "traces.jsonl"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -138,9 +139,16 @@ def test_extract_json_huge_integer_reply_is_a_parse_error():
         extract_json(HUGE_INT, "solve")
 
 
-@pytest.mark.parametrize("unit", ["{", '{"a"', '{"a":', "```\n{"], ids=["brace", "key", "colon", "fence"])
-def test_extract_json_is_linear_in_unclosed_openers(unit):
-    reply = unit * (80000 // len(unit))
+UNCLOSED_OPENERS = {"brace": "{", "key": '{"a"', "colon": '{"a":', "fence": "```\n{"}
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [pytest.param(unit * (80000 // len(unit)), id=name) for name, unit in UNCLOSED_OPENERS.items()]
+    # a fence opener followed by a long run of blank lines
+    + [pytest.param("```" + "\n" * 40000, id="fence-newlines"), pytest.param("```" + " \n" * 40000, id="fence-blanks")],
+)
+def test_extract_json_is_linear_in_unclosed_openers(reply):
     start = time.perf_counter()
     with pytest.raises(StageParseError):
         extract_json(reply, "solve")
@@ -642,16 +650,16 @@ def test_diagnose_agrees_with_the_reference_on_mutated_stub_traces():
     labels = Counter()
     for problem, cwa in [(p, cwa) for p in problems for cwa in (False, True)]:
         result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), problem, PipelineConfig(cwa=cwa))
-        form = solvermod.SolverForm(result.traces[0].context)
+        rule_count = len(result.traces[0].context.templates)
         for trace in result.traces:  # the degraded plan, then the full one
             pool = sorted({literal for r in trace.records for literal in r.derived})
             pool += [literal.negated() for literal in pool[:3]] + [Literal(True, "P", ("zz",))]
             plan = _with_an_implied_edge(rng, trace.plan) if rng.random() < 0.5 else trace.plan
-            for records in _record_variants(rng, trace.records, pool, len(form.rules)):
+            for records in _record_variants(rng, trace.records, pool, rule_count):
                 variant = replace(trace, plan=plan, records=tuple(records))
                 for audit_cwa in (False, True):
-                    want = reference_diagnose(variant, cwa=audit_cwa, form=form)
-                    assert diagnose(variant, cwa=audit_cwa, form=form) == want
+                    want = reference_diagnose(variant, cwa=audit_cwa)
+                    assert diagnose(variant, cwa=audit_cwa) == want
                     labels.update(want.labels)
     assert set(labels) == {"missing-prerequisites", "rule-misuse", "premature-termination", "redundancy"}
 
@@ -878,13 +886,13 @@ def test_run_pipeline_stage_calls_carry_their_meta():
     result = run_pipeline(backend, fig1b_problem())
     assert [(m.stage, m.round, m.instance_id, sorted(m.payload)) for m, _, _ in backend.calls] == [
         ("translate", 0, "fig1b", ["premises", "question"]),
-        ("plan", 0, "fig1b", ["context", "solver"]),
-        ("solve", 0, "fig1b", ["context", "cwa", "plan", "solver"]),
-        ("replan", 1, "fig1b", ["context", "diagnosis", "plan", "provisional", "solver"]),
-        ("solve", 1, "fig1b", ["context", "cwa", "plan", "solver"]),
+        ("plan", 0, "fig1b", ["context"]),
+        ("solve", 0, "fig1b", ["context", "cwa", "plan"]),
+        ("replan", 1, "fig1b", ["context", "diagnosis", "plan", "provisional"]),
+        ("solve", 1, "fig1b", ["context", "cwa", "plan"]),
     ]
-    first, *others = (m.payload["solver"] for m, _, _ in backend.calls if m.stage != "translate")
-    assert all(form is first for form in others)
+    first, *others = (m.payload["context"] for m, _, _ in backend.calls if m.stage != "translate")
+    assert all(context is first for context in others) and first is result.traces[0].context
     # the replan call carries the typed diagnosis that led to it, with its evidence
     [replan_meta] = [m for m, _, _ in backend.calls if m.stage == "replan"]
     assert replan_meta.payload["diagnosis"] is result.diagnoses[0] and result.diagnoses[0].evidence
@@ -1017,6 +1025,28 @@ def test_solver_stub_replies_carry_no_indentation(mode):
     assert stages == {"translate", "plan", "solve", "replan"}
 
 
+def test_run_pipeline_leaves_no_cyclic_garbage():
+    # What a context keeps (its knowledge base, rule templates and, for a raw
+    # context, its decoded representation) must not refer back to it.
+    problems = [
+        Problem(id=instance.id, premises=instance.premises, question=instance.question)
+        for name in ("fig1b.json", "batch3.json")
+        for instance in load_dataset(DATA / name)
+    ]
+    configs = [PipelineConfig(), PipelineConfig(disable_structured_repr=True), PipelineConfig(cwa=True)]
+    gc.collect()
+    gc.disable()
+    try:
+        for config in configs:
+            for degraded in (False, True):
+                for problem in problems:
+                    result = run_pipeline(SolverStubBackend(degrade_initial_plan=degraded), problem, config)
+                    assert all(trace_to_doc(trace, problem.id) for trace in result.traces)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_trace_to_doc_encodes_each_derivation_once(monkeypatch):
     encoded = []  # keeps every encoded object alive, so their ids stay distinct
     derivation_to_doc = solvermod.derivation_to_doc
@@ -1122,22 +1152,21 @@ def test_replan_stage_keeps_the_plan_object_only_when_the_plan_is_unchanged():
 
 
 def test_solve_stage_numbers_records_by_the_execution_order_and_rejects_a_bad_reply():
-    form = solvermod.SolverForm(fig1b_context())
     log = [{"note": "collect"}, {"note": "apply", "derived": ["Round(lion)"]}, {"note": "judge"}]
     first = json.dumps({"Execution log": log, "Final answer": "T"})
     second = json.dumps({"Execution log": log[:1], "Final answer": "F"})
     backend = CannedBackend(first, second, first, first, "no JSON here", "no JSON here")
     plan = four_step_plan()
     swapped = plan_from_matrix(((0, 0, 1), (0, 0, 0), (0, 1, 0)), plan.steps)  # runs 1, 3, 2
-    rounds = [solve_stage(backend, fig1b_context(), p, round=i, form=form) for i, p in enumerate([plan, plan])]
+    rounds = [solve_stage(backend, fig1b_context(), p, round=i) for i, p in enumerate([plan, plan])]
     assert [t.provisional.label for t in rounds] == ["T", "F"]
     assert [len(t.records) for t in rounds] == [3, 1]
     # the same reply under another execution order numbers its steps by that order
-    assert [r.step_id for r in solve_stage(backend, fig1b_context(), swapped, form=form).records] == [1, 3, 2]
-    assert [r.step_id for r in solve_stage(backend, fig1b_context(), plan, form=form).records] == [1, 2, 3]
+    assert [r.step_id for r in solve_stage(backend, fig1b_context(), swapped).records] == [1, 3, 2]
+    assert [r.step_id for r in solve_stage(backend, fig1b_context(), plan).records] == [1, 2, 3]
     for _ in range(2):
         with pytest.raises(StageParseError):
-            solve_stage(backend, fig1b_context(), plan, form=form)
+            solve_stage(backend, fig1b_context(), plan)
 
 
 def test_solver_stub_decodes_an_unstructured_context_once_per_instance(monkeypatch):
@@ -1200,7 +1229,7 @@ def test_run_pipeline_surfaces_static_findings_as_warnings():
         Problem(id="w", premises=("odd premise.",), question="q?"),
         PipelineConfig(max_replan_rounds=0),
     )
-    assert any(w.startswith("open-rule") for w in result.traces[0].warnings)
+    assert any(w.startswith("open-rule") for w in result.traces[0].context.warnings)
     doc = trace_to_doc(result.traces[0], "w")
     assert doc["warnings"]
 

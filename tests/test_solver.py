@@ -14,7 +14,6 @@ from proofplan.solver import (
     DomainTooLarge,
     KnowledgeBase,
     Literal,
-    SolverForm,
     StepRecord,
     TooManyAtoms,
     UnsupportedFragment,
@@ -30,6 +29,7 @@ from proofplan.solver import (
     step_record_to_doc,
 )
 from proofplan.harness import load_dataset
+from proofplan.pipeline import _literal_table
 from proofplan.structured import build_repr, doc_to_repr
 
 
@@ -532,8 +532,7 @@ def _declared_context():
 
 def test_solver_form_seeds_every_stated_fact():
     # `a` is a declared constant; parse_formula alone would read it as a variable
-    form = SolverForm(_declared_context())
-    assert form.literals == {
+    assert _literal_table(_declared_context()) == {
         "Big(ann)": Literal(True, "Big", ("ann",)),
         "¬Big(B)": Literal(False, "Big", ("B",)),
         "Likes(ann, a)": Literal(True, "Likes", ("ann", "a")),
@@ -560,7 +559,7 @@ def test_step_record_from_doc_reads_every_cited_argument_as_a_constant():
 @pytest.mark.parametrize("name", ["fig1b.json", "batch3.json", "task_definition.json"])
 def test_solver_form_seeds_strings_that_parse_to_their_literal(name):
     for instance in load_dataset(Path(__file__).parent / "data" / name):
-        form = SolverForm(build_repr([(text, text) for text in instance.premises]))
-        assert form.literals
-        for text, lit in form.literals.items():
+        literals = _literal_table(build_repr([(text, text) for text in instance.premises]))
+        assert literals
+        for text, lit in literals.items():
             assert literal_from_formula(parse_formula(text)) == lit
