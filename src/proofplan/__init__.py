@@ -26,10 +26,7 @@ from .plan import (
     Plan,
     PlanStep,
     apply_edits,
-    execution_order,
-    normalize,
     transitive_reduce,
-    validate_dag,
 )
 from .solver import (
     KnowledgeBase,

@@ -10,6 +10,7 @@ outputs the same way regardless of the backend.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -65,9 +66,13 @@ class StageMeta:
 
 @dataclass(frozen=True)
 class GenerationParams:
+    """Sampling settings and routing metadata of one stage call; `deadline`, a
+    `time.perf_counter` reading, is when the call's instance runs out of time."""
+
     temperature: float = 0.0
     max_tokens: int = 4096
     meta: StageMeta | None = None
+    deadline: float | None = None
 
 
 class Backend(ABC):
@@ -85,6 +90,8 @@ class LiveBackend(Backend):
     most `max_inflight` requests run concurrently; transient failures retry
     with exponential backoff, or after the reply's numeric `Retry-After`
     seconds (capped at the request timeout) when a 429/5xx reply gives one.
+    Under the call's `deadline`, a request waits at most the time left, and an
+    attempt that could not start before the deadline raises BackendError.
     """
 
     def __init__(
@@ -120,15 +127,19 @@ class LiveBackend(Backend):
             "max_tokens": params.max_tokens,
         }
         headers = {"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"}
+        deadline = math.inf if params.deadline is None else params.deadline
         last_error = "no attempts made"
         delay: float = 0
         for attempt in range(self._retries):
+            if time.perf_counter() + delay >= deadline:  # this attempt could not start in time
+                raise BackendError(f"out of time after {attempt} attempts: {last_error}")
             if attempt:
                 time.sleep(delay)
             delay = 2**attempt
             with self._gate:
+                timeout = min(self._timeout, deadline - time.perf_counter())
                 try:
-                    response = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
+                    response = self._session.post(self._url, json=body, headers=headers, timeout=timeout)
                 except Exception as err:  # requests.RequestException and injected fakes
                     last_error = str(err)
                     continue
@@ -278,7 +289,7 @@ class SolverStubBackend(Backend):
             raise BackendError(f"solver stub cannot run this context: {err}") from err
 
     def _execute(self, context: StructuredRepr, plan: planmod.Plan, cwa: bool) -> str:
-        order, domain = planmod.execution_order(plan), context.kb.table.constants
+        domain = context.kb.table.constants
         if plan.judgment is None or not context.questions:
             raise BackendError("solver stub needs a plan with steps and a question to adjudicate")
         facts = {s.id: solvermod.literal_from_formula(s.symbol) for s in context.facts}
@@ -286,7 +297,7 @@ class SolverStubBackend(Backend):
         literals: set[solvermod.Literal] = set()
         log: list[solvermod.StepRecord] = []
 
-        for step_id in order:
+        for step_id in plan.order:
             step = plan.steps[step_id - 1]
             if step_id == plan.judgment:  # `decide` against the literals the steps so far derived
                 answer = solvermod.decide(solvermod.chained_kb(context.kb, literals), context.questions[0].symbol).label

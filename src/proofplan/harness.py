@@ -13,7 +13,7 @@ import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -211,10 +211,12 @@ class _OutOfTime(Exception):
 
 
 class _Deadline(Backend):
-    """Forwards stage calls until `deadline`, a `time.perf_counter` reading.
+    """Forwards stage calls, with `deadline` in their params, until `deadline`,
+    a `time.perf_counter` reading.
 
     No call starts after the deadline, and a reply that returns after it is
-    discarded, so the instance scores `timeout` instead of running on.
+    discarded, as is an exception raised after it, so the instance scores
+    `timeout` instead of running on.
     """
 
     def __init__(self, backend: Backend, deadline: float):
@@ -223,9 +225,14 @@ class _Deadline(Backend):
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         if time.perf_counter() < self._deadline:
-            reply = self._backend.complete(prompt, params)
-            if time.perf_counter() < self._deadline:
-                return reply
+            try:
+                reply = self._backend.complete(prompt, replace(params, deadline=self._deadline))
+            except Exception:
+                if time.perf_counter() < self._deadline:
+                    raise
+            else:
+                if time.perf_counter() < self._deadline:
+                    return reply
         raise _OutOfTime
 
 

@@ -20,7 +20,7 @@ from . import plan as planmod
 from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
 from .errors import SchemaError
-from .plan import CycleError, Plan
+from .plan import Plan
 from .solver import Literal, StepRecord, Verdict, step_record_from_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr
 
@@ -254,19 +254,18 @@ def plan_stage(
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
 ) -> tuple[Plan, str]:
-    """The validated plan and the raw reply it came from."""
+    """The validated plan and the raw reply it came from; a cyclic matrix
+    raises CycleError, which scores as `cycle`."""
     raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context}, problem)
     doc = extract_json(raw, "plan")
     try:
-        parsed = planmod.plan_from_json(doc, _citable(context))
-        if config.disable_matrix_plan:
-            # Ablation: keep the steps, replace the dependency structure with
-            # the linear chain 1 -> 2 -> ... -> N.
-            parsed = planmod.linear_chain(parsed.steps)
-        planmod.validate_dag(parsed)  # a cycle raises CycleError, which scores as `cycle`
+        steps, rows = planmod.read_plan(doc, _citable(context))
+        # Ablation: keep the steps, replace the dependency structure with the
+        # linear chain 1 -> 2 -> ... -> N.
+        plan = planmod.linear_chain(steps) if config.disable_matrix_plan else Plan(steps, rows)
     except (SchemaError, planmod.ShapeError) as err:
         raise StageParseError("plan", str(err), raw=raw) from err
-    return parsed, raw
+    return plan, raw
 
 
 def _citable(context: StructuredRepr | RawContext) -> set[int] | None:
@@ -301,7 +300,7 @@ def _parse_solve_doc(
         return (StepRecord(step_id=0, text=log),), label
     if not isinstance(log, list):
         raise StageParseError(stage, '"Execution log" must be a string or array', raw=raw)
-    order = planmod.execution_order(plan)
+    order = plan.order
     try:
         records = tuple(
             step_record_from_doc(
@@ -325,7 +324,6 @@ def solve_stage(
 ) -> Trace:
     """One solve call; the reply's literal strings are decoded through
     `literals`, the instance's literal table (a new one when absent)."""
-    planmod.validate_dag(plan)
     literals = _literal_table(context) if literals is None else literals
     values = {"repr": context.text, "plan": plan.text}
     payload = {"context": context, "plan": plan, "cwa": config.cwa}
@@ -422,13 +420,10 @@ def diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
             )
 
     # redundancy: transitively implied edges
-    try:
-        reduced = planmod.transitive_reduce(trace.plan)
-        removed = sorted(set(trace.plan.edges()) - set(reduced.edges()))
-    except (CycleError, planmod.ShapeError):
-        removed = []
-    for edge in removed:
-        evidence.append(Evidence("redundancy", edge=edge, note="edge implied by transitive reduction"))
+    reduced = planmod.reduce_rows(trace.plan.rows)
+    for i, j in trace.plan.edges():
+        if not (reduced[i - 1] >> (j - 1)) & 1:
+            evidence.append(Evidence("redundancy", edge=(i, j), note="edge implied by transitive reduction"))
 
     order = {label: i for i, label in enumerate(DIAGNOSIS_LABELS)}
     evidence.sort(key=lambda e: (order[e.label], e.step_id or 0, e.edge or (0, 0)))
@@ -536,13 +531,13 @@ def replan_stage(
                 "replan", '"Revised plan" needs "Corrected_plan" and "Matrix"', raw=raw
             )
         try:
-            proposed = planmod.plan_from_json(
+            steps, rows = planmod.read_plan(
                 {"Plan": revised_doc["Corrected_plan"], "Matrix": revised_doc["Matrix"]}, _citable(context)
             )
         except SchemaError as err:  # point into the reply, where "Plan" is "Corrected_plan"
             pointer = "/Revised plan" + err.pointer.replace("/Plan", "/Corrected_plan", 1)
             raise StageParseError("replan", str(SchemaError(pointer, err.message)), raw=raw) from err
-        revised = planmod.normalize(proposed)
+        revised = Plan(steps, planmod.normalize_rows(rows))
     elif edits:
         try:
             revised = planmod.apply_edits(plan, edits)

@@ -3,9 +3,11 @@
 A plan is an ordered list of steps plus a binary matrix A where A[i][j] = 1
 means step i directly precedes step j. A `Plan` holds A once, as the row
 bitmasks its algebra runs on (`rows[i]` holds bit j iff A[i][j] = 1), and
-`Plan.matrix` is a 0/1 view derived from them. Scheduling reads the rows:
-the frontier is every unfinished step whose predecessors are all finished,
-and execution order is the concatenation of successive frontiers. A step may
+`Plan.matrix` is a 0/1 view derived from them. Every `Plan` is acyclic: it
+computes its execution order when it is built, the concatenation of
+successive frontiers (every unfinished step whose predecessors are all
+finished), and a cycle raises. `normalize_rows` is the one place that breaks
+cycles, in rows a plan is then built from. A step may
 cite the statements it applies (`uses`, statement ids of the context), and
 its `kind` marks the judgment of the question (`Plan.judgment`). Replan
 edits (`AddEdge`, `DelEdge`) change only the rows, never the steps.
@@ -31,13 +33,11 @@ __all__ = [
     "DelEdge",
     "CycleError",
     "ShapeError",
-    "validate_dag",
-    "execution_order",
     "transitive_reduce",
-    "normalize",
     "apply_edits",
     "duplicate_content",
     "linear_chain",
+    "read_plan",
     "plan_from_json",
     "plan_to_json",
     "closure_rows",
@@ -79,7 +79,13 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class Plan:
-    """Immutable plan; operations return new plans. `rows[i]` holds bit j iff step i + 1 precedes step j + 1."""
+    """Immutable acyclic plan; operations return new plans. Bit j of `rows[i]`: step i + 1 precedes step j + 1.
+
+    `order`, the concatenated-frontier order of the 1-based ids, is computed
+    when the plan is built (an attribute, not a field). A nonzero diagonal
+    raises ShapeError, any other cycle CycleError with the lexicographically
+    smallest cycle as its witness.
+    """
 
     steps: tuple[PlanStep, ...]
     rows: tuple[int, ...]
@@ -96,6 +102,13 @@ class Plan:
         for i, row in enumerate(self.rows, start=1):
             if isinstance(row, bool) or not isinstance(row, int) or not 0 <= row < 1 << n:
                 raise ShapeError(f"row {i} must be an integer bitmask below 2**{n}, found {row!r}")
+        order = layered_order_rows(self.rows)
+        if order is None:
+            for i, row in enumerate(self.rows):
+                if (row >> i) & 1:
+                    raise ShapeError(f"diagonal entry at step {i + 1} must be zero")
+            raise CycleError([i + 1 for i in find_cycle_rows(self.rows)])
+        object.__setattr__(self, "order", tuple(i + 1 for i in order))
 
     @property
     def size(self) -> int:
@@ -107,14 +120,8 @@ class Plan:
         return tuple(tuple((row >> j) & 1 for j in range(self.size)) for row in self.rows)
 
     @functools.cached_property
-    def order(self) -> tuple[int, ...] | None:
-        """Concatenated-frontier order of the 1-based ids, or None if a cycle blocks it; computed once."""
-        order = layered_order_rows(self.rows)
-        return None if order is None else tuple(i + 1 for i in order)
-
-    @functools.cached_property
     def judgment(self) -> int | None:
-        """Id of the first "judgment" step in execution order, else of its last step; None on a cycle or no steps."""
+        """Id of the first "judgment" step in execution order, else of its last step; None when there are no steps."""
         order = self.order
         return next((i for i in order if self.steps[i - 1].kind == "judgment"), order[-1]) if order else None
 
@@ -126,7 +133,7 @@ class Plan:
     @functools.cached_property
     def text(self) -> str:
         """Prompt rendering: the compact `doc` and the execution order; computed once."""
-        order = ", ".join(str(i) for i in execution_order(self))
+        order = ", ".join(str(i) for i in self.order)
         return json.dumps(self.doc, ensure_ascii=False) + f"\nExecution order: {order}"
 
     def edges(self) -> list[tuple[int, int]]:
@@ -281,36 +288,9 @@ def _check_index(index: int, size: int) -> None:
         raise ShapeError(f"step index {index} out of range 1..{size}")
 
 
-def validate_dag(plan: Plan) -> None:
-    """Raise ShapeError on a nonzero diagonal, CycleError on a cycle."""
-    if plan.order is not None:
-        return
-    for i, row in enumerate(plan.rows):
-        if (row >> i) & 1:
-            raise ShapeError(f"diagonal entry at step {i + 1} must be zero")
-    raise _cycle_error(plan.rows)
-
-
-def _cycle_error(rows: Sequence[int]) -> CycleError:
-    return CycleError([i + 1 for i in find_cycle_rows(rows) or []])
-
-
-def execution_order(plan: Plan) -> list[int]:
-    """Concatenation of successive frontiers; a valid topological order."""
-    if plan.order is None:
-        raise _cycle_error(plan.rows)
-    return list(plan.order)
-
-
 def transitive_reduce(plan: Plan) -> Plan:
     """Minimal edge set with the same reachability; unique because acyclic."""
-    validate_dag(plan)
     return Plan(plan.steps, reduce_rows(plan.rows))
-
-
-def normalize(plan: Plan) -> Plan:
-    """Make the plan executable: zero diagonal, break cycles, reduce."""
-    return Plan(plan.steps, normalize_rows(plan.rows))
 
 
 def linear_chain(steps: Sequence[PlanStep]) -> Plan:
@@ -351,7 +331,7 @@ class DelEdge(EditOp):
 
 
 def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
-    """Set (AddEdge) or clear (DelEdge) one matrix entry per edit, in order, then normalize.
+    """Set (AddEdge) or clear (DelEdge) one matrix entry per edit, in order, then `normalize_rows`.
 
     Edits never touch the steps, so ids and `uses` citations stay put. A
     step index out of range raises ShapeError.
@@ -379,12 +359,13 @@ _PLAN_TOP_KEYS = {"Plan", "Matrix"}
 _STEP_KEYS = {"content", "kind", "uses"}
 
 
-def plan_from_json(doc: Any, citable: Collection[int] | None = None) -> Plan:
-    """Parse {"Plan": {"1": {"content": ..., "uses": [...], "kind": ...}, ...}, "Matrix": [[...], ...]}.
+def read_plan(doc: Any, citable: Collection[int] | None = None) -> tuple[tuple[PlanStep, ...], list[int]]:
+    """The steps and rows of {"Plan": {"1": {"content": ..., "uses": [...], "kind": ...}, ...}, "Matrix": [[...], ...]}.
 
-    `uses` and `kind` are optional. `uses` holds integers >= 1, and when
-    `citable` (the problem's fact and rule ids) is given, members of it.
-    Matrix entries must be the integers 0 or 1; booleans are rejected in
+    Every entry is checked here; a `Plan` built from them checks the diagonal
+    and cycles. `uses` and `kind` are optional. `uses` holds integers >= 1,
+    and when `citable` (the problem's fact and rule ids) is given, members
+    of it. Matrix entries must be the integers 0 or 1; booleans are rejected in
     both. The matrix must be square with side equal to the step count.
     """
     if not isinstance(doc, dict):
@@ -444,7 +425,12 @@ def plan_from_json(doc: Any, citable: Collection[int] | None = None) -> Plan:
                 raise SchemaError(f"/Matrix/{i}/{j}", "entries must be the integers 0 or 1")
             bits |= value << j
         rows.append(bits)
-    return Plan(tuple(steps), rows)
+    return tuple(steps), rows
+
+
+def plan_from_json(doc: Any, citable: Collection[int] | None = None) -> Plan:
+    """The `Plan` of a plan document; see `read_plan`."""
+    return Plan(*read_plan(doc, citable))
 
 
 def plan_to_json(plan: Plan) -> dict[str, Any]:

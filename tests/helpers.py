@@ -48,7 +48,7 @@ from proofplan import plan as planmod
 from proofplan.backends import SolverStubBackend
 from proofplan import solver as solvermod
 from proofplan.pipeline import DIAGNOSIS_LABELS, Diagnosis, Evidence, Trace
-from proofplan.plan import CycleError, Plan, PlanStep
+from proofplan.plan import Plan, PlanStep
 from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, rule_templates
 from proofplan.structured import StructuredRepr, _walk_atoms, is_ground_literal
 
@@ -477,11 +477,24 @@ def formatted_findings(report: StaticReport) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+def matrix_rows(matrix) -> tuple[int, ...]:
+    """The row bitmasks that pack the 0/1 `matrix`."""
+    return tuple(sum(value << j for j, value in enumerate(row)) for row in matrix)
+
+
+def _numbered_steps(n: int) -> tuple[PlanStep, ...]:
+    return tuple(PlanStep(id=i + 1, content=f"step {i + 1}") for i in range(n))
+
+
 def plan_from_matrix(matrix, steps=None) -> Plan:
     """The plan over `steps` (by default "step 1".."step N") whose rows pack the 0/1 `matrix`."""
-    if steps is None:
-        steps = tuple(PlanStep(id=i + 1, content=f"step {i + 1}") for i in range(len(matrix)))
-    return Plan(steps, tuple(sum(value << j for j, value in enumerate(row)) for row in matrix))
+    return Plan(_numbered_steps(len(matrix)) if steps is None else steps, matrix_rows(matrix))
+
+
+def normalized_plan(matrix) -> Plan:
+    """The plan over "step 1".."step N" whose rows are `normalize_rows` of the 0/1 `matrix`,
+    which may have a cycle or a diagonal entry."""
+    return Plan(_numbered_steps(len(matrix)), planmod.normalize_rows(matrix_rows(matrix)))
 
 
 def predecessors(plan: Plan, j: int) -> set[int]:
@@ -756,8 +769,8 @@ def reference_diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
     # premature termination: the judgment ran while rules could still fire
     if rules is not None and has_structured_records:
         # the judgment step: the first of kind "judgment" in the layered
-        # schedule, else the schedule's last step; none on a cycle
-        schedule = kahn_layers_reference(trace.plan.matrix) or []
+        # schedule, else the schedule's last step; none for a plan without steps
+        schedule = kahn_layers_reference(trace.plan.matrix)
         judges = [i for i in schedule if trace.plan.steps[i - 1].kind == "judgment"] + schedule[-1:]
         judgment_id = judges[0] if judges else None
         cutoff = next((k for k, r in enumerate(trace.records) if r.step_id == judgment_id), None)
@@ -778,12 +791,8 @@ def reference_diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
                 )
 
     # redundancy: transitively implied edges, and steps that only re-derive
-    try:
-        reduced = planmod.transitive_reduce(trace.plan)
-        removed = sorted(set(trace.plan.edges()) - set(reduced.edges()))
-    except (CycleError, planmod.ShapeError):
-        removed = []
-    for edge in removed:
+    reduced = planmod.transitive_reduce(trace.plan)
+    for edge in sorted(set(trace.plan.edges()) - set(reduced.edges())):
         evidence.append(Evidence("redundancy", edge=edge, note="edge implied by transitive reduction"))
     if has_structured_records:
         seen: set[Literal] = set()

@@ -18,6 +18,7 @@ import pytest
 
 from helpers import (
     kahn_layers_reference,
+    normalized_plan,
     plan_from_matrix,
     random_dag_matrix,
     random_formula,
@@ -30,14 +31,12 @@ from proofplan.fol import parse_formula, render_formula
 from proofplan.harness import HarnessConfig, evaluate, load_dataset
 from proofplan.pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
 from proofplan.plan import (
+    Plan,
     break_cycles_rows,
-    execution_order,
     layered_order_rows,
-    normalize,
     normalize_rows,
     reduce_rows,
     transitive_reduce,
-    validate_dag,
 )
 from proofplan.solver import (
     brute_force_entails,
@@ -98,12 +97,10 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
                 for k, (i, j) in enumerate(cells):
                     if (bits >> k) & 1:
                         matrix[i][j] = 1
-                plan = plan_from_matrix(matrix)
-                normalized = normalize(plan)
-                validate_dag(normalized)
-                assert len(execution_order(normalized)) == n
+                normalized = normalized_plan(matrix)  # building it checks that it is a DAG
+                assert len(normalized.order) == n
                 if kahn_layers_reference(matrix) is not None:  # acyclic input
-                    reduced = transitive_reduce(plan)
+                    reduced = transitive_reduce(plan_from_matrix(matrix))
                     oracle = reachability_by_squaring(matrix)
                     assert reachability_by_squaring(reduced.matrix) == oracle
                     assert transitive_reduce(reduced).matrix == reduced.matrix
@@ -157,8 +154,7 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
                 l3[(g >> 12) & 15],
                 l4[(g >> 16) & 15],
             )
-            plan = plan_from_matrix(matrix_of(rows, 5))
-            assert normalize(plan).rows == tuple(normalize_rows(rows))
+            assert normalized_plan(matrix_of(rows, 5)).rows == tuple(normalize_rows(rows))
 
         # 500 random DAGs with up to 12 nodes through the public API.
         rng = random.Random(20240501)
@@ -169,10 +165,9 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
             oracle = reachability_by_squaring(matrix)
             assert reachability_by_squaring(reduced.matrix) == oracle
             assert transitive_reduce(reduced).matrix == reduced.matrix
-            normalized = normalize(plan)
+            normalized = Plan(plan.steps, normalize_rows(plan.rows))  # building it checks that it is a DAG
             assert normalized.matrix == reduced.matrix
-            validate_dag(normalized)
-            assert len(execution_order(normalized)) == plan.size
+            assert len(normalized.order) == plan.size
 
         assert time.perf_counter() - started < 30.0
 
@@ -184,7 +179,7 @@ def test_criterion_2_frontier_execution_soundness():
         for _ in range(1000):
             matrix = random_dag_matrix(rng, rng.randint(1, 12), p=rng.uniform(0.1, 0.5))
             plan = plan_from_matrix(matrix)
-            order = execution_order(plan)
+            order = list(plan.order)
             reference = kahn_layers_reference(matrix)
             assert order == reference
             position = {step: k for k, step in enumerate(order)}

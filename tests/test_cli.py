@@ -112,6 +112,15 @@ def test_plan_validate_cycle_exits_one(tmp_path, capsys):
     assert "cycle: [1, 2]" in capsys.readouterr().out
 
 
+def test_plan_validate_diagonal_entry_exits_one(tmp_path, capsys):
+    plan = {"Plan": {"1": {"content": "a"}, "2": {"content": "b"}}, "Matrix": [[1, 1], [0, 0]]}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    assert main(["plan-validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: diagonal entry at step 1 must be zero\n" and captured.out == ""
+
+
 def test_plan_validate_dense_eleven_step_plan(tmp_path, capsys):
     matrix = []
     for i in range(11):

@@ -1,11 +1,14 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import proofplan
+from proofplan.harness import compose_question, load_dataset
+from proofplan.pipeline import Problem, run_pipeline
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(proofplan.__path__))
 
@@ -39,3 +42,22 @@ def test_modules_import_one_way():
     # fol <- solver <- structured: the solver knows nothing of representations or stages
     assert not _sibling_imports("solver") & {"structured", "pipeline", "backends", "harness", "cli"}
     assert _sibling_imports("structured") <= {"errors", "fol", "solver"}
+
+
+def _readme_python_blocks() -> list[str]:
+    text = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+
+
+def test_readme_python_examples_run(capsys):
+    # each block runs on its own, with only the names it imports
+    library, custom = _readme_python_blocks()
+    exec(compile(library, "README.md (Library use)", "exec"), {})
+    assert capsys.readouterr().out == "U\nU\nU\n"  # the labels the block's comments give
+    namespace: dict = {}
+    exec(compile(custom, "README.md (custom backend)", "exec"), namespace)
+    [instance] = load_dataset(Path(__file__).parent / "data" / "fig1b.json")
+    problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
+    assert run_pipeline(namespace["Inspecting"](), problem).final.label == instance.gold == "F"
+    # the plan call has no plan yet; the solve and replan calls get the three-step plan
+    assert capsys.readouterr().out.splitlines() == ["3 facts, 0 plan steps"] + ["3 facts, 3 plan steps"] * 2

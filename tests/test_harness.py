@@ -4,13 +4,14 @@ import random
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import CountingStub, random_formula, random_horn_kb
-from proofplan.backends import ScriptedBackend, SolverStubBackend
+from proofplan.backends import API_KEY_ENV, LiveBackend, ScriptedBackend, SolverStubBackend
 from proofplan.errors import SchemaError
 from proofplan.harness import (
     HarnessConfig,
@@ -258,6 +259,55 @@ def test_timeout_runs_per_instance_and_stops_backend_calls():
     assert all(r.duration_s >= 0.1 for r in report.records)
     assert backend.calls <= 4
     assert elapsed < 1.0
+
+
+class _BusySession:
+    """Answers every POST with 503 and `Retry-After: 1`."""
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        return SimpleNamespace(status_code=503, headers={"Retry-After": "1"}, text="")
+
+
+class _SilentSession:
+    """Blocks for its `timeout` argument and then raises, as a request that gets no reply does."""
+
+    def __init__(self):
+        self.timeouts = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.timeouts.append(timeout)
+        time.sleep(timeout)
+        raise TimeoutError(f"no reply within {timeout} s")
+
+
+def test_live_backend_makes_no_retry_that_cannot_start_before_the_deadline(monkeypatch):
+    # the reply asks for a 0.5 s wait (Retry-After capped at the request
+    # timeout), which would end at the deadline, so the backend gives up at once
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    session = _BusySession()
+    backend = LiveBackend(base_url="http://x/v1", model="m", timeout_s=0.5, session=session)
+    instance = Instance(id="s", premises=("P(tom)",), question="P(tom)", gold="T")
+    started = time.perf_counter()
+    report = evaluate([instance], backend, HarnessConfig(timeout_s=0.5, concurrency=1))
+    assert time.perf_counter() - started < 0.3
+    assert session.posts == 1
+    assert report.records[0].failure_kind == "backend"
+
+
+def test_live_backend_request_waits_at_most_the_time_left(monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    session = _SilentSession()
+    backend = LiveBackend(base_url="http://x/v1", model="m", timeout_s=1.0, session=session)
+    instance = Instance(id="s", premises=("P(tom)",), question="P(tom)", gold="T")
+    started = time.perf_counter()
+    report = evaluate([instance], backend, HarnessConfig(timeout_s=0.5, concurrency=1))
+    assert time.perf_counter() - started < 0.8
+    assert len(session.timeouts) == 1 and session.timeouts[0] <= 0.5
+    assert report.records[0].failure_kind == "timeout"  # the request failed after the deadline
 
 
 def test_interrupt_cancels_instances_not_yet_started():

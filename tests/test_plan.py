@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     kahn_layers_reference,
+    normalized_plan,
     plan_from_matrix,
     predecessors,
     random_dag_matrix,
@@ -23,12 +24,10 @@ from proofplan.plan import (
     ShapeError,
     apply_edits,
     duplicate_content,
-    execution_order,
-    normalize,
+    normalize_rows,
     plan_from_json,
     plan_to_json,
     transitive_reduce,
-    validate_dag,
 )
 
 
@@ -70,41 +69,52 @@ def test_pred_succ_on_dense_row():
     assert predecessors(plan, 9) == {8}
 
 
+def _matrix_doc(matrix) -> dict:
+    return {"Plan": {str(i): {"content": f"step {i}"} for i in range(1, len(matrix) + 1)}, "Matrix": matrix}
+
+
 def test_validate_dag():
-    validate_dag(edges_plan(3, [(1, 2), (2, 3)]))
-    with pytest.raises(CycleError) as exc:
-        validate_dag(edges_plan(2, [(1, 2), (2, 1)]))
-    assert exc.value.cycle == [1, 2]
-    validate_dag(dense_stage_plan())
+    # the constructor and `plan_from_json` both accept a DAG and reject a cycle
+    edges_plan(3, [(1, 2), (2, 3)])
+    for build in (plan_from_matrix, lambda matrix: plan_from_json(_matrix_doc(matrix))):
+        with pytest.raises(CycleError) as exc:
+            build([[0, 1], [1, 0]])
+        assert exc.value.cycle == [1, 2]
+    dense_stage_plan()
 
 
 def test_validate_dag_reports_lexicographically_smallest_cycle():
     # two cycles: [2, 3] and [2, 4]; the witness must be [2, 3]
-    plan = edges_plan(4, [(2, 3), (3, 2), (2, 4), (4, 2)])
     with pytest.raises(CycleError) as exc:
-        validate_dag(plan)
+        edges_plan(4, [(2, 3), (3, 2), (2, 4), (4, 2)])
+    assert exc.value.cycle == [2, 3]
+    with pytest.raises(CycleError) as exc:
+        plan_from_json(_matrix_doc([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]]))
     assert exc.value.cycle == [2, 3]
 
 
 def test_validate_dag_shape_error_on_diagonal():
-    plan = plan_from_matrix([[1]])
-    with pytest.raises(ShapeError):
-        validate_dag(plan)
+    for build in (plan_from_matrix, lambda matrix: plan_from_json(_matrix_doc(matrix))):
+        with pytest.raises(ShapeError, match="^diagonal entry at step 1 must be zero$"):
+            build([[1]])
+        # a diagonal entry is a ShapeError even when the plan has a longer cycle too
+        with pytest.raises(ShapeError, match="^diagonal entry at step 2 must be zero$"):
+            build([[0, 1], [1, 1]])
 
 
 def test_execution_order_examples():
-    assert execution_order(chain(3)) == [1, 2, 3]
-    assert execution_order(edges_plan(2, [(2, 1)])) == [2, 1]
-    order = execution_order(dense_stage_plan())
+    assert list(chain(3).order) == [1, 2, 3]
+    assert list(edges_plan(2, [(2, 1)]).order) == [2, 1]
+    order = list(dense_stage_plan().order)
     assert order[0] == 1 and order[-1] == 11
     with pytest.raises(CycleError):
-        execution_order(edges_plan(2, [(1, 2), (2, 1)]))
+        edges_plan(2, [(1, 2), (2, 1)])
 
 
 def test_execution_order_is_layered_not_greedy():
     # 1 -> 2 with free nodes 3 and 4: the whole first frontier runs before 2
     plan = edges_plan(4, [(1, 2)])
-    assert execution_order(plan) == [1, 3, 4, 2]
+    assert list(plan.order) == [1, 3, 4, 2]
 
 
 def test_transitive_reduce_examples():
@@ -127,20 +137,17 @@ def test_transitive_reduce_preserves_reachability_random():
 
 def test_normalize_acyclic_equals_reduce():
     plan = edges_plan(3, [(1, 2), (2, 3), (1, 3)])
-    assert normalize(plan).matrix == transitive_reduce(plan).matrix
+    assert Plan(plan.steps, normalize_rows(plan.rows)).matrix == transitive_reduce(plan).matrix
 
 
 def test_normalize_breaks_two_cycle_dropping_back_edge():
-    plan = edges_plan(2, [(1, 2), (2, 1)])
-    out = normalize(plan)
+    out = normalized_plan([[0, 1], [1, 0]])
     assert set(out.edges()) == {(1, 2)}
 
 
 def test_normalize_zeroes_diagonal():
-    plan = plan_from_matrix([[1, 1], [0, 0]])
-    out = normalize(plan)
+    out = normalized_plan([[1, 1], [0, 0]])  # building it checks that it is a DAG
     assert set(out.edges()) == {(1, 2)}
-    validate_dag(out)
 
 
 def test_normalize_exhaustive_small_digraphs():
@@ -152,11 +159,36 @@ def test_normalize_exhaustive_small_digraphs():
             for k, (i, j) in enumerate(cells):
                 if (bits >> k) & 1:
                     matrix[i][j] = 1
-            plan = plan_from_matrix(matrix)
-            out = normalize(plan)
-            validate_dag(out)
-            assert len(execution_order(out)) == n
-            assert normalize(out).matrix == out.matrix
+            out = normalized_plan(matrix)  # building it checks that it is a DAG
+            assert len(out.order) == n
+            assert Plan(out.steps, normalize_rows(out.rows)).matrix == out.matrix
+
+
+def test_plan_builds_exactly_the_acyclic_matrices():
+    # every 0/1 matrix on up to 3 nodes, diagonal included: a DAG builds with
+    # the reference order, a diagonal entry is a ShapeError, any other cycle a
+    # CycleError whose witness is a cycle of the matrix
+    for n in range(4):
+        for bits in range(1 << (n * n)):
+            matrix = [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)]
+            diagonal = [i + 1 for i in range(n) if matrix[i][i]]
+            try:
+                plan = plan_from_matrix(matrix)
+            except ShapeError as err:
+                assert diagonal and str(err) == f"diagonal entry at step {diagonal[0]} must be zero"
+                continue
+            except CycleError as err:
+                assert not diagonal and kahn_layers_reference(matrix) is None
+                cycle = err.cycle
+                assert len(cycle) == len(set(cycle)) >= 2
+                assert all(matrix[a - 1][b - 1] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                continue
+            assert plan.order == tuple(kahn_layers_reference(matrix))
+    # a plan's rows cannot be swapped for cyclic ones after it is built
+    with pytest.raises(CycleError):
+        dataclasses.replace(chain(2), rows=(0b10, 0b01))
+    with pytest.raises(ShapeError):
+        dataclasses.replace(chain(2), rows=(0b11, 0))
 
 
 def test_apply_edits_add_transitive_edge_then_normalize():
@@ -173,7 +205,7 @@ def test_apply_edits_del_edge():
 
 def test_apply_edits_empty_equals_normalize():
     plan = edges_plan(3, [(1, 2), (2, 3), (1, 3)])
-    assert apply_edits(plan, []).matrix == normalize(plan).matrix
+    assert apply_edits(plan, []).matrix == Plan(plan.steps, normalize_rows(plan.rows)).matrix
 
 
 def test_judgment_is_the_first_judgment_kind_step_in_execution_order():
@@ -184,7 +216,9 @@ def test_judgment_is_the_first_judgment_kind_step_in_execution_order():
     judged = (steps[0], PlanStep(2, "s2", kind="judgment"), steps[2], PlanStep(4, "s4", kind="judgment"))
     assert plan_from_matrix(matrix, judged).judgment == 2
     assert plan_from_matrix(matrix, judged[:1] + (steps[1],) + judged[2:]).judgment == 4
-    assert plan_from_matrix(((0, 1), (1, 0)), steps[:2]).judgment is None  # a cycle has no execution order
+    with pytest.raises(CycleError):  # a cycle has no execution order, so it is no plan
+        plan_from_matrix(((0, 1), (1, 0)), steps[:2])
+    assert Plan((), ()).judgment is None  # only a plan without steps has no judgment
 
 
 def test_apply_edits_index_bounds():
@@ -207,7 +241,7 @@ def test_added_edges_stay_reachable_unless_cyclic():
         i, j = rng.sample(range(1, n + 1), 2)
         before = reachability_by_squaring(plan.matrix)
         if before[j - 1][i - 1]:
-            continue  # the new edge would close a cycle; normalize may drop it
+            continue  # the new edge would close a cycle; normalize_rows may drop it
         out = apply_edits(plan, [AddEdge(i, j)])
         after = reachability_by_squaring(out.matrix)
         assert after[i - 1][j - 1]
@@ -245,7 +279,7 @@ def test_plan_text_is_compact_plan_json_then_the_execution_order():
     for plan in (_judged_chain(), cited):
         head, _, order = plan.text.partition("\n")
         assert plan_from_json(json.loads(head)) == plan
-        assert order == "Execution order: " + ", ".join(str(i) for i in execution_order(plan))
+        assert order == "Execution order: " + ", ".join(str(i) for i in plan.order)
 
 
 def test_plan_json_validation():
@@ -300,10 +334,12 @@ def test_plan_constructor_validation():
     ]:
         with pytest.raises(ShapeError):
             Plan(steps, rows)
-    # the diagonal bit is legal here: `normalize` takes it, `validate_dag` rejects it
-    assert Plan(two, (1, 0)).matrix == ((1, 0), (0, 0))
+    # a diagonal bit is a ShapeError; `normalize_rows` clears it from rows a plan is then built from
+    with pytest.raises(ShapeError, match="diagonal entry at step 1 must be zero"):
+        Plan(two, (1, 0))
+    assert Plan(two, normalize_rows((1, 0))).matrix == ((0, 0), (0, 0))
     assert Plan(two, [2, 0]).rows == (2, 0)
-    assert Plan((), ()).matrix == ()
+    assert Plan((), ()).matrix == () and Plan((), ()).order == ()
     with pytest.raises(ValueError):
         PlanStep(1, "")
 
@@ -327,8 +363,8 @@ def test_apply_edits_breaks_a_new_cycle_at_its_back_edge():
 
 
 def test_normalize_breaks_a_three_cycle_at_its_back_edge():
-    plan = edges_plan(3, [(1, 2), (2, 3), (3, 1)])
-    assert set(normalize(plan).edges()) == {(1, 2), (2, 3)}
+    plan = normalized_plan([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert set(plan.edges()) == {(1, 2), (2, 3)}
 
 
 def test_execution_order_matches_reference_on_random_dags():
@@ -336,17 +372,16 @@ def test_execution_order_matches_reference_on_random_dags():
     for _ in range(200):
         matrix = random_dag_matrix(rng, rng.randint(1, 10))
         plan = plan_from_matrix(matrix)
-        assert execution_order(plan) == kahn_layers_reference(matrix)
+        assert list(plan.order) == kahn_layers_reference(matrix)
 
 
 def test_normalize_random_digraphs_always_executable():
     rng = random.Random(13)
     for _ in range(300):
         matrix = random_digraph_matrix(rng, rng.randint(1, 8), p=0.4)
-        out = normalize(plan_from_matrix(matrix))
-        validate_dag(out)
-        assert len(execution_order(out)) == out.size
-        assert normalize(out).matrix == out.matrix
+        out = normalized_plan(matrix)  # building it checks that it is a DAG
+        assert len(out.order) == out.size
+        assert Plan(out.steps, normalize_rows(out.rows)).matrix == out.matrix
 
 
 def test_plan_json_matches_wire_shape():
