@@ -233,11 +233,11 @@ class SolverStubBackend(Backend):
         if meta.stage == "translate":
             return self._translate(meta)
         if meta.stage == "plan":
-            return _reply(planmod.plan_to_json(self._plan(meta, self.degrade_initial_plan)))
+            return _reply(self._plan(meta, self.degrade_initial_plan))
         if meta.stage == "solve":
             return self._solve(meta)
         if meta.stage == "replan":
-            doc = planmod.plan_to_json(self._plan(meta, False))
+            doc = self._plan(meta, False)
             revised = {"Corrected_plan": doc["Plan"], "Matrix": doc["Matrix"]}
             rationale = "run rule application to a fixpoint before the judgment step"
             return _reply({"Revised plan": revised, "Rationale": rationale})
@@ -252,15 +252,19 @@ class SolverStubBackend(Backend):
         }
         return _reply(doc)
 
-    def _plan(self, meta: StageMeta, degraded: bool) -> planmod.Plan:
-        """Facts, then rules (left out when `degraded`), then the judgment, each step citing its statements."""
+    def _plan(self, meta: StageMeta, degraded: bool) -> dict[str, Any]:
+        """The plan document, as `plan_to_json` writes it: facts, then rules (left out
+        when `degraded`), then the judgment, each step citing its statements, run in sequence."""
         context = self._structured(meta)
-        facts, rules = tuple(s.id for s in context.facts), tuple(s.id for s in context.rules)
-        steps = [planmod.PlanStep(1, "Collect the initial facts from the premises.", uses=facts)]
+        cited = [("Collect the initial facts from the premises.", context.facts)]
         if not degraded:
-            steps.append(planmod.PlanStep(2, "Run the rules to a fixpoint.", uses=rules))
-        steps.append(planmod.PlanStep(len(steps) + 1, "Judge the question against the derived facts.", "judgment"))
-        return planmod.linear_chain(steps)
+            cited.append(("Run the rules to a fixpoint.", context.rules))
+        steps: dict[str, Any] = {}
+        for i, (content, statements) in enumerate(cited, start=1):
+            steps[str(i)] = {"content": content, "uses": [s.id for s in statements]} if statements else {"content": content}
+        n = len(cited) + 1
+        steps[str(n)] = {"content": "Judge the question against the derived facts.", "kind": "judgment"}
+        return {"Plan": steps, "Matrix": [[int(j == i + 1) for j in range(n)] for i in range(n)]}
 
     @staticmethod
     def _structured(meta: StageMeta) -> StructuredRepr:

@@ -458,8 +458,9 @@ def _trace_text(trace: Trace) -> str:
 _EDIT_KINDS = {"AddEdge": planmod.AddEdge, "DelEdge": planmod.DelEdge}
 
 
-def _parse_edit(doc: Any, pointer: str) -> planmod.EditOp:
-    """Read `{"op": "AddEdge" | "DelEdge", "i": int, "j": int}`; any other `op` fails at `<pointer>/op`."""
+def _parse_edit(doc: Any, pointer: str, size: int) -> planmod.EditOp:
+    """Read `{"op": "AddEdge" | "DelEdge", "i": int, "j": int}` for a plan of `size` steps; any other
+    `op` fails at `<pointer>/op`, and a step index out of range at `<pointer>/i` or `<pointer>/j`."""
     if not isinstance(doc, dict) or "op" not in doc:
         raise SchemaError(pointer, 'expected an object with an "op" field')
     op = doc["op"]
@@ -470,6 +471,8 @@ def _parse_edit(doc: Any, pointer: str) -> planmod.EditOp:
         value = doc.get(name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{pointer}/{name}", "expected integer")
+        if not 1 <= value <= size:
+            raise SchemaError(f"{pointer}/{name}", f"step index {value} out of range 1..{size}")
         ends.append(value)
     return _EDIT_KINDS[op](*ends)
 
@@ -482,17 +485,21 @@ def replan_stage(
     problem: Problem | None = None,
     literals: dict[str, Literal] | None = None,
 ) -> ReplanOutcome:
-    """Ask the backend to repair `trace`'s plan, as round `trace.round + 1`,
-    and normalize whatever comes back.
+    """Ask the backend to repair `trace`'s plan, as round `trace.round + 1`.
 
     The reply may carry a corrected plan, a list of edge edits, or both (the
-    plan wins; edits are then only validated). A revised plan equal to `trace`'s
-    is `trace.plan` itself, which keeps its cached text and order. When the
-    reply also embeds a re-execution (updated log plus final answer), that is
-    surfaced so the caller can skip the separate solve call; its literal
-    strings are decoded through `literals`, the instance's literal table (a
-    new one when absent). A revised plan may cite only the facts and rules of
-    a structured context.
+    plan wins; edits are then only validated, their step indices against
+    `trace`'s plan). A revised plan may cite only the facts and rules of a
+    structured context. An acyclic revision is transitively reduced; one
+    with a cycle or a diagonal entry, from either form, is refused: the
+    outcome keeps `trace.plan` and drops any embedded re-execution, so the
+    round keeps its records and verdict. Under the `mp` ablation the revised
+    matrix is ignored, as in `plan_stage`, and nothing is refused. A revised
+    plan equal to `trace`'s is `trace.plan` itself, which keeps its cached
+    text and order. When the reply also embeds a re-execution (updated log
+    plus final answer), that is surfaced so the caller can skip the separate
+    solve call; its literal strings are decoded through `literals`, the
+    instance's literal table (a new one when absent).
     """
     context, plan, provisional = trace.context, trace.plan, trace.provisional.label
     round = trace.round + 1
@@ -517,7 +524,7 @@ def replan_stage(
         if not isinstance(doc["Edits"], list):
             raise StageParseError("replan", '"Edits" must be an array', raw=raw)
         try:
-            edits = tuple(_parse_edit(e, f"/Edits/{i}") for i, e in enumerate(doc["Edits"]))
+            edits = tuple(_parse_edit(e, f"/Edits/{k}", plan.size) for k, e in enumerate(doc["Edits"]))
         except SchemaError as err:
             raise StageParseError("replan", str(err), raw=raw) from err
 
@@ -537,16 +544,17 @@ def replan_stage(
         except SchemaError as err:  # point into the reply, where "Plan" is "Corrected_plan"
             pointer = "/Revised plan" + err.pointer.replace("/Plan", "/Corrected_plan", 1)
             raise StageParseError("replan", str(SchemaError(pointer, err.message)), raw=raw) from err
-        revised = Plan(steps, planmod.normalize_rows(rows))
     elif edits:
-        try:
-            revised = planmod.apply_edits(plan, edits)
-        except planmod.ShapeError as err:
-            raise StageParseError("replan", str(err), raw=raw) from err
+        steps, rows = plan.steps, None
     else:
         raise StageParseError("replan", 'reply has neither "Revised plan" nor "Edits"', raw=raw)
-    if config.disable_matrix_plan:  # the ablation holds for revised plans too
-        revised = planmod.linear_chain(revised.steps)
+    if config.disable_matrix_plan:  # the ablation ignores the revised matrix, as plan_stage does
+        revised = planmod.linear_chain(steps)
+    else:
+        try:
+            revised = planmod.apply_edits(plan, edits) if rows is None else planmod.transitive_reduce(Plan(steps, rows))
+        except (planmod.CycleError, planmod.ShapeError):  # refused: the round keeps its plan and verdict
+            return ReplanOutcome(plan=plan, raw=raw)
     revised = plan if revised == plan else revised
 
     embedded: Trace | None = None

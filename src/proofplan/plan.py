@@ -6,11 +6,12 @@ bitmasks its algebra runs on (`rows[i]` holds bit j iff A[i][j] = 1), and
 `Plan.matrix` is a 0/1 view derived from them. Every `Plan` is acyclic: it
 computes its execution order when it is built, the concatenation of
 successive frontiers (every unfinished step whose predecessors are all
-finished), and a cycle raises. `normalize_rows` is the one place that breaks
-cycles, in rows a plan is then built from. A step may
-cite the statements it applies (`uses`, statement ids of the context), and
-its `kind` marks the judgment of the question (`Plan.judgment`). Replan
-edits (`AddEdge`, `DelEdge`) change only the rows, never the steps.
+finished), and a cycle or a diagonal entry raises. Nothing here breaks a
+cycle: rows that cannot be built into a `Plan` are refused, never repaired.
+A step may cite the statements it applies (`uses`, statement ids of the
+context), and its `kind` marks the judgment of the question
+(`Plan.judgment`). Replan edits (`AddEdge`, `DelEdge`) change only the rows,
+never the steps.
 
 The *_rows functions are the core; the Plan-level operations wrap them 1:1.
 Step ids are 1-based everywhere in the public API.
@@ -41,9 +42,7 @@ __all__ = [
     "plan_from_json",
     "plan_to_json",
     "closure_rows",
-    "normalize_rows",
     "reduce_rows",
-    "break_cycles_rows",
     "layered_order_rows",
 ]
 
@@ -207,40 +206,6 @@ def reduce_rows(rows: Sequence[int]) -> list[int]:
     return out
 
 
-def break_cycles_rows(rows: Sequence[int]) -> list[int]:
-    """Delete every back edge of a depth-first search over ascending indices.
-
-    Roots and neighbors are visited in ascending order, so the result is a
-    deterministic acyclic subgraph of the input.
-    """
-    n = len(rows)
-    rows = [rows[i] & ~(1 << i) for i in range(n)]
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 finished
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [(root, _bits(rows[root]))]  # (node, its successors not yet tried)
-        while stack:
-            node, successors = stack[-1]
-            for j in successors:
-                if color[j] == 1:  # back edge
-                    rows[node] &= ~(1 << j)
-                elif not color[j]:
-                    color[j] = 1
-                    stack.append((j, _bits(rows[j])))
-                    break
-            else:
-                color[node] = 2
-                stack.pop()
-    return rows
-
-
-def normalize_rows(rows: Sequence[int]) -> list[int]:
-    """Zero the diagonal, break cycles, and transitively reduce."""
-    return reduce_rows(break_cycles_rows(rows))
-
-
 def find_cycle_rows(rows: Sequence[int]) -> list[int] | None:
     """Lexicographically smallest cycle as a 0-based node sequence, or None."""
     n = len(rows)
@@ -289,8 +254,10 @@ def _check_index(index: int, size: int) -> None:
 
 
 def transitive_reduce(plan: Plan) -> Plan:
-    """Minimal edge set with the same reachability; unique because acyclic."""
-    return Plan(plan.steps, reduce_rows(plan.rows))
+    """Minimal edge set with the same reachability; unique because acyclic.
+    `plan` itself when it has no implied edge."""
+    rows = tuple(reduce_rows(plan.rows))
+    return plan if rows == plan.rows else Plan(plan.steps, rows)
 
 
 def linear_chain(steps: Sequence[PlanStep]) -> Plan:
@@ -331,10 +298,11 @@ class DelEdge(EditOp):
 
 
 def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
-    """Set (AddEdge) or clear (DelEdge) one matrix entry per edit, in order, then `normalize_rows`.
+    """Set (AddEdge) or clear (DelEdge) one matrix entry per edit, in order, then `transitive_reduce`.
 
     Edits never touch the steps, so ids and `uses` citations stay put. A
-    step index out of range raises ShapeError.
+    step index out of range or a self-loop raises ShapeError, and edits that
+    close a cycle raise CycleError: the cycle is never broken.
     """
     n = plan.size
     rows = list(plan.rows)
@@ -348,7 +316,7 @@ def apply_edits(plan: Plan, edits: Iterable[EditOp]) -> Plan:
             rows[edit.i - 1] |= bit
         else:
             rows[edit.i - 1] &= ~bit
-    return Plan(plan.steps, normalize_rows(rows))
+    return transitive_reduce(Plan(plan.steps, rows))
 
 
 # ---------------------------------------------------------------------------

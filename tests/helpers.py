@@ -491,10 +491,11 @@ def plan_from_matrix(matrix, steps=None) -> Plan:
     return Plan(_numbered_steps(len(matrix)) if steps is None else steps, matrix_rows(matrix))
 
 
-def normalized_plan(matrix) -> Plan:
-    """The plan over "step 1".."step N" whose rows are `normalize_rows` of the 0/1 `matrix`,
-    which may have a cycle or a diagonal entry."""
-    return Plan(_numbered_steps(len(matrix)), planmod.normalize_rows(matrix_rows(matrix)))
+def is_cycle_of(cycle, matrix) -> bool:
+    """Whether the 1-based `cycle` visits distinct steps along edges of the 0/1 `matrix` and closes."""
+    return len(cycle) == len(set(cycle)) >= 2 and all(
+        matrix[a - 1][b - 1] for a, b in zip(cycle, cycle[1:] + cycle[:1])
+    )
 
 
 def predecessors(plan: Plan, j: int) -> set[int]:

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    is_cycle_of,
     kahn_layers_reference,
-    normalized_plan,
     plan_from_matrix,
     random_dag_matrix,
     random_formula,
@@ -31,10 +31,10 @@ from proofplan.fol import parse_formula, render_formula
 from proofplan.harness import HarnessConfig, evaluate, load_dataset
 from proofplan.pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
 from proofplan.plan import (
+    CycleError,
     Plan,
-    break_cycles_rows,
+    PlanStep,
     layered_order_rows,
-    normalize_rows,
     reduce_rows,
     transitive_reduce,
 )
@@ -89,7 +89,9 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
     with criterion("criterion-1 plan-algebra oracle equivalence"):
         started = time.perf_counter()
 
-        # Every digraph on up to 4 nodes, through the public Plan API.
+        # Every digraph on up to 4 nodes, through the public Plan API: a DAG
+        # builds and reduces as the oracle says; a cyclic one raises CycleError
+        # with a cycle of the graph as its witness.
         for n in (1, 2, 3, 4):
             cells = [(i, j) for i in range(n) for j in range(n) if i != j]
             for bits in range(1 << len(cells)):
@@ -97,18 +99,22 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
                 for k, (i, j) in enumerate(cells):
                     if (bits >> k) & 1:
                         matrix[i][j] = 1
-                normalized = normalized_plan(matrix)  # building it checks that it is a DAG
-                assert len(normalized.order) == n
-                if kahn_layers_reference(matrix) is not None:  # acyclic input
-                    reduced = transitive_reduce(plan_from_matrix(matrix))
-                    oracle = reachability_by_squaring(matrix)
-                    assert reachability_by_squaring(reduced.matrix) == oracle
-                    assert transitive_reduce(reduced).matrix == reduced.matrix
-                    assert normalized.matrix == reduced.matrix
+                oracle = reachability_by_squaring(matrix)
+                cyclic = any(oracle[i][i] for i in range(n))
+                try:
+                    plan = plan_from_matrix(matrix)
+                except CycleError as err:
+                    assert cyclic and is_cycle_of(err.cycle, matrix)
+                    continue
+                assert not cyclic and plan.order == tuple(kahn_layers_reference(matrix))
+                reduced = transitive_reduce(plan)
+                assert reachability_by_squaring(reduced.matrix) == oracle
+                assert transitive_reduce(reduced) is reduced
 
         # Every digraph on 5 nodes, through the row-level core that the Plan
-        # operations wrap. Cycle-broken graphs collapse onto the 5-node DAGs,
-        # so the reduction checks are memoized per distinct DAG.
+        # operations wrap: there is no execution order exactly when the
+        # squaring oracle shows a node reaching itself, and every DAG reduces
+        # to a DAG with the same reachability that does not reduce further.
         n = 5
         lut = []
         for i in range(n):
@@ -123,38 +129,40 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
             lut.append(table)
         l0, l1, l2, l3, l4 = lut
 
-        checked_dags: dict[tuple[int, ...], bool] = {}
-        for g in range(1 << 20):
-            rows = (
-                l0[g & 15],
-                l1[(g >> 4) & 15],
-                l2[(g >> 8) & 15],
-                l3[(g >> 12) & 15],
-                l4[(g >> 16) & 15],
-            )
-            broken = tuple(break_cycles_rows(rows))
-            ok = checked_dags.get(broken)
-            if ok is None:
-                reduced_rows = tuple(reduce_rows(broken))
-                ok = (
-                    layered_order_rows(reduced_rows) is not None
-                    and closure_from_rows(reduced_rows) == closure_from_rows(broken)
-                    and tuple(reduce_rows(reduced_rows)) == reduced_rows
-                )
-                checked_dags[broken] = ok
-            assert ok, f"normalization check failed for graph index {g}"
-        assert len(checked_dags) == 29281  # labeled DAGs on 5 nodes
+        def graph(g: int) -> tuple[int, ...]:
+            return l0[g & 15], l1[(g >> 4) & 15], l2[(g >> 8) & 15], l3[(g >> 12) & 15], l4[(g >> 16) & 15]
 
-        # The object API agrees with the row core on a spread sample.
+        dags = 0
+        for g in range(1 << 20):
+            rows = graph(g)
+            reach = closure_from_rows(rows)
+            cyclic = (reach[0] & 1) | (reach[1] & 2) | (reach[2] & 4) | (reach[3] & 8) | (reach[4] & 16)
+            if layered_order_rows(rows) is None:
+                assert cyclic, f"no order for the acyclic graph index {g}"
+                continue
+            assert not cyclic, f"an order for the cyclic graph index {g}"
+            reduced_rows = tuple(reduce_rows(rows))
+            assert layered_order_rows(reduced_rows) is not None, f"reduction check failed for graph index {g}"
+            assert closure_from_rows(reduced_rows) == reach, f"reduction check failed for graph index {g}"
+            assert tuple(reduce_rows(reduced_rows)) == reduced_rows, f"reduction check failed for graph index {g}"
+            dags += 1
+        assert dags == 29281  # labeled DAGs on 5 nodes
+
+        # On a spread sample, the constructor's CycleError witness is a cycle of the rows.
+        steps = tuple(PlanStep(i, f"step {i}") for i in range(1, n + 1))
+        witnessed = 0
         for g in range(0, 1 << 20, 257):
-            rows = (
-                l0[g & 15],
-                l1[(g >> 4) & 15],
-                l2[(g >> 8) & 15],
-                l3[(g >> 12) & 15],
-                l4[(g >> 16) & 15],
-            )
-            assert normalized_plan(matrix_of(rows, 5)).rows == tuple(normalize_rows(rows))
+            rows = graph(g)
+            reach = closure_from_rows(rows)
+            cyclic = any((reach[i] >> i) & 1 for i in range(n))
+            try:
+                Plan(steps, rows)
+            except CycleError as err:
+                assert cyclic and is_cycle_of(err.cycle, matrix_of(rows, n)), f"graph index {g}"
+                witnessed += 1
+            else:
+                assert not cyclic, f"graph index {g}"
+        assert witnessed > 0
 
         # 500 random DAGs with up to 12 nodes through the public API.
         rng = random.Random(20240501)
@@ -164,10 +172,8 @@ def test_criterion_1_plan_algebra_oracle_equivalence():
             reduced = transitive_reduce(plan)
             oracle = reachability_by_squaring(matrix)
             assert reachability_by_squaring(reduced.matrix) == oracle
-            assert transitive_reduce(reduced).matrix == reduced.matrix
-            normalized = Plan(plan.steps, normalize_rows(plan.rows))  # building it checks that it is a DAG
-            assert normalized.matrix == reduced.matrix
-            assert len(normalized.order) == plan.size
+            assert transitive_reduce(reduced) is reduced
+            assert len(reduced.order) == plan.size
 
         assert time.perf_counter() - started < 30.0
 

@@ -35,6 +35,7 @@ from proofplan.pipeline import (
     PipelineConfig,
     Problem,
     RawContext,
+    ReplanOutcome,
     StageParseError,
     StepRecord,
     Trace,
@@ -709,16 +710,18 @@ def test_replan_stage_reads_the_round_state_from_the_trace():
     assert outcome.plan != trace.plan and outcome.plan.edges() == [(1, 3)]
 
 
-def test_replan_stage_edit_list_with_cycle_gets_normalized():
+@pytest.mark.parametrize(
+    "edits",
+    [[{"op": "AddEdge", "i": 3, "j": 1}], [{"op": "DelEdge", "i": 1, "j": 2}, {"op": "AddEdge", "i": 2, "j": 2}]],
+    ids=["closes-a-cycle", "self-loop"],
+)
+def test_replan_stage_refuses_an_edit_list_that_closes_a_cycle(edits):
     plan = four_step_plan()
-    reply = json.dumps({"Edits": [{"op": "AddEdge", "i": 3, "j": 1}], "Rationale": "loop back"})
-    backend = CannedBackend(reply)
+    reply = json.dumps({"Edits": edits, "Rationale": "loop back", "Final answer": "not a label"})
     trace = make_trace([facts_record()], plan=plan)
-    outcome = replan_stage(backend, trace, Diagnosis(()))
-    assert len(outcome.plan.order) == outcome.plan.size  # a Plan is acyclic, so every step has its turn
-    # breaking the cycle drops the added back edge, which leaves the plan as it was
-    assert (3, 1) not in outcome.plan.edges()
-    assert outcome.plan is plan
+    outcome = replan_stage(CannedBackend(reply), trace, Diagnosis(()))
+    # the plan is kept whole, and the embedded answer goes unread with the rest of the revision
+    assert outcome == ReplanOutcome(plan=plan, raw=reply) and outcome.plan is plan
 
 
 def test_replan_stage_out_of_range_edit():
@@ -726,8 +729,22 @@ def test_replan_stage_out_of_range_edit():
     reply = json.dumps({"Edits": [{"op": "AddEdge", "i": 9, "j": 1}]})
     backend = CannedBackend(reply)
     trace = make_trace([facts_record()], plan=plan)
-    with pytest.raises(StageParseError, match="out of range"):
+    with pytest.raises(StageParseError, match=re.escape("replan stage: /Edits/0/i: step index 9 out of range 1..3")):
         replan_stage(backend, trace, Diagnosis(()))
+
+
+@pytest.mark.parametrize("revised", [False, True], ids=["edits-only", "with-revised-plan"])
+@pytest.mark.parametrize("end, value", [("i", 0), ("j", 4), ("j", 99)])
+def test_replan_stage_bounds_checks_edit_indices_against_the_plan(revised, end, value):
+    # a revised plan wins over the edits, but their indices must still name steps of the plan
+    plan = four_step_plan()
+    edit = {"op": "DelEdge", "i": 1, "j": 2, end: value}
+    reply = {"Edits": [{"op": "AddEdge", "i": 1, "j": 3}, edit]}
+    if revised:
+        reply["Revised plan"] = {"Corrected_plan": plan_to_json(plan)["Plan"], "Matrix": [[0, 1, 1], [0, 0, 0], [0, 0, 0]]}
+    message = f"replan stage: /Edits/1/{end}: step index {value} out of range 1..3"
+    with pytest.raises(StageParseError, match=re.escape(message)):
+        replan_stage(CannedBackend(json.dumps(reply)), make_trace([facts_record()], plan=plan), Diagnosis(()))
 
 
 @pytest.mark.parametrize(
@@ -785,10 +802,10 @@ def test_plan_and_replan_stages_handle_a_dense_cyclic_plan_at_the_step_limit():
     assert time.perf_counter() - started < 1.0
     started = time.perf_counter()
     reply = json.dumps({"Revised plan": {"Corrected_plan": steps, "Matrix": matrix}})
-    revised = replan_stage(CannedBackend(reply), make_trace([], context=context), Diagnosis(())).plan
+    trace = make_trace([], context=context)
+    revised = replan_stage(CannedBackend(reply), trace, Diagnosis(())).plan
     assert time.perf_counter() - started < 1.0
-    # the search runs 1 -> 2 -> ... -> n, so every edge back down goes, and reduction leaves the chain
-    assert revised.edges() == [(i, i + 1) for i in range(1, n)]
+    assert revised is trace.plan  # the cyclic revision is refused, and the round keeps its plan
 
 
 def _prompt_example(stage):
@@ -1115,6 +1132,58 @@ def test_run_pipeline_uses_an_embedded_re_execution_of_an_unchanged_plan():
     assert all(t.plan is result.traces[0].plan for t in result.traces)
     assert result.traces[1].records[0].text == "Cat(tom) is stated"
     assert result.rounds_used == 2 and result.final.label == "T"
+
+
+CAT = Problem(id="cat", premises=("Cat(tom)",), question="Cat(tom)")
+_TWO_STEPS = {"1": {"content": "Collect the facts."}, "2": {"content": "Judge the question.", "kind": "judgment"}}
+_CYCLIC_REVISIONS = {
+    # the self-loop sits on a 2-cycle; the embedded answer differs from round 0's
+    "self-loop-and-two-cycle": {"Revised plan": {"Corrected_plan": _TWO_STEPS, "Matrix": [[1, 1], [1, 0]]}},
+    "two-cycle": {"Revised plan": {"Corrected_plan": _TWO_STEPS, "Matrix": [[0, 1], [1, 0]]}},
+    "edit-closes-a-cycle": {"Edits": [{"op": "AddEdge", "i": 2, "j": 1}]},
+    "edit-self-loop": {"Edits": [{"op": "AddEdge", "i": 1, "j": 1}]},
+}
+
+
+def _cat_replies(replan_doc):
+    """Round 0 on `CAT` answers U through the chain 1 -> 2; then the replan reply,
+    which embeds a re-execution that answers T."""
+    translate_doc = {
+        "Premises": [{"statement": "Cat(tom)", "symbol": "Cat(tom)"}],
+        "Proposition": [{"statement": "Cat(tom)", "symbol": "Cat(tom)"}],
+    }
+    return (
+        json.dumps(translate_doc),
+        json.dumps({"Plan": _TWO_STEPS, "Matrix": [[0, 1], [0, 0]]}),
+        json.dumps({"Execution log": "no look", "Final answer": "U"}),
+        json.dumps({**replan_doc, "Updated Execution log": "Cat(tom) is stated", "Final answer": "T"}),
+    )
+
+
+@pytest.mark.parametrize("revision", list(_CYCLIC_REVISIONS.values()), ids=list(_CYCLIC_REVISIONS))
+def test_run_pipeline_refuses_a_cyclic_revision_and_keeps_the_round(revision):
+    replies = _cat_replies(revision)
+    backend = CannedBackend(*replies)
+    result = run_pipeline(backend, CAT, PipelineConfig(max_replan_rounds=3))
+    # the refused revision leaves the plan as it was, so the loop ends there
+    assert [stage for stage, _ in backend.calls] == ["translate", "plan", "solve", "replan"]
+    first, last = result.traces
+    assert result.final.label == first.provisional.label == "U" and result.rounds_used == 1
+    assert last.plan is first.plan and last.records is first.records
+    assert last.raw == {"replan": replies[-1]}
+    # nothing is scored as a failure: the instance stands on round 0's verdict
+    [record] = evaluate([Instance("cat", CAT.premises, CAT.question, "U")], CannedBackend(*replies)).records
+    assert record.failure_kind is None and record.correct and record.rounds_used == 1
+
+
+@pytest.mark.parametrize("revision", list(_CYCLIC_REVISIONS.values()), ids=list(_CYCLIC_REVISIONS))
+def test_run_pipeline_accepts_a_cyclic_revision_as_the_chain_under_the_mp_ablation(revision):
+    # the ablation ignores the revised matrix, as it ignores the planned one, so nothing is refused
+    result = run_pipeline(CannedBackend(*_cat_replies(revision)), CAT, PipelineConfig(disable_matrix_plan=True))
+    first, last = result.traces
+    assert last.plan is first.plan and last.plan.edges() == [(1, 2)]
+    assert last.records[0].text == "Cat(tom) is stated"
+    assert result.final.label == "T" and result.rounds_used == 1
 
 
 def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):

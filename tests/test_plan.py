@@ -5,8 +5,8 @@ import random
 import pytest
 
 from helpers import (
+    is_cycle_of,
     kahn_layers_reference,
-    normalized_plan,
     plan_from_matrix,
     predecessors,
     random_dag_matrix,
@@ -24,9 +24,9 @@ from proofplan.plan import (
     ShapeError,
     apply_edits,
     duplicate_content,
-    normalize_rows,
     plan_from_json,
     plan_to_json,
+    reduce_rows,
     transitive_reduce,
 )
 
@@ -122,7 +122,7 @@ def test_transitive_reduce_examples():
     assert set(transitive_reduce(plan).edges()) == {(1, 2), (2, 3)}
     reduced = transitive_reduce(chain(4))
     assert reduced.matrix == chain(4).matrix
-    assert transitive_reduce(reduced).matrix == reduced.matrix
+    assert transitive_reduce(reduced) is reduced  # nothing to drop: the plan itself, not a copy
 
 
 def test_transitive_reduce_preserves_reachability_random():
@@ -132,36 +132,55 @@ def test_transitive_reduce_preserves_reachability_random():
         plan = plan_from_matrix(matrix)
         reduced = transitive_reduce(plan)
         assert reachability_by_squaring(reduced.matrix) == reachability_by_squaring(matrix)
-        assert transitive_reduce(reduced).matrix == reduced.matrix
+        assert transitive_reduce(reduced) is reduced
 
 
 def test_normalize_acyclic_equals_reduce():
+    # the normal form of an acyclic plan, which an accepted revision takes, is its transitive reduction
     plan = edges_plan(3, [(1, 2), (2, 3), (1, 3)])
-    assert Plan(plan.steps, normalize_rows(plan.rows)).matrix == transitive_reduce(plan).matrix
+    assert Plan(plan.steps, reduce_rows(plan.rows)) == transitive_reduce(plan) == apply_edits(plan, [])
 
 
-def test_normalize_breaks_two_cycle_dropping_back_edge():
-    out = normalized_plan([[0, 1], [1, 0]])
-    assert set(out.edges()) == {(1, 2)}
+def test_apply_edits_raises_cycle_error_on_a_two_cycle():
+    with pytest.raises(CycleError) as exc:
+        apply_edits(chain(2), [AddEdge(2, 1)])
+    assert exc.value.cycle == [1, 2]
 
 
-def test_normalize_zeroes_diagonal():
-    out = normalized_plan([[1, 1], [0, 0]])  # building it checks that it is a DAG
-    assert set(out.edges()) == {(1, 2)}
+def test_apply_edits_raises_shape_error_on_a_self_loop():
+    for i in (1, 2):
+        with pytest.raises(ShapeError, match=f"^diagonal entry at step {i} must be zero$"):
+            apply_edits(chain(2), [AddEdge(i, i)])
+    # edits apply in order, so a self-loop a later edit clears is never built
+    assert apply_edits(chain(2), [AddEdge(1, 1), DelEdge(1, 1)]) == chain(2)
 
 
-def test_normalize_exhaustive_small_digraphs():
-    # all digraphs on up to 3 nodes: output acyclic, executable, idempotent
+def test_apply_edits_add_edge_exhaustive_small_dags():
+    # every DAG on up to 3 nodes and every edge added to it: a self-loop is a
+    # ShapeError, an edge back along a path a CycleError with a real cycle as
+    # its witness, and any other edge gives the reduction of the grown graph
     for n in (1, 2, 3):
-        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for bits in range(1 << len(cells)):
-            matrix = [[0] * n for _ in range(n)]
-            for k, (i, j) in enumerate(cells):
-                if (bits >> k) & 1:
-                    matrix[i][j] = 1
-            out = normalized_plan(matrix)  # building it checks that it is a DAG
-            assert len(out.order) == n
-            assert Plan(out.steps, normalize_rows(out.rows)).matrix == out.matrix
+        for bits in range(1 << (n * n)):
+            matrix = [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)]
+            if kahn_layers_reference(matrix) is None:  # a cycle or a diagonal entry
+                continue
+            plan = plan_from_matrix(matrix)
+            reach = reachability_by_squaring(matrix)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    grown = [list(row) for row in matrix]
+                    grown[i - 1][j - 1] = 1
+                    if i == j:
+                        with pytest.raises(ShapeError):
+                            apply_edits(plan, [AddEdge(i, j)])
+                    elif reach[j - 1][i - 1]:
+                        with pytest.raises(CycleError) as exc:
+                            apply_edits(plan, [AddEdge(i, j)])
+                        assert is_cycle_of(exc.value.cycle, grown)
+                    else:
+                        out = apply_edits(plan, [AddEdge(i, j)])
+                        assert reachability_by_squaring(out.matrix) == reachability_by_squaring(grown)
+                        assert transitive_reduce(out) is out
 
 
 def test_plan_builds_exactly_the_acyclic_matrices():
@@ -179,9 +198,7 @@ def test_plan_builds_exactly_the_acyclic_matrices():
                 continue
             except CycleError as err:
                 assert not diagonal and kahn_layers_reference(matrix) is None
-                cycle = err.cycle
-                assert len(cycle) == len(set(cycle)) >= 2
-                assert all(matrix[a - 1][b - 1] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                assert is_cycle_of(err.cycle, matrix)
                 continue
             assert plan.order == tuple(kahn_layers_reference(matrix))
     # a plan's rows cannot be swapped for cyclic ones after it is built
@@ -205,7 +222,7 @@ def test_apply_edits_del_edge():
 
 def test_apply_edits_empty_equals_normalize():
     plan = edges_plan(3, [(1, 2), (2, 3), (1, 3)])
-    assert apply_edits(plan, []).matrix == Plan(plan.steps, normalize_rows(plan.rows)).matrix
+    assert apply_edits(plan, []).matrix == transitive_reduce(plan).matrix == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 
 
 def test_judgment_is_the_first_judgment_kind_step_in_execution_order():
@@ -237,11 +254,24 @@ def test_added_edges_stay_reachable_unless_cyclic():
             edit_rng.choice((AddEdge, DelEdge))(edit_rng.randint(1, n), edit_rng.randint(1, n))
             for _ in range(edit_rng.randint(0, 6))
         ]
-        assert apply_edits(plan, edits).steps == plan.steps
+        edited = [list(row) for row in plan.matrix]
+        for edit in edits:
+            edited[edit.i - 1][edit.j - 1] = int(isinstance(edit, AddEdge))
+        reach = reachability_by_squaring(edited)
+        if any(reach[k][k] for k in range(n)):  # the edits leave a cycle, so they are refused
+            with pytest.raises(ShapeError if any(edited[k][k] for k in range(n)) else CycleError):
+                apply_edits(plan, edits)
+        else:
+            assert apply_edits(plan, edits).steps == plan.steps
         i, j = rng.sample(range(1, n + 1), 2)
         before = reachability_by_squaring(plan.matrix)
-        if before[j - 1][i - 1]:
-            continue  # the new edge would close a cycle; normalize_rows may drop it
+        if before[j - 1][i - 1]:  # the new edge closes a cycle
+            with pytest.raises(CycleError) as exc:
+                apply_edits(plan, [AddEdge(i, j)])
+            grown = [list(row) for row in plan.matrix]
+            grown[i - 1][j - 1] = 1
+            assert is_cycle_of(exc.value.cycle, grown)
+            continue
         out = apply_edits(plan, [AddEdge(i, j)])
         after = reachability_by_squaring(out.matrix)
         assert after[i - 1][j - 1]
@@ -334,10 +364,8 @@ def test_plan_constructor_validation():
     ]:
         with pytest.raises(ShapeError):
             Plan(steps, rows)
-    # a diagonal bit is a ShapeError; `normalize_rows` clears it from rows a plan is then built from
     with pytest.raises(ShapeError, match="diagonal entry at step 1 must be zero"):
         Plan(two, (1, 0))
-    assert Plan(two, normalize_rows((1, 0))).matrix == ((0, 0), (0, 0))
     assert Plan(two, [2, 0]).rows == (2, 0)
     assert Plan((), ()).matrix == () and Plan((), ()).order == ()
     with pytest.raises(ValueError):
@@ -355,16 +383,20 @@ def test_plan_holds_rows_and_derives_its_matrix():
     assert plan_from_json(plan_to_json(plan)) == plan
 
 
-def test_apply_edits_breaks_a_new_cycle_at_its_back_edge():
-    # 2 -> 1 and 1 -> 3, then 1 -> 2: the search from step 1 enters 2 first,
-    # so 2 -> 1 is its back edge and goes
+def test_apply_edits_raises_on_a_new_cycle_instead_of_dropping_an_old_edge():
+    # 2 -> 1 and 1 -> 3, then 1 -> 2 closes 1 -> 2 -> 1; no edge of the plan is
+    # given up for it, so dropping 2 -> 1 takes an edit of its own
     plan = edges_plan(3, [(2, 1), (1, 3)])
-    assert set(apply_edits(plan, [AddEdge(1, 2)]).edges()) == {(1, 2), (1, 3)}
+    with pytest.raises(CycleError) as exc:
+        apply_edits(plan, [AddEdge(1, 2)])
+    assert exc.value.cycle == [1, 2]
+    assert apply_edits(plan, [AddEdge(1, 2), DelEdge(2, 1)]).edges() == [(1, 2), (1, 3)]
 
 
-def test_normalize_breaks_a_three_cycle_at_its_back_edge():
-    plan = normalized_plan([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert set(plan.edges()) == {(1, 2), (2, 3)}
+def test_apply_edits_raises_on_a_three_cycle_with_its_witness():
+    with pytest.raises(CycleError) as exc:
+        apply_edits(chain(3), [AddEdge(3, 1)])
+    assert exc.value.cycle == [1, 2, 3]
 
 
 def test_execution_order_matches_reference_on_random_dags():
@@ -375,13 +407,21 @@ def test_execution_order_matches_reference_on_random_dags():
         assert list(plan.order) == kahn_layers_reference(matrix)
 
 
-def test_normalize_random_digraphs_always_executable():
+def test_random_digraphs_build_exactly_when_acyclic():
     rng = random.Random(13)
+    outcomes = set()
     for _ in range(300):
         matrix = random_digraph_matrix(rng, rng.randint(1, 8), p=0.4)
-        out = normalized_plan(matrix)  # building it checks that it is a DAG
-        assert len(out.order) == out.size
-        assert Plan(out.steps, normalize_rows(out.rows)).matrix == out.matrix
+        reach = reachability_by_squaring(matrix)
+        cyclic = any(reach[k][k] for k in range(len(matrix)))
+        try:
+            plan = plan_from_matrix(matrix)
+        except CycleError as err:
+            assert cyclic and is_cycle_of(err.cycle, matrix)
+        else:
+            assert not cyclic and len(plan.order) == plan.size
+        outcomes.add(cyclic)
+    assert outcomes == {False, True}
 
 
 def test_plan_json_matches_wire_shape():
