@@ -303,8 +303,9 @@ class SolverStubBackend(Backend):
 
         for step_id in plan.order:
             step = plan.steps[step_id - 1]
-            if step_id == plan.judgment:  # `decide` against the literals the steps so far derived
-                answer = solvermod.decide(solvermod.chained_kb(context.kb, literals), context.questions[0].symbol).label
+            if step_id == plan.judgment:  # `decide` against the literals the steps so far derived, no rule left
+                theory = solvermod.KnowledgeBase(context.kb.table, literals, ())
+                answer = solvermod.decide(theory, context.questions[0].symbol).label
                 log.append(solvermod.StepRecord(step_id, f"{step.content} -> {answer}"))
                 continue
             asserted = sorted({facts[i] for i in step.uses if i in facts})

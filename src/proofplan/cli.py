@@ -26,7 +26,7 @@ from .fol import parse_formula
 from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset
 from .harness import _Deadline, _OutOfTime, report_to_doc, stratify_by_depth, trace_lines
 from .pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
-from .solver import Verdict, decide, forward_chain, kb_from_repr, step_record_from_doc
+from .solver import Verdict, decide, kb_from_repr, step_record_from_doc
 from .structured import build_repr, deserialize_repr
 
 
@@ -109,8 +109,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     try:
         context = _load_premises(Path(args.premises))
         question = parse_formula(args.question)
-        kb = forward_chain(kb_from_repr(context, cwa=args.cwa))
-        verdict = decide(kb, question)
+        verdict = decide(kb_from_repr(context), question, cwa=args.cwa)
     except Exception as err:
         return _error(err)
     print(verdict.label)

@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable, Sequence
 from .backends import Backend, BackendError, GenerationParams
 from .errors import SchemaError
 from .pipeline import (
+    OPTION_LETTERS,
     PipelineConfig,
     Problem,
     StageParseError,
@@ -112,7 +113,6 @@ def file_sha256(path: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
-_OPTION_LETTERS = "ABCDE"  # the answer letters `normalize_label` accepts
 
 
 def _as_premises(entry: dict[str, Any], pointer: str) -> tuple[str, ...]:
@@ -148,7 +148,7 @@ def _gold_label(entry: dict[str, Any], pointer: str, format: str) -> str:
         raise SchemaError(f"{pointer}/answer", f"unrecognized label {raw!r}")
     if format == "tfu-json" and label not in ("T", "F", "U"):
         raise SchemaError(f"{pointer}/answer", f"label {label} outside T/F/U")
-    if format == "options-json" and label not in _OPTION_LETTERS:
+    if format == "options-json" and label not in OPTION_LETTERS:
         raise SchemaError(f"{pointer}/answer", f"label {label} is not an option letter")
     return label
 
@@ -184,10 +184,10 @@ def load_dataset(path: str | Path, format: str = "tfu-json") -> list[Instance]:
         options = entry.get("options", [])
         if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
             raise SchemaError(f"{pointer}/options", "expected array of strings")
-        if len(options) > len(_OPTION_LETTERS):
-            raise SchemaError(f"{pointer}/options", f"at most {len(_OPTION_LETTERS)} options")
+        if len(options) > len(OPTION_LETTERS):
+            raise SchemaError(f"{pointer}/options", f"at most {len(OPTION_LETTERS)} options")
         gold = _gold_label(entry, pointer, format)
-        if format == "options-json" and options and gold not in _OPTION_LETTERS[: len(options)]:
+        if format == "options-json" and options and gold not in OPTION_LETTERS[: len(options)]:
             raise SchemaError(f"{pointer}/answer", f"label {gold} is beyond the {len(options)} options")
         instances.append(
             Instance(
@@ -256,7 +256,7 @@ def compose_question(instance: Instance) -> str:
     if not instance.options:
         return instance.question
     lines = [instance.question, "Options:"]
-    for letter, option in zip(_OPTION_LETTERS, instance.options):
+    for letter, option in zip(OPTION_LETTERS, instance.options):
         lines.append(f"({letter}) {option}")
     return "\n".join(lines)
 

@@ -191,6 +191,7 @@ _LABEL_WORDS = {
     "unknown": "U",
     "uncertain": "U",
 }
+OPTION_LETTERS = "ABCDE"  # the answer letters `normalize_label` accepts
 
 
 def normalize_label(value: Any) -> str | None:
@@ -207,7 +208,7 @@ def normalize_label(value: Any) -> str | None:
     low = head.lower()
     if low in _LABEL_WORDS:
         return _LABEL_WORDS[low]
-    if len(head) == 1 and head.upper() in "ABCDE":
+    if len(head) == 1 and head.upper() in OPTION_LETTERS:
         return head.upper()
     return None
 

@@ -3,17 +3,18 @@
 Rules are universally quantified implications whose antecedent is a
 conjunction of literals and whose consequent is a single literal. Negation is
 explicit: a negative antecedent matches only a derived negative literal,
-open-world by default, with an opt-in closed-world antecedent mode. Each rule
-is decomposed once into premise and conclusion templates (`rule_templates`);
-a `StructuredRepr` keeps its knowledge base and templates, so each is built
-once per context.
+open-world by default. The closed-world antecedent mode is the keyword
+argument `cwa` of every caller that chains; a `KnowledgeBase` holds only a
+theory and its literals. Each rule is decomposed once into premise and
+conclusion templates (`rule_templates`); a `StructuredRepr` keeps its
+knowledge base and templates, so each is built once per context.
 Forward chaining fires them in rounds, semi-naively, to a least fixpoint with
 full derivation records: each round joins rule bodies against the known
 literals, indexed by polarity and predicate, and after round one only
 bindings that use a literal the round before derived are tried. Nothing
 enumerates every binding over the declared constants. `fire_rounds` is the one
 loop that fires rules, shared by `forward_chain`, the solver stub backend and
-the pipeline's diagnosis.
+the pipeline's diagnosis; `decide` always judges against `forward_chain`.
 
 `brute_force_entails` is the independent semantic oracle: it enumerates every
 truth assignment of the ground atoms that occur in the grounded theory and
@@ -249,17 +250,23 @@ def _literal_from_doc(text: Any, pointer: str, literals: dict[str, Literal]) -> 
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """A theory (`rules` over `table`) and its literals, with the derivation
+    records of those that chaining added."""
+
     table: SymbolTable
     literals: frozenset[Literal]
     rules: tuple[Formula, ...]
-    cwa: bool = False
-    contradiction: bool = False
     derivations: tuple[GroundRule, ...] = field(default=(), compare=False)
-    chained: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "literals", frozenset(self.literals))
         object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "derivations", tuple(self.derivations))
+
+    @property
+    def contradiction(self) -> bool:
+        """Whether some literal and its negation are both held."""
+        return any(lit.negated() in self.literals for lit in self.literals)
 
 
 @dataclass(frozen=True)
@@ -271,9 +278,9 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
 
-def kb_from_repr(repr_: StructuredRepr, cwa: bool = False) -> KnowledgeBase:
+def kb_from_repr(repr_: StructuredRepr) -> KnowledgeBase:
     literals = frozenset(literal_from_formula(s.symbol) for s in repr_.facts)
-    return KnowledgeBase(table=repr_.table, literals=literals, rules=tuple(s.symbol for s in repr_.rules), cwa=cwa)
+    return KnowledgeBase(table=repr_.table, literals=literals, rules=tuple(s.symbol for s in repr_.rules))
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +401,13 @@ def _decompose_rule(rule_id: int, rule: Formula) -> RuleTemplate:
     return RuleTemplate(rule_id, tuple(variables), premises, conclusion, used)
 
 
-def rule_templates(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> tuple[RuleTemplate, ...]:
+def rule_templates(kb: KnowledgeBase) -> tuple[RuleTemplate, ...]:
     """`kb.rules` decomposed into premise and conclusion templates, in rule order.
 
     Raises UnsupportedFragment for a rule outside the Horn fragment. Raises
     DomainTooLarge, before any matching, when the bindings enumerable over
     the declared constants, `len(domain) ** len(variables)` summed over the
-    rules, exceed `max_instantiations`: the bound counts what could be
+    rules, exceed `DEFAULT_GROUNDING_BOUND`: the bound counts what could be
     bound, not what matches, so no fact can change whether it trips.
     """
     rules = tuple(_decompose_rule(rule_id, rule) for rule_id, rule in enumerate(kb.rules, start=1))
@@ -408,8 +415,8 @@ def rule_templates(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDIN
     total = 0
     for rule in rules:
         total += size ** len(rule.variables)
-        if total > max_instantiations:
-            raise DomainTooLarge(f"grounding needs more than {max_instantiations} instantiations")
+        if total > DEFAULT_GROUNDING_BOUND:
+            raise DomainTooLarge(f"grounding needs more than {DEFAULT_GROUNDING_BOUND} instantiations")
     return rules
 
 
@@ -485,11 +492,7 @@ def _matches(
 
 
 def fire_rounds(
-    literals: set[Literal],
-    rules: Sequence[RuleTemplate],
-    domain: Collection[str],
-    cwa: bool = False,
-    max_rounds: int | None = None,
+    literals: set[Literal], rules: Sequence[RuleTemplate], domain: Collection[str], cwa: bool = False
 ) -> list[GroundRule]:
     """Fire `rules`, with variables over `domain`, in rounds, adding each conclusion to `literals`.
 
@@ -499,11 +502,10 @@ def fire_rounds(
     matches conclude the same literal, the first one wins. After round one,
     only matches that use a literal derived in the round before are tried
     (semi-naive evaluation). A quantified variable that no literal mentions
-    is bound to the least constant. The open-world phase stops at its
-    fixpoint or after `max_rounds`; with `cwa` and no round limit, a
-    closed-world phase follows, in which a negative premise also holds while
-    its positive counterpart is absent. Returns the rules fired, in firing
-    order.
+    is bound to the least constant. The open-world phase runs to its
+    fixpoint; with `cwa`, a closed-world phase follows, in which a negative
+    premise also holds while its positive counterpart is absent. Returns the
+    rules fired, in firing order.
     """
     domain = frozenset(domain)
     least = min(domain, default="")
@@ -514,11 +516,9 @@ def fire_rounds(
             by_premise.setdefault(premise.key, set()).add(position)
     index = _index(literals)
     fired: list[GroundRule] = []
-    for closed_world in ((False, True) if cwa and max_rounds is None else (False,)):
+    for closed_world in ((False, True) if cwa else (False,)):
         delta: _Index | None = None
-        rounds = 0
-        while max_rounds is None or rounds < max_rounds:
-            rounds += 1
+        while True:
             new: dict[Literal, GroundRule] = {}
             candidates = live
             if delta is not None:  # only rules with a premise the round before derived
@@ -542,34 +542,23 @@ def fire_rounds(
     return fired
 
 
-def chained_kb(
-    kb: KnowledgeBase, literals: Iterable[Literal], derivations: Iterable[GroundRule] = ()
-) -> KnowledgeBase:
-    """`kb` marked chained, with `literals` derived; sets the contradiction flag."""
-    literals = frozenset(literals)
-    return replace(
-        kb,
-        literals=literals,
-        contradiction=any(lit.negated() in literals for lit in literals),
-        derivations=tuple(derivations),
-        chained=True,
-    )
-
-
-def forward_chain(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> KnowledgeBase:
+def forward_chain(kb: KnowledgeBase, *, cwa: bool = False) -> KnowledgeBase:
     """Least fixpoint of the rules over the initial literals.
 
     Rules fire in rounds (`fire_rounds`): each round joins every rule's
     premises against the literals known when it began and fires the matches,
     in rule id then binding order, until a round adds nothing. Derivation
-    records come in round order. With `kb.cwa`, a second phase runs after the
-    open-world fixpoint in which a negative antecedent also matches when its
-    positive counterpart is underivable. `max_instantiations` bounds the
-    bindings enumerable (`rule_templates`).
+    records come in round order, after those `kb` already holds. With `cwa`,
+    a second phase runs after the open-world fixpoint in which a negative
+    antecedent also matches when its positive counterpart is underivable.
+    A theory with no rules is its own fixpoint, so `kb` itself is returned.
+    Raises DomainTooLarge past the grounding bound (`rule_templates`).
     """
+    if not kb.rules:
+        return kb
     literals = set(kb.literals)
-    fired = fire_rounds(literals, rule_templates(kb, max_instantiations), kb.table.constants, kb.cwa)
-    return chained_kb(kb, literals, kb.derivations + tuple(fired))
+    fired = fire_rounds(literals, rule_templates(kb), kb.table.constants, cwa)
+    return replace(kb, literals=literals, derivations=kb.derivations + tuple(fired))
 
 
 def _support_chain(target: Literal, derivations: Iterable[GroundRule]) -> tuple[GroundRule, ...]:
@@ -620,17 +609,18 @@ def existential_targets(question: Formula) -> tuple[bool, str, _TemplateArgs, tu
     return positive, body.predicate, tuple(args), tuple(variables)
 
 
-def decide(kb: KnowledgeBase, question: Formula, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> Verdict:
-    """Three-valued adjudication of `question` against the chained fixpoint.
+def decide(kb: KnowledgeBase, question: Formula, *, cwa: bool = False) -> Verdict:
+    """Three-valued adjudication of `question` against `forward_chain(kb, cwa=cwa)`.
 
     Ground literal questions answer T when the literal is derived, F when its
     negation is derived, U otherwise. Existential atom questions answer T on
     any derived witness and otherwise U (refuting an existential is beyond
-    forward chaining). A contradictory knowledge base yields U with a
+    forward chaining). A contradictory fixpoint yields U with a
     contradiction note instead of an arbitrary label; other questions raise
-    UnsupportedFragment.
+    UnsupportedFragment. Chaining is idempotent, so a `kb` that is already a
+    fixpoint judges the same.
     """
-    chained = kb if kb.chained else forward_chain(kb, max_instantiations)
+    chained = forward_chain(kb, cwa=cwa)
     if chained.contradiction:
         return Verdict(U, notes=("contradiction: a literal and its negation were both derived",))
 

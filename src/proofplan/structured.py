@@ -75,7 +75,7 @@ class StructuredRepr:
 
     @functools.cached_property
     def kb(self) -> solvermod.KnowledgeBase:
-        """The open-world `kb_from_repr` of this representation, computed once."""
+        """`kb_from_repr` of this representation, computed once; callers pass `cwa` when they chain it."""
         return solvermod.kb_from_repr(self)
 
     @functools.cached_property

@@ -49,7 +49,7 @@ from proofplan.backends import SolverStubBackend
 from proofplan import solver as solvermod
 from proofplan.pipeline import DIAGNOSIS_LABELS, Diagnosis, Evidence, Trace
 from proofplan.plan import Plan, PlanStep
-from proofplan.solver import DEFAULT_GROUNDING_BOUND, GroundRule, KnowledgeBase, Literal, rule_templates
+from proofplan.solver import GroundRule, KnowledgeBase, Literal, rule_templates
 from proofplan.structured import StructuredRepr, _walk_atoms, is_ground_literal
 
 VARIABLES = ("x", "y", "z", "u", "v")
@@ -642,7 +642,7 @@ def ground_literal_queries(rng: random.Random, kb: KnowledgeBase, count: int = 5
 # ---------------------------------------------------------------------------
 
 
-def reference_ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_GROUNDING_BOUND) -> list[GroundRule]:
+def reference_ground_rules(kb: KnowledgeBase) -> list[GroundRule]:
     """Every instantiation of every rule over the declared constants.
 
     Emitted in rule order, then in lexicographic binding order, deduplicated
@@ -651,7 +651,7 @@ def reference_ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_
     domain = tuple(sorted(kb.table.constants))
     out: list[GroundRule] = []
     seen: set[tuple[int, tuple[Literal, ...], Literal]] = set()
-    for rule in rule_templates(kb, max_instantiations):
+    for rule in rule_templates(kb):
         if rule.variables and not domain:
             continue
         for values in product(domain, repeat=len(rule.variables)):
@@ -669,9 +669,7 @@ def reference_ground_rules(kb: KnowledgeBase, max_instantiations: int = DEFAULT_
     return out
 
 
-def reference_fire_rounds(
-    literals: set[Literal], grounded: Sequence[GroundRule], cwa: bool = False, max_rounds: int | None = None
-) -> list[GroundRule]:
+def reference_fire_rounds(literals: set[Literal], grounded: Sequence[GroundRule], cwa: bool = False) -> list[GroundRule]:
     """Fire `grounded` in rounds by scanning it, with a semi-naive watch list.
 
     Same contract as `solver.fire_rounds`: a round fires, in grounded order,
@@ -684,11 +682,9 @@ def reference_fire_rounds(
         for premise in ground.premises:
             watchers.setdefault(premise, []).append(index)
     fired: list[GroundRule] = []
-    for closed_world in ((False, True) if cwa and max_rounds is None else (False,)):
+    for closed_world in ((False, True) if cwa else (False,)):
         candidates: Sequence[int] = range(len(grounded))
-        rounds = 0
-        while candidates and (max_rounds is None or rounds < max_rounds):
-            rounds += 1
+        while candidates:
             new: dict[Literal, GroundRule] = {}
             for index in candidates:
                 ground = grounded[index]

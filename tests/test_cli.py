@@ -48,6 +48,20 @@ def test_prove_fig1b_false_with_explanation(capsys):
     assert "Sees(mouse, lion)" in out
 
 
+def test_prove_cwa_matches_a_negative_antecedent_closed_world(tmp_path, capsys):
+    premises = tmp_path / "premises.txt"
+    premises.write_text("Bird(tweety)\n∀x (¬Flies(x) → Grounded(x))\n", encoding="utf-8")
+    argv = ["prove", str(premises), "-q", "Grounded(tweety)"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "U\n"
+    assert main(argv + ["--cwa"]) == 0
+    assert capsys.readouterr().out == "T\n"
+    assert main(argv + ["--cwa", "--explain"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "T"
+    assert "rule 1 [x=tweety]: ¬Flies(tweety) => Grounded(tweety)" in lines
+
+
 def test_prove_empty_premises_unknown(tmp_path, capsys):
     premises = tmp_path / "empty.txt"
     premises.write_text("# nothing here\n", encoding="utf-8")

@@ -1333,8 +1333,8 @@ def test_run_pipeline_stub_answers_like_decide_on_random_theories():
         labels = []
         for cwa in (False, True):
             result = run_pipeline(SolverStubBackend(), problem, PipelineConfig(cwa=cwa))
-            chained = forward_chain(kb_from_repr(result.traces[0].context, cwa=cwa))
-            labels.append(decide(chained, literal_to_formula(query)).label)
+            chained = forward_chain(kb_from_repr(result.traces[0].context), cwa=cwa)
+            labels.append(decide(chained, literal_to_formula(query), cwa=cwa).label)
             assert result.final.label == labels[-1]
             contradictory += chained.contradiction
         closed_world_changed += labels[0] != labels[1]

@@ -11,6 +11,7 @@ from helpers import ground_literal_queries, random_horn_kb, reference_fire_round
 from proofplan.errors import SchemaError
 from proofplan.fol import Atom, Constant, Exists, ForAll, Not, SymbolTable, Variable, parse_formula
 from proofplan.solver import (
+    DEFAULT_GROUNDING_BOUND,
     DomainTooLarge,
     KnowledgeBase,
     Literal,
@@ -33,14 +34,13 @@ from proofplan.pipeline import _literal_table
 from proofplan.structured import build_repr, doc_to_repr
 
 
-def make_kb(facts, rules, predicates, constants, cwa=False):
+def make_kb(facts, rules, predicates, constants):
     table = SymbolTable(predicates=predicates, constants=frozenset(constants))
     literals = frozenset(literal_from_formula(parse_formula(f)) for f in facts)
     return KnowledgeBase(
         table=table,
         literals=literals,
         rules=tuple(parse_formula(r) for r in rules),
-        cwa=cwa,
     )
 
 
@@ -102,35 +102,49 @@ def test_ground_rules_rejects_disjunctive_consequent():
         forward_chain(kb)
 
 
+def _constants(count):
+    return {f"c{i:04d}" for i in range(count)}
+
+
 def test_ground_rules_domain_bound():
-    kb = make_kb(
-        [],
-        ["∀x ∀y (Likes(x, y) → Knows(x, y))"],
-        {"Likes": 2, "Knows": 2},
-        {"a1", "a2", "a3"},
-    )
-    assert len(rule_templates(kb, max_instantiations=9)) == 1
+    # Two quantified variables over 1,000 constants enumerate exactly
+    # DEFAULT_GROUNDING_BOUND bindings; one more constant is past it.
+    rule = "∀x ∀y (Likes(x, y) → Knows(x, y))"
+    assert 1000**2 == DEFAULT_GROUNDING_BOUND
+    kb = make_kb([], [rule], {"Likes": 2, "Knows": 2}, _constants(1000))
+    assert len(rule_templates(kb)) == 1
+    kb = make_kb([], [rule], {"Likes": 2, "Knows": 2}, _constants(1001))
     with pytest.raises(DomainTooLarge):
-        rule_templates(kb, max_instantiations=8)
+        rule_templates(kb)
     with pytest.raises(DomainTooLarge):
-        forward_chain(kb, max_instantiations=8)
+        forward_chain(kb)
+    with pytest.raises(DomainTooLarge):
+        decide(kb, parse_formula("Knows(c0000, c0001)"))
 
 
 def test_ground_rules_bound_counts_bindings_enumerated():
     # 3 constants and two quantified variables: 9 bindings count against the
     # bound, but y is unused, so there are only 3 distinct ground rules, and
     # each fires with y bound to the least constant.
-    kb = make_kb(["P(a1)", "P(a3)"], ["∀x ∀y (P(x) → Q(x))"], {"P": 1, "Q": 1}, {"a1", "a2", "a3"})
-    (rule,) = rule_templates(kb, max_instantiations=9)
-    assert rule.used == ("x",) and len(reference_ground_rules(kb)) == 3
-    assert [g.binding for g in forward_chain(kb, max_instantiations=9).derivations] == [
+    rule = "∀x ∀y (P(x) → Q(x))"
+    kb = make_kb(["P(a1)", "P(a3)"], [rule], {"P": 1, "Q": 1}, {"a1", "a2", "a3"})
+    (template,) = rule_templates(kb)
+    assert template.used == ("x",) and len(reference_ground_rules(kb)) == 3
+    assert [g.binding for g in forward_chain(kb).derivations] == [
         (("x", "a1"), ("y", "a1")),
         (("x", "a3"), ("y", "a1")),
     ]
+    # Over 1,000 constants the unused y still counts: exactly 1,000,000
+    # bindings pass, though only 1,000 ground rules are distinct.
+    kb = make_kb(["P(c0007)"], [rule], {"P": 1, "Q": 1}, _constants(1000))
+    assert [g.binding for g in forward_chain(kb).derivations] == [(("x", "c0007"), ("y", "c0000"))]
+    kb = make_kb(["P(c0007)"], [rule], {"P": 1, "Q": 1}, _constants(1001))
     with pytest.raises(DomainTooLarge):
-        rule_templates(kb, max_instantiations=5)
+        rule_templates(kb)
     with pytest.raises(DomainTooLarge):
-        forward_chain(kb, max_instantiations=5)
+        forward_chain(kb)
+    with pytest.raises(DomainTooLarge):
+        decide(kb, parse_formula("Q(c0007)"))
 
 
 def test_forward_chain_fig1b_reaches_expected_fixpoint():
@@ -150,6 +164,8 @@ def test_forward_chain_empty_rules_is_identity_on_facts():
     kb = make_kb(["P(tom)"], [], {"P": 1}, {"tom"})
     out = forward_chain(kb)
     assert out.literals == kb.literals
+    # A theory with no rules is its own fixpoint, under either setting.
+    assert out is kb and forward_chain(kb, cwa=True) is kb
 
 
 def test_forward_chain_idempotent():
@@ -157,6 +173,28 @@ def test_forward_chain_idempotent():
     again = forward_chain(kb)
     assert again.literals == kb.literals
     assert again.derivations == kb.derivations
+    # Derivations given as a list are kept as a tuple, so chaining can extend them.
+    listed = replace(kb_from_repr(fig1b_repr()), derivations=[kb.derivations[0]])
+    assert listed.derivations == kb.derivations[:1]
+    assert forward_chain(listed).derivations[0] == kb.derivations[0]
+
+
+def test_chaining_is_idempotent_and_decide_judges_a_fixpoint_alike():
+    rng = random.Random(515)
+    supported = 0
+    for _ in range(1500):
+        kb = random_horn_kb(rng)
+        queries = [literal_to_formula(q) for q in ground_literal_queries(rng, kb, count=3)]
+        for cwa in (False, True):
+            once = forward_chain(kb, cwa=cwa)
+            twice = forward_chain(once, cwa=cwa)
+            assert twice.literals == once.literals
+            assert twice.derivations == once.derivations
+            for question in queries:
+                verdict = decide(kb, question, cwa=cwa)
+                assert decide(once, question, cwa=cwa) == verdict
+                supported += bool(verdict.support)
+    assert supported
 
 
 def test_forward_chain_sets_contradiction_flag():
@@ -180,9 +218,9 @@ def test_forward_chain_order_independent():
         rules = list(kb.rules)
         rng.shuffle(rules)
         for cwa in (False, True):
-            baseline = forward_chain(replace(kb, cwa=cwa)).literals
-            permuted = KnowledgeBase(table=kb.table, literals=kb.literals, rules=tuple(rules), cwa=cwa)
-            assert forward_chain(permuted).literals == baseline
+            baseline = forward_chain(kb, cwa=cwa).literals
+            permuted = KnowledgeBase(table=kb.table, literals=kb.literals, rules=tuple(rules))
+            assert forward_chain(permuted, cwa=cwa).literals == baseline
 
 
 def test_forward_chain_fires_in_rounds():
@@ -206,7 +244,7 @@ def _with_idle_variable_and_stray_constant(kb):
 
 def test_fire_rounds_matches_the_reference_engine():
     rng = random.Random(606)
-    fired_any = idle = 0
+    fired_any = idle = resumed = 0
     for index in range(2000):
         kb = random_horn_kb(rng)
         if index % 4 == 3:
@@ -215,18 +253,19 @@ def test_fire_rounds_matches_the_reference_engine():
         grounded = reference_ground_rules(kb)
         idle += any(len(g.binding) > len(rules[g.rule_id - 1].used) for g in grounded)
         for cwa in (False, True):
-            for max_rounds in (1, 2, None):
+            for cut in sorted({1, len(rules) // 2 + 1, len(rules)}):
+                # A prefix of the rules, then all of them on the same
+                # literals, as the stub's facts and rules steps resume.
                 got, want = set(kb.literals), set(kb.literals)
-                fired = fire_rounds(got, rules, kb.table.constants, cwa, max_rounds)
-                assert fired == reference_fire_rounds(want, grounded, cwa, max_rounds)
+                fired = fire_rounds(got, rules[:cut], kb.table.constants, cwa)
+                assert fired == reference_fire_rounds(want, [g for g in grounded if g.rule_id <= cut], cwa)
                 assert got == want
                 fired_any += bool(fired)
-                # A further call on the same literals resumes, as the stub's
-                # rule steps do.
                 more = fire_rounds(got, rules, kb.table.constants, cwa)
                 assert more == reference_fire_rounds(want, grounded, cwa)
                 assert got == want
-    assert fired_any and idle
+                resumed += bool(more) and cut < len(rules)
+    assert fired_any and idle and resumed
 
 
 def test_quantified_rules_have_no_instances_without_constants():
@@ -271,10 +310,10 @@ def test_step_record_codec_round_trips_fired_rules():
         rules = rule_templates(kb)
         literals = set(kb.literals)
         records = [StepRecord(1, "Collect the initial facts.", derived=tuple(sorted(kb.literals)))]
-        for step_id, max_rounds in enumerate((1, None), start=2):
-            fired = fire_rounds(literals, rules, kb.table.constants, cwa=index % 2 == 1, max_rounds=max_rounds)
+        for step_id, cut in enumerate((1, None), start=2):
+            fired = fire_rounds(literals, rules[:cut], kb.table.constants, cwa=index % 2 == 1)
             derived = tuple(g.conclusion for g in fired)
-            records.append(StepRecord(step_id, f"fire {max_rounds}", "ok", derived, tuple(fired)))
+            records.append(StepRecord(step_id, f"fire rules[:{cut}]", "ok", derived, tuple(fired)))
             fired_any += bool(fired)
         for record in records:
             doc = json.loads(json.dumps(step_record_to_doc(record), ensure_ascii=False))
@@ -400,14 +439,12 @@ def test_negative_antecedent_requires_explicit_negative_literal():
 
 def test_closed_world_antecedent_matching_is_opt_in():
     rules = ["∀x (¬Flies(x) → Grounded(x))"]
-    closed = make_kb(
-        ["Bird(tweety)"],
-        rules,
-        {"Flies": 1, "Grounded": 1, "Bird": 1},
-        {"tweety"},
-        cwa=True,
-    )
-    assert decide(closed, parse_formula("Grounded(tweety)")).label == "T"
+    kb = make_kb(["Bird(tweety)"], rules, {"Flies": 1, "Grounded": 1, "Bird": 1}, {"tweety"})
+    question = parse_formula("Grounded(tweety)")
+    assert decide(kb, question).label == "U"
+    assert decide(kb, question, cwa=True).label == "T"
+    assert Literal(True, "Grounded", ("tweety",)) in forward_chain(kb, cwa=True).literals
+    assert forward_chain(kb).literals == kb.literals
 
 
 def test_brute_force_examples():
