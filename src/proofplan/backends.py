@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 API_KEY_ENV = "PROOFPLAN_API_KEY"
+# Attempts per LiveBackend request, the first included.
+_ATTEMPTS = 3
 
 
 class BackendError(Exception):
@@ -86,8 +88,9 @@ class Backend(ABC):
 class LiveBackend(Backend):
     """Chat-completions HTTP backend.
 
-    The API key comes from the environment only (never a config file). At
-    most `max_inflight` requests run concurrently; transient failures retry
+    The API key comes only from the environment variable `API_KEY_ENV` names
+    (never a config file). At most `max_inflight` requests run concurrently;
+    a request makes at most `_ATTEMPTS` attempts, and transient failures retry
     with exponential backoff, or after the reply's numeric `Retry-After`
     seconds (capped at the request timeout) when a 429/5xx reply gives one.
     Under the call's `deadline`, a request waits at most the time left, and an
@@ -98,15 +101,13 @@ class LiveBackend(Backend):
         self,
         base_url: str,
         model: str,
-        api_key_env: str = API_KEY_ENV,
         timeout_s: float = 120.0,
-        max_retries: int = 3,
         max_inflight: int = 4,
         session: Any = None,
     ):
-        key = os.environ.get(api_key_env, "")
+        key = os.environ.get(API_KEY_ENV, "")
         if not key:
-            raise BackendError(f"environment variable {api_key_env} is not set")
+            raise BackendError(f"environment variable {API_KEY_ENV} is not set")
         if session is None:
             import requests
 
@@ -116,7 +117,6 @@ class LiveBackend(Backend):
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._model = model
         self._timeout = timeout_s
-        self._retries = max_retries
         self._gate = threading.Semaphore(max_inflight)
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
@@ -130,7 +130,7 @@ class LiveBackend(Backend):
         deadline = math.inf if params.deadline is None else params.deadline
         last_error = "no attempts made"
         delay: float = 0
-        for attempt in range(self._retries):
+        for attempt in range(_ATTEMPTS):
             if time.perf_counter() + delay >= deadline:  # this attempt could not start in time
                 raise BackendError(f"out of time after {attempt} attempts: {last_error}")
             if attempt:
@@ -157,7 +157,7 @@ class LiveBackend(Backend):
             if not isinstance(content, str) or not content:
                 raise BackendError("backend returned an empty completion")
             return content
-        raise BackendError(f"request failed after {self._retries} attempts: {last_error}")
+        raise BackendError(f"request failed after {_ATTEMPTS} attempts: {last_error}")
 
 
 def _retry_after(response: Any, cap: float, default: float) -> float:

@@ -259,7 +259,7 @@ def _stray_character(text: str) -> FormulaSyntaxError:
 
 
 class _Parser:
-    __slots__ = ("text", "table", "words", "i", "bound")
+    __slots__ = ("text", "table", "words", "i", "bound", "arities", "constants")
 
     def __init__(self, text: str, table: SymbolTable | None):
         words = _WORD_RE.findall(text)
@@ -271,6 +271,11 @@ class _Parser:
         self.words = words
         self.i = 0
         self.bound: list[str] = []
+        # What the parse met, for a caller that infers a symbol table: each
+        # atom's (predicate, arity) in text order, after a trailing boolean is
+        # folded away, and every name it read as a constant.
+        self.arities: list[tuple[str, int]] = []
+        self.constants: set[str] = set()
 
     def position(self, index: int) -> int:
         """Character position of word `index` (the text's length for the end)."""
@@ -386,6 +391,7 @@ class _Parser:
             declared = self.table.predicates[name]
             if declared != len(args):
                 raise ArityMismatch(name, declared, len(args))
+        self.arities.append((name, len(args)))
         atom = Atom(name, tuple(map(self.classify, args)))
         return Not(atom) if negated else atom
 
@@ -411,12 +417,14 @@ class _Parser:
             return Variable(name)
         if self.table is not None:
             if name in self.table.constants:
+                self.constants.add(name)
                 return Constant(name)
             if len(name) == 1 and name.islower():
                 return Variable(name)
             raise UndeclaredSymbol(name, "constant")
         if len(name) == 1 and name.islower():
             return Variable(name)
+        self.constants.add(name)
         return Constant(name)
 
 

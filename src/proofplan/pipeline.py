@@ -275,7 +275,7 @@ def _citable(context: StructuredRepr | RawContext) -> set[int] | None:
 
 
 def _literal_table(context: StructuredRepr | RawContext) -> dict[str, Literal]:
-    """A new literal table for one instance's replies: each stated fact's text
+    """A new literal table for one reply's decode: each stated fact's text
     to its Literal (replies cite them by text), empty for a raw context."""
     return {str(lit): lit for lit in context.kb.literals} if isinstance(context, StructuredRepr) else {}
 
@@ -283,8 +283,9 @@ def _literal_table(context: StructuredRepr | RawContext) -> dict[str, Literal]:
 def _parse_solve_doc(
     doc: Any, plan: Plan, stage: str, raw: str, literals: dict[str, Literal]
 ) -> tuple[tuple[StepRecord, ...], str]:
-    """Records and answer label of a solve reply; `literals` holds the
-    literal strings the instance has decoded so far and gains new ones."""
+    """Records and answer label of a solve reply; `literals`, the reply's
+    literal table, gains each literal string the reply cites that it lacks,
+    so every distinct string is parsed once per reply."""
     if not isinstance(doc, dict):
         raise StageParseError(stage, "expected a JSON object", raw=raw)
     if stage == "solve":
@@ -321,15 +322,13 @@ def solve_stage(
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
     round: int = 0,
-    literals: dict[str, Literal] | None = None,
 ) -> Trace:
-    """One solve call; the reply's literal strings are decoded through
-    `literals`, the instance's literal table (a new one when absent)."""
-    literals = _literal_table(context) if literals is None else literals
+    """One solve call; the reply's literal strings are decoded through a new
+    `_literal_table` of `context`."""
     values = {"repr": context.text, "plan": plan.text}
     payload = {"context": context, "plan": plan, "cwa": config.cwa}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
-    records, label = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, literals)
+    records, label = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, _literal_table(context))
     return Trace(
         context=context,
         plan=plan,
@@ -484,7 +483,6 @@ def replan_stage(
     diagnosis: Diagnosis,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
-    literals: dict[str, Literal] | None = None,
 ) -> ReplanOutcome:
     """Ask the backend to repair `trace`'s plan, as round `trace.round + 1`.
 
@@ -499,8 +497,8 @@ def replan_stage(
     plan equal to `trace`'s is `trace.plan` itself, which keeps its cached
     text and order. When the reply also embeds a re-execution (updated log
     plus final answer), that is surfaced so the caller can skip the separate
-    solve call; its literal strings are decoded through `literals`, the
-    instance's literal table (a new one when absent).
+    solve call; its literal strings are decoded through a new
+    `_literal_table` of the context.
     """
     context, plan, provisional = trace.context, trace.plan, trace.provisional.label
     round = trace.round + 1
@@ -560,13 +558,8 @@ def replan_stage(
 
     embedded: Trace | None = None
     if "Final answer" in doc:
-        records, label = _parse_solve_doc(
-            {"Execution log": doc.get("Updated Execution log", ""), "Final answer": doc["Final answer"]},
-            revised,
-            "replan",
-            raw,
-            _literal_table(context) if literals is None else literals,
-        )
+        reply = {"Execution log": doc.get("Updated Execution log", ""), "Final answer": doc["Final answer"]}
+        records, label = _parse_solve_doc(reply, revised, "replan", raw, _literal_table(context))
         embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
     return ReplanOutcome(plan=revised, raw=raw, embedded_trace=embedded)
 
@@ -586,21 +579,20 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     caller decides how to score the instance.
     """
     context, translate_raw = translate_stage(backend, problem, config)
-    literals = _literal_table(context)  # each distinct literal string of the instance is decoded once
     plan, plan_raw = plan_stage(backend, context, config, problem)
-    trace = solve_stage(backend, context, plan, config, problem, round=0, literals=literals)
+    trace = solve_stage(backend, context, plan, config, problem, round=0)
     traces = [replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw})]
     diagnoses: list[Diagnosis] = []
     for _ in range(config.max_replan_rounds):
         last = traces[-1]
         diagnoses.append(diagnose(last, cwa=config.cwa))
-        outcome = replan_stage(backend, last, diagnoses[-1], config, problem, literals)
+        outcome = replan_stage(backend, last, diagnoses[-1], config, problem)
         trace = outcome.embedded_trace
         if trace is None:
             if outcome.plan is last.plan:  # nothing new to execute, and another round would repeat this one
                 traces.append(replace(last, round=len(traces), raw={"replan": outcome.raw}))
                 break
-            trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces), literals=literals)
+            trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces))
         traces.append(replace(trace, raw={**trace.raw, "replan": outcome.raw}))
     return PipelineResult(traces=tuple(traces), diagnoses=tuple(diagnoses))
 

@@ -25,8 +25,8 @@ from .fol import (
     Not,
     SymbolTable,
     _children,
+    _Parser,
     free_vars,
-    parse_formula,
     render_formula,
 )
 
@@ -149,25 +149,6 @@ def _walk_atoms(f: Formula) -> Iterator[Atom | Equality]:
             stack.extend(reversed(tuple(_children(node))))
 
 
-def _infer_table(formulas: Iterable[Formula]) -> SymbolTable:
-    predicates: dict[str, int] = {}
-    constants: set[str] = set()
-    for f in formulas:
-        for node in _walk_atoms(f):
-            if isinstance(node, Atom):
-                arity = len(node.args)
-                seen = predicates.get(node.predicate)
-                if seen is not None and seen != arity:
-                    detail = f"predicate {node.predicate} used with conflicting arities {sorted({seen, arity})}"
-                    raise SchemaError("/Premises", detail)
-                predicates[node.predicate] = arity
-                terms = node.args
-            else:
-                terms = (node.left, node.right)
-            constants.update(t.name for t in terms if isinstance(t, Constant))
-    return SymbolTable(predicates=predicates, constants=frozenset(constants))
-
-
 def build_repr(
     pairs: Iterable[tuple[str, str]],
     questions: Iterable[tuple[str, str]] = (),
@@ -184,17 +165,30 @@ def build_repr(
     pairs = list(pairs)
     questions = list(questions)
     parsed: list[AlignedStatement] = []
+    arities: list[tuple[str, int]] = []
+    constants: set[str] = set()
     for index, (nl, text) in enumerate([*pairs, *questions]):
         pointer = f"/Premises/{index}" if index < len(pairs) else f"/Proposition/{index - len(pairs)}"
         if not nl:
             raise SchemaError(f"{pointer}/statement", "empty natural-language statement")
         try:
-            symbol = parse_formula(text, declared)
+            parser = _Parser(text, declared)
+            symbol = parser.parse()
         except FolError as err:
             raise SchemaError(f"{pointer}/symbol", str(err)) from err
         parsed.append(AlignedStatement(id=index + 1, nl=nl, symbol=symbol))
+        arities += parser.arities
+        constants |= parser.constants
 
-    table = declared if declared is not None else _infer_table(s.symbol for s in parsed)
+    table = declared
+    if table is None:  # checked once every statement has parsed, so a syntax error is reported first
+        predicates: dict[str, int] = {}
+        for name, arity in arities:
+            seen = predicates.setdefault(name, arity)
+            if seen != arity:
+                raise SchemaError("/Premises", f"predicate {name} used with conflicting arities {sorted({seen, arity})}")
+        table = SymbolTable(predicates=predicates, constants=frozenset(constants))
+
     facts: list[AlignedStatement] = []
     rules: list[AlignedStatement] = []
     for s in parsed[: len(pairs)]:

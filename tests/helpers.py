@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from proofplan.fol import (
     IDENT_RE,
@@ -46,6 +46,7 @@ from proofplan.fol import (
 )
 from proofplan import plan as planmod
 from proofplan.backends import SolverStubBackend
+from proofplan.errors import SchemaError
 from proofplan import solver as solvermod
 from proofplan.pipeline import DIAGNOSIS_LABELS, Diagnosis, Evidence, Trace
 from proofplan.plan import Plan, PlanStep
@@ -390,6 +391,26 @@ def _ast_depth(f: Formula) -> int:
 def reference_parse_formula(text: str, table: SymbolTable | None = None) -> Formula:
     """`parse_formula` as a per-character tokenizer and a recursive-descent ladder."""
     return _Parser(text, table).parse()
+
+
+def reference_infer_table(formulas: Iterable[Formula]) -> SymbolTable:
+    """The symbol table `build_repr` infers, by a second walk over the parsed formulas."""
+    predicates: dict[str, int] = {}
+    constants: set[str] = set()
+    for f in formulas:
+        for node in _walk_atoms(f):
+            if isinstance(node, Atom):
+                arity = len(node.args)
+                seen = predicates.get(node.predicate)
+                if seen is not None and seen != arity:
+                    detail = f"predicate {node.predicate} used with conflicting arities {sorted({seen, arity})}"
+                    raise SchemaError("/Premises", detail)
+                predicates[node.predicate] = arity
+                terms = node.args
+            else:
+                terms = (node.left, node.right)
+            constants.update(t.name for t in terms if isinstance(t, Constant))
+    return SymbolTable(predicates=predicates, constants=frozenset(constants))
 
 
 # ---------------------------------------------------------------------------

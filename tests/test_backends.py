@@ -84,7 +84,7 @@ def test_live_backend_gives_up_after_retries(monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "k")
     monkeypatch.setattr("proofplan.backends.time.sleep", lambda s: None)
     session = FakeSession([FakeResponse(status_code=500)] * 3)
-    backend = LiveBackend(base_url="http://x/v1", model="m", session=session, max_retries=3)
+    backend = LiveBackend(base_url="http://x/v1", model="m", session=session)
     with pytest.raises(BackendError):
         backend.complete("p", params())
 

@@ -960,7 +960,7 @@ def _cited_literals(replies):
     [fig1b_problem(), Problem(id="deep", premises=DEEP_PREMISES, question="¬Weak(n8)")],
     ids=["fig1b", "deep"],
 )
-def test_run_pipeline_decodes_rules_and_each_reply_literal_once_per_instance(problem, monkeypatch):
+def test_run_pipeline_decodes_rules_once_and_each_literal_once_per_reply(problem, monkeypatch):
     templates, parsed = [], []
     rule_templates, parse = solvermod.rule_templates, solvermod.parse_formula
     monkeypatch.setattr(solvermod, "rule_templates", lambda kb, *a: templates.append(kb) or rule_templates(kb, *a))
@@ -972,9 +972,26 @@ def test_run_pipeline_decodes_rules_and_each_reply_literal_once_per_instance(pro
     assert len(templates) == 1
     cited = _cited_literals(reply for meta, _, reply in backend.calls if meta.stage == "solve")
     assert len(cited) > len(set(cited))
-    # stated facts come seeded into the literal table; every other cited string is parsed once
+    # stated facts come seeded into each reply's literal table; every other string a
+    # reply cites is parsed once for that reply, and only the second reply cites any
     assert set(cited) & set(problem.premises)
     assert sorted(parsed) == sorted(set(cited) - set(problem.premises))
+
+
+def test_run_pipeline_parses_a_literal_two_solve_replies_cite_once_per_reply(monkeypatch):
+    recorded = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
+    run_pipeline(recorded, fig1b_problem())
+    assert [meta.stage for meta, _, _ in recorded.calls] == ["translate", "plan", "solve", "replan", "solve"]
+    replies = [reply for _, _, reply in recorded.calls]
+    replies[2] = replies[4]  # both solve replies now cite the literals the rules derive
+    derived = set(_cited_literals([replies[4]])) - set(FIG1B_PREMISES)
+    parsed = []
+    parse = solvermod.parse_formula
+    monkeypatch.setattr(solvermod, "parse_formula", lambda text: parsed.append(text) or parse(text))
+    result = run_pipeline(CannedBackend(*replies), fig1b_problem())
+    assert "Round(lion)" in derived and sorted(parsed) == sorted([*derived, *derived])
+    first, second = result.traces
+    assert first.plan != second.plan and first.records == second.records
 
 
 def test_run_pipeline_fig1b_parses_only_the_cited_literals_it_was_not_told(monkeypatch):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import formatted_findings, reference_validate_static
+from helpers import formatted_findings, reference_infer_table, reference_validate_static
 from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.errors import SchemaError
-from proofplan.fol import SymbolTable, parse_formula
+from proofplan.fol import FolError, SymbolTable, parse_formula
 from proofplan.harness import load_dataset
 from proofplan.pipeline import Problem, translate_stage
 from proofplan.structured import (
@@ -61,6 +61,13 @@ def test_build_rejects_arity_conflict():
         build_repr([("one.", "P(a)"), ("two.", "P(a, b)")])
     assert exc.value.pointer == "/Premises"
     assert exc.value.message == "predicate P used with conflicting arities [1, 2]"
+
+
+def test_build_reports_a_later_syntax_error_before_an_arity_conflict():
+    # arities are compared only once every statement has parsed
+    with pytest.raises(SchemaError) as exc:
+        build_repr([("one.", "P(a)"), ("two.", "P(a, b)"), ("three.", "Q(a")])
+    assert exc.value.pointer == "/Premises/2/symbol"
 
 
 def test_statement_ids_are_contiguous():
@@ -127,8 +134,15 @@ def test_inferred_table_is_self_consistent():
     assert reference_validate_static(r, r.table).ok
 
 
-def _random_document(rng: random.Random) -> dict:
-    """A translate reply with optional declarations, sorts, equalities and free variables."""
+def _random_document(rng: random.Random, inferred: bool = False) -> dict:
+    """A translate reply with optional declarations, sorts, equalities and free variables.
+
+    With `inferred`, it declares nothing, its atoms may keep only some of
+    their arguments (an arity conflict, or a syntax error when none is left)
+    and end in a dataset-style `True`/`False`, and its quantifiers may bind
+    `A` or `tom` as well as `x`. Without it, no extra values are drawn from
+    `rng`, so each seed gives the document the warning tests check.
+    """
     arities = {name: rng.randint(1, 2) for name in rng.sample(("P", "Q", "Likes", "Owns"), rng.randint(1, 4))}
     constants = rng.sample(("tom", "jerry", "rex", "ada"), rng.randint(1, 4))
     tags = ("animal", "thing", "")
@@ -143,21 +157,29 @@ def _random_document(rng: random.Random) -> dict:
         if rng.random() < 0.15:
             return f"{term(bound)} = {term(bound)}"
         name = rng.choice(sorted(arities))
-        text = f"{name}({', '.join(term(bound) for _ in range(arities[name]))})"
+        args = [term(bound) for _ in range(arities[name])]
+        if inferred and rng.random() < 0.15:  # maybe cut to fewer arguments, maybe add a boolean
+            args = args[: rng.randint(0, len(args))] + rng.choice(([], ["True"], ["False"]))
+        text = f"{name}({', '.join(args)})"
         return f"¬{text}" if rng.random() < 0.2 else text
+
+    def variable() -> str:
+        return rng.choice(("x", "A", "tom")) if inferred else "x"
 
     def statement() -> str:
         roll = rng.random()
         if roll < 0.4:
             return atom()
-        body = f"{atom(('x',))} → {atom(('x',))}"
-        return body if roll < 0.55 else f"∀x ({body})"
+        var = variable()
+        body = f"{atom((var,))} → {atom((var,))}"
+        return body if roll < 0.55 else f"∀{var} ({body})"
 
+    var = variable()
     doc: dict = {
         "Premises": [{"statement": f"p{i}.", "symbol": statement()} for i in range(rng.randint(0, 5))],
-        "Proposition": [{"statement": "q?", "symbol": rng.choice([atom(), f"∃x {atom(('x',))}"])}],
+        "Proposition": [{"statement": "q?", "symbol": rng.choice([atom(), f"∃{var} {atom((var,))}"])}],
     }
-    if rng.random() < 0.3:
+    if inferred or rng.random() < 0.3:
         return doc  # the table is inferred
     doc["Predicates"] = {}
     for name, arity in arities.items():
@@ -182,6 +204,41 @@ def test_warnings_match_reference_validator_on_generated_documents(seed):
 def test_generated_documents_raise_both_warning_kinds():
     kinds = {w.split(" ")[0] for seed in range(200) for w in doc_to_repr(_random_document(random.Random(seed))).warnings}
     assert kinds == {"open-rule", "sort-mismatch"}
+
+
+def _reference_outcome(pairs, questions):
+    """The table `build_repr` infers for these pairs, or its SchemaError as (pointer, message),
+    from `parse_formula` on each statement and then `reference_infer_table`."""
+    formulas = []
+    for index, (_, text) in enumerate([*pairs, *questions]):
+        try:
+            formulas.append(parse_formula(text))
+        except FolError as err:
+            pointer = f"/Premises/{index}" if index < len(pairs) else f"/Proposition/{index - len(pairs)}"
+            return f"{pointer}/symbol", str(err)
+    try:
+        return reference_infer_table(formulas)
+    except SchemaError as err:
+        return err.pointer, err.message
+
+
+def test_inferred_table_matches_the_reference_on_generated_documents():
+    kinds, texts = set(), []
+    for seed in range(500):
+        doc = _random_document(random.Random(seed), inferred=True)
+        pairs = [(item["statement"], item["symbol"]) for item in doc["Premises"]]
+        questions = [(item["statement"], item["symbol"]) for item in doc["Proposition"]]
+        try:
+            got = build_repr(pairs, questions).table
+        except SchemaError as err:
+            got = err.pointer, err.message
+        assert got == _reference_outcome(pairs, questions), doc
+        kinds.add("table" if isinstance(got, SymbolTable) else got[0].rsplit("/", 1)[-1])
+        texts += [text for _, text in pairs + questions]
+    # every outcome and every case the inference must get right occurs
+    assert kinds == {"table", "Premises", "symbol"}
+    for case in (" = ", ", True)", ", False)", "∀x", "∀A", "∀tom", "∃A"):
+        assert any(case in text for text in texts), case
 
 
 def test_warnings_match_reference_validator_on_bundled_instances():
