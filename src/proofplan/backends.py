@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -89,12 +88,14 @@ class LiveBackend(Backend):
     """Chat-completions HTTP backend.
 
     The API key comes only from the environment variable `API_KEY_ENV` names
-    (never a config file). At most `max_inflight` requests run concurrently;
-    a request makes at most `_ATTEMPTS` attempts, and transient failures retry
-    with exponential backoff, or after the reply's numeric `Retry-After`
-    seconds (capped at the request timeout) when a 429/5xx reply gives one.
-    Under the call's `deadline`, a request waits at most the time left, and an
-    attempt that could not start before the deadline raises BackendError.
+    (never a config file). A request makes at most `_ATTEMPTS` attempts, and
+    transient failures retry with exponential backoff, or after the reply's
+    numeric `Retry-After` seconds (capped at the request timeout) when a
+    429/5xx reply gives one. Under the call's `deadline`, a request waits at
+    most the time left, and an attempt that could not start before the
+    deadline raises BackendError. There is no in-flight cap: each caller
+    thread makes one request at a time, so `evaluate`'s worker count bounds
+    the requests in flight.
     """
 
     def __init__(
@@ -102,7 +103,6 @@ class LiveBackend(Backend):
         base_url: str,
         model: str,
         timeout_s: float = 120.0,
-        max_inflight: int = 4,
         session: Any = None,
     ):
         key = os.environ.get(API_KEY_ENV, "")
@@ -117,7 +117,6 @@ class LiveBackend(Backend):
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._model = model
         self._timeout = timeout_s
-        self._gate = threading.Semaphore(max_inflight)
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         body = {
@@ -136,13 +135,12 @@ class LiveBackend(Backend):
             if attempt:
                 time.sleep(delay)
             delay = 2**attempt
-            with self._gate:
-                timeout = min(self._timeout, deadline - time.perf_counter())
-                try:
-                    response = self._session.post(self._url, json=body, headers=headers, timeout=timeout)
-                except Exception as err:  # requests.RequestException and injected fakes
-                    last_error = str(err)
-                    continue
+            timeout = min(self._timeout, deadline - time.perf_counter())
+            try:
+                response = self._session.post(self._url, json=body, headers=headers, timeout=timeout)
+            except Exception as err:  # requests.RequestException and injected fakes
+                last_error = str(err)
+                continue
             status = getattr(response, "status_code", 0)
             if status == 429 or status >= 500:
                 last_error = f"HTTP {status}"

@@ -148,12 +148,7 @@ def _make_backend(args: argparse.Namespace) -> Backend:
     if spec == "live":
         if not args.base_url or not args.model:
             raise BackendError("live backend needs --base-url and --model")
-        return LiveBackend(
-            base_url=args.base_url,
-            model=args.model,
-            timeout_s=args.timeout_s,
-            max_inflight=args.concurrency,
-        )
+        return LiveBackend(base_url=args.base_url, model=args.model, timeout_s=args.timeout_s)
     raise BackendError(f"unknown backend {spec!r} (use live, scripted:<dir>, or solver-stub)")
 
 

@@ -359,19 +359,7 @@ def report_to_doc(report: RunReport) -> dict[str, Any]:
         "total": report.total,
         "correct": report.correct,
         "accuracy": report.accuracy,
-        "records": [
-            {
-                "id": r.id,
-                "predicted": r.predicted,
-                "gold": r.gold,
-                "correct": r.correct,
-                "failure_kind": r.failure_kind,
-                "rounds_used": r.rounds_used,
-                "duration_s": round(r.duration_s, 6),
-                "depth": r.depth,
-            }
-            for r in report.records
-        ],
+        "records": [{**vars(r), "duration_s": round(r.duration_s, 6)} for r in report.records],
     }
     table = stratify_by_depth(report)
     if table:

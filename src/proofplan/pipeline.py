@@ -2,9 +2,10 @@
 
 Each stage prompts the backend, extracts the first well-formed fenced JSON
 block from the reply, and parses it strictly; formatting violations raise
-StageParseError, which the harness scores as incorrect. The replan loop is
-driven by `diagnose`, a deterministic engine-side audit of the previous
-trace, and re-executes each revised plan against the unchanged context.
+StageParseError, which the harness scores as incorrect. Each replan round
+is one `replan_stage` call, driven by `diagnose`, a deterministic
+engine-side audit of the previous trace; it re-executes a changed plan
+against the unchanged context and returns the round's trace.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "Diagnosis",
     "PipelineConfig",
     "PipelineResult",
-    "ReplanOutcome",
     "StageParseError",
     "normalize_label",
     "extract_json",
@@ -113,13 +113,6 @@ class PipelineConfig:
 
     def params(self, meta: StageMeta) -> GenerationParams:
         return GenerationParams(temperature=self.temperature, max_tokens=self.max_tokens, meta=meta)
-
-
-@dataclass(frozen=True)
-class ReplanOutcome:
-    plan: Plan
-    raw: str
-    embedded_trace: Trace | None = None  # when the reply re-executed the revised plan
 
 
 @dataclass(frozen=True)
@@ -483,22 +476,27 @@ def replan_stage(
     diagnosis: Diagnosis,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
-) -> ReplanOutcome:
-    """Ask the backend to repair `trace`'s plan, as round `trace.round + 1`.
+) -> Trace:
+    """Round `trace.round + 1`: ask the backend to repair `trace`'s plan, and
+    return the round's trace.
 
     The reply may carry a corrected plan, a list of edge edits, or both (the
     plan wins; edits are then only validated, their step indices against
     `trace`'s plan). A revised plan may cite only the facts and rules of a
     structured context. An acyclic revision is transitively reduced; one
-    with a cycle or a diagonal entry, from either form, is refused: the
-    outcome keeps `trace.plan` and drops any embedded re-execution, so the
-    round keeps its records and verdict. Under the `mp` ablation the revised
-    matrix is ignored, as in `plan_stage`, and nothing is refused. A revised
-    plan equal to `trace`'s is `trace.plan` itself, which keeps its cached
-    text and order. When the reply also embeds a re-execution (updated log
-    plus final answer), that is surfaced so the caller can skip the separate
-    solve call; its literal strings are decoded through a new
-    `_literal_table` of the context.
+    with a cycle or a diagonal entry, from either form, is refused. Under the
+    `mp` ablation the revised matrix is ignored, as in `plan_stage`, and
+    nothing is refused. A revised plan equal to `trace`'s is `trace.plan`
+    itself, which keeps its cached text and order. The round's trace is:
+    - for a reply that embeds a re-execution (updated log plus final answer),
+      that re-execution, its literal strings decoded through a new
+      `_literal_table` of the context;
+    - for any other changed plan, a `solve_stage` call on it, whose `raw`
+      also holds the replan reply;
+    - for a refused revision, or an unchanged plan and no re-execution,
+      `trace` itself with the next round number and `raw` holding only the
+      replan reply. Its plan, records and verdict are `trace`'s own objects,
+      and an embedded log and answer go unread.
     """
     context, plan, provisional = trace.context, trace.plan, trace.provisional.label
     round = trace.round + 1
@@ -553,15 +551,17 @@ def replan_stage(
         try:
             revised = planmod.apply_edits(plan, edits) if rows is None else planmod.transitive_reduce(Plan(steps, rows))
         except (planmod.CycleError, planmod.ShapeError):  # refused: the round keeps its plan and verdict
-            return ReplanOutcome(plan=plan, raw=raw)
+            return replace(trace, round=round, raw={"replan": raw})
     revised = plan if revised == plan else revised
 
-    embedded: Trace | None = None
     if "Final answer" in doc:
         reply = {"Execution log": doc.get("Updated Execution log", ""), "Final answer": doc["Final answer"]}
         records, label = _parse_solve_doc(reply, revised, "replan", raw, _literal_table(context))
-        embedded = Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
-    return ReplanOutcome(plan=revised, raw=raw, embedded_trace=embedded)
+        return Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
+    if revised is plan:  # nothing new to execute
+        return replace(trace, round=round, raw={"replan": raw})
+    solved = solve_stage(backend, context, revised, config, problem, round)
+    return replace(solved, raw={**solved.raw, "replan": raw})
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +570,14 @@ def replan_stage(
 
 
 def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
-    """Translate, plan, solve, then diagnose/replan/re-solve up to the round cap.
+    """Translate, plan, solve, then diagnose and replan up to the round cap.
 
     The problem context from translation is reused unchanged for every round;
-    the final verdict is the last round's provisional one. A replan that keeps
-    the plan and embeds no re-execution ends the loop with a round that keeps
-    the previous records and verdict. Any stage error propagates and the
+    the final verdict is the last round's provisional one. Each replan round
+    is one `replan_stage` call, which returns the round's trace. A round that
+    re-executed nothing keeps the previous round's verdict object, and it
+    ends the loop, since a further round could only diagnose the same trace
+    and send the same replan prompt. Any stage error propagates and the
     caller decides how to score the instance.
     """
     context, translate_raw = translate_stage(backend, problem, config)
@@ -586,14 +588,9 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     for _ in range(config.max_replan_rounds):
         last = traces[-1]
         diagnoses.append(diagnose(last, cwa=config.cwa))
-        outcome = replan_stage(backend, last, diagnoses[-1], config, problem)
-        trace = outcome.embedded_trace
-        if trace is None:
-            if outcome.plan is last.plan:  # nothing new to execute, and another round would repeat this one
-                traces.append(replace(last, round=len(traces), raw={"replan": outcome.raw}))
-                break
-            trace = solve_stage(backend, context, outcome.plan, config, problem, round=len(traces))
-        traces.append(replace(trace, raw={**trace.raw, "replan": outcome.raw}))
+        traces.append(replan_stage(backend, last, diagnoses[-1], config, problem))
+        if traces[-1].provisional is last.provisional:  # nothing was re-executed
+            break
     return PipelineResult(traces=tuple(traces), diagnoses=tuple(diagnoses))
 
 

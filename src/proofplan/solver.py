@@ -725,14 +725,14 @@ def _ground_tree(
     raise TypeError(f"not a formula: {f!r}")
 
 
-def brute_force_entails(kb: KnowledgeBase, question: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> str:
+def brute_force_entails(kb: KnowledgeBase, question: Formula) -> str:
     """Entailment by enumerating every model of the grounded theory.
 
     Returns T if the question holds in every model, F if it fails in every
     model, U otherwise. Only ground atoms occurring in the grounded theory or
     question are enumerated (absent atoms are unconstrained either way); more
-    than `atom_limit` of them raises TooManyAtoms, and a free variable raises
-    UnsupportedFragment.
+    than `DEFAULT_ATOM_LIMIT` of them raises TooManyAtoms, and a free variable
+    raises UnsupportedFragment.
     """
     domain = tuple(sorted(kb.table.constants))
     atom_index: dict[tuple[str, tuple[str, ...]], int] = {}
@@ -745,8 +745,8 @@ def brute_force_entails(kb: KnowledgeBase, question: Formula, atom_limit: int = 
     question_tree = _ground_tree(question, {}, domain, atom_index)
 
     n = len(atom_index)
-    if n > atom_limit:
-        raise TooManyAtoms(f"{n} ground atoms occur; the enumeration limit is {atom_limit}")
+    if n > DEFAULT_ATOM_LIMIT:
+        raise TooManyAtoms(f"{n} ground atoms occur; the enumeration limit is {DEFAULT_ATOM_LIMIT}")
     # Assignments are enumerated in chunks of 2^18, each chunk one Python int
     # per atom: bit k is the atom's value in the chunk's k-th assignment.
     # The low atoms take the same columns in every chunk; each higher atom is

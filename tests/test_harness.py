@@ -16,6 +16,7 @@ from proofplan.errors import SchemaError
 from proofplan.harness import (
     HarnessConfig,
     Instance,
+    InstanceRecord,
     _run_one,
     compose_question,
     evaluate,
@@ -455,6 +456,16 @@ def test_report_doc_shape_and_fingerprint_stability():
     assert doc["by_depth"] == {"0": 1.0}
     other = HarnessConfig(seed=8, dataset_hash="abc").fingerprint()
     assert other != doc["fingerprint"]
+
+
+def test_report_records_list_the_instance_record_fields_in_order():
+    instances = load_dataset(DATA / "batch3.json")
+    config = HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0))
+    report = evaluate(instances, ScriptedBackend(FIXTURES / "batch3"), config)
+    names = [f.name for f in dataclasses.fields(InstanceRecord)]
+    for record, entry in zip(report.records, report_to_doc(report)["records"], strict=True):
+        assert list(entry) == names
+        assert entry == {**dataclasses.asdict(record), "duration_s": round(record.duration_s, 6)}
 
 
 def test_option_letter_scoring(tmp_path):

@@ -35,7 +35,6 @@ from proofplan.pipeline import (
     PipelineConfig,
     Problem,
     RawContext,
-    ReplanOutcome,
     StageParseError,
     StepRecord,
     Trace,
@@ -683,31 +682,39 @@ def test_diagnose_agrees_with_the_reference_on_mutated_stub_traces():
 # Replanning
 # ---------------------------------------------------------------------------
 
+SOLVE_REPLY = json.dumps({"Execution log": "ran the revised plan", "Final answer": "T"})
+
 
 def test_replan_stage_scripted_returns_four_step_plan():
     context, _ = translate_stage(scripted(), WALKTHROUGH)
     plan, _ = plan_stage(scripted(), context, problem=WALKTHROUGH)
     trace = solve_stage(scripted(), context, plan, problem=WALKTHROUGH)
     report = diagnose(trace)
-    outcome = replan_stage(scripted(), trace, report, problem=WALKTHROUGH)
-    assert outcome.plan.size == 4
-    assert outcome.plan.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
-    embedded = outcome.embedded_trace
-    assert embedded is not None and embedded.plan == outcome.plan and embedded.round == 1
-    assert embedded.raw == {"replan": outcome.raw}
+    backend = RecordingBackend(scripted())
+    revised = replan_stage(backend, trace, report, problem=WALKTHROUGH)
+    assert revised.plan.size == 4
+    assert revised.plan.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+    # the reply embeds its re-execution, so no solve call runs
+    [(meta, _, reply)] = backend.calls
+    assert meta.stage == "replan" and revised.round == 1 and revised.records is not trace.records
+    assert revised.raw == {"replan": reply}
 
 
 def test_replan_stage_reads_the_round_state_from_the_trace():
-    backend = RecordingBackend(CannedBackend(json.dumps({"Edits": [{"op": "AddEdge", "i": 1, "j": 3}]})))
+    edits = json.dumps({"Edits": [{"op": "AddEdge", "i": 1, "j": 3}]})
+    backend = RecordingBackend(CannedBackend(edits, SOLVE_REPLY))
     unlinked = plan_from_matrix(((0, 0, 0),) * 3, four_step_plan().steps)
     trace = replace(make_trace([facts_record()], plan=unlinked), provisional=Verdict("F"), round=2)
-    outcome = replan_stage(backend, trace, Diagnosis(()))
-    [(meta, prompt, _)] = backend.calls
+    revised = replan_stage(backend, trace, Diagnosis(()))
+    [(meta, prompt, _), (solve_meta, _, _)] = backend.calls
     assert meta.stage == "replan" and meta.round == trace.round + 1
     assert meta.payload["provisional"] == trace.provisional.label == "F"
     assert meta.payload["context"] is trace.context and meta.payload["plan"] is trace.plan
     assert "Provisional answer:\nF\n" in prompt and trace.plan.text in prompt
-    assert outcome.plan != trace.plan and outcome.plan.edges() == [(1, 3)]
+    assert revised.plan != trace.plan and revised.plan.edges() == [(1, 3)]
+    # the changed plan is solved in the same round
+    assert solve_meta.stage == "solve" and solve_meta.round == revised.round == trace.round + 1
+    assert solve_meta.payload["plan"] is revised.plan
 
 
 @pytest.mark.parametrize(
@@ -719,9 +726,10 @@ def test_replan_stage_refuses_an_edit_list_that_closes_a_cycle(edits):
     plan = four_step_plan()
     reply = json.dumps({"Edits": edits, "Rationale": "loop back", "Final answer": "not a label"})
     trace = make_trace([facts_record()], plan=plan)
-    outcome = replan_stage(CannedBackend(reply), trace, Diagnosis(()))
+    kept = replan_stage(CannedBackend(reply), trace, Diagnosis(()))
     # the plan is kept whole, and the embedded answer goes unread with the rest of the revision
-    assert outcome == ReplanOutcome(plan=plan, raw=reply) and outcome.plan is plan
+    assert kept == replace(trace, round=1, raw={"replan": reply}) and kept.plan is plan
+    assert kept.records is trace.records and kept.provisional is trace.provisional
 
 
 def test_replan_stage_out_of_range_edit():
@@ -820,10 +828,11 @@ def test_each_prompt_example_is_accepted_by_its_stage():
     assert any(step.uses for step in plan.steps)
     assert plan.steps[plan.judgment - 1].kind == "judgment"
     assert solve_stage(CannedBackend(_prompt_example("solve")), context, plan).provisional.label == "T"
-    outcome = replan_stage(CannedBackend(_prompt_example("replan")), make_trace([], context=context), Diagnosis(()))
-    revised = outcome.plan
+    # the example embeds its re-execution, so the canned backend needs no solve reply
+    replanned = replan_stage(CannedBackend(_prompt_example("replan")), make_trace([], context=context), Diagnosis(()))
+    revised = replanned.plan
     assert any(step.uses for step in revised.steps) and revised.steps[revised.judgment - 1].kind == "judgment"
-    assert outcome.embedded_trace is not None and outcome.embedded_trace.provisional.label == "T"
+    assert replanned.provisional.label == "T" and sorted(replanned.raw) == ["replan"]
 
 
 def test_replan_stage_requires_plan_or_edits():
@@ -841,9 +850,39 @@ def test_replan_stage_ablate_matrix_plan_chains_the_revised_plan():
     cut = json.dumps({"Edits": [{"op": "DelEdge", "i": 2, "j": 3}]})
     trace = make_trace([facts_record()], plan=plan)
     for reply in (dag, cut):
-        assert replan_stage(CannedBackend(reply), trace, Diagnosis(())).plan != plan
+        assert replan_stage(CannedBackend(reply, SOLVE_REPLY), trace, Diagnosis(())).plan != plan
+        # the chain is the plan itself, so nothing is re-executed
         ablated = replan_stage(CannedBackend(reply), trace, Diagnosis(()), PipelineConfig(disable_matrix_plan=True))
-        assert ablated.plan is plan
+        assert ablated.plan is plan and ablated.records is trace.records
+
+
+@pytest.mark.parametrize(
+    "edit, embedded, kept, stages",
+    [
+        ({"op": "AddEdge", "i": 3, "j": 1}, True, True, ["replan"]),  # closes a cycle
+        ({"op": "AddEdge", "i": 1, "j": 3}, False, True, ["replan"]),  # implied by 1 -> 2 -> 3, so reduced away
+        ({"op": "AddEdge", "i": 1, "j": 3}, True, False, ["replan"]),
+        ({"op": "DelEdge", "i": 2, "j": 3}, False, False, ["replan", "solve"]),
+    ],
+    ids=["refused", "unchanged", "embedded", "changed"],
+)
+def test_replan_stage_returns_the_next_rounds_trace(edit, embedded, kept, stages):
+    plan = four_step_plan()  # the chain 1 -> 2 -> 3
+    reply = {"Edits": [edit]}
+    if embedded:
+        reply |= {"Updated Execution log": "ran the plan again", "Final answer": "T"}
+    reply = json.dumps(reply)
+    backend = CannedBackend(reply, SOLVE_REPLY)
+    trace = replace(make_trace([facts_record()], plan=plan), raw={"solve": "round 1"}, round=1)
+    got = replan_stage(backend, trace, Diagnosis(()))
+    assert [stage for stage, _ in backend.calls] == stages
+    assert got.round == 2 and got.context is trace.context
+    if kept:
+        assert got.records is trace.records and got.provisional is trace.provisional
+    else:
+        assert got.records is not trace.records and got.provisional.label == "T"
+    assert (got.plan is plan) == ("solve" not in stages)
+    assert got.raw == ({"replan": reply, "solve": SOLVE_REPLY} if "solve" in stages else {"replan": reply})
 
 
 # ---------------------------------------------------------------------------
@@ -1203,6 +1242,18 @@ def test_run_pipeline_accepts_a_cyclic_revision_as_the_chain_under_the_mp_ablati
     assert result.final.label == "T" and result.rounds_used == 1
 
 
+def test_run_pipeline_keeps_replanning_after_rounds_that_log_nothing():
+    # every empty log decodes to the one empty tuple, so the loop's stop test cannot read records
+    empty = json.dumps({"Execution log": [], "Final answer": "U"})
+    translate, plan = _cat_replies({})[:2]
+    cut, relink = ({"Edits": [{"op": op, "i": 1, "j": 2}]} for op in ("DelEdge", "AddEdge"))
+    backend = CannedBackend(translate, plan, empty, json.dumps(cut), empty, json.dumps(relink), empty)
+    result = run_pipeline(backend, CAT, PipelineConfig(max_replan_rounds=2))
+    assert [stage for stage, _ in backend.calls] == ["translate", "plan", "solve", *["replan", "solve"] * 2]
+    assert [t.plan.edges() for t in result.traces] == [[(1, 2)], [], [(1, 2)]]
+    assert result.rounds_used == 2 and all(t.records == () for t in result.traces)
+
+
 def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
     docs, plans = [], []
     monkeypatch.setattr(structured, "repr_to_doc", lambda r: docs.append(r) or repr_to_doc(r))
@@ -1245,8 +1296,12 @@ def test_replan_stage_keeps_the_plan_object_only_when_the_plan_is_unchanged():
     degraded, _ = plan_stage(SolverStubBackend(degrade_initial_plan=True), fig1b_context())
     clean = Diagnosis(())
     assert replan_stage(SolverStubBackend(), make_trace([], plan=full), clean).plan is full
-    revised = replan_stage(SolverStubBackend(), make_trace([], plan=degraded), clean).plan
+    # the stub solves the changed plan, which needs the question
+    context = build_repr([(text, text) for text in FIG1B_PREMISES], [FIG1B_QUESTION])
+    backend = RecordingBackend(SolverStubBackend())
+    revised = replan_stage(backend, make_trace([], plan=degraded, context=context), clean).plan
     assert revised is not degraded and revised == full and revised is not full
+    assert [meta.stage for meta, _, _ in backend.calls] == ["replan", "solve"]
 
 
 def test_solve_stage_numbers_records_by_the_execution_order_and_rejects_a_bad_reply():
@@ -1421,7 +1476,7 @@ _revised_plans = st.integers(min_value=1, max_value=4).flatmap(
 def test_replan_stage_total_on_arbitrary_edits_and_plans(edits, revised):
     reply = {"Edits": edits} if revised is None else {"Edits": edits, "Revised plan": revised}
     try:
-        replan_stage(CannedBackend(json.dumps(reply)), make_trace([facts_record()]), Diagnosis(()))
+        replan_stage(CannedBackend(json.dumps(reply), SOLVE_REPLY), make_trace([facts_record()]), Diagnosis(()))
     except StageParseError:
         pass
 
