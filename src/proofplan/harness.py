@@ -269,38 +269,27 @@ def trace_lines(docs: Iterable[dict[str, Any]]) -> str:
 def _run_one(instance: Instance, backend: Backend, config: HarnessConfig, traced: bool) -> tuple[InstanceRecord, str]:
     """One instance's record and, when `traced`, its `trace_lines`, encoded once `duration_s` is read."""
     start = time.perf_counter()
+    docs: list[dict[str, Any]] = []
     try:
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
         result = run_pipeline(_Deadline(backend, start + config.timeout_s), problem, config.pipeline)
-        predicted = result.final.label
-        docs = [trace_to_doc(t, instance.id) for t in result.traces] if traced else []
-        correct = predicted == instance.gold
-        record = InstanceRecord(
-            id=instance.id,
-            predicted=predicted,
-            gold=instance.gold,
-            correct=correct,
-            failure_kind=None if correct else "wrong-label",
-            rounds_used=result.rounds_used,
-            duration_s=time.perf_counter() - start,
-            depth=instance.depth,
-        )
-        return record, trace_lines(docs)
+        predicted, rounds_used = result.final.label, result.rounds_used
+        failure_kind = None if predicted == instance.gold else "wrong-label"
+        if traced:
+            docs = [trace_to_doc(t, instance.id) for t in result.traces]
     except Exception as err:
-        return _failed_record(instance, _classify_failure(err), time.perf_counter() - start), ""
-
-
-def _failed_record(instance: Instance, failure_kind: str, duration_s: float) -> InstanceRecord:
-    return InstanceRecord(
+        predicted, rounds_used, failure_kind = None, 0, _classify_failure(err)
+    record = InstanceRecord(
         id=instance.id,
-        predicted=None,
+        predicted=predicted,
         gold=instance.gold,
-        correct=False,
+        correct=failure_kind is None,
         failure_kind=failure_kind,
-        rounds_used=0,
-        duration_s=duration_s,
+        rounds_used=rounds_used,
+        duration_s=time.perf_counter() - start,
         depth=instance.depth,
     )
+    return record, trace_lines(docs)
 
 
 def evaluate(instances: Sequence[Instance], backend: Backend, config: HarnessConfig = HarnessConfig(),

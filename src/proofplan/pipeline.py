@@ -1,11 +1,14 @@
 """Four-stage reasoning pipeline: translate, plan, solve, replan.
 
 Each stage prompts the backend, extracts the first well-formed fenced JSON
-block from the reply, and parses it strictly; formatting violations raise
-StageParseError, which the harness scores as incorrect. Each replan round
-is one `replan_stage` call, driven by `diagnose`, a deterministic
-engine-side audit of the previous trace; it re-executes a changed plan
-against the unchanged context and returns the round's trace.
+block from the reply, and parses it strictly. A reply with no such block
+raises StageParseError in `extract_json`; any other format violation is a
+reader's SchemaError (or a plan's ShapeError), which `_parse_reply` turns
+into StageParseError("<stage> stage: <pointer>: <reason>"), the pointer
+locating the value in the reply. The harness scores both as incorrect. Each
+replan round is one `replan_stage` call, driven by `diagnose`, a
+deterministic engine-side audit of the previous trace; it re-executes a
+changed plan against the unchanged context and returns the round's trace.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import json
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import plan as planmod
 from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
-from .errors import SchemaError
+from .errors import SchemaError, check_object
 from .plan import Plan
 from .solver import Literal, StepRecord, Verdict, step_record_from_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr
@@ -175,6 +178,15 @@ def extract_json(text: str, stage: str) -> Any:
     raise StageParseError(stage, "no well-formed JSON object in the reply", raw=text)
 
 
+def _parse_reply(stage: str, raw: str, read: Callable[..., Any], *args: Any) -> Any:
+    """`read(*args)`, a reader of the stage's reply `raw`; the SchemaError or
+    ShapeError it raises becomes StageParseError(stage, str(err), raw=raw)."""
+    try:
+        return read(*args)
+    except (SchemaError, planmod.ShapeError) as err:
+        raise StageParseError(stage, str(err), raw=raw) from err
+
+
 _LABEL_WORDS = {
     "t": "T",
     "true": "T",
@@ -234,12 +246,7 @@ def translate_stage(
     raw = _call_stage(backend, config, "translate", values, payload, problem)
     if config.disable_structured_repr:
         return RawContext(raw), raw
-    doc = extract_json(raw, "translate")
-    try:
-        context = doc_to_repr(doc)
-    except SchemaError as err:
-        raise StageParseError("translate", str(err), raw=raw) from err
-    return context, raw
+    return _parse_reply("translate", raw, doc_to_repr, extract_json(raw, "translate")), raw
 
 
 def plan_stage(
@@ -251,14 +258,10 @@ def plan_stage(
     """The validated plan and the raw reply it came from; a cyclic matrix
     raises CycleError, which scores as `cycle`."""
     raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context}, problem)
-    doc = extract_json(raw, "plan")
-    try:
-        steps, rows = planmod.read_plan(doc, _citable(context))
-        # Ablation: keep the steps, replace the dependency structure with the
-        # linear chain 1 -> 2 -> ... -> N.
-        plan = planmod.linear_chain(steps) if config.disable_matrix_plan else Plan(steps, rows)
-    except (SchemaError, planmod.ShapeError) as err:
-        raise StageParseError("plan", str(err), raw=raw) from err
+    steps, rows = _parse_reply("plan", raw, planmod.read_plan, extract_json(raw, "plan"), _citable(context))
+    # Ablation: keep the steps, replace the dependency structure with the
+    # linear chain 1 -> 2 -> ... -> N.
+    plan = planmod.linear_chain(steps) if config.disable_matrix_plan else _parse_reply("plan", raw, Plan, steps, rows)
     return plan, raw
 
 
@@ -273,38 +276,28 @@ def _literal_table(context: StructuredRepr | RawContext) -> dict[str, Literal]:
     return {str(lit): lit for lit in context.kb.literals} if isinstance(context, StructuredRepr) else {}
 
 
-def _parse_solve_doc(
-    doc: Any, plan: Plan, stage: str, raw: str, literals: dict[str, Literal]
+def _read_log(
+    doc: dict[str, Any], field: str, plan: Plan, literals: dict[str, Literal]
 ) -> tuple[tuple[StepRecord, ...], str]:
-    """Records and answer label of a solve reply; `literals`, the reply's
-    literal table, gains each literal string the reply cites that it lacks,
-    so every distinct string is parsed once per reply."""
-    if not isinstance(doc, dict):
-        raise StageParseError(stage, "expected a JSON object", raw=raw)
-    if stage == "solve":
-        unknown = set(doc) - {"Execution log", "Final answer"}
-        if unknown:
-            raise StageParseError(stage, f"unknown field {sorted(unknown)[0]!r}", raw=raw)
+    """Records of the execution log `doc[field]` of `plan`, and the label of
+    `doc["Final answer"]`; `literals`, the reply's literal table, gains each
+    literal string the log cites that it lacks, so every distinct string is
+    parsed once per reply."""
     if "Final answer" not in doc:
-        raise StageParseError(stage, 'missing "Final answer" field', raw=raw)
+        raise SchemaError("/Final answer", "missing field")
     label = normalize_label(doc["Final answer"])
     if label is None:
-        raise StageParseError(stage, f"unrecognized answer label {doc['Final answer']!r}", raw=raw)
-    log = doc.get("Execution log", "")
+        raise SchemaError("/Final answer", f"unrecognized answer label {doc['Final answer']!r}")
+    log = doc.get(field, "")
     if isinstance(log, str):
         return (StepRecord(step_id=0, text=log),), label
     if not isinstance(log, list):
-        raise StageParseError(stage, '"Execution log" must be a string or array', raw=raw)
+        raise SchemaError(f"/{field}", "expected string or array")
     order = plan.order
-    try:
-        records = tuple(
-            step_record_from_doc(
-                entry, f"/Execution log/{index}", order[index] if index < len(order) else 0, literals
-            )
-            for index, entry in enumerate(log)
-        )
-    except SchemaError as err:
-        raise StageParseError(stage, str(err), raw=raw) from err
+    records = tuple(
+        step_record_from_doc(entry, f"/{field}/{index}", order[index] if index < len(order) else 0, literals)
+        for index, entry in enumerate(log)
+    )
     return records, label
 
 
@@ -321,7 +314,8 @@ def solve_stage(
     values = {"repr": context.text, "plan": plan.text}
     payload = {"context": context, "plan": plan, "cwa": config.cwa}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
-    records, label = _parse_solve_doc(extract_json(raw, "solve"), plan, "solve", raw, _literal_table(context))
+    doc = _parse_reply("solve", raw, check_object, extract_json(raw, "solve"), "", {"Execution log", "Final answer"})
+    records, label = _parse_reply("solve", raw, _read_log, doc, "Execution log", plan, _literal_table(context))
     return Trace(
         context=context,
         plan=plan,
@@ -470,6 +464,33 @@ def _parse_edit(doc: Any, pointer: str, size: int) -> planmod.EditOp:
     return _EDIT_KINDS[op](*ends)
 
 
+def _read_revision(
+    doc: Any, plan: Plan, citable: set[int] | None
+) -> tuple[tuple[planmod.PlanStep, ...], list[int] | None, tuple[planmod.EditOp, ...]]:
+    """The revised steps and rows, and the edits, of a replan reply for `plan`;
+    a reply with edits and no revised plan has `plan`'s steps and rows None."""
+    check_object(doc, "", {"Revised plan", "Edits", "Rationale", "Updated Execution log", "Final answer"})
+    edits: tuple[planmod.EditOp, ...] = ()
+    if "Edits" in doc:
+        if not isinstance(doc["Edits"], list):
+            raise SchemaError("/Edits", "expected array")
+        edits = tuple(_parse_edit(e, f"/Edits/{k}", plan.size) for k, e in enumerate(doc["Edits"]))
+    if not isinstance(doc.get("Rationale", ""), str):
+        raise SchemaError("/Rationale", "expected string")
+    if "Revised plan" not in doc:
+        if not edits:
+            raise SchemaError("", 'reply has neither "Revised plan" nor "Edits"')
+        return plan.steps, None, edits
+    revised = doc["Revised plan"]
+    if not isinstance(revised, dict) or "Corrected_plan" not in revised or "Matrix" not in revised:
+        raise SchemaError("/Revised plan", 'expected an object with "Corrected_plan" and "Matrix"')
+    try:
+        steps, rows = planmod.read_plan({"Plan": revised["Corrected_plan"], "Matrix": revised["Matrix"]}, citable)
+    except SchemaError as err:  # point into the reply, where "Plan" is "Corrected_plan"
+        raise SchemaError("/Revised plan" + err.pointer.replace("/Plan", "/Corrected_plan", 1), err.message) from err
+    return steps, rows, edits
+
+
 def replan_stage(
     backend: Backend,
     trace: Trace,
@@ -510,41 +531,7 @@ def replan_stage(
     payload = {"context": context, "plan": plan, "diagnosis": diagnosis, "provisional": provisional}
     raw = _call_stage(backend, config, "replan", values, payload, problem, round)
     doc = extract_json(raw, "replan")
-    if not isinstance(doc, dict):
-        raise StageParseError("replan", "expected a JSON object", raw=raw)
-    unknown = set(doc) - {"Revised plan", "Edits", "Rationale", "Updated Execution log", "Final answer"}
-    if unknown:
-        raise StageParseError("replan", f"unknown field {sorted(unknown)[0]!r}", raw=raw)
-
-    edits: tuple[planmod.EditOp, ...] = ()
-    if "Edits" in doc:
-        if not isinstance(doc["Edits"], list):
-            raise StageParseError("replan", '"Edits" must be an array', raw=raw)
-        try:
-            edits = tuple(_parse_edit(e, f"/Edits/{k}", plan.size) for k, e in enumerate(doc["Edits"]))
-        except SchemaError as err:
-            raise StageParseError("replan", str(err), raw=raw) from err
-
-    if not isinstance(doc.get("Rationale", ""), str):
-        raise StageParseError("replan", '"Rationale" must be a string', raw=raw)
-
-    if "Revised plan" in doc:
-        revised_doc = doc["Revised plan"]
-        if not isinstance(revised_doc, dict) or "Corrected_plan" not in revised_doc or "Matrix" not in revised_doc:
-            raise StageParseError(
-                "replan", '"Revised plan" needs "Corrected_plan" and "Matrix"', raw=raw
-            )
-        try:
-            steps, rows = planmod.read_plan(
-                {"Plan": revised_doc["Corrected_plan"], "Matrix": revised_doc["Matrix"]}, _citable(context)
-            )
-        except SchemaError as err:  # point into the reply, where "Plan" is "Corrected_plan"
-            pointer = "/Revised plan" + err.pointer.replace("/Plan", "/Corrected_plan", 1)
-            raise StageParseError("replan", str(SchemaError(pointer, err.message)), raw=raw) from err
-    elif edits:
-        steps, rows = plan.steps, None
-    else:
-        raise StageParseError("replan", 'reply has neither "Revised plan" nor "Edits"', raw=raw)
+    steps, rows, edits = _parse_reply("replan", raw, _read_revision, doc, plan, _citable(context))
     if config.disable_matrix_plan:  # the ablation ignores the revised matrix, as plan_stage does
         revised = planmod.linear_chain(steps)
     else:
@@ -555,8 +542,8 @@ def replan_stage(
     revised = plan if revised == plan else revised
 
     if "Final answer" in doc:
-        reply = {"Execution log": doc.get("Updated Execution log", ""), "Final answer": doc["Final answer"]}
-        records, label = _parse_solve_doc(reply, revised, "replan", raw, _literal_table(context))
+        literals = _literal_table(context)
+        records, label = _parse_reply("replan", raw, _read_log, doc, "Updated Execution log", revised, literals)
         return Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
     if revised is plan:  # nothing new to execute
         return replace(trace, round=round, raw={"replan": raw})

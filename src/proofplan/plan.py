@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Collection, Iterable, Iterator, Sequence
 
-from .errors import SchemaError
+from .errors import SchemaError, check_object
 
 __all__ = [
     "Plan",
@@ -336,11 +336,7 @@ def read_plan(doc: Any, citable: Collection[int] | None = None) -> tuple[tuple[P
     of it. Matrix entries must be the integers 0 or 1; booleans are rejected in
     both. The matrix must be square with side equal to the step count.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("", "expected object")
-    unknown = set(doc) - _PLAN_TOP_KEYS
-    if unknown:
-        raise SchemaError(f"/{sorted(unknown)[0]}", "unknown field")
+    check_object(doc, "", _PLAN_TOP_KEYS)
     for key in ("Plan", "Matrix"):
         if key not in doc:
             raise SchemaError(f"/{key}", "missing field")
@@ -354,13 +350,8 @@ def read_plan(doc: Any, citable: Collection[int] | None = None) -> tuple[tuple[P
         raise SchemaError("/Plan", f"step keys must be \"1\"..\"{n}\"")
     steps = []
     for i in range(1, n + 1):
-        entry = raw_steps[str(i)]
         pointer = f"/Plan/{i}"
-        if not isinstance(entry, dict):
-            raise SchemaError(pointer, "expected object")
-        unknown = set(entry) - _STEP_KEYS
-        if unknown:
-            raise SchemaError(f"{pointer}/{sorted(unknown)[0]}", "unknown field")
+        entry = check_object(raw_steps[str(i)], pointer, _STEP_KEYS)
         content = entry.get("content")
         if not isinstance(content, str) or not content:
             raise SchemaError(f"{pointer}/content", "expected nonempty string")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import TYPE_CHECKING, Any, Collection, Iterable, Mapping, Sequence
 
-from .errors import SchemaError
+from .errors import SchemaError, check_object
 from .fol import (
     And,
     Atom,
@@ -188,9 +188,7 @@ def step_record_from_doc(
         return StepRecord(step_id=default_step, text=doc)
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected string or object")
-    unknown = set(doc) - _STEP_RECORD_KEYS
-    if unknown:
-        raise SchemaError(f"{pointer}/{sorted(unknown)[0]}", "unknown field")
+    check_object(doc, pointer, _STEP_RECORD_KEYS)
     step_id = doc.get("step", default_step)
     if isinstance(step_id, bool) or not isinstance(step_id, int):
         raise SchemaError(f"{pointer}/step", "expected integer")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from . import solver as solvermod
-from .errors import SchemaError
+from .errors import SchemaError, check_object
 from .fol import (
     Atom,
     Constant,
@@ -241,10 +241,7 @@ def _require(value: Any, kind: type, pointer: str, what: str) -> Any:
 
 
 def _parse_pair(item: Any, pointer: str) -> tuple[str, str]:
-    _require(item, dict, pointer, "object")
-    unknown = set(item) - _PAIR_KEYS
-    if unknown:
-        raise SchemaError(f"{pointer}/{sorted(unknown)[0]}", "unknown field")
+    check_object(item, pointer, _PAIR_KEYS)
     for key in ("statement", "symbol"):
         if key not in item:
             raise SchemaError(f"{pointer}/{key}", "missing field")
@@ -263,10 +260,7 @@ def _parse_declarations(doc: dict[str, Any]) -> SymbolTable | None:
     _require(preds, dict, "/Predicates", "object")
     for name, entry in preds.items():
         pointer = f"/Predicates/{name}"
-        _require(entry, dict, pointer, "object")
-        unknown = set(entry) - {"arity", "sorts"}
-        if unknown:
-            raise SchemaError(f"{pointer}/{sorted(unknown)[0]}", "unknown field")
+        check_object(entry, pointer, {"arity", "sorts"})
         if "arity" not in entry:
             raise SchemaError(f"{pointer}/arity", "missing field")
         arity = entry["arity"]
@@ -287,10 +281,7 @@ def _parse_declarations(doc: dict[str, Any]) -> SymbolTable | None:
         _require(consts, dict, "/Constants", "object")
         for name, entry in consts.items():
             pointer = f"/Constants/{name}"
-            _require(entry, dict, pointer, "object")
-            unknown = set(entry) - {"sort"}
-            if unknown:
-                raise SchemaError(f"{pointer}/{sorted(unknown)[0]}", "unknown field")
+            check_object(entry, pointer, {"sort"})
             constants.add(name)
             if "sort" in entry:
                 constant_sorts[name] = _require(entry["sort"], str, f"{pointer}/sort", "string")
@@ -306,10 +297,7 @@ def _parse_declarations(doc: dict[str, Any]) -> SymbolTable | None:
 
 
 def doc_to_repr(doc: Any) -> StructuredRepr:
-    _require(doc, dict, "", "object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise SchemaError(f"/{sorted(unknown)[0]}", "unknown field")
+    check_object(doc, "", _TOP_KEYS)
     if "Premises" not in doc:
         raise SchemaError("/Premises", "missing field")
     premises_raw = _require(doc["Premises"], list, "/Premises", "array")

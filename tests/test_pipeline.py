@@ -38,7 +38,7 @@ from proofplan.pipeline import (
     StageParseError,
     StepRecord,
     Trace,
-    _parse_solve_doc,
+    _read_log,
     diagnose,
     extract_json,
     normalize_label,
@@ -50,6 +50,7 @@ from proofplan.pipeline import (
     trace_to_doc,
     translate_stage,
 )
+from proofplan.errors import SchemaError
 from proofplan.plan import CycleError, PlanStep, plan_to_json
 from proofplan.solver import (
     GroundRule,
@@ -304,14 +305,6 @@ def test_solve_stage_rejects_a_log_field_that_is_not_an_array():
     assert "/Execution log/0/derived: expected array" in str(exc.value)
 
 
-def test_solve_stage_missing_final_answer():
-    backend = CannedBackend(json.dumps({"Execution log": "thinking"}))
-    plan = plan_from_matrix(((0,),), (PlanStep(1, "judge"),))
-    with pytest.raises(StageParseError) as exc:
-        solve_stage(backend, RawContext("ctx"), plan)
-    assert "Final answer" in str(exc.value)
-
-
 TWO_STEP_PLAN = plan_from_matrix(((0, 1), (0, 0)), (PlanStep(1, "apply the rules"), PlanStep(2, "judge")))
 
 
@@ -324,9 +317,9 @@ def test_parse_solve_doc_malformed_repeated_literal_names_its_first_occurrence()
         ],
         "Final answer": "T",
     }
-    with pytest.raises(StageParseError) as exc:
-        _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw", {})
-    assert exc.value.__cause__.pointer == "/Execution log/0/derivations/0/literal"
+    with pytest.raises(SchemaError) as exc:
+        _read_log(doc, "Execution log", TWO_STEP_PLAN, {})
+    assert exc.value.pointer == "/Execution log/0/derivations/0/literal"
 
 
 def test_parse_solve_doc_repeated_literals_decode_equal_and_keep_polarity(monkeypatch):
@@ -340,7 +333,7 @@ def test_parse_solve_doc_repeated_literals_decode_equal_and_keep_polarity(monkey
     }
     parsed = []
     monkeypatch.setattr(solvermod, "parse_formula", lambda text: parsed.append(text) or parse_formula(text))
-    records, label = _parse_solve_doc(doc, TWO_STEP_PLAN, "solve", "raw", {})
+    records, label = _read_log(doc, "Execution log", TWO_STEP_PLAN, {})
     assert sorted(parsed) == ["P(tom)", "Q(tom)", "¬P(tom)", "¬R(tom)"]
     p, not_p, q = lit("P(tom)"), lit("¬P(tom)"), lit("Q(tom)")
     assert label == "T" and p != not_p
@@ -835,12 +828,58 @@ def test_each_prompt_example_is_accepted_by_its_stage():
     assert replanned.provisional.label == "T" and sorted(replanned.raw) == ["replan"]
 
 
-def test_replan_stage_requires_plan_or_edits():
-    plan = four_step_plan()
-    backend = CannedBackend(json.dumps({"Rationale": "nothing to change"}))
-    trace = make_trace([facts_record()], plan=plan)
-    with pytest.raises(StageParseError):
-        replan_stage(backend, trace, Diagnosis(()))
+@pytest.mark.parametrize(
+    "log, message",
+    [
+        ([{"step": 1, "derived": ["Cat("]}], "replan stage: /Updated Execution log/0/derived/0: not a ground literal"),
+        (5, "replan stage: /Updated Execution log: expected string or array"),
+    ],
+    ids=["bad-literal", "not-a-log"],
+)
+def test_replan_stage_points_an_embedded_log_error_into_the_reply(log, message):
+    reply = {"Edits": [{"op": "DelEdge", "i": 2, "j": 3}], "Updated Execution log": log, "Final answer": "T"}
+    with pytest.raises(StageParseError, match="^" + re.escape(message)) as exc:
+        replan_stage(CannedBackend(json.dumps(reply)), make_trace([facts_record()]), Diagnosis(()))
+    assert exc.value.__cause__.pointer.startswith("/Updated Execution log")
+
+
+_REVISED_PLAN_SHAPE = 'expected an object with "Corrected_plan" and "Matrix"'
+_NEITHER = 'reply has neither "Revised plan" nor "Edits"'
+
+
+@pytest.mark.parametrize(
+    "stage, reply, pointer, reason",
+    [
+        ("solve", ["T"], "", "expected object"),
+        ("solve", {"Final answer": "T", "zz": 1, "Extra": 1}, "/Extra", "unknown field"),
+        ("solve", {"Execution log": "thinking"}, "/Final answer", "missing field"),
+        ("solve", {"Final answer": "maybe"}, "/Final answer", "unrecognized answer label 'maybe'"),
+        ("solve", {"Execution log": 5, "Final answer": "T"}, "/Execution log", "expected string or array"),
+        ("replan", ["T"], "", "expected object"),
+        ("replan", {"Edits": [], "Bogus": 1}, "/Bogus", "unknown field"),
+        ("replan", {"Edits": {}}, "/Edits", "expected array"),
+        ("replan", {"Edits": [{"op": "DelEdge", "i": 2, "j": 3}], "Rationale": 5}, "/Rationale", "expected string"),
+        ("replan", {"Revised plan": []}, "/Revised plan", _REVISED_PLAN_SHAPE),
+        ("replan", {"Revised plan": {"Matrix": []}}, "/Revised plan", _REVISED_PLAN_SHAPE),
+        ("replan", {"Revised plan": {"Corrected_plan": {}}}, "/Revised plan", _REVISED_PLAN_SHAPE),
+        ("replan", {"Rationale": "nothing to change"}, "", _NEITHER),
+        ("replan", {"Edits": []}, "", _NEITHER),
+    ],
+    ids=[
+        "solve-not-an-object", "solve-unknown", "solve-no-answer", "solve-bad-label", "solve-bad-log",
+        "replan-not-an-object", "replan-unknown", "replan-bad-edits", "replan-bad-rationale",
+        "replan-revised-not-an-object", "replan-no-plan", "replan-no-matrix", "replan-neither", "replan-no-edits",
+    ],
+)
+def test_stage_reply_violations_read_stage_pointer_reason(stage, reply, pointer, reason):
+    text = json.dumps(reply)
+    with pytest.raises(StageParseError) as exc:
+        if stage == "solve":
+            solve_stage(CannedBackend(text), RawContext("ctx"), four_step_plan())
+        else:
+            replan_stage(CannedBackend(text), make_trace([facts_record()]), Diagnosis(()))
+    assert str(exc.value) == f"{stage} stage: {pointer or '/'}: {reason}"
+    assert exc.value.__cause__.pointer == pointer and exc.value.raw == text
 
 
 def test_replan_stage_ablate_matrix_plan_chains_the_revised_plan():
@@ -1271,14 +1310,14 @@ def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
 
 def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
     callers, parsed = [], []
-    fire_rounds, parse_solve_doc = solvermod.fire_rounds, pipeline._parse_solve_doc
+    fire_rounds, read_log = solvermod.fire_rounds, pipeline._read_log
 
     def counting_fire_rounds(*args, **kwargs):
         callers.append(sys._getframe(1).f_globals["__name__"])
         return fire_rounds(*args, **kwargs)
 
     monkeypatch.setattr(solvermod, "fire_rounds", counting_fire_rounds)
-    monkeypatch.setattr(pipeline, "_parse_solve_doc", lambda *a: parsed.append(a[3]) or parse_solve_doc(*a))
+    monkeypatch.setattr(pipeline, "_read_log", lambda *a: parsed.append(a[3]) or read_log(*a))
     backend = SolverStubBackend(degrade_initial_plan=True)
     result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
     # round 2's replan keeps round 1's full plan, so round 2 makes no solve call;
@@ -1286,7 +1325,10 @@ def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
     assert len({t.plan for t in result.traces}) == 2
     assert callers.count("proofplan.backends") == 1
     assert callers.count("proofplan.pipeline") == 2  # one diagnose per replan round
-    assert parsed == [result.traces[0].raw["solve"], result.traces[1].raw["solve"]]
+    # one decode per solve reply, each through a new literal table that then holds every literal its log cites
+    assert len(parsed) == 2 and parsed[0] is not parsed[1]
+    for table, trace in zip(parsed, result.traces):
+        assert {lit for r in trace.records for lit in r.derived} <= set(table.values())
     assert sorted(result.traces[2].raw) == ["replan"]
     assert result.traces[2].records is result.traces[1].records
 
