@@ -25,7 +25,7 @@ from .errors import SchemaError
 from .fol import parse_formula
 from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset
 from .harness import _Deadline, _OutOfTime, report_to_doc, stratify_by_depth, trace_lines
-from .pipeline import PipelineConfig, Problem, run_pipeline, trace_to_doc
+from .pipeline import PipelineConfig, Problem, run_pipeline
 from .solver import Verdict, decide, kb_from_repr, step_record_from_doc
 from .structured import build_repr, deserialize_repr
 
@@ -167,34 +167,38 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run one instance; as in `eval`, no backend call starts once its `--timeout-s` has run out."""
+    """Run one instance; as in `eval`, no backend call starts once its `--timeout-s` has run out, and
+    `--traces` gets its trace records, or its failure record when it fails."""
     try:
         instances = load_dataset(args.dataset, format=args.format)
         if args.id is not None:
-            matches = [i for i in instances if i.id == args.id]
-            if not matches:
-                print(f"error: no instance with id {args.id!r}", file=sys.stderr)
-                return 1
-            instance = matches[0]
+            instance = next((i for i in instances if i.id == args.id), None)
+            if instance is None:
+                raise ValueError(f"no instance with id {args.id!r}")
         elif args.index < len(instances):
             instance = instances[args.index]
         else:
-            print(f"error: no instance at index {args.index} (dataset has {len(instances)})", file=sys.stderr)
-            return 1
+            raise ValueError(f"no instance at index {args.index} (dataset has {len(instances)})")
         backend = _make_backend(args)
         config = _pipeline_config(args)
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
-        result = run_pipeline(_Deadline(backend, time.perf_counter() + args.timeout_s), problem, config)
-    except _OutOfTime:
-        print(f"error: instance {instance.id} ran out of time (--timeout-s {args.timeout_s:g})", file=sys.stderr)
-        return 1
+        recorder = _Deadline(backend, time.perf_counter() + args.timeout_s)
     except Exception as err:
         return _error(err)
-    print(f"instance {instance.id}: predicted {result.final.label}, gold {instance.gold}")
-    print(f"rounds used: {result.rounds_used}")
+    try:
+        outcome = run_pipeline(recorder, problem, config)
+    except Exception as err:
+        outcome = err
+    if args.traces and not _write_output(args.traces, [trace_lines(recorder.trace_docs(instance.id, outcome))]):
+        return 1
+    if isinstance(outcome, _OutOfTime):
+        print(f"error: instance {instance.id} ran out of time (--timeout-s {args.timeout_s:g})", file=sys.stderr)
+        return 1
+    if isinstance(outcome, Exception):
+        return _error(outcome)
+    print(f"instance {instance.id}: predicted {outcome.final.label}, gold {instance.gold}")
+    print(f"rounds used: {outcome.rounds_used}")
     if args.traces:
-        if not _write_output(args.traces, [trace_lines(trace_to_doc(t, instance.id) for t in result.traces)]):
-            return 1
         print(f"traces written to {args.traces}")
     return 0
 
@@ -233,6 +237,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _record_lines(doc: dict[str, Any]) -> list[str]:
+    """A traces record as `proofplan trace` prints it: a round's header and one line per step record,
+    or a failure record's kind and error and the stages that replied."""
+    if "failure_kind" in doc:
+        replies = doc.get("replies")
+        if not isinstance(replies, list) or not all(isinstance(reply, dict) for reply in replies):
+            raise SchemaError("/replies", "expected array of objects")
+        replied = ", ".join(f"{reply.get('stage')} (round {reply.get('round')})" for reply in replies)
+        return [f"instance {doc.get('instance')}: failed ({doc['failure_kind']}): {doc.get('error')}",
+                f"  replied: {replied or 'nothing'}"]
+    entries = doc.get("records", [])
+    if not isinstance(entries, list):
+        raise SchemaError("/records", "expected array")
+    lines = [f"instance {doc.get('instance')} round {doc.get('round')}: provisional {doc.get('provisional')}"]
+    for record in (step_record_from_doc(entry, f"/records/{i}") for i, entry in enumerate(entries)):
+        derived = ", ".join(str(lit) for lit in record.derived)
+        lines.append(f"  step {record.step_id}: {record.text[:100]}" + (f" | derived: {derived}" if derived else ""))
+    return lines
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     try:
         handle = open(args.traces, "rb")  # lines are split on b"\n" only and decoded one by one
@@ -250,19 +274,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     raise ValueError("expected a JSON object")
                 if args.instance and doc.get("instance") != args.instance:
                     continue
-                entries = doc.get("records", [])
-                if not isinstance(entries, list):
-                    raise SchemaError("/records", "expected array")
-                records = [step_record_from_doc(entry, f"/records/{i}") for i, entry in enumerate(entries)]
+                shown += 1
+                lines = _record_lines(doc)
             except (ValueError, RecursionError, SchemaError) as err:  # UnicodeDecodeError is a ValueError
                 print(f"error: {args.traces}:{number}: {err}", file=sys.stderr)
                 return 1
-            shown += 1
-            print(f"instance {doc.get('instance')} round {doc.get('round')}: provisional {doc.get('provisional')}")
-            for record in records:
-                derived = ", ".join(str(lit) for lit in record.derived)
-                suffix = f" | derived: {derived}" if derived else ""
-                print(f"  step {record.step_id}: {record.text[:100]}{suffix}")
+            print("\n".join(lines))
     if not shown:
         print("no matching trace records")
     return 0

@@ -23,6 +23,7 @@ from .errors import SchemaError
 from .pipeline import (
     OPTION_LETTERS,
     PipelineConfig,
+    PipelineResult,
     Problem,
     StageParseError,
     normalize_label,
@@ -211,17 +212,19 @@ class _OutOfTime(Exception):
 
 
 class _Deadline(Backend):
-    """Forwards stage calls, with `deadline` in their params, until `deadline`,
-    a `time.perf_counter` reading.
+    """Forwards one instance's stage calls, with `deadline` in their params,
+    until `deadline`, a `time.perf_counter` reading, and keeps each reply it
+    returns in `replies[round][stage]`, the one record of what the backend said.
 
     No call starts after the deadline, and a reply that returns after it is
-    discarded, as is an exception raised after it, so the instance scores
-    `timeout` instead of running on.
+    discarded unkept, as is an exception raised after it, so the instance
+    scores `timeout` instead of running on.
     """
 
     def __init__(self, backend: Backend, deadline: float):
         self._backend = backend
         self._deadline = deadline
+        self.replies: dict[int, dict[str, str]] = {}
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         if time.perf_counter() < self._deadline:
@@ -232,8 +235,19 @@ class _Deadline(Backend):
                     raise
             else:
                 if time.perf_counter() < self._deadline:
+                    self.replies.setdefault(params.meta.round, {})[params.meta.stage] = reply
                     return reply
-        raise _OutOfTime
+        raise _OutOfTime("no reply before the instance's deadline")
+
+    def trace_docs(self, instance_id: str, outcome: PipelineResult | Exception) -> list[dict[str, Any]]:
+        """The traces records of the instance's run: a result's `trace_to_doc` per round, or for the
+        exception it raised one failure record of its kind, its message and every reply kept, in call order."""
+        if isinstance(outcome, PipelineResult):
+            return [trace_to_doc(t, instance_id, self.replies) for t in outcome.traces]
+        replies = [{"round": r, "stage": s, "reply": text} for r, by_stage in self.replies.items()
+                   for s, text in by_stage.items()]
+        return [{"instance": instance_id, "failure_kind": _classify_failure(outcome), "error": str(outcome),
+                 "replies": replies}]
 
 
 _FAILURE_KINDS = {
@@ -245,10 +259,7 @@ _FAILURE_KINDS = {
 
 
 def _classify_failure(err: Exception) -> str:
-    for kind, name in _FAILURE_KINDS.items():
-        if isinstance(err, kind):
-            return name
-    return "error"
+    return next((name for kind, name in _FAILURE_KINDS.items() if isinstance(err, kind)), "error")
 
 
 def compose_question(instance: Instance) -> str:
@@ -269,16 +280,15 @@ def trace_lines(docs: Iterable[dict[str, Any]]) -> str:
 def _run_one(instance: Instance, backend: Backend, config: HarnessConfig, traced: bool) -> tuple[InstanceRecord, str]:
     """One instance's record and, when `traced`, its `trace_lines`, encoded once `duration_s` is read."""
     start = time.perf_counter()
-    docs: list[dict[str, Any]] = []
+    recorder = _Deadline(backend, start + config.timeout_s)
     try:
         problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
-        result = run_pipeline(_Deadline(backend, start + config.timeout_s), problem, config.pipeline)
-        predicted, rounds_used = result.final.label, result.rounds_used
+        outcome = run_pipeline(recorder, problem, config.pipeline)
+        predicted, rounds_used = outcome.final.label, outcome.rounds_used
         failure_kind = None if predicted == instance.gold else "wrong-label"
-        if traced:
-            docs = [trace_to_doc(t, instance.id) for t in result.traces]
     except Exception as err:
-        predicted, rounds_used, failure_kind = None, 0, _classify_failure(err)
+        outcome, predicted, rounds_used, failure_kind = err, None, 0, _classify_failure(err)
+    docs = recorder.trace_docs(instance.id, outcome) if traced else []
     record = InstanceRecord(
         id=instance.id,
         predicted=predicted,

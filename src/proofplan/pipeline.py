@@ -58,11 +58,10 @@ DIAGNOSIS_LABELS = (
 )
 
 class StageParseError(Exception):
-    """A stage reply violated its output contract; the raw text is retained."""
+    """A stage reply violated its output contract; the backend's recorder keeps the reply."""
 
-    def __init__(self, stage: str, message: str, raw: str = ""):
+    def __init__(self, stage: str, message: str):
         self.stage = stage
-        self.raw = raw
         super().__init__(f"{stage} stage: {message}")
 
 
@@ -84,7 +83,6 @@ class Trace:
     plan: Plan
     records: tuple[StepRecord, ...]
     provisional: Verdict
-    raw: Mapping[str, str]
     round: int = 0
 
 
@@ -175,16 +173,16 @@ def extract_json(text: str, stage: str) -> Any:
         return json.loads(text)
     except _JSON_ERRORS:
         pass
-    raise StageParseError(stage, "no well-formed JSON object in the reply", raw=text)
+    raise StageParseError(stage, "no well-formed JSON object in the reply")
 
 
-def _parse_reply(stage: str, raw: str, read: Callable[..., Any], *args: Any) -> Any:
-    """`read(*args)`, a reader of the stage's reply `raw`; the SchemaError or
-    ShapeError it raises becomes StageParseError(stage, str(err), raw=raw)."""
+def _parse_reply(stage: str, read: Callable[..., Any], *args: Any) -> Any:
+    """`read(*args)`, a reader of the stage's reply; the SchemaError or
+    ShapeError it raises becomes StageParseError(stage, str(err))."""
     try:
         return read(*args)
     except (SchemaError, planmod.ShapeError) as err:
-        raise StageParseError(stage, str(err), raw=raw) from err
+        raise StageParseError(stage, str(err)) from err
 
 
 _LABEL_WORDS = {
@@ -232,21 +230,21 @@ def _call_stage(
     problem: Problem | None,
     round: int = 0,
 ) -> str:
-    """The backend's reply to the stage's prompt, rendered from `values`, and its StageMeta."""
+    """The backend's reply to the stage's prompt, rendered from `values`, sent with its StageMeta."""
     meta = StageMeta(stage=stage, round=round, instance_id=problem.id if problem else None, payload=payload)
     return backend.complete(render_prompt(load_template(stage), values), config.params(meta))
 
 
 def translate_stage(
     backend: Backend, problem: Problem, config: PipelineConfig = PipelineConfig()
-) -> tuple[StructuredRepr | RawContext, str]:
-    """The problem context and the raw reply it came from."""
+) -> StructuredRepr | RawContext:
+    """The problem context."""
     values = {"premises": "\n".join(problem.premises), "question": problem.question}
     payload = {"premises": list(problem.premises), "question": problem.question}
     raw = _call_stage(backend, config, "translate", values, payload, problem)
     if config.disable_structured_repr:
-        return RawContext(raw), raw
-    return _parse_reply("translate", raw, doc_to_repr, extract_json(raw, "translate")), raw
+        return RawContext(raw)
+    return _parse_reply("translate", doc_to_repr, extract_json(raw, "translate"))
 
 
 def plan_stage(
@@ -254,15 +252,13 @@ def plan_stage(
     context: StructuredRepr | RawContext,
     config: PipelineConfig = PipelineConfig(),
     problem: Problem | None = None,
-) -> tuple[Plan, str]:
-    """The validated plan and the raw reply it came from; a cyclic matrix
-    raises CycleError, which scores as `cycle`."""
+) -> Plan:
+    """The validated plan; a cyclic matrix raises CycleError, which scores as `cycle`."""
     raw = _call_stage(backend, config, "plan", {"repr": context.text}, {"context": context}, problem)
-    steps, rows = _parse_reply("plan", raw, planmod.read_plan, extract_json(raw, "plan"), _citable(context))
+    steps, rows = _parse_reply("plan", planmod.read_plan, extract_json(raw, "plan"), _citable(context))
     # Ablation: keep the steps, replace the dependency structure with the
     # linear chain 1 -> 2 -> ... -> N.
-    plan = planmod.linear_chain(steps) if config.disable_matrix_plan else _parse_reply("plan", raw, Plan, steps, rows)
-    return plan, raw
+    return planmod.linear_chain(steps) if config.disable_matrix_plan else _parse_reply("plan", Plan, steps, rows)
 
 
 def _citable(context: StructuredRepr | RawContext) -> set[int] | None:
@@ -314,16 +310,9 @@ def solve_stage(
     values = {"repr": context.text, "plan": plan.text}
     payload = {"context": context, "plan": plan, "cwa": config.cwa}
     raw = _call_stage(backend, config, "solve", values, payload, problem, round)
-    doc = _parse_reply("solve", raw, check_object, extract_json(raw, "solve"), "", {"Execution log", "Final answer"})
-    records, label = _parse_reply("solve", raw, _read_log, doc, "Execution log", plan, _literal_table(context))
-    return Trace(
-        context=context,
-        plan=plan,
-        records=records,
-        provisional=Verdict(label),
-        raw={"solve": raw},
-        round=round,
-    )
+    doc = _parse_reply("solve", check_object, extract_json(raw, "solve"), "", {"Execution log", "Final answer"})
+    records, label = _parse_reply("solve", _read_log, doc, "Execution log", plan, _literal_table(context))
+    return Trace(context, plan, records, Verdict(label), round)
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +353,15 @@ def diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
             for derivation in record.derivations:
                 rule = rules[derivation.rule_id - 1] if 1 <= derivation.rule_id <= len(rules) else None
                 if rule is None or not rule.has_instance(derivation.premises, derivation.conclusion, domain):
-                    evidence.append(
-                        Evidence(
-                            "rule-misuse",
-                            step_id=record.step_id,
-                            note=f"rule {derivation.rule_id} has no instantiation "
-                            f"{[str(p) for p in derivation.premises]} -> {derivation.conclusion}",
-                        )
-                    )
+                    cited = [str(p) for p in derivation.premises]
+                    note = f"rule {derivation.rule_id} has no instantiation {cited} -> {derivation.conclusion}"
+                    evidence.append(Evidence("rule-misuse", step_id=record.step_id, note=note))
                 else:
                     for premise in derivation.premises:
                         closed = cwa and not premise.positive and premise.negated() not in available
                         if premise not in available and not closed:
-                            evidence.append(
-                                Evidence(
-                                    "missing-prerequisites",
-                                    step_id=record.step_id,
-                                    note=f"consumed {premise} before any step derived it",
-                                )
-                            )
+                            note = f"consumed {premise} before any step derived it"
+                            evidence.append(Evidence("missing-prerequisites", step_id=record.step_id, note=note))
                 available.add(derivation.conclusion)
             available.update(record.derived)
 
@@ -398,13 +377,8 @@ def diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
         step_id, known = judgment
         derivable = solvermod.fire_rounds(known, rules, domain, cwa)
         if derivable:
-            evidence.append(
-                Evidence(
-                    "premature-termination",
-                    step_id=step_id,
-                    note=f"{derivable[0].conclusion} was still derivable at the final judgment",
-                )
-            )
+            note = f"{derivable[0].conclusion} was still derivable at the final judgment"
+            evidence.append(Evidence("premature-termination", step_id=step_id, note=note))
 
     # redundancy: transitively implied edges
     reduced = planmod.reduce_rows(trace.plan.rows)
@@ -446,13 +420,14 @@ _EDIT_KINDS = {"AddEdge": planmod.AddEdge, "DelEdge": planmod.DelEdge}
 
 
 def _parse_edit(doc: Any, pointer: str, size: int) -> planmod.EditOp:
-    """Read `{"op": "AddEdge" | "DelEdge", "i": int, "j": int}` for a plan of `size` steps; any other
-    `op` fails at `<pointer>/op`, and a step index out of range at `<pointer>/i` or `<pointer>/j`."""
+    """Read `{"op": "AddEdge" | "DelEdge", "i": int, "j": int}` for a plan of `size` steps; another `op` fails
+    at `<pointer>/op`, another key at `<pointer>/<key>`, a step index out of range at `<pointer>/i` or `/j`."""
     if not isinstance(doc, dict) or "op" not in doc:
         raise SchemaError(pointer, 'expected an object with an "op" field')
     op = doc["op"]
     if not isinstance(op, str) or op not in _EDIT_KINDS:
         raise SchemaError(f"{pointer}/op", f"expected one of {sorted(_EDIT_KINDS)}")
+    check_object(doc, pointer, {"op", "i", "j"})
     ends = []
     for name in ("i", "j"):
         value = doc.get(name)
@@ -484,6 +459,7 @@ def _read_revision(
     revised = doc["Revised plan"]
     if not isinstance(revised, dict) or "Corrected_plan" not in revised or "Matrix" not in revised:
         raise SchemaError("/Revised plan", 'expected an object with "Corrected_plan" and "Matrix"')
+    check_object(revised, "/Revised plan", {"Corrected_plan", "Matrix"})
     try:
         steps, rows = planmod.read_plan({"Plan": revised["Corrected_plan"], "Matrix": revised["Matrix"]}, citable)
     except SchemaError as err:  # point into the reply, where "Plan" is "Corrected_plan"
@@ -512,12 +488,11 @@ def replan_stage(
     - for a reply that embeds a re-execution (updated log plus final answer),
       that re-execution, its literal strings decoded through a new
       `_literal_table` of the context;
-    - for any other changed plan, a `solve_stage` call on it, whose `raw`
-      also holds the replan reply;
+    - for any other changed plan, the trace of a `solve_stage` call on it;
     - for a refused revision, or an unchanged plan and no re-execution,
-      `trace` itself with the next round number and `raw` holding only the
-      replan reply. Its plan, records and verdict are `trace`'s own objects,
-      and an embedded log and answer go unread.
+      `trace` itself with the next round number. Its plan, records and
+      verdict are `trace`'s own objects, and an embedded log and answer go
+      unread.
     """
     context, plan, provisional = trace.context, trace.plan, trace.provisional.label
     round = trace.round + 1
@@ -531,24 +506,23 @@ def replan_stage(
     payload = {"context": context, "plan": plan, "diagnosis": diagnosis, "provisional": provisional}
     raw = _call_stage(backend, config, "replan", values, payload, problem, round)
     doc = extract_json(raw, "replan")
-    steps, rows, edits = _parse_reply("replan", raw, _read_revision, doc, plan, _citable(context))
+    steps, rows, edits = _parse_reply("replan", _read_revision, doc, plan, _citable(context))
     if config.disable_matrix_plan:  # the ablation ignores the revised matrix, as plan_stage does
         revised = planmod.linear_chain(steps)
     else:
         try:
             revised = planmod.apply_edits(plan, edits) if rows is None else planmod.transitive_reduce(Plan(steps, rows))
         except (planmod.CycleError, planmod.ShapeError):  # refused: the round keeps its plan and verdict
-            return replace(trace, round=round, raw={"replan": raw})
+            return replace(trace, round=round)
     revised = plan if revised == plan else revised
 
     if "Final answer" in doc:
         literals = _literal_table(context)
-        records, label = _parse_reply("replan", raw, _read_log, doc, "Updated Execution log", revised, literals)
-        return Trace(context, revised, records, Verdict(label), raw={"replan": raw}, round=round)
+        records, label = _parse_reply("replan", _read_log, doc, "Updated Execution log", revised, literals)
+        return Trace(context, revised, records, Verdict(label), round)
     if revised is plan:  # nothing new to execute
-        return replace(trace, round=round, raw={"replan": raw})
-    solved = solve_stage(backend, context, revised, config, problem, round)
-    return replace(solved, raw={**solved.raw, "replan": raw})
+        return replace(trace, round=round)
+    return solve_stage(backend, context, revised, config, problem, round)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +541,9 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
     and send the same replan prompt. Any stage error propagates and the
     caller decides how to score the instance.
     """
-    context, translate_raw = translate_stage(backend, problem, config)
-    plan, plan_raw = plan_stage(backend, context, config, problem)
-    trace = solve_stage(backend, context, plan, config, problem, round=0)
-    traces = [replace(trace, raw={**trace.raw, "translate": translate_raw, "plan": plan_raw})]
+    context = translate_stage(backend, problem, config)
+    plan = plan_stage(backend, context, config, problem)
+    traces = [solve_stage(backend, context, plan, config, problem, round=0)]
     diagnoses: list[Diagnosis] = []
     for _ in range(config.max_replan_rounds):
         last = traces[-1]
@@ -586,14 +559,14 @@ def run_pipeline(backend: Backend, problem: Problem, config: PipelineConfig = Pi
 # ---------------------------------------------------------------------------
 
 
-def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
+def trace_to_doc(trace: Trace, instance_id: str, replies: Mapping[int, Mapping[str, str]]) -> dict[str, Any]:
     """JSON-ready trace record; deterministic for a fixed backend transcript.
 
-    A structured context, the plan and each step record appear as their kept
-    `doc`, shared with the other traces that hold them, so callers serialize
-    the record and do not mutate it. The context's static findings, which
-    are surfaced and not fatal, go in the warnings of the record that
-    carries the translate reply; every other record has none.
+    Its `raw` is `replies[trace.round]`, of the backend's replies by round and
+    stage. A structured context, the plan and each step record appear as their
+    kept `doc`, shared with the other traces that hold them, so callers
+    serialize the record and do not mutate it. The context's static findings,
+    surfaced and not fatal, are the warnings of the round-0 record alone.
     """
     context = trace.context
     structured = isinstance(context, StructuredRepr)
@@ -601,9 +574,9 @@ def trace_to_doc(trace: Trace, instance_id: str) -> dict[str, Any]:
         "instance": instance_id,
         "round": trace.round,
         "provisional": trace.provisional.label,
-        "warnings": list(context.warnings) if structured and "translate" in trace.raw else [],
+        "warnings": list(context.warnings) if structured and trace.round == 0 else [],
         "context": context.doc if structured else {"raw": context.text},
         "plan": trace.plan.doc,
         "records": [r.doc for r in trace.records],
-        "raw": dict(sorted(trace.raw.items())),
+        "raw": dict(sorted(replies[trace.round].items())),
     }

@@ -206,8 +206,7 @@ def step_record_from_doc(
 
 def _derivation_from_doc(doc: Any, pointer: str, literals: dict[str, Literal]) -> GroundRule:
     """Inverse of `derivation_to_doc`."""
-    if not isinstance(doc, dict):
-        raise SchemaError(pointer, "expected object")
+    check_object(doc, pointer, {"literal", "rule", "binding", "premises"})
     rule_id = doc.get("rule")
     if isinstance(rule_id, bool) or not isinstance(rule_id, int):
         raise SchemaError(f"{pointer}/rule", "expected integer")

@@ -13,6 +13,8 @@ unrelated routes to the same answer.
 
 from __future__ import annotations
 
+import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -47,6 +49,7 @@ from proofplan.fol import (
 from proofplan import plan as planmod
 from proofplan.backends import SolverStubBackend
 from proofplan.errors import SchemaError
+from proofplan.harness import _Deadline
 from proofplan import solver as solvermod
 from proofplan.pipeline import DIAGNOSIS_LABELS, Diagnosis, Evidence, Trace
 from proofplan.plan import Plan, PlanStep
@@ -71,6 +74,29 @@ class CannedBackend:
         if not self.replies:
             raise RuntimeError("canned backend ran out of replies")
         return self.replies.pop(0)
+
+
+def recorder(backend) -> _Deadline:
+    """`backend` behind the harness's reply recorder with no deadline: its `replies`
+    keep every reply by round and stage, as `trace_to_doc` reads them."""
+    return _Deadline(backend, math.inf)
+
+
+class ReplayBackend:
+    """Serves each stage call the reply a traces file recorded for it: `raw[stage]`
+    of the trace line with the call's instance and round. A traces file that is a
+    complete transcript serves every call a run on the same dataset makes."""
+
+    def __init__(self, lines: str):
+        self.replies = {}
+        for line in lines.splitlines():
+            doc = json.loads(line)
+            for stage, reply in doc["raw"].items():
+                self.replies[doc["instance"], stage, doc["round"]] = reply
+
+    def complete(self, prompt, params):
+        meta = params.meta
+        return self.replies[meta.instance_id, meta.stage, meta.round]
 
 
 class CountingStub(SolverStubBackend):

@@ -25,6 +25,7 @@ from helpers import (
     random_horn_kb,
     ground_literal_queries,
     reachability_by_squaring,
+    recorder,
 )
 from proofplan.backends import ScriptedBackend, SolverStubBackend
 from proofplan.fol import parse_formula, render_formula
@@ -275,7 +276,7 @@ def test_criterion_4_bundled_instances():
 def test_criterion_5_scripted_end_to_end_replay():
     with criterion("criterion-5 scripted end-to-end replay"):
         started = time.perf_counter()
-        backend = ScriptedBackend(FIXTURES / "scripted")
+        backend = recorder(ScriptedBackend(FIXTURES / "scripted"))
         problem = Problem(
             id="walkthrough",
             premises=("Humans are mammals.", "Mammals are animals.", "Tom is a human."),
@@ -288,12 +289,13 @@ def test_criterion_5_scripted_end_to_end_replay():
         assert revised.size == 4
         assert revised.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
 
-        second = run_pipeline(backend, problem)
+        again = recorder(ScriptedBackend(FIXTURES / "scripted"))
+        second = run_pipeline(again, problem)
         blob_a = "\n".join(
-            json.dumps(trace_to_doc(t, problem.id), ensure_ascii=False) for t in result.traces
+            json.dumps(trace_to_doc(t, problem.id, backend.replies), ensure_ascii=False) for t in result.traces
         ).encode("utf-8")
         blob_b = "\n".join(
-            json.dumps(trace_to_doc(t, problem.id), ensure_ascii=False) for t in second.traces
+            json.dumps(trace_to_doc(t, problem.id, again.replies), ensure_ascii=False) for t in second.traces
         ).encode("utf-8")
         assert blob_a == blob_b
         assert time.perf_counter() - started < 1.0

@@ -532,13 +532,75 @@ def test_eval_traces_file_is_one_json_line_per_trace(tmp_path):
     assert traces.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def test_eval_traces_file_is_empty_when_no_instance_made_a_trace(tmp_path):
+def test_eval_traces_file_holds_a_failure_record_per_failed_instance(tmp_path):
     dataset, traces = _fig1b_copies(tmp_path, 2, premises=["∀x ("]), tmp_path / "t.jsonl"
     traces.write_text("left over\n", encoding="utf-8")
     assert _eval_traces(dataset, traces) == 0
     written, report = _stub_lines(dataset)
-    assert report.total == 2 and report.correct == 0 and written == []
-    assert traces.read_bytes() == b""
+    assert report.total == 2 and report.correct == 0
+    assert traces.read_text(encoding="utf-8") == "".join(written)
+    docs = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+    # the stub echoes the premise, which translation then rejects
+    assert [(d["instance"], d["failure_kind"], [r["stage"] for r in d["replies"]]) for d in docs] == [
+        ("fig1b-0", "format", ["translate"]),
+        ("fig1b-1", "format", ["translate"]),
+    ]
+    assert all(d.keys() == {"instance", "failure_kind", "error", "replies"} for d in docs)
+    assert all(d["error"].startswith("translate stage: /Premises/0") for d in docs)
+
+
+def _batch3_scripted(command, traces, *extra):
+    argv = [command, str(DATA / "batch3.json"), "--backend", f"scripted:{FIXTURES / 'batch3'}", *extra]
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        return main(argv + ["--traces", str(traces)])
+
+
+def test_eval_writes_what_each_failed_instance_received(tmp_path):
+    # one replan round is the default, and the fixtures hold no replan reply
+    traces = tmp_path / "t.jsonl"
+    assert _batch3_scripted("eval", traces) == 0
+    docs = {d["instance"]: d for d in map(json.loads, traces.read_text(encoding="utf-8").splitlines())}
+    assert {i: d["failure_kind"] for i, d in docs.items()} == {"b1": "backend", "b2": "backend", "b3": "format"}
+    b3 = docs["b3"]
+    assert b3["error"] == "solve stage: /Final answer: missing field"
+    solve = (FIXTURES / "batch3" / "b3__solve__0.txt").read_text(encoding="utf-8")
+    assert b3["replies"][-1] == {"round": 0, "stage": "solve", "reply": solve}
+    assert [(r["round"], r["stage"]) for r in b3["replies"]] == [(0, "translate"), (0, "plan"), (0, "solve")]
+    assert docs["b1"]["error"].startswith("no fixture for stage=replan round=1")
+    # the same run at --concurrency 1 writes the same bytes
+    again = tmp_path / "again.jsonl"
+    assert _batch3_scripted("eval", again, "--concurrency", "1") == 0
+    assert again.read_bytes() == traces.read_bytes()
+
+
+def test_run_writes_the_failure_record_and_exits_one(tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    assert _batch3_scripted("run", traces, "--id", "b3", "--max-replan-rounds", "0") == 1
+    assert capsys.readouterr().err == "error: solve stage: /Final answer: missing field\n"
+    [doc] = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+    assert doc["instance"] == "b3" and doc["failure_kind"] == "format" and len(doc["replies"]) == 3
+
+
+def test_trace_shows_failure_records(tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    assert _batch3_scripted("eval", traces) == 0
+    assert main(["trace", str(traces), "--instance", "b3"]) == 0
+    assert capsys.readouterr().out == (
+        "instance b3: failed (format): solve stage: /Final answer: missing field\n"
+        "  replied: translate (round 0), plan (round 0), solve (round 0)\n"
+    )
+    assert main(["trace", str(traces)]) == 0
+    assert capsys.readouterr().out.count(": failed (") == 3
+
+
+@pytest.mark.parametrize("replies", ['"x"', "[1]", None])
+def test_trace_reports_a_malformed_failure_record(tmp_path, capsys, replies):
+    traces = tmp_path / "t.jsonl"
+    fields = '"instance": "a", "failure_kind": "format", "error": "e"'
+    traces.write_text("{" + fields + (f', "replies": {replies}' if replies else "") + "}\n", encoding="utf-8")
+    assert main(["trace", str(traces)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traces}:1: /replies") and "Traceback" not in err
 
 
 def test_unwritable_traces_path_fails_before_any_backend_call(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import proofplan
 from proofplan.harness import compose_question, load_dataset
-from proofplan.pipeline import Problem, run_pipeline
+from proofplan.pipeline import Problem, run_pipeline, trace_to_doc
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(proofplan.__path__))
 
@@ -58,6 +58,11 @@ def test_readme_python_examples_run(capsys):
     exec(compile(custom, "README.md (custom backend)", "exec"), namespace)
     [instance] = load_dataset(Path(__file__).parent / "data" / "fig1b.json")
     problem = Problem(id=instance.id, premises=instance.premises, question=compose_question(instance))
-    assert run_pipeline(namespace["Inspecting"](), problem).final.label == instance.gold == "F"
+    backend = namespace["Inspecting"]()
+    result = run_pipeline(backend, problem)
+    assert result.final.label == instance.gold == "F"
     # the plan call has no plan yet; the solve and replan calls get the three-step plan
     assert capsys.readouterr().out.splitlines() == ["3 facts, 0 plan steps"] + ["3 facts, 3 plan steps"] * 2
+    # the replies it records are the ones trace_to_doc writes
+    docs = [trace_to_doc(trace, problem.id, backend.replies) for trace in result.traces]
+    assert [list(doc["raw"]) for doc in docs] == [["plan", "solve", "translate"], ["replan"]]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CountingStub, random_formula, random_horn_kb
+from helpers import CountingStub, ReplayBackend, random_formula, random_horn_kb
 from proofplan.backends import API_KEY_ENV, LiveBackend, ScriptedBackend, SolverStubBackend
 from proofplan.errors import SchemaError
 from proofplan.harness import (
@@ -262,6 +262,21 @@ def test_timeout_runs_per_instance_and_stops_backend_calls():
     assert elapsed < 1.0
 
 
+def test_a_timed_out_instance_records_only_the_replies_returned_in_time():
+    class LateSolve(SolverStubBackend):
+        def complete(self, prompt, params):
+            if params.meta.stage == "solve":
+                time.sleep(0.3)  # returns after the deadline, so the reply is discarded
+            return super().complete(prompt, params)
+
+    written = []
+    report = evaluate(load_dataset(DATA / "fig1b.json"), LateSolve(), HarnessConfig(timeout_s=0.15), written.append)
+    [doc] = [json.loads(line) for line in "".join(written).splitlines()]
+    assert report.records[0].failure_kind == doc["failure_kind"] == "timeout"
+    assert [(r["round"], r["stage"]) for r in doc["replies"]] == [(0, "translate"), (0, "plan")]
+    assert doc["error"] == "no reply before the instance's deadline"
+
+
 class _BusySession:
     """Answers every POST with 503 and `Retry-After: 1`."""
 
@@ -347,6 +362,28 @@ def test_a_failing_trace_sink_cancels_instances_not_yet_started():
     with pytest.raises(OSError):
         evaluate(_copies(20), backend, HarnessConfig(concurrency=1), sink)
     assert len(calls) == 2 and backend.started <= 4
+
+
+@pytest.mark.parametrize(
+    "dataset, stub, config",
+    [
+        ("batch3.json", SolverStubBackend(degrade_initial_plan=True), PipelineConfig(max_replan_rounds=3)),
+        ("fig1b.json", SolverStubBackend(), PipelineConfig(disable_matrix_plan=True)),
+    ],
+    ids=["batch3-degraded-3-rounds", "fig1b-mp"],
+)
+def test_a_traces_file_is_a_complete_transcript(dataset, stub, config):
+    # a backend that knows nothing but the traces file's `raw` replies reproduces the file byte for byte
+    instances = load_dataset(DATA / dataset)
+    harness = HarnessConfig(pipeline=config, concurrency=1)
+    recorded, replayed = [], []
+    reports = [
+        evaluate(instances, stub, harness, recorded.append),
+        evaluate(instances, ReplayBackend("".join(recorded)), harness, replayed.append),
+    ]
+    assert "".join(replayed).encode("utf-8") == "".join(recorded).encode("utf-8")
+    first, second = ([(r.predicted, r.failure_kind, r.rounds_used) for r in rep.records] for rep in reports)
+    assert first == second and all(kind in (None, "wrong-label") for _, kind, _ in first)
 
 
 def test_trace_sink_gets_instances_in_input_order_when_they_finish_out_of_order():
@@ -577,7 +614,10 @@ def test_stub_accuracy_is_flat_across_depths():
 def test_solver_stub_scores_an_unrunnable_context_as_backend(premises, question):
     instance = Instance(id="x", premises=premises, question=question, gold="T")
     record, lines = _run_one(instance, SolverStubBackend(), HarnessConfig(), True)
-    assert record.failure_kind == "backend" and lines == ""
+    [doc] = [json.loads(line) for line in lines.splitlines()]
+    assert record.failure_kind == doc["failure_kind"] == "backend"
+    # the translate and plan replies came; the solve call raised, so it left none
+    assert [(r["round"], r["stage"]) for r in doc["replies"]] == [(0, "translate"), (0, "plan")]
 
 
 def test_solver_stub_scores_no_random_theory_as_an_unexpected_error():

@@ -20,6 +20,7 @@ from helpers import (
     random_horn_kb,
     reachability_by_squaring,
     reference_diagnose,
+    recorder,
     reference_ground_rules,
     successors,
 )
@@ -186,7 +187,7 @@ def test_render_prompt_leaves_other_braces_alone():
 
 
 def test_translate_stage_parses_walkthrough_fixture():
-    context, _ = translate_stage(scripted(), WALKTHROUGH)
+    context = translate_stage(scripted(), WALKTHROUGH)
     assert isinstance(context, StructuredRepr)
     rendered = [str(s.symbol) for s in context.rules]
     assert any("Human" in r and "Mammal" in r for r in rendered)
@@ -213,8 +214,8 @@ def test_translate_stage_rejects_arity_conflict():
 
 
 def test_plan_stage_accepts_walkthrough_fixture():
-    context, _ = translate_stage(scripted(), WALKTHROUGH)
-    plan, _ = plan_stage(scripted(), context, problem=WALKTHROUGH)
+    context = translate_stage(scripted(), WALKTHROUGH)
+    plan = plan_stage(scripted(), context, problem=WALKTHROUGH)
     assert plan.size == 11
     assert successors(plan, 1) == {2, 3, 4, 5, 6, 7, 8}
 
@@ -247,7 +248,7 @@ def test_plan_stage_rejects_cycle_without_normalizing():
 def test_plan_stage_linearizes_a_cyclic_or_diagonal_matrix_under_the_mp_ablation(matrix):
     doc = {"Plan": {"1": {"content": "a"}, "2": {"content": "b", "kind": "judgment"}}, "Matrix": matrix}
     config = PipelineConfig(disable_matrix_plan=True)
-    plan, _ = plan_stage(CannedBackend(json.dumps(doc)), RawContext("ctx"), config)
+    plan = plan_stage(CannedBackend(json.dumps(doc)), RawContext("ctx"), config)
     assert plan.edges() == [(1, 2)] and plan.steps[1].kind == "judgment"
 
 
@@ -260,8 +261,8 @@ def test_plan_stage_scores_a_diagonal_entry_as_format_not_cycle():
 def test_solve_stage_stub_task_definition_unknown():
     backend = SolverStubBackend()
     problem = taskdef_problem()
-    context, _ = translate_stage(backend, problem)
-    plan, _ = plan_stage(backend, context, problem=problem)
+    context = translate_stage(backend, problem)
+    plan = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
     assert trace.provisional.label == "U"
 
@@ -269,8 +270,8 @@ def test_solve_stage_stub_task_definition_unknown():
 def test_solve_stage_stub_fig1b_false_after_fixpoint():
     backend = SolverStubBackend()
     problem = fig1b_problem()
-    context, _ = translate_stage(backend, problem)
-    plan, _ = plan_stage(backend, context, problem=problem)
+    context = translate_stage(backend, problem)
+    plan = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
     assert trace.provisional.label == "F"
     fix_record = next(r for r in trace.records if "fixpoint" in r.text.lower())
@@ -278,8 +279,8 @@ def test_solve_stage_stub_fig1b_false_after_fixpoint():
 
 
 def test_solve_stage_scripted_walkthrough_true():
-    context, _ = translate_stage(scripted(), WALKTHROUGH)
-    plan, _ = plan_stage(scripted(), context, problem=WALKTHROUGH)
+    context = translate_stage(scripted(), WALKTHROUGH)
+    plan = plan_stage(scripted(), context, problem=WALKTHROUGH)
     trace = solve_stage(scripted(), context, plan, problem=WALKTHROUGH)
     assert trace.provisional.label == "T"
 
@@ -395,7 +396,6 @@ def make_trace(records, plan=None, context=None):
         plan=plan or four_step_plan(),
         records=tuple(records),
         provisional=Verdict("U"),
-        raw={},
     )
 
 
@@ -538,8 +538,8 @@ def test_diagnose_redundant_edges():
 def test_diagnose_clean_stub_trace_is_empty():
     backend = SolverStubBackend()
     problem = taskdef_problem()
-    context, _ = translate_stage(backend, problem)
-    plan, _ = plan_stage(backend, context, problem=problem)
+    context = translate_stage(backend, problem)
+    plan = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
     report = diagnose(trace)
     assert report.labels == frozenset()
@@ -548,8 +548,8 @@ def test_diagnose_clean_stub_trace_is_empty():
 def test_diagnose_is_reproducible_from_stored_trace():
     backend = SolverStubBackend(degrade_initial_plan=True)
     problem = fig1b_problem()
-    context, _ = translate_stage(backend, problem)
-    plan, _ = plan_stage(backend, context, problem=problem)
+    context = translate_stage(backend, problem)
+    plan = plan_stage(backend, context, problem=problem)
     trace = solve_stage(backend, context, plan, problem=problem)
     first = diagnose(trace)
     second = diagnose(trace)
@@ -679,18 +679,19 @@ SOLVE_REPLY = json.dumps({"Execution log": "ran the revised plan", "Final answer
 
 
 def test_replan_stage_scripted_returns_four_step_plan():
-    context, _ = translate_stage(scripted(), WALKTHROUGH)
-    plan, _ = plan_stage(scripted(), context, problem=WALKTHROUGH)
+    context = translate_stage(scripted(), WALKTHROUGH)
+    plan = plan_stage(scripted(), context, problem=WALKTHROUGH)
     trace = solve_stage(scripted(), context, plan, problem=WALKTHROUGH)
     report = diagnose(trace)
     backend = RecordingBackend(scripted())
-    revised = replan_stage(backend, trace, report, problem=WALKTHROUGH)
+    recorded = recorder(backend)
+    revised = replan_stage(recorded, trace, report, problem=WALKTHROUGH)
     assert revised.plan.size == 4
     assert revised.plan.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
     # the reply embeds its re-execution, so no solve call runs
     [(meta, _, reply)] = backend.calls
     assert meta.stage == "replan" and revised.round == 1 and revised.records is not trace.records
-    assert revised.raw == {"replan": reply}
+    assert recorded.replies == {1: {"replan": reply}}
 
 
 def test_replan_stage_reads_the_round_state_from_the_trace():
@@ -721,7 +722,7 @@ def test_replan_stage_refuses_an_edit_list_that_closes_a_cycle(edits):
     trace = make_trace([facts_record()], plan=plan)
     kept = replan_stage(CannedBackend(reply), trace, Diagnosis(()))
     # the plan is kept whole, and the embedded answer goes unread with the rest of the revision
-    assert kept == replace(trace, round=1, raw={"replan": reply}) and kept.plan is plan
+    assert kept == replace(trace, round=1) and kept.plan is plan
     assert kept.records is trace.records and kept.provisional is trace.provisional
 
 
@@ -773,7 +774,7 @@ def test_plan_and_replan_stages_reject_a_bad_or_foreign_citation(uses, message):
         replan_stage(CannedBackend(replanned), make_trace([], context=context), Diagnosis(()))
     # a raw context has no statement ids, so only the shape of a citation is checked
     if "not a fact or rule" in message:
-        assert plan_stage(CannedBackend(planned), RawContext(context.text))[0].steps[0].uses == tuple(uses)
+        assert plan_stage(CannedBackend(planned), RawContext(context.text)).steps[0].uses == tuple(uses)
 
 
 @pytest.mark.parametrize(
@@ -817,15 +818,16 @@ def _prompt_example(stage):
 
 def test_each_prompt_example_is_accepted_by_its_stage():
     context = fig1b_context()
-    plan, _ = plan_stage(CannedBackend(_prompt_example("plan")), context)
+    plan = plan_stage(CannedBackend(_prompt_example("plan")), context)
     assert any(step.uses for step in plan.steps)
     assert plan.steps[plan.judgment - 1].kind == "judgment"
     assert solve_stage(CannedBackend(_prompt_example("solve")), context, plan).provisional.label == "T"
     # the example embeds its re-execution, so the canned backend needs no solve reply
-    replanned = replan_stage(CannedBackend(_prompt_example("replan")), make_trace([], context=context), Diagnosis(()))
+    backend = recorder(CannedBackend(_prompt_example("replan")))
+    replanned = replan_stage(backend, make_trace([], context=context), Diagnosis(()))
     revised = replanned.plan
     assert any(step.uses for step in revised.steps) and revised.steps[revised.judgment - 1].kind == "judgment"
-    assert replanned.provisional.label == "T" and sorted(replanned.raw) == ["replan"]
+    assert replanned.provisional.label == "T" and backend.replies == {1: {"replan": _prompt_example("replan")}}
 
 
 @pytest.mark.parametrize(
@@ -855,6 +857,12 @@ _NEITHER = 'reply has neither "Revised plan" nor "Edits"'
         ("solve", {"Execution log": "thinking"}, "/Final answer", "missing field"),
         ("solve", {"Final answer": "maybe"}, "/Final answer", "unrecognized answer label 'maybe'"),
         ("solve", {"Execution log": 5, "Final answer": "T"}, "/Execution log", "expected string or array"),
+        (
+            "solve",
+            {"Execution log": [{"derivations": [{"rule": 1, "literal": "P(a)", "why": "x"}]}], "Final answer": "T"},
+            "/Execution log/0/derivations/0/why",
+            "unknown field",
+        ),
         ("replan", ["T"], "", "expected object"),
         ("replan", {"Edits": [], "Bogus": 1}, "/Bogus", "unknown field"),
         ("replan", {"Edits": {}}, "/Edits", "expected array"),
@@ -862,24 +870,34 @@ _NEITHER = 'reply has neither "Revised plan" nor "Edits"'
         ("replan", {"Revised plan": []}, "/Revised plan", _REVISED_PLAN_SHAPE),
         ("replan", {"Revised plan": {"Matrix": []}}, "/Revised plan", _REVISED_PLAN_SHAPE),
         ("replan", {"Revised plan": {"Corrected_plan": {}}}, "/Revised plan", _REVISED_PLAN_SHAPE),
+        ("replan", {"Revised plan": {"Corrected_plan": {}, "Matrix": [], "Why": 1}}, "/Revised plan/Why",
+         "unknown field"),
+        ("replan", {"Edits": [{"op": "DelEdge", "i": 2, "j": 3, "why": "x"}]}, "/Edits/0/why", "unknown field"),
         ("replan", {"Rationale": "nothing to change"}, "", _NEITHER),
         ("replan", {"Edits": []}, "", _NEITHER),
     ],
     ids=[
         "solve-not-an-object", "solve-unknown", "solve-no-answer", "solve-bad-label", "solve-bad-log",
-        "replan-not-an-object", "replan-unknown", "replan-bad-edits", "replan-bad-rationale",
-        "replan-revised-not-an-object", "replan-no-plan", "replan-no-matrix", "replan-neither", "replan-no-edits",
+        "solve-derivation-unknown", "replan-not-an-object", "replan-unknown", "replan-bad-edits",
+        "replan-bad-rationale", "replan-revised-not-an-object", "replan-no-plan", "replan-no-matrix",
+        "replan-revised-unknown", "replan-edit-unknown", "replan-neither", "replan-no-edits",
     ],
 )
 def test_stage_reply_violations_read_stage_pointer_reason(stage, reply, pointer, reason):
     text = json.dumps(reply)
+    backend = recorder(CannedBackend(text))
     with pytest.raises(StageParseError) as exc:
         if stage == "solve":
-            solve_stage(CannedBackend(text), RawContext("ctx"), four_step_plan())
+            solve_stage(backend, RawContext("ctx"), four_step_plan())
         else:
-            replan_stage(CannedBackend(text), make_trace([facts_record()]), Diagnosis(()))
-    assert str(exc.value) == f"{stage} stage: {pointer or '/'}: {reason}"
-    assert exc.value.__cause__.pointer == pointer and exc.value.raw == text
+            replan_stage(backend, make_trace([facts_record()]), Diagnosis(()))
+    message = f"{stage} stage: {pointer or '/'}: {reason}"
+    assert str(exc.value) == message and exc.value.__cause__.pointer == pointer
+    # the failure record keeps the reply that broke the contract
+    kept = {"round": int(stage == "replan"), "stage": stage, "reply": text}
+    assert backend.trace_docs("x", exc.value) == [
+        {"instance": "x", "failure_kind": "format", "error": message, "replies": [kept]}
+    ]
 
 
 def test_replan_stage_ablate_matrix_plan_chains_the_revised_plan():
@@ -912,8 +930,9 @@ def test_replan_stage_returns_the_next_rounds_trace(edit, embedded, kept, stages
         reply |= {"Updated Execution log": "ran the plan again", "Final answer": "T"}
     reply = json.dumps(reply)
     backend = CannedBackend(reply, SOLVE_REPLY)
-    trace = replace(make_trace([facts_record()], plan=plan), raw={"solve": "round 1"}, round=1)
-    got = replan_stage(backend, trace, Diagnosis(()))
+    recorded = recorder(backend)
+    trace = replace(make_trace([facts_record()], plan=plan), round=1)
+    got = replan_stage(recorded, trace, Diagnosis(()))
     assert [stage for stage, _ in backend.calls] == stages
     assert got.round == 2 and got.context is trace.context
     if kept:
@@ -921,7 +940,7 @@ def test_replan_stage_returns_the_next_rounds_trace(edit, embedded, kept, stages
     else:
         assert got.records is not trace.records and got.provisional.label == "T"
     assert (got.plan is plan) == ("solve" not in stages)
-    assert got.raw == ({"replan": reply, "solve": SOLVE_REPLY} if "solve" in stages else {"replan": reply})
+    assert recorded.replies == {2: {"replan": reply, "solve": SOLVE_REPLY} if "solve" in stages else {"replan": reply}}
 
 
 # ---------------------------------------------------------------------------
@@ -938,10 +957,13 @@ def test_run_pipeline_scripted_walkthrough():
 
 
 def test_run_pipeline_trace_output_is_byte_identical():
-    first = run_pipeline(scripted(), WALKTHROUGH)
-    second = run_pipeline(scripted(), WALKTHROUGH)
-    blob1 = "\n".join(json.dumps(trace_to_doc(t, WALKTHROUGH.id), ensure_ascii=False) for t in first.traces)
-    blob2 = "\n".join(json.dumps(trace_to_doc(t, WALKTHROUGH.id), ensure_ascii=False) for t in second.traces)
+    blobs = []
+    for _ in range(2):
+        backend = recorder(scripted())
+        result = run_pipeline(backend, WALKTHROUGH)
+        docs = (trace_to_doc(t, WALKTHROUGH.id, backend.replies) for t in result.traces)
+        blobs.append("\n".join(json.dumps(doc, ensure_ascii=False) for doc in docs))
+    blob1, blob2 = blobs
     assert blob1.encode("utf-8") == blob2.encode("utf-8")
 
 
@@ -1126,12 +1148,14 @@ def test_run_pipeline_stub_prompts_and_replies_are_pinned(dataset, mode):
     for instance in load_dataset(DATA / dataset):
         problem = Problem(id=instance.id, premises=instance.premises, question=instance.question)
         backend = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
-        result = run_pipeline(backend, problem, TRANSCRIPT_CONFIGS[mode])
+        recorded = recorder(backend)
+        result = run_pipeline(recorded, problem, TRANSCRIPT_CONFIGS[mode])
         assert result.rounds_used >= 1
         for meta, prompt, reply in backend.calls:
             digest.update(f"{meta.stage}/{meta.round}\0{prompt}\0{reply}\0".encode("utf-8"))
         for trace in result.traces:
-            digest.update(json.dumps(trace_to_doc(trace, instance.id), ensure_ascii=False).encode("utf-8"))
+            doc = trace_to_doc(trace, instance.id, recorded.replies)
+            digest.update(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
     assert digest.hexdigest() == STUB_TRANSCRIPT_SHA256[dataset, mode]
 
 
@@ -1164,8 +1188,9 @@ def test_run_pipeline_leaves_no_cyclic_garbage():
         for config in configs:
             for degraded in (False, True):
                 for problem in problems:
-                    result = run_pipeline(SolverStubBackend(degrade_initial_plan=degraded), problem, config)
-                    assert all(trace_to_doc(trace, problem.id) for trace in result.traces)
+                    backend = recorder(SolverStubBackend(degrade_initial_plan=degraded))
+                    result = run_pipeline(backend, problem, config)
+                    assert all(trace_to_doc(trace, problem.id, backend.replies) for trace in result.traces)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -1175,8 +1200,9 @@ def test_trace_to_doc_encodes_each_derivation_once(monkeypatch):
     encoded = []  # keeps every encoded object alive, so their ids stay distinct
     derivation_to_doc = solvermod.derivation_to_doc
     monkeypatch.setattr(solvermod, "derivation_to_doc", lambda g: encoded.append(g) or derivation_to_doc(g))
-    result = run_pipeline(SolverStubBackend(), fig1b_problem(), PipelineConfig(max_replan_rounds=2))
-    docs = [trace_to_doc(trace, "fig1b") for trace in result.traces]
+    backend = recorder(SolverStubBackend())
+    result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
+    docs = [trace_to_doc(trace, "fig1b", backend.replies) for trace in result.traces]
     # the replan keeps the plan, so the unchanged round shares round 0's records tuple
     assert result.traces[0].records is result.traces[1].records
     kept = {id(d) for trace in result.traces for record in trace.records for d in record.derivations}
@@ -1187,13 +1213,14 @@ def test_trace_to_doc_encodes_each_derivation_once(monkeypatch):
 
 def test_run_pipeline_ends_on_a_replan_that_keeps_the_plan():
     backend = RecordingBackend(SolverStubBackend())
-    result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=3))
+    recorded = recorder(backend)
+    result = run_pipeline(recorded, fig1b_problem(), PipelineConfig(max_replan_rounds=3))
     assert [m.stage for m, _, _ in backend.calls] == ["translate", "plan", "solve", "replan"]
     assert result.rounds_used == 1 and len(result.diagnoses) == 1
     first, second = result.traces
     assert second.plan is first.plan and second.records is first.records
     assert second.provisional == first.provisional and second.round == 1
-    assert sorted(second.raw) == ["replan"]
+    assert list(recorded.replies[1]) == ["replan"]
 
 
 def test_run_pipeline_solves_a_changed_plan_and_then_ends():
@@ -1259,13 +1286,14 @@ def _cat_replies(replan_doc):
 def test_run_pipeline_refuses_a_cyclic_revision_and_keeps_the_round(revision):
     replies = _cat_replies(revision)
     backend = CannedBackend(*replies)
-    result = run_pipeline(backend, CAT, PipelineConfig(max_replan_rounds=3))
+    recorded = recorder(backend)
+    result = run_pipeline(recorded, CAT, PipelineConfig(max_replan_rounds=3))
     # the refused revision leaves the plan as it was, so the loop ends there
     assert [stage for stage, _ in backend.calls] == ["translate", "plan", "solve", "replan"]
     first, last = result.traces
     assert result.final.label == first.provisional.label == "U" and result.rounds_used == 1
     assert last.plan is first.plan and last.records is first.records
-    assert last.raw == {"replan": replies[-1]}
+    assert recorded.replies[1] == {"replan": replies[-1]}
     # nothing is scored as a failure: the instance stands on round 0's verdict
     [record] = evaluate([Instance("cat", CAT.premises, CAT.question, "U")], CannedBackend(*replies)).records
     assert record.failure_kind is None and record.correct and record.rounds_used == 1
@@ -1297,10 +1325,10 @@ def test_run_pipeline_renders_the_context_and_each_plan_once(monkeypatch):
     docs, plans = [], []
     monkeypatch.setattr(structured, "repr_to_doc", lambda r: docs.append(r) or repr_to_doc(r))
     monkeypatch.setattr(planmod, "plan_to_json", lambda p: plans.append(p) or plan_to_json(p))
-    backend = SolverStubBackend(degrade_initial_plan=True)
+    backend = recorder(SolverStubBackend(degrade_initial_plan=True))
     result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
     for trace in result.traces:
-        trace_to_doc(trace, "fig1b")
+        trace_to_doc(trace, "fig1b", backend.replies)
     assert docs == [result.traces[0].context]
     # one `doc` per distinct plan serves its prompt text and every trace that
     # records it; the replan of round 2 returns round 1's plan unchanged
@@ -1318,7 +1346,7 @@ def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
 
     monkeypatch.setattr(solvermod, "fire_rounds", counting_fire_rounds)
     monkeypatch.setattr(pipeline, "_read_log", lambda *a: parsed.append(a[3]) or read_log(*a))
-    backend = SolverStubBackend(degrade_initial_plan=True)
+    backend = recorder(SolverStubBackend(degrade_initial_plan=True))
     result = run_pipeline(backend, fig1b_problem(), PipelineConfig(max_replan_rounds=2))
     # round 2's replan keeps round 1's full plan, so round 2 makes no solve call;
     # only the full plan has a step that cites rules
@@ -1329,13 +1357,13 @@ def test_run_pipeline_solves_and_decodes_each_distinct_plan_once(monkeypatch):
     assert len(parsed) == 2 and parsed[0] is not parsed[1]
     for table, trace in zip(parsed, result.traces):
         assert {lit for r in trace.records for lit in r.derived} <= set(table.values())
-    assert sorted(result.traces[2].raw) == ["replan"]
+    assert list(backend.replies[2]) == ["replan"]
     assert result.traces[2].records is result.traces[1].records
 
 
 def test_replan_stage_keeps_the_plan_object_only_when_the_plan_is_unchanged():
-    full, _ = plan_stage(SolverStubBackend(), fig1b_context())
-    degraded, _ = plan_stage(SolverStubBackend(degrade_initial_plan=True), fig1b_context())
+    full = plan_stage(SolverStubBackend(), fig1b_context())
+    degraded = plan_stage(SolverStubBackend(degrade_initial_plan=True), fig1b_context())
     clean = Diagnosis(())
     assert replan_stage(SolverStubBackend(), make_trace([], plan=full), clean).plan is full
     # the stub solves the changed plan, which needs the question
@@ -1376,9 +1404,15 @@ def test_solver_stub_decodes_an_unstructured_context_once_per_instance(monkeypat
 
 
 def test_run_pipeline_trace_raw_holds_each_rounds_replies():
-    result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), fig1b_problem())
-    assert sorted(result.traces[0].raw) == ["plan", "solve", "translate"]
-    assert sorted(result.traces[1].raw) == ["replan", "solve"]
+    backend = RecordingBackend(SolverStubBackend(degrade_initial_plan=True))
+    recorded = recorder(backend)
+    result = run_pipeline(recorded, fig1b_problem())
+    docs = [trace_to_doc(trace, "fig1b", recorded.replies) for trace in result.traces]
+    assert list(docs[0]["raw"]) == ["plan", "solve", "translate"]
+    assert list(docs[1]["raw"]) == ["replan", "solve"]
+    # each reply appears once, in the record of its call's round
+    assert sum(len(doc["raw"]) for doc in docs) == len(backend.calls)
+    assert all(docs[meta.round]["raw"][meta.stage] == reply for meta, _, reply in backend.calls)
 
 
 def test_run_pipeline_context_unchanged_across_rounds():
@@ -1418,15 +1452,14 @@ def test_run_pipeline_surfaces_static_findings_as_warnings():
     }
     plan_doc = {"Plan": {"1": {"content": "Judge the question."}}, "Matrix": [[0]]}
     solve_doc = {"Execution log": "nothing to derive", "Final answer": "U"}
-    backend = CannedBackend(json.dumps(translate_doc), json.dumps(plan_doc), json.dumps(solve_doc))
-    result = run_pipeline(
-        backend,
-        Problem(id="w", premises=("odd premise.",), question="q?"),
-        PipelineConfig(max_replan_rounds=0),
-    )
+    replan_doc = {"Revised plan": {"Corrected_plan": plan_doc["Plan"], "Matrix": [[0]]}}  # keeps the plan
+    replies = (translate_doc, plan_doc, solve_doc, replan_doc)
+    backend = recorder(CannedBackend(*(json.dumps(doc) for doc in replies)))
+    result = run_pipeline(backend, Problem(id="w", premises=("odd premise.",), question="q?"))
     assert any(w.startswith("open-rule") for w in result.traces[0].context.warnings)
-    doc = trace_to_doc(result.traces[0], "w")
-    assert doc["warnings"]
+    # the round-0 record alone carries them, though every round shares the context
+    docs = [trace_to_doc(trace, "w", backend.replies) for trace in result.traces]
+    assert docs[0]["warnings"] and [doc["warnings"] for doc in docs[1:]] == [[]]
 
 
 def test_run_pipeline_stub_answers_match_direct_solver():

@@ -248,7 +248,7 @@ def test_warnings_match_reference_validator_on_bundled_instances():
             scripted = [d for d in FIXTURES.iterdir() if (d / f"{instance.id}__translate__0.txt").is_file()]
             backend = ScriptedBackend(scripted[0]) if scripted else SolverStubBackend()
             problem = Problem(id=instance.id, premises=instance.premises, question=instance.question)
-            r, _ = translate_stage(backend, problem)
+            r = translate_stage(backend, problem)
             assert r.warnings == formatted_findings(reference_validate_static(r, r.table))
             checked += 1
     assert checked >= 6
@@ -287,7 +287,7 @@ def test_repr_renderings_are_kept_and_repr_to_doc_stays_fresh():
 
 def test_repr_text_is_compact_json_that_reads_back():
     contexts = [
-        translate_stage(SolverStubBackend(), Problem(i.id, i.premises, i.question))[0]
+        translate_stage(SolverStubBackend(), Problem(i.id, i.premises, i.question))
         for name in ("fig1b.json", "batch3.json")
         for i in load_dataset(DATA / name)
     ]
