@@ -295,7 +295,6 @@ class SolverStubBackend(Backend):
         if plan.judgment is None or not context.questions:
             raise BackendError("solver stub needs a plan with steps and a question to adjudicate")
         facts = {s.id: solvermod.literal_from_formula(s.symbol) for s in context.facts}
-        rules = {s.id: template for s, template in zip(context.rules, context.templates)}
         literals: set[solvermod.Literal] = set()
         log: list[solvermod.StepRecord] = []
 
@@ -308,7 +307,7 @@ class SolverStubBackend(Backend):
                 continue
             asserted = sorted({facts[i] for i in step.uses if i in facts})
             literals.update(asserted)
-            cited = [rule for i, rule in rules.items() if i in step.uses]
+            cited = [rule for rule in context.templates if rule.rule_id in step.uses]
             fired = solvermod.fire_rounds(literals, cited, domain, cwa) if cited else []
             derived = (*asserted, *(g.conclusion for g in fired))
             log.append(solvermod.StepRecord(step_id, step.content, derived=derived, derivations=tuple(fired)))

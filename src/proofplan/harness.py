@@ -171,11 +171,14 @@ def load_dataset(path: str | Path, format: str = "tfu-json") -> list[Instance]:
     if not isinstance(data, list):
         raise SchemaError("", "expected a top-level array of instances")
     instances: list[Instance] = []
+    first: dict[str, int] = {}  # id -> index of the instance that has it
     for index, entry in enumerate(data):
         pointer = f"/{index}"
         if not isinstance(entry, dict):
             raise SchemaError(pointer, "expected object")
-        identifier = entry.get("id", entry.get("example_id", f"instance-{index}"))
+        identifier = str(entry.get("id", entry.get("example_id", f"instance-{index}")))
+        if first.setdefault(identifier, index) != index:
+            raise SchemaError(f"{pointer}/id", f"duplicate id {identifier!r}, first at /{first[identifier]}")
         question = entry.get("question", entry.get("conclusion"))
         if not isinstance(question, str) or not question:
             raise SchemaError(f"{pointer}/question", "missing question")
@@ -192,7 +195,7 @@ def load_dataset(path: str | Path, format: str = "tfu-json") -> list[Instance]:
             raise SchemaError(f"{pointer}/answer", f"label {gold} is beyond the {len(options)} options")
         instances.append(
             Instance(
-                id=str(identifier),
+                id=identifier,
                 premises=_as_premises(entry, pointer),
                 question=question,
                 gold=gold,

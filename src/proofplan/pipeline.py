@@ -336,6 +336,7 @@ def diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
     if isinstance(trace.context, StructuredRepr):
         try:
             kb, rules = trace.context.kb, trace.context.templates
+            by_id = {rule.rule_id: rule for rule in rules}
             domain = kb.table.constants
         except (solvermod.UnsupportedFragment, solvermod.DomainTooLarge):
             pass
@@ -351,7 +352,7 @@ def diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
                 judgment = (record.step_id, set(available))
             # rule misuse and missing prerequisites, per derivation
             for derivation in record.derivations:
-                rule = rules[derivation.rule_id - 1] if 1 <= derivation.rule_id <= len(rules) else None
+                rule = by_id.get(derivation.rule_id)
                 if rule is None or not rule.has_instance(derivation.premises, derivation.conclusion, domain):
                     cited = [str(p) for p in derivation.premises]
                     note = f"rule {derivation.rule_id} has no instantiation {cited} -> {derivation.conclusion}"

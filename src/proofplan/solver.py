@@ -125,7 +125,7 @@ def literal_from_formula(f: Formula) -> Literal:
 
 @dataclass(frozen=True, slots=True)
 class GroundRule:
-    """One rule instantiation: rule_id is 1-based into KnowledgeBase.rules."""
+    """One rule instantiation: rule_id is the rule's statement id."""
 
     rule_id: int
     binding: tuple[tuple[str, str], ...]
@@ -247,12 +247,12 @@ def _literal_from_doc(text: Any, pointer: str, literals: dict[str, Literal]) -> 
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """A theory (`rules` over `table`) and its literals, with the derivation
-    records of those that chaining added."""
+    """A theory (`rules`, as (statement id, formula) pairs, over `table`) and
+    its literals, with the derivation records of those that chaining added."""
 
     table: SymbolTable
     literals: frozenset[Literal]
-    rules: tuple[Formula, ...]
+    rules: tuple[tuple[int, Formula], ...]
     derivations: tuple[GroundRule, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
@@ -277,7 +277,7 @@ class Verdict:
 
 def kb_from_repr(repr_: StructuredRepr) -> KnowledgeBase:
     literals = frozenset(literal_from_formula(s.symbol) for s in repr_.facts)
-    return KnowledgeBase(table=repr_.table, literals=literals, rules=tuple(s.symbol for s in repr_.rules))
+    return KnowledgeBase(table=repr_.table, literals=literals, rules=tuple((s.id, s.symbol) for s in repr_.rules))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def _unify(
 
 @dataclass(frozen=True)
 class RuleTemplate:
-    """A rule decomposed for joining: rule_id is 1-based into KnowledgeBase.rules.
+    """A rule decomposed for joining: rule_id is the rule's statement id.
 
     `variables` are in quantifier order; `used` keeps, in the same order, the
     variables that some premise or the conclusion mentions.
@@ -407,7 +407,7 @@ def rule_templates(kb: KnowledgeBase) -> tuple[RuleTemplate, ...]:
     rules, exceed `DEFAULT_GROUNDING_BOUND`: the bound counts what could be
     bound, not what matches, so no fact can change whether it trips.
     """
-    rules = tuple(_decompose_rule(rule_id, rule) for rule_id, rule in enumerate(kb.rules, start=1))
+    rules = tuple(_decompose_rule(rule_id, rule) for rule_id, rule in kb.rules)
     size = len(kb.table.constants)
     total = 0
     for rule in rules:
@@ -544,7 +544,7 @@ def forward_chain(kb: KnowledgeBase, *, cwa: bool = False) -> KnowledgeBase:
 
     Rules fire in rounds (`fire_rounds`): each round joins every rule's
     premises against the literals known when it began and fires the matches,
-    in rule id then binding order, until a round adds nothing. Derivation
+    in rule then binding order, until a round adds nothing. Derivation
     records come in round order, after those `kb` already holds. With `cwa`,
     a second phase runs after the open-world fixpoint in which a negative
     antecedent also matches when its positive counterpart is underivable.
@@ -733,12 +733,8 @@ def brute_force_entails(kb: KnowledgeBase, question: Formula) -> str:
     """
     domain = tuple(sorted(kb.table.constants))
     atom_index: dict[tuple[str, tuple[str, ...]], int] = {}
-    trees = []
-    for lit in sorted(kb.literals):
-        tree = _ground_tree(literal_to_formula(lit), {}, domain, atom_index)
-        trees.append(tree)
-    for rule in kb.rules:
-        trees.append(_ground_tree(rule, {}, domain, atom_index))
+    trees = [_ground_tree(literal_to_formula(lit), {}, domain, atom_index) for lit in sorted(kb.literals)]
+    trees += [_ground_tree(rule, {}, domain, atom_index) for _, rule in kb.rules]
     question_tree = _ground_tree(question, {}, domain, atom_index)
 
     n = len(atom_index)

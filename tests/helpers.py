@@ -670,7 +670,8 @@ def random_horn_kb(rng: random.Random, allow_negation: bool = True) -> Knowledge
         positive = not (allow_negation and rng.random() < 0.2)
         facts.add(Literal(positive, name, args))
 
-    return KnowledgeBase(table=table, literals=frozenset(facts), rules=tuple(rules))
+    # Rule ids are statement ids: facts come first, as `build_repr` numbers them.
+    return KnowledgeBase(table=table, literals=frozenset(facts), rules=tuple(enumerate(rules, start=len(facts) + 1)))
 
 
 def ground_literal_queries(rng: random.Random, kb: KnowledgeBase, count: int = 5) -> list[Literal]:
@@ -785,7 +786,7 @@ def reference_diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
         available: set[Literal] = set(kb.literals)
         for record in trace.records:
             for derivation in record.derivations:
-                rule = rules[derivation.rule_id - 1] if 1 <= derivation.rule_id <= len(rules) else None
+                rule = next((r for r in rules if r.rule_id == derivation.rule_id), None)
                 if rule is None or not rule.has_instance(derivation.premises, derivation.conclusion, domain):
                     evidence.append(
                         Evidence(

@@ -43,9 +43,22 @@ def test_prove_fig1b_false_with_explanation(capsys):
         ["prove", str(DATA / "fig1b_premises.txt"), "-q", "¬Sees(mouse, lion)", "--explain"]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "F"
-    assert "Sees(mouse, lion)" in out
+    # each rule is named by its statement id, which cites the rules on lines 4-7
+    assert capsys.readouterr().out.splitlines() == [
+        "F",
+        "rule 4 [x=lion]: Chases(lion, dog) => Round(lion)",
+        "rule 5 [x=lion]: Round(lion), Chases(lion, mouse) => Kind(mouse)",
+        "rule 6 [x=mouse]: Kind(mouse) => Chases(mouse, dog)",
+        "rule 4 [x=mouse]: Chases(mouse, dog) => Round(mouse)",
+        "rule 7 [x=mouse]: Round(mouse) => Sees(mouse, lion)",
+    ]
+
+
+def test_prove_explain_counts_statements_not_file_lines(tmp_path, capsys):
+    premises = tmp_path / "premises.txt"
+    premises.write_text("# c\n\nCat(tom)\n∀x (Cat(x) → Mammal(x))\n", encoding="utf-8")
+    assert main(["prove", str(premises), "-q", "Mammal(tom)", "--explain"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["T", "rule 2 [x=tom]: Cat(tom) => Mammal(tom)"]
 
 
 def test_prove_cwa_matches_a_negative_antecedent_closed_world(tmp_path, capsys):
@@ -59,7 +72,7 @@ def test_prove_cwa_matches_a_negative_antecedent_closed_world(tmp_path, capsys):
     assert main(argv + ["--cwa", "--explain"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "T"
-    assert "rule 1 [x=tweety]: ¬Flies(tweety) => Grounded(tweety)" in lines
+    assert "rule 2 [x=tweety]: ¬Flies(tweety) => Grounded(tweety)" in lines
 
 
 def test_prove_empty_premises_unknown(tmp_path, capsys):

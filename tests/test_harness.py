@@ -127,6 +127,18 @@ def test_load_dataset_rejects_an_instance_without_premises(tmp_path, entry, poin
     assert exc.value.pointer == pointer
 
 
+@pytest.mark.parametrize("first, again", [("a", "a"), (1, "1")])
+def test_load_dataset_rejects_a_duplicate_id(tmp_path, first, again):
+    # traces, failure records, `run --id` and scripted fixtures all key on the id
+    path = tmp_path / "d.json"
+    entries = [{"id": i, "premises": ["P(a)"], "question": "P(a)", "answer": "T"} for i in (first, "b", again)]
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(path)
+    assert exc.value.pointer == "/2/id"
+    assert exc.value.message == f"duplicate id {str(first)!r}, first at /0"
+
+
 def test_load_dataset_options_format(tmp_path):
     path = tmp_path / "d.json"
     path.write_text(
@@ -630,7 +642,7 @@ def test_solver_stub_scores_no_random_theory_as_an_unexpected_error():
         rng = random.Random(seed)
         kb = random_horn_kb(rng)
         premises = [render_formula(literal_to_formula(lit)) for lit in sorted(kb.literals)]
-        premises += [render_formula(rule) for rule in kb.rules]
+        premises += [render_formula(rule) for _, rule in kb.rules]
         for _ in range(rng.randint(0, 2)):
             premises.insert(rng.randrange(len(premises) + 1), render_formula(random_formula(rng, rng.randint(1, 3))))
         question = render_formula(random_formula(rng, rng.randint(1, 3)))

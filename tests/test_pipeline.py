@@ -406,7 +406,7 @@ def facts_record():
 
 def test_diagnose_premature_termination_on_single_pass():
     derivation = GroundRule(
-        rule_id=1,
+        rule_id=4,
         binding=(("x", "lion"),),
         premises=(lit("Chases(lion, dog)"),),
         conclusion=lit("Round(lion)"),
@@ -424,7 +424,7 @@ def test_diagnose_premature_termination_on_single_pass():
 
 def test_diagnose_rule_misuse_on_flipped_arguments():
     doctored = GroundRule(
-        rule_id=1,
+        rule_id=4,
         binding=(("x", "lion"),),
         premises=(lit("Chases(dog, lion)"),),  # argument order flipped
         conclusion=lit("Round(lion)"),
@@ -441,7 +441,7 @@ def test_diagnose_rule_misuse_on_flipped_arguments():
 
 def test_diagnose_missing_prerequisites():
     valid_but_unsupported = GroundRule(
-        rule_id=1,
+        rule_id=4,
         binding=(("x", "mouse"),),
         premises=(lit("Chases(mouse, dog)"),),  # never derived
         conclusion=lit("Round(mouse)"),
@@ -479,7 +479,7 @@ def test_run_pipeline_closed_world_diagnosis_accepts_negative_premise():
 
 def test_diagnose_closed_world_still_flags_contradicted_negative_premise():
     derivation = GroundRule(
-        rule_id=5,
+        rule_id=8,
         binding=(("x", "lion"),),
         premises=(lit("¬Chases(lion, dog)"),),  # its positive counterpart is a fact
         conclusion=lit("Round(lion)"),
@@ -556,12 +556,18 @@ def test_diagnose_is_reproducible_from_stored_trace():
     assert first == second
 
 
-def _mutated_derivations(rng, ground, pool, rule_count):
+def _mutated_derivations(rng, ground, pool, context):
     """`ground` as cited, and cited with one part changed: the binding (never
-    consulted), the rule id, a premise, the premise count or the conclusion."""
+    consulted), the rule id, a premise, the premise count or the conclusion.
+    The changed rule ids are 0, -1, the id past the last statement, a fact's
+    id, the question's id and another rule's id, as far as `context` has them."""
     yield ground
     yield replace(ground, binding=(("x", "nobody"),))
-    yield replace(ground, rule_id=rng.choice([0, -1, rule_count + 1, rng.randint(1, rule_count)]))
+    others = [s.id for s in context.rules if s.id != ground.rule_id]
+    past = max(s.id for s in context.statements()) + 1
+    for ids in ([0], [-1], [past], [s.id for s in context.facts], [s.id for s in context.questions], others):
+        if ids:
+            yield replace(ground, rule_id=rng.choice(ids))
     if ground.premises:
         premises = list(ground.premises)
         premises[rng.randrange(len(premises))] = rng.choice(pool)
@@ -576,15 +582,15 @@ def test_diagnose_rule_misuse_agrees_with_reference_grounding():
     verdicts = set()
     for _ in range(150):
         kb = random_horn_kb(rng)
-        premises = [str(fact) for fact in sorted(kb.literals)] + [render_formula(rule) for rule in kb.rules]
-        context = build_repr([(text, text) for text in premises])
+        premises = [str(fact) for fact in sorted(kb.literals)] + [render_formula(rule) for _, rule in kb.rules]
+        context = build_repr([(text, text) for text in premises], [("P(c1)", "P(c1)")])
         grounded = reference_ground_rules(kb_from_repr(context))
         valid = {(g.rule_id, g.premises, g.conclusion) for g in grounded}
         pool = sorted({lit for g in grounded for lit in (*g.premises, g.conclusion)})
         pool += [lit.negated() for lit in pool[:3]] + [Literal(True, "P", ("zz",))]
         pool += [replace(lit, args=lit.args * 2) for lit in pool[:3]]  # wrong arity
         for ground in rng.sample(grounded, min(4, len(grounded))):
-            for cited in _mutated_derivations(rng, ground, pool, len(kb.rules)):
+            for cited in _mutated_derivations(rng, ground, pool, context):
                 trace = make_trace([StepRecord(step_id=1, text="apply", derivations=(cited,))], context=context)
                 misuse = "rule-misuse" in diagnose(trace).labels
                 assert misuse == ((cited.rule_id, cited.premises, cited.conclusion) not in valid)
@@ -621,7 +627,7 @@ def _with_an_implied_edge(rng, plan):
     return plan_from_matrix(matrix, plan.steps)
 
 
-def _record_variants(rng, records, pool, rule_count):
+def _record_variants(rng, records, pool, context):
     """`records`, and reversed, shuffled (derivations too), truncated, with a
     record duplicated or turned into free text, with a derivation mutated, or
     all free text."""
@@ -638,7 +644,7 @@ def _record_variants(rng, records, pool, rule_count):
     cited = [(i, j) for i, record in enumerate(records) for j in range(len(record.derivations))]
     if cited:
         i, j = rng.choice(cited)
-        for derivation in _mutated_derivations(rng, records[i].derivations[j], pool, rule_count):
+        for derivation in _mutated_derivations(rng, records[i].derivations[j], pool, context):
             derivations = list(records[i].derivations)
             derivations[j] = derivation
             yield records[:i] + [replace(records[i], derivations=tuple(derivations))] + records[i + 1 :]
@@ -646,23 +652,31 @@ def _record_variants(rng, records, pool, rule_count):
     yield [StepRecord(step_id=0, text="free text")]
 
 
+def _random_horn_problems(seed, count):
+    """`count` random Horn theories, each with a random ground literal as its
+    question: (question literal, problem) pairs."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        kb = random_horn_kb(rng)
+        premises = [str(fact) for fact in sorted(kb.literals)] + [render_formula(rule) for _, rule in kb.rules]
+        query = ground_literal_queries(rng, kb, count=1)[0]
+        out.append((query, Problem(id=f"horn-{index}", premises=tuple(premises), question=str(query))))
+    return out
+
+
 def test_diagnose_agrees_with_the_reference_on_mutated_stub_traces():
     rng = random.Random(61)
     problems = [fig1b_problem(), Problem(id="deep", premises=DEEP_PREMISES, question="¬Weak(n8)")]
-    for index in range(40):
-        kb = random_horn_kb(rng)
-        premises = [str(fact) for fact in sorted(kb.literals)] + [render_formula(rule) for rule in kb.rules]
-        query = ground_literal_queries(rng, kb, count=1)[0]
-        problems.append(Problem(id=f"horn-{index}", premises=tuple(premises), question=str(query)))
+    problems += [problem for _, problem in _random_horn_problems(61, 40)]
     labels = Counter()
     for problem, cwa in [(p, cwa) for p in problems for cwa in (False, True)]:
         result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), problem, PipelineConfig(cwa=cwa))
-        rule_count = len(result.traces[0].context.templates)
         for trace in result.traces:  # the degraded plan, then the full one
             pool = sorted({literal for r in trace.records for literal in r.derived})
             pool += [literal.negated() for literal in pool[:3]] + [Literal(True, "P", ("zz",))]
             plan = _with_an_implied_edge(rng, trace.plan) if rng.random() < 0.5 else trace.plan
-            for records in _record_variants(rng, trace.records, pool, rule_count):
+            for records in _record_variants(rng, trace.records, pool, trace.context):
                 variant = replace(trace, plan=plan, records=tuple(records))
                 for audit_cwa in (False, True):
                     want = reference_diagnose(variant, cwa=audit_cwa)
@@ -1127,9 +1141,9 @@ def test_evaluate_decodes_each_instance_on_its_own(monkeypatch):
 # produces on a dataset; the prompts and traces must not change when the
 # stage glue is rewritten.
 STUB_TRANSCRIPT_SHA256 = {
-    ("fig1b.json", "default"): "291625c93082bc36708ae5bc2e41255f7ea38bd18b0c5bc82394b1f9d55043fd",
-    ("fig1b.json", "mp"): "8384907e91e6798d677ccc30c4e71be5058ae4548e39e174de724c7d84b56a15",
-    ("fig1b.json", "srm"): "db7d5dc8eb061f8ecb8d38c0caee5d76f744701601c32c928906d9c5718bd5fc",
+    ("fig1b.json", "default"): "cebe6b5a70d70f93db137b313fc0b470c4f96d0800a23f9f36e17453334cdb80",
+    ("fig1b.json", "mp"): "041152b4549cf78217495240125d4316d8390d445d8b0a609f7769afd6cec4cf",
+    ("fig1b.json", "srm"): "02080382b7cfbdb6395b64d41bc724910526a20b3917b855b2eb5c92e71b766f",
     ("batch3.json", "default"): "90429c96017830ff2ec09a26f7e3ebffe8035ad1a464f35d4895fffa04ba4c90",
     ("batch3.json", "mp"): "e8158a6c5d1fb6bdd82d71f000869ebab295a968129cad7c9478baff75a3c74d",
     ("batch3.json", "srm"): "3a0b184f9ab7192c36e99b504fe49e43e54a068ba2639d9bdf45846695754dc6",
@@ -1470,13 +1484,8 @@ def test_run_pipeline_stub_answers_match_direct_solver():
 
 
 def test_run_pipeline_stub_answers_like_decide_on_random_theories():
-    rng = random.Random(31)
     contradictory = closed_world_changed = 0
-    for index in range(150):
-        kb = random_horn_kb(rng)
-        premises = [str(lit) for lit in sorted(kb.literals)] + [render_formula(rule) for rule in kb.rules]
-        query = ground_literal_queries(rng, kb, count=1)[0]
-        problem = Problem(id=f"horn-{index}", premises=tuple(premises), question=str(query))
+    for query, problem in _random_horn_problems(31, 150):
         labels = []
         for cwa in (False, True):
             result = run_pipeline(SolverStubBackend(), problem, PipelineConfig(cwa=cwa))
@@ -1486,6 +1495,28 @@ def test_run_pipeline_stub_answers_like_decide_on_random_theories():
             contradictory += chained.contradiction
         closed_world_changed += labels[0] != labels[1]
     assert contradictory and closed_world_changed
+
+
+def test_stub_derivations_cite_a_rule_their_step_uses():
+    # A derivation's rule is the statement id of the rule, the id space of a
+    # plan step's `uses`, so each one the stub writes is among its step's.
+    problems = [
+        Problem(id=instance.id, premises=instance.premises, question=instance.question)
+        for dataset in ("fig1b.json", "batch3.json")
+        for instance in load_dataset(DATA / dataset)
+    ]
+    problems += [problem for _, problem in _random_horn_problems(31, 150)]
+    modes = [PipelineConfig(), *TRANSCRIPT_CONFIGS.values(), PipelineConfig(cwa=True)]
+    cited = 0
+    for problem, config in [(p, config) for p in problems for config in modes]:
+        result = run_pipeline(SolverStubBackend(degrade_initial_plan=True), problem, config)
+        for trace in result.traces:
+            for record in trace.records:
+                uses = trace.plan.steps[record.step_id - 1].uses
+                for derivation in record.derivations:
+                    assert derivation.rule_id in uses, (problem.id, config, record.step_id, derivation)
+                    cited += 1
+    assert cited
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def make_kb(facts, rules, predicates, constants):
     return KnowledgeBase(
         table=table,
         literals=literals,
-        rules=tuple(parse_formula(r) for r in rules),
+        rules=tuple((i, parse_formula(r)) for i, r in enumerate(rules, start=len(facts) + 1)),
     )
 
 
@@ -236,7 +236,7 @@ def test_forward_chain_fires_in_rounds():
 def _with_idle_variable_and_stray_constant(kb):
     """`kb` with an outer quantified variable no literal mentions on every
     other rule, and a fact about a constant the table does not declare."""
-    rules = tuple(ForAll("w", rule) if i % 2 == 0 else rule for i, rule in enumerate(kb.rules))
+    rules = tuple((i, ForAll("w", rule) if n % 2 == 0 else rule) for n, (i, rule) in enumerate(kb.rules))
     name, arity = sorted(kb.table.predicates.items())[0]
     stray = Literal(True, name, ("zz",) * arity)
     return replace(kb, rules=rules, literals=kb.literals | {stray})
@@ -251,14 +251,16 @@ def test_fire_rounds_matches_the_reference_engine():
             kb = _with_idle_variable_and_stray_constant(kb)
         rules = rule_templates(kb)
         grounded = reference_ground_rules(kb)
-        idle += any(len(g.binding) > len(rules[g.rule_id - 1].used) for g in grounded)
+        used = {rule.rule_id: rule.used for rule in rules}
+        idle += any(len(g.binding) > len(used[g.rule_id]) for g in grounded)
         for cwa in (False, True):
             for cut in sorted({1, len(rules) // 2 + 1, len(rules)}):
                 # A prefix of the rules, then all of them on the same
                 # literals, as the stub's facts and rules steps resume.
                 got, want = set(kb.literals), set(kb.literals)
                 fired = fire_rounds(got, rules[:cut], kb.table.constants, cwa)
-                assert fired == reference_fire_rounds(want, [g for g in grounded if g.rule_id <= cut], cwa)
+                prefix = {rule.rule_id for rule in rules[:cut]}
+                assert fired == reference_fire_rounds(want, [g for g in grounded if g.rule_id in prefix], cwa)
                 assert got == want
                 fired_any += bool(fired)
                 more = fire_rounds(got, rules, kb.table.constants, cwa)
@@ -291,7 +293,7 @@ def test_forward_chain_joins_150_constants_quickly():
     kb = KnowledgeBase(
         table=SymbolTable(predicates=predicates, constants=frozenset(constants)),
         literals=frozenset(facts),
-        rules=tuple(parse_formula(rule) for rule in rules),
+        rules=tuple((i, parse_formula(rule)) for i, rule in enumerate(rules, start=len(facts) + 1)),
     )
     # Enumerating every binding would build 50 * 150 + 10 * 150 ** 2 ground
     # rules; the join touches only the matches.
