@@ -1,10 +1,11 @@
 """Text-generation backends for the pipeline stages.
 
 Three interchangeable implementations: a live HTTP chat-completions client,
-a scripted replay backend that serves recorded stage outputs from fixture
-files, and a deterministic stub that answers every stage by running the
-symbolic solver. All of them return raw text; the pipeline parses stage
-outputs the same way regardless of the backend.
+a scripted backend that replays the replies a traces file recorded, and a
+deterministic stub that answers every stage by running the symbolic solver.
+All of them return raw text; the pipeline parses stage outputs the same way
+regardless of the backend. The one reader of the traces format is here too,
+serving both the scripted backend and `proofplan trace`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from . import plan as planmod
 from . import solver as solvermod
-from .errors import SchemaError
+from .errors import JSON_ERRORS, SchemaError
 from .structured import RawContext, StructuredRepr
 
 __all__ = [
@@ -32,6 +33,8 @@ __all__ = [
     "LiveBackend",
     "ScriptedBackend",
     "SolverStubBackend",
+    "read_traces",
+    "record_replies",
 ]
 
 API_KEY_ENV = "PROOFPLAN_API_KEY"
@@ -47,7 +50,7 @@ class BackendError(Exception):
 class StageMeta:
     """Routing metadata attached to a stage call.
 
-    The scripted backend keys fixtures on (instance_id, stage, round). The
+    The scripted backend keys replies on (instance_id, stage, round). The
     `payload` holds the stage's typed inputs, which a backend that computes
     its answer (like the solver stub) reads directly: `premises` and
     `question` (translate), `context` (plan), `context`, `plan` and `cwa`
@@ -167,34 +170,66 @@ def _retry_after(response: Any, cap: float, default: float) -> float:
     return min(seconds, cap) if seconds >= 0 else default
 
 
+def read_traces(path: str | Path, read: Callable[[dict[str, Any]], Any]) -> Iterator[tuple[int, Any]]:
+    """(line number, `read(record)`) for each record of the traces file at `path`, as `eval --traces` and
+    `run --traces` write it. Lines are split on "\\n" only and blank ones skipped; a line that is not one
+    UTF-8 JSON object, or that `read` raises SchemaError for, raises ValueError `<path>:<line>: <reason>`."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                text = line.decode("utf-8")  # UnicodeDecodeError is a ValueError
+                if text.strip():
+                    doc = json.loads(text)
+                    if not isinstance(doc, dict):
+                        raise ValueError("expected a JSON object")
+                    yield number, read(doc)
+            except (*JSON_ERRORS, SchemaError) as err:
+                raise ValueError(f"{path}:{number}: {err}") from err
+
+
+def record_replies(doc: dict[str, Any]) -> list[tuple[tuple[str, str, int], str]]:
+    """The replies a traces record holds, each keyed (instance, stage, round): a failure record's
+    `replies`, in call order, or a round record's `raw`; SchemaError when one is not a string, or
+    its key is not a string instance and stage and an integer round."""
+    if "failure_kind" in doc:
+        entries = doc.get("replies")
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise SchemaError("/replies", "expected array of objects")
+        found = [(f"/replies/{i}/reply", e.get("stage"), e.get("round"), e.get("reply")) for i, e in enumerate(entries)]
+    elif isinstance(doc.get("raw"), dict):
+        found = [(f"/raw/{stage}", stage, doc.get("round"), reply) for stage, reply in doc["raw"].items()]
+    else:
+        raise SchemaError("/raw", "expected object")
+    for pointer, stage, round_, reply in found:
+        if not isinstance(reply, str):
+            raise SchemaError(pointer, "expected string")
+        if not (isinstance(doc.get("instance"), str) and isinstance(stage, str) and type(round_) is int):
+            raise SchemaError(pointer, "expected a string instance and stage and an integer round")
+    return [((doc.get("instance"), stage, round_), reply) for _, stage, round_, reply in found]
+
+
 class ScriptedBackend(Backend):
-    """Replays recorded stage outputs from a fixture directory.
+    """Replays a traces file as `eval --traces` and `run --traces` write it: each stage call gets the
+    reply recorded for its (instance, stage, round), and a call with none raises BackendError. A fault
+    in a line raises ValueError `<path>:<line>: <reason>`, and a second reply for one (instance,
+    stage, round) raises BackendError naming its line."""
 
-    Fixtures are text files named `<instance_id>__<stage>__<round>.txt`,
-    with `<stage>__<round>.txt` as an instance-agnostic fallback. A name
-    that leads outside the directory raises BackendError.
-    """
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        if not self.directory.is_dir():
-            raise BackendError(f"fixture directory not found: {self.directory}")
-        self._root = os.path.join(os.path.abspath(self.directory), "")
+    def __init__(self, path: str | Path):
+        self._replies: dict[tuple[str, str, int], str] = {}
+        for number, replies in read_traces(path, record_replies):
+            for key, reply in replies:
+                if key in self._replies:
+                    where = f"instance {key[0]!r}, stage {key[1]}, round {key[2]}"
+                    raise BackendError(f"{path}:{number}: a second reply for {where}")
+                self._replies[key] = reply
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
-        meta = params.meta
-        if meta is None:
-            raise BackendError("scripted backend needs stage metadata to pick a fixture")
-        names = [f"{meta.stage}__{meta.round}.txt"]
-        if meta.instance_id is not None:
-            names.insert(0, f"{meta.instance_id}__{meta.stage}__{meta.round}.txt")
-        for name in names:
-            path = self.directory / name
-            if not os.path.abspath(path).startswith(self._root):
-                raise BackendError(f"fixture name {name!r} leads outside {self.directory}")
-            if path.is_file():
-                return path.read_text(encoding="utf-8")
-        raise BackendError(f"no fixture for stage={meta.stage} round={meta.round} (tried {names})")
+        if params.meta is None:
+            raise BackendError("scripted backend needs stage metadata to pick a reply")
+        key = (params.meta.instance_id, params.meta.stage, params.meta.round)
+        if key not in self._replies:
+            raise BackendError(f"no recorded reply for instance {key[0]!r}, stage {key[1]}, round {key[2]}")
+        return self._replies[key]
 
 
 def _reply(doc: Any) -> str:

@@ -21,7 +21,8 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from . import plan as planmod
 from .backends import API_KEY_ENV, Backend, BackendError, LiveBackend, ScriptedBackend, SolverStubBackend
-from .errors import SchemaError
+from .backends import read_traces, record_replies
+from .errors import SchemaError, parse_json
 from .fol import parse_formula
 from .harness import HarnessConfig, compose_question, evaluate, file_sha256, load_dataset
 from .harness import _Deadline, _OutOfTime, report_to_doc, stratify_by_depth, trace_lines
@@ -120,7 +121,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_plan_validate(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.plan).read_text(encoding="utf-8"))
+        doc = parse_json(Path(args.plan).read_text(encoding="utf-8"))
         parsed = planmod.plan_from_json(doc)
     except planmod.CycleError as err:
         print(f"cycle: {err.cycle}")
@@ -149,7 +150,7 @@ def _make_backend(args: argparse.Namespace) -> Backend:
         if not args.base_url or not args.model:
             raise BackendError("live backend needs --base-url and --model")
         return LiveBackend(base_url=args.base_url, model=args.model, timeout_s=args.timeout_s)
-    raise BackendError(f"unknown backend {spec!r} (use live, scripted:<dir>, or solver-stub)")
+    raise BackendError(f"unknown backend {spec!r} (use live, scripted:<traces.jsonl>, or solver-stub)")
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -239,12 +240,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _record_lines(doc: dict[str, Any]) -> list[str]:
     """A traces record as `proofplan trace` prints it: a round's header and one line per step record,
-    or a failure record's kind and error and the stages that replied."""
+    or a failure record's kind and error and the stages that replied; SchemaError for a malformed one."""
     if "failure_kind" in doc:
-        replies = doc.get("replies")
-        if not isinstance(replies, list) or not all(isinstance(reply, dict) for reply in replies):
-            raise SchemaError("/replies", "expected array of objects")
-        replied = ", ".join(f"{reply.get('stage')} (round {reply.get('round')})" for reply in replies)
+        replied = ", ".join(f"{stage} (round {round_})" for (_, stage, round_), _ in record_replies(doc))
         return [f"instance {doc.get('instance')}: failed ({doc['failure_kind']}): {doc.get('error')}",
                 f"  replied: {replied or 'nothing'}"]
     entries = doc.get("records", [])
@@ -254,32 +252,22 @@ def _record_lines(doc: dict[str, Any]) -> list[str]:
     for record in (step_record_from_doc(entry, f"/records/{i}") for i, entry in enumerate(entries)):
         derived = ", ".join(str(lit) for lit in record.derived)
         lines.append(f"  step {record.step_id}: {record.text[:100]}" + (f" | derived: {derived}" if derived else ""))
+    record_replies(doc)
     return lines
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        handle = open(args.traces, "rb")  # lines are split on b"\n" only and decoded one by one
-    except OSError as err:
-        return _error(err)
+    def wanted(doc: dict[str, Any]) -> list[str]:
+        return _record_lines(doc) if not args.instance or doc.get("instance") == args.instance else []
+
     shown = 0
-    with handle:
-        for number, raw in enumerate(handle, 1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                doc: dict[str, Any] = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise ValueError("expected a JSON object")
-                if args.instance and doc.get("instance") != args.instance:
-                    continue
+    try:
+        for _, lines in read_traces(args.traces, wanted):
+            if lines:
                 shown += 1
-                lines = _record_lines(doc)
-            except (ValueError, RecursionError, SchemaError) as err:  # UnicodeDecodeError is a ValueError
-                print(f"error: {args.traces}:{number}: {err}", file=sys.stderr)
-                return 1
-            print("\n".join(lines))
+                print("\n".join(lines))
+    except (OSError, ValueError) as err:
+        return _error(err)
     if not shown:
         print("no matching trace records")
     return 0
@@ -326,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=cmd_plan_validate)
 
     def add_pipeline_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", default="solver-stub", help="live, scripted:<dir>, or solver-stub")
+        p.add_argument("--backend", default="solver-stub", help="live, solver-stub, or scripted:<traces.jsonl> (replays it)")
         p.add_argument("--model", default="", help="model name for the live backend")
         p.add_argument("--base-url", default="", help=f"live endpoint base URL (key from ${API_KEY_ENV})")
         p.add_argument("--format", default="tfu-json", choices=["tfu-json", "options-json"], help="dataset label form")

@@ -1,8 +1,14 @@
-"""The error every JSON document reader raises, and the one object check they share."""
+"""The error every JSON document reader raises, and the decoding and object checks they share."""
 
 from __future__ import annotations
 
+import json
 from typing import AbstractSet, Any
+
+# Deeply nested arrays or objects make the decoder recurse past the limit;
+# an integer past Python's digit limit raises a plain ValueError, of which
+# JSONDecodeError is a subclass.
+JSON_ERRORS = (ValueError, RecursionError)
 
 
 class SchemaError(Exception):
@@ -26,3 +32,11 @@ def check_object(doc: Any, pointer: str, keys: AbstractSet[str]) -> dict[str, An
     if not doc.keys() <= keys:
         raise SchemaError(f"{pointer}/{min(doc.keys() - keys)}", "unknown field")
     return doc
+
+
+def parse_json(text: str) -> Any:
+    """The JSON document `text` holds; SchemaError "not valid JSON" at the root when it holds none."""
+    try:
+        return json.loads(text)
+    except JSON_ERRORS as err:
+        raise SchemaError("", f"not valid JSON: {err}") from err

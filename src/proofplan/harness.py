@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .backends import Backend, BackendError, GenerationParams
-from .errors import SchemaError
+from .errors import SchemaError, parse_json
 from .pipeline import (
     OPTION_LETTERS,
     PipelineConfig,
@@ -164,10 +164,7 @@ def load_dataset(path: str | Path, format: str = "tfu-json") -> list[Instance]:
     if format not in ("tfu-json", "options-json"):
         raise ValueError(f"unknown dataset format {format!r}")
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError("", f"not valid JSON: {err}") from err
+    data = parse_json(path.read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise SchemaError("", "expected a top-level array of instances")
     instances: list[Instance] = []

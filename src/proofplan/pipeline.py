@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping
 from . import plan as planmod
 from . import solver as solvermod
 from .backends import Backend, GenerationParams, StageMeta
-from .errors import SchemaError, check_object
+from .errors import JSON_ERRORS, SchemaError, check_object
 from .plan import Plan
 from .solver import Literal, StepRecord, Verdict, step_record_from_doc
 from .structured import RawContext, StructuredRepr, doc_to_repr
@@ -156,10 +156,6 @@ def render_prompt(template: str, values: Mapping[str, str]) -> str:
 # Only blanks, not newlines, may follow the info string, so a long run of
 # newlines after an opener is not rescanned from every position.
 _FENCE_RE = re.compile(r"```[a-zA-Z]*[^\S\n]*\n(.*?)```", re.DOTALL)
-# Deeply nested arrays or objects make the decoder recurse past the limit;
-# an integer past Python's digit limit raises a plain ValueError, of which
-# JSONDecodeError is a subclass.
-_JSON_ERRORS = (ValueError, RecursionError)
 
 
 def extract_json(text: str, stage: str) -> Any:
@@ -167,13 +163,12 @@ def extract_json(text: str, stage: str) -> Any:
     for match in _FENCE_RE.finditer(text):
         try:
             return json.loads(match.group(1))
-        except _JSON_ERRORS:
+        except JSON_ERRORS:
             continue
     try:
         return json.loads(text)
-    except _JSON_ERRORS:
-        pass
-    raise StageParseError(stage, "no well-formed JSON object in the reply")
+    except JSON_ERRORS:
+        raise StageParseError(stage, "no well-formed JSON object in the reply") from None
 
 
 def _parse_reply(stage: str, read: Callable[..., Any], *args: Any) -> Any:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from . import solver as solvermod
-from .errors import SchemaError, check_object
+from .errors import SchemaError, check_object, parse_json
 from .fol import (
     Atom,
     Constant,
@@ -315,8 +315,4 @@ def deserialize_repr(data: bytes | str) -> StructuredRepr:
     """Parse the JSON document form, as `StructuredRepr.text` holds it, in text or UTF-8 bytes."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as err:
-        raise SchemaError("", f"not valid JSON: {err}") from err
-    return doc_to_repr(doc)
+    return doc_to_repr(parse_json(data))

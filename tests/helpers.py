@@ -82,21 +82,10 @@ def recorder(backend) -> _Deadline:
     return _Deadline(backend, math.inf)
 
 
-class ReplayBackend:
-    """Serves each stage call the reply a traces file recorded for it: `raw[stage]`
-    of the trace line with the call's instance and round. A traces file that is a
-    complete transcript serves every call a run on the same dataset makes."""
-
-    def __init__(self, lines: str):
-        self.replies = {}
-        for line in lines.splitlines():
-            doc = json.loads(line)
-            for stage, reply in doc["raw"].items():
-                self.replies[doc["instance"], stage, doc["round"]] = reply
-
-    def complete(self, prompt, params):
-        meta = params.meta
-        return self.replies[meta.instance_id, meta.stage, meta.round]
+def write_traces(path, *records):
+    """`path`, holding `records` as a traces file does, one JSON line each."""
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    return path
 
 
 class CountingStub(SolverStubBackend):

@@ -276,7 +276,7 @@ def test_criterion_4_bundled_instances():
 def test_criterion_5_scripted_end_to_end_replay():
     with criterion("criterion-5 scripted end-to-end replay"):
         started = time.perf_counter()
-        backend = recorder(ScriptedBackend(FIXTURES / "scripted"))
+        backend = recorder(ScriptedBackend(FIXTURES / "walkthrough.jsonl"))
         problem = Problem(
             id="walkthrough",
             premises=("Humans are mammals.", "Mammals are animals.", "Tom is a human."),
@@ -289,7 +289,7 @@ def test_criterion_5_scripted_end_to_end_replay():
         assert revised.size == 4
         assert revised.matrix == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
 
-        again = recorder(ScriptedBackend(FIXTURES / "scripted"))
+        again = recorder(ScriptedBackend(FIXTURES / "walkthrough.jsonl"))
         second = run_pipeline(again, problem)
         blob_a = "\n".join(
             json.dumps(trace_to_doc(t, problem.id, backend.replies), ensure_ascii=False) for t in result.traces
@@ -332,7 +332,7 @@ def test_criterion_6_replanning_repairs_premature_termination():
 def test_criterion_7_strict_scoring_rule():
     with criterion("criterion-7 strict scoring counts format failures"):
         instances = load_dataset(DATA / "batch3.json")
-        backend = ScriptedBackend(FIXTURES / "batch3")
+        backend = ScriptedBackend(FIXTURES / "batch3.jsonl")
         config = HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0))
         report = evaluate(instances, backend, config)
         broken = next(r for r in report.records if r.id == "b3")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import plan_from_matrix
+from helpers import plan_from_matrix, write_traces
 from proofplan.backends import (
     API_KEY_ENV,
     BackendError,
@@ -127,38 +127,56 @@ def test_live_backend_rejects_malformed_payload(monkeypatch):
         backend.complete("p", params())
 
 
-def test_scripted_backend_lookup_and_fallback(tmp_path):
-    (tmp_path / "abc__solve__0.txt").write_text("specific", encoding="utf-8")
-    (tmp_path / "plan__0.txt").write_text("generic", encoding="utf-8")
-    backend = ScriptedBackend(tmp_path)
-    meta = StageMeta(stage="solve", round=0, instance_id="abc")
-    assert backend.complete("p", GenerationParams(meta=meta)) == "specific"
-    meta2 = StageMeta(stage="plan", round=0, instance_id="abc")
-    assert backend.complete("p", GenerationParams(meta=meta2)) == "generic"
-    with pytest.raises(BackendError):
-        backend.complete("p", GenerationParams(meta=StageMeta(stage="replan", round=1)))
-    with pytest.raises(BackendError):
+def _call(backend, instance_id, stage, round):
+    return backend.complete("p", GenerationParams(meta=StageMeta(stage=stage, round=round, instance_id=instance_id)))
+
+
+def test_scripted_backend_replays_round_and_failure_records(tmp_path):
+    traces = write_traces(
+        tmp_path / "t.jsonl",
+        {"instance": "a", "round": 0, "raw": {"plan": "a plan", "translate": "a translation"}},
+        {"instance": "a", "round": 1, "raw": {"replan": "a revision"}},
+        {"instance": "b", "failure_kind": "format", "error": "e", "replies": [
+            {"round": 0, "stage": "translate", "reply": "b translation"}, {"round": 0, "stage": "plan", "reply": "{"}]},
+    )
+    backend = ScriptedBackend(traces)
+    assert _call(backend, "a", "translate", 0) == "a translation"
+    assert _call(backend, "a", "plan", 0) == "a plan"
+    assert _call(backend, "a", "replan", 1) == "a revision"
+    assert _call(backend, "b", "translate", 0) == "b translation"
+    assert _call(backend, "b", "plan", 0) == "{"
+    with pytest.raises(BackendError, match="metadata"):
         backend.complete("p", GenerationParams())
 
 
-@pytest.mark.parametrize("where", ["relative", "absolute"])
-def test_scripted_backend_keeps_lookups_inside_its_directory(tmp_path, where):
-    fixtures = tmp_path / "fixtures"
-    fixtures.mkdir()
-    (fixtures / "translate__0.txt").write_text("generic", encoding="utf-8")
-    outside = tmp_path / "outside"
-    outside.mkdir()
-    (outside / "leak__translate__0.txt").write_text("secret", encoding="utf-8")
-    instance_id = "../outside/leak" if where == "relative" else str(outside / "leak")
-    backend = ScriptedBackend(fixtures)
-    meta = StageMeta(stage="translate", round=0, instance_id=instance_id)
-    with pytest.raises(BackendError, match="outside"):
-        backend.complete("p", GenerationParams(meta=meta))
+def test_scripted_backend_replays_a_reply_byte_for_byte(tmp_path):
+    # U+2028, U+0085 and a lone CR end a line for str.splitlines, but not inside a traces line
+    reply = "line\u2028sep\u0085next\rcr\r\nend \u00e9\U0001F600"
+    traces = write_traces(tmp_path / "t.jsonl", {"instance": "a", "round": 0, "raw": {"solve": reply}})
+    assert "\u2028" in traces.read_text(encoding="utf-8")  # written unescaped, as ensure_ascii=False leaves it
+    assert _call(ScriptedBackend(traces), "a", "solve", 0) == reply
 
 
-def test_scripted_backend_missing_directory():
-    with pytest.raises(BackendError):
-        ScriptedBackend("/nonexistent/fixtures")
+@pytest.mark.parametrize("instance_id, stage, round", [("b", "solve", 0), ("a", "solve", 1), ("a", "plan", 0)])
+def test_scripted_backend_names_a_call_it_has_no_reply_for(tmp_path, instance_id, stage, round):
+    traces = write_traces(tmp_path / "t.jsonl", {"instance": "a", "round": 0, "raw": {"solve": "x"}})
+    expected = f"no recorded reply for instance '{instance_id}', stage {stage}, round {round}"
+    with pytest.raises(BackendError, match=f"^{expected}$"):
+        _call(ScriptedBackend(traces), instance_id, stage, round)
+
+
+def test_scripted_backend_refuses_a_second_reply_for_one_call(tmp_path):
+    failed = {"instance": "a", "failure_kind": "backend", "error": "e", "replies": [
+        {"round": 0, "stage": "solve", "reply": "y"}]}
+    recorded = [{"instance": i, "round": 0, "raw": {"solve": "x"}} for i in "ab"]
+    traces = write_traces(tmp_path / "t.jsonl", *recorded, failed)
+    with pytest.raises(BackendError, match=f"^{traces}:3: a second reply for instance 'a', stage solve, round 0$"):
+        ScriptedBackend(traces)
+
+
+def test_scripted_backend_missing_file(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        ScriptedBackend(tmp_path / "missing.jsonl")
 
 
 def test_solver_stub_translate_passes_formula_text_through():

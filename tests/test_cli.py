@@ -226,7 +226,7 @@ def test_eval_scripted_batch(tmp_path, capsys):
             "eval",
             str(DATA / "batch3.json"),
             "--backend",
-            f"scripted:{FIXTURES / 'batch3'}",
+            f"scripted:{FIXTURES / 'batch3.jsonl'}",
             "--max-replan-rounds",
             "0",
             "--out",
@@ -250,7 +250,7 @@ def test_eval_reproducible_with_scripted_backend(tmp_path):
         "eval",
         str(DATA / "batch3.json"),
         "--backend",
-        f"scripted:{FIXTURES / 'batch3'}",
+        f"scripted:{FIXTURES / 'batch3.jsonl'}",
         "--max-replan-rounds",
         "0",
     ]
@@ -371,7 +371,7 @@ def test_trace_inspection(tmp_path, capsys):
 
 def test_trace_reports_malformed_line(tmp_path, capsys):
     traces = tmp_path / "t.jsonl"
-    traces.write_text('{"instance": "a", "round": 0, "provisional": "T", "records": []}\nnot json\n')
+    traces.write_text('{"instance": "a", "round": 0, "provisional": "T", "records": [], "raw": {}}\nnot json\n')
     assert main(["trace", str(traces)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traces}:2: ") and "Traceback" not in err
@@ -389,14 +389,14 @@ def test_trace_reports_wrong_shaped_records(tmp_path, capsys, line):
 def test_trace_reads_a_one_letter_constant(tmp_path, capsys):
     traces = tmp_path / "t.jsonl"
     record = {"step": 1, "note": "apply", "derived": ["P(a)", "¬Q(a, bob)"]}
-    traces.write_text(json.dumps({"instance": "a", "round": 0, "records": [record]}) + "\n", encoding="utf-8")
+    traces.write_text(json.dumps({"instance": "a", "round": 0, "records": [record], "raw": {}}) + "\n", encoding="utf-8")
     assert main(["trace", str(traces)]) == 0
     assert "  step 1: apply | derived: P(a), ¬Q(a, bob)\n" in capsys.readouterr().out
 
 
 def test_trace_coerces_a_record_note_to_text(tmp_path, capsys):
     traces = tmp_path / "t.jsonl"
-    traces.write_text('{"instance": "a", "records": [{"note": 5}]}\n')
+    traces.write_text('{"instance": "a", "records": [{"note": 5}], "raw": {}}\n')
     assert main(["trace", str(traces)]) == 0
     assert "  step 0: 5\n" in capsys.readouterr().out
 
@@ -442,7 +442,7 @@ def test_run_index_past_the_dataset_is_an_error(capsys):
 
 def test_trace_reports_a_line_that_is_not_utf8(tmp_path, capsys):
     traces = tmp_path / "t.jsonl"
-    traces.write_bytes(b'{"instance":"a","records":[]}\n\xff\n')
+    traces.write_bytes(b'{"instance":"a","records":[],"raw":{}}\n\xff\n')
     assert main(["trace", str(traces)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traces}:2: ") and "utf-8" in err and "Traceback" not in err
@@ -451,7 +451,7 @@ def test_trace_reports_a_line_that_is_not_utf8(tmp_path, capsys):
 def test_trace_splits_lines_on_newline_only(tmp_path, capsys):
     # json.dumps(..., ensure_ascii=False) leaves U+2028 unescaped inside a string
     traces = tmp_path / "t.jsonl"
-    doc = {"instance": "a", "round": 0, "provisional": "T", "records": [{"step": 1, "note": "x\u2028y"}]}
+    doc = {"instance": "a", "round": 0, "provisional": "T", "records": [{"step": 1, "note": "x\u2028y"}], "raw": {}}
     traces.write_text(json.dumps(doc, ensure_ascii=False) + "\r\n\n", encoding="utf-8")
     assert main(["trace", str(traces)]) == 0
     assert capsys.readouterr().out == "instance a round 0: provisional T\n  step 1: x\u2028y\n"
@@ -563,23 +563,23 @@ def test_eval_traces_file_holds_a_failure_record_per_failed_instance(tmp_path):
 
 
 def _batch3_scripted(command, traces, *extra):
-    argv = [command, str(DATA / "batch3.json"), "--backend", f"scripted:{FIXTURES / 'batch3'}", *extra]
+    argv = [command, str(DATA / "batch3.json"), "--backend", f"scripted:{FIXTURES / 'batch3.jsonl'}", *extra]
     with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
         return main(argv + ["--traces", str(traces)])
 
 
 def test_eval_writes_what_each_failed_instance_received(tmp_path):
-    # one replan round is the default, and the fixtures hold no replan reply
+    # one replan round is the default, and the fixture holds no replan reply
     traces = tmp_path / "t.jsonl"
     assert _batch3_scripted("eval", traces) == 0
     docs = {d["instance"]: d for d in map(json.loads, traces.read_text(encoding="utf-8").splitlines())}
     assert {i: d["failure_kind"] for i, d in docs.items()} == {"b1": "backend", "b2": "backend", "b3": "format"}
     b3 = docs["b3"]
     assert b3["error"] == "solve stage: /Final answer: missing field"
-    solve = (FIXTURES / "batch3" / "b3__solve__0.txt").read_text(encoding="utf-8")
-    assert b3["replies"][-1] == {"round": 0, "stage": "solve", "reply": solve}
+    recorded = [json.loads(line) for line in (FIXTURES / "batch3.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert b3["replies"] == recorded[2]["replies"]
     assert [(r["round"], r["stage"]) for r in b3["replies"]] == [(0, "translate"), (0, "plan"), (0, "solve")]
-    assert docs["b1"]["error"].startswith("no fixture for stage=replan round=1")
+    assert docs["b1"]["error"] == "no recorded reply for instance 'b1', stage replan, round 1"
     # the same run at --concurrency 1 writes the same bytes
     again = tmp_path / "again.jsonl"
     assert _batch3_scripted("eval", again, "--concurrency", "1") == 0
@@ -691,3 +691,66 @@ def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
         os.umask(previous)
     assert stat.S_IMODE(out.stat().st_mode) == mode
     assert stat.S_IMODE(traces.stat().st_mode) == mode
+
+
+_GOOD_RECORD = b'{"instance": "b1", "round": 0, "raw": {"translate": "{}"}}\n'
+
+
+def _reading_traces(command, traces):
+    """The argv of `eval` replaying `traces`, or of `trace` showing it."""
+    if command == "eval":
+        return ["eval", str(DATA / "batch3.json"), "--backend", f"scripted:{traces}"]
+    return ["trace", str(traces)]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"\xff\n",
+        b"not json\n",
+        b"[" * 100000 + b"\n",
+        b"[1]\n",
+        b'{"instance": "b1", "round": 1, "records": []}\n',
+        b'{"instance": "b1", "failure_kind": "format", "error": "e"}\n',
+        b'{"instance": "b1", "round": 1, "raw": {"replan": 5}}\n',
+        b'{"instance": "b1", "failure_kind": "format", "error": "e", "replies": [{"round": 1, "stage": "replan"}]}\n',
+        b'{"instance": ["b1"], "round": 1, "raw": {"replan": "{}"}}\n',
+        b'{"instance": "b1", "failure_kind": "format", "error": "e",'
+        b' "replies": [{"round": [1], "stage": "replan", "reply": "{}"}]}\n',
+    ],
+    ids=["not-utf8", "not-json", "nested", "not-object", "no-raw", "no-replies", "raw-not-string", "reply-missing",
+         "instance-not-string", "round-not-integer"],
+)
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_a_fault_in_a_traces_line_is_one_error_naming_the_line(tmp_path, capsys, command, line):
+    traces = tmp_path / "t.jsonl"
+    traces.write_bytes(_GOOD_RECORD + line)
+    assert main(_reading_traces(command, traces)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traces}:2: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_a_missing_traces_file_is_one_error_naming_it(tmp_path, capsys, command):
+    traces = str(tmp_path / "missing.jsonl")
+    assert main(_reading_traces(command, traces)) == 1
+    assert capsys.readouterr().err == f"error: {traces}: No such file or directory\n"
+
+
+_UNDECODABLE = {
+    "nested": "[" * 100000,
+    "digits": "[" + "1" * 5000 + "]",  # past the digit limit where Python has one
+}
+
+
+@pytest.mark.parametrize("text", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("command", ["eval", "prove", "plan-validate"])
+def test_undecodable_json_input_is_not_valid_json(tmp_path, capsys, command, text):
+    if text == "digits" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    path = tmp_path / "input.json"
+    # `prove` reads a file as document JSON when it starts with "{"
+    path.write_text(('{"Premises": ' if command == "prove" else "") + _UNDECODABLE[text], encoding="utf-8")
+    assert main([command, str(path), *(["-q", "P(a)"] if command == "prove" else [])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /: not valid JSON: ") and err.count("\n") == 1 and "Traceback" not in err

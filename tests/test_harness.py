@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CountingStub, ReplayBackend, random_formula, random_horn_kb
+from helpers import CountingStub, random_formula, random_horn_kb, write_traces
 from proofplan.backends import API_KEY_ENV, LiveBackend, ScriptedBackend, SolverStubBackend
 from proofplan.errors import SchemaError
 from proofplan.harness import (
@@ -64,29 +64,15 @@ def test_evaluate_classifies_cyclic_plan_failure(tmp_path):
         json.dumps([{"id": "c1", "premises": ["P(tom)"], "question": "P(tom)", "answer": "T"}]),
         encoding="utf-8",
     )
-    fixtures = tmp_path / "fx"
-    fixtures.mkdir()
-    (fixtures / "c1__translate__0.txt").write_text(
-        json.dumps(
-            {
-                "Premises": [{"statement": "P(tom)", "symbol": "P(tom)"}],
-                "Proposition": [{"statement": "P(tom)", "symbol": "P(tom)"}],
-            }
-        ),
-        encoding="utf-8",
-    )
-    (fixtures / "c1__plan__0.txt").write_text(
-        json.dumps(
-            {
-                "Plan": {"1": {"content": "a"}, "2": {"content": "b"}},
-                "Matrix": [[0, 1], [1, 0]],
-            }
-        ),
-        encoding="utf-8",
-    )
+    translate = {
+        "Premises": [{"statement": "P(tom)", "symbol": "P(tom)"}],
+        "Proposition": [{"statement": "P(tom)", "symbol": "P(tom)"}],
+    }
+    plan = {"Plan": {"1": {"content": "a"}, "2": {"content": "b"}}, "Matrix": [[0, 1], [1, 0]]}
+    raw = {"translate": json.dumps(translate), "plan": json.dumps(plan)}
     report = evaluate(
         load_dataset(dataset),
-        ScriptedBackend(fixtures),
+        ScriptedBackend(write_traces(tmp_path / "t.jsonl", {"instance": "c1", "round": 0, "raw": raw})),
         HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0)),
     )
     assert report.records[0].failure_kind == "cycle"
@@ -129,7 +115,7 @@ def test_load_dataset_rejects_an_instance_without_premises(tmp_path, entry, poin
 
 @pytest.mark.parametrize("first, again", [("a", "a"), (1, "1")])
 def test_load_dataset_rejects_a_duplicate_id(tmp_path, first, again):
-    # traces, failure records, `run --id` and scripted fixtures all key on the id
+    # traces, failure records, `run --id` and the scripted backend all key on the id
     path = tmp_path / "d.json"
     entries = [{"id": i, "premises": ["P(a)"], "question": "P(a)", "answer": "T"} for i in (first, "b", again)]
     path.write_text(json.dumps(entries), encoding="utf-8")
@@ -200,7 +186,7 @@ def test_evaluate_with_solver_stub_on_bundled_files():
 
 def test_evaluate_scores_missing_final_answer_as_format_failure():
     instances = load_dataset(DATA / "batch3.json")
-    backend = ScriptedBackend(FIXTURES / "batch3")
+    backend = ScriptedBackend(FIXTURES / "batch3.jsonl")
     config = HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0))
     report = evaluate(instances, backend, config)
     assert report.total == 3
@@ -213,7 +199,7 @@ def test_evaluate_scores_missing_final_answer_as_format_failure():
 
 def test_evaluate_order_and_concurrency_invariance():
     instances = load_dataset(DATA / "batch3.json")
-    backend = ScriptedBackend(FIXTURES / "batch3")
+    backend = ScriptedBackend(FIXTURES / "batch3.jsonl")
     config1 = HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0), concurrency=1)
     config3 = HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0), concurrency=3)
     direct = evaluate(instances, backend, config1)
@@ -384,15 +370,14 @@ def test_a_failing_trace_sink_cancels_instances_not_yet_started():
     ],
     ids=["batch3-degraded-3-rounds", "fig1b-mp"],
 )
-def test_a_traces_file_is_a_complete_transcript(dataset, stub, config):
-    # a backend that knows nothing but the traces file's `raw` replies reproduces the file byte for byte
+def test_a_traces_file_is_a_complete_transcript(dataset, stub, config, tmp_path):
+    # the scripted backend, knowing nothing but the replies in the traces file, reproduces the file byte for byte
     instances = load_dataset(DATA / dataset)
     harness = HarnessConfig(pipeline=config, concurrency=1)
     recorded, replayed = [], []
-    reports = [
-        evaluate(instances, stub, harness, recorded.append),
-        evaluate(instances, ReplayBackend("".join(recorded)), harness, replayed.append),
-    ]
+    reports = [evaluate(instances, stub, harness, recorded.append)]
+    (tmp_path / "t.jsonl").write_text("".join(recorded), encoding="utf-8")
+    reports.append(evaluate(instances, ScriptedBackend(tmp_path / "t.jsonl"), harness, replayed.append))
     assert "".join(replayed).encode("utf-8") == "".join(recorded).encode("utf-8")
     first, second = ([(r.predicted, r.failure_kind, r.rounds_used) for r in rep.records] for rep in reports)
     assert first == second and all(kind in (None, "wrong-label") for _, kind, _ in first)
@@ -476,7 +461,7 @@ def test_unknown_step_kinds_and_edit_ops_score_format(stage, reply, pointer):
 
 def test_stratify_by_depth():
     instances = load_dataset(DATA / "batch3.json")
-    backend = ScriptedBackend(FIXTURES / "batch3")
+    backend = ScriptedBackend(FIXTURES / "batch3.jsonl")
     config = HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0))
     report = evaluate(instances, backend, config)
     table = stratify_by_depth(report)
@@ -510,7 +495,7 @@ def test_report_doc_shape_and_fingerprint_stability():
 def test_report_records_list_the_instance_record_fields_in_order():
     instances = load_dataset(DATA / "batch3.json")
     config = HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0))
-    report = evaluate(instances, ScriptedBackend(FIXTURES / "batch3"), config)
+    report = evaluate(instances, ScriptedBackend(FIXTURES / "batch3.jsonl"), config)
     names = [f.name for f in dataclasses.fields(InstanceRecord)]
     for record, entry in zip(report.records, report_to_doc(report)["records"], strict=True):
         assert list(entry) == names
@@ -533,35 +518,21 @@ def test_option_letter_scoring(tmp_path):
         ),
         encoding="utf-8",
     )
-    fixtures = tmp_path / "fx"
-    fixtures.mkdir()
-    (fixtures / "q1__translate__0.txt").write_text(
-        json.dumps(
-            {
-                "Premises": [
-                    {"statement": "Ann finished before Bob.", "symbol": "Before(ann, bob)"},
-                    {"statement": "Bob finished before Cid.", "symbol": "Before(bob, cid)"},
-                ],
-                "Proposition": [{"statement": "Who finished last?", "symbol": "Last(cid)"}],
-            }
-        ),
-        encoding="utf-8",
-    )
-    (fixtures / "q1__plan__0.txt").write_text(
-        json.dumps(
-            {
-                "Plan": {"1": {"content": "Order the runners."}, "2": {"content": "Pick the option."}},
-                "Matrix": [[0, 1], [0, 0]],
-            }
-        ),
-        encoding="utf-8",
-    )
-    (fixtures / "q1__solve__0.txt").write_text(
-        json.dumps({"Execution log": "Ann, Bob, Cid in order; Cid is last.", "Final answer": "(C)"}),
-        encoding="utf-8",
-    )
+    translate = {
+        "Premises": [
+            {"statement": "Ann finished before Bob.", "symbol": "Before(ann, bob)"},
+            {"statement": "Bob finished before Cid.", "symbol": "Before(bob, cid)"},
+        ],
+        "Proposition": [{"statement": "Who finished last?", "symbol": "Last(cid)"}],
+    }
+    plan = {
+        "Plan": {"1": {"content": "Order the runners."}, "2": {"content": "Pick the option."}},
+        "Matrix": [[0, 1], [0, 0]],
+    }
+    solve = {"Execution log": "Ann, Bob, Cid in order; Cid is last.", "Final answer": "(C)"}
+    raw = {"translate": json.dumps(translate), "plan": json.dumps(plan), "solve": json.dumps(solve)}
     instances = load_dataset(dataset, format="options-json")
-    backend = ScriptedBackend(fixtures)
+    backend = ScriptedBackend(write_traces(tmp_path / "t.jsonl", {"instance": "q1", "round": 0, "raw": raw}))
     report = evaluate(instances, backend, HarnessConfig(pipeline=PipelineConfig(max_replan_rounds=0)))
     assert report.records[0].predicted == "C"
     assert report.records[0].correct

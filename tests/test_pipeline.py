@@ -86,7 +86,7 @@ WALKTHROUGH = Problem(
 
 
 def scripted():
-    return ScriptedBackend(FIXTURES / "scripted")
+    return ScriptedBackend(FIXTURES / "walkthrough.jsonl")
 
 
 def fig1b_problem():

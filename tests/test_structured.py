@@ -245,8 +245,9 @@ def test_warnings_match_reference_validator_on_bundled_instances():
     checked = 0
     for path in sorted(DATA.glob("*.json")):
         for instance in load_dataset(path):
-            scripted = [d for d in FIXTURES.iterdir() if (d / f"{instance.id}__translate__0.txt").is_file()]
-            backend = ScriptedBackend(scripted[0]) if scripted else SolverStubBackend()
+            # a dataset's recorded replies, if any, are in the traces file of its name
+            scripted = FIXTURES / f"{path.stem}.jsonl"
+            backend = ScriptedBackend(scripted) if scripted.is_file() else SolverStubBackend()
             problem = Problem(id=instance.id, premises=instance.premises, question=instance.question)
             r = translate_stage(backend, problem)
             assert r.warnings == formatted_findings(reference_validate_static(r, r.table))
