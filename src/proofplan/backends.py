@@ -246,10 +246,10 @@ class SolverStubBackend(Backend):
     With `degrade_initial_plan` the first plan leaves out the rules step,
     which reproduces the early-stop failure the replanner is meant to repair
     (its replan stage always returns the full plan). Execution reads only
-    the plan's data: the plan's judgment step runs `decide` over the derived
-    literals, and every other step asserts the facts it cites and then fires
-    the rules it cites to their fixpoint with the solver's `fire_rounds`
-    (with the closed-world phase when the solve payload's `cwa` is set). The
+    the plan's data and keeps one literal index: each non-judgment step adds
+    the facts it cites and fires the rules it cites on it to their fixpoint
+    (`fire_rounds`, closed-world too when the payload's `cwa` is set), and the
+    judgment runs `decide` over what the log's records derived. The
     rules are decomposed once per instance: the context keeps its knowledge
     base and rule templates for the next call and for `diagnose`, and a raw
     context keeps the representation its text decodes to. Each solve call
@@ -330,20 +330,20 @@ class SolverStubBackend(Backend):
         if plan.judgment is None or not context.questions:
             raise BackendError("solver stub needs a plan with steps and a question to adjudicate")
         facts = {s.id: solvermod.literal_from_formula(s.symbol) for s in context.facts}
-        literals: set[solvermod.Literal] = set()
+        index = solvermod.index_literals(())  # the execution's one store of known literals
         log: list[solvermod.StepRecord] = []
 
         for step_id in plan.order:
             step = plan.steps[step_id - 1]
-            if step_id == plan.judgment:  # `decide` against the literals the steps so far derived, no rule left
-                theory = solvermod.KnowledgeBase(context.kb.table, literals, ())
+            if step_id == plan.judgment:  # `decide` against what the log so far derived, no rule left
+                theory = solvermod.KnowledgeBase(context.kb.table, {lit for r in log for lit in r.derived}, ())
                 answer = solvermod.decide(theory, context.questions[0].symbol).label
                 log.append(solvermod.StepRecord(step_id, f"{step.content} -> {answer}"))
                 continue
             asserted = sorted({facts[i] for i in step.uses if i in facts})
-            literals.update(asserted)
+            solvermod.index_literals(asserted, index)
             cited = [rule for rule in context.templates if rule.rule_id in step.uses]
-            fired = solvermod.fire_rounds(literals, cited, domain, cwa) if cited else []
+            fired = solvermod.fire_rounds(index, cited, domain, cwa) if cited else []
             derived = (*asserted, *(g.conclusion for g in fired))
             log.append(solvermod.StepRecord(step_id, step.content, derived=derived, derivations=tuple(fired)))
 

@@ -340,11 +340,11 @@ def diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
     available: set[Literal] = set(kb.literals) if kb is not None else set()
     seen: set[Literal] = set()  # what earlier records derived
     judgment_id = trace.plan.judgment
-    judgment: tuple[int, set[Literal]] | None = None  # the first judgment record, and what was known then
+    judgment: tuple[int, dict] | None = None  # the first judgment record, and the index of what was known then
     for record in trace.records:
         if rules is not None:
             if judgment is None and record.step_id == judgment_id:
-                judgment = (record.step_id, set(available))
+                judgment = (record.step_id, solvermod.index_literals(available))
             # rule misuse and missing prerequisites, per derivation
             for derivation in record.derivations:
                 rule = by_id.get(derivation.rule_id)

@@ -12,9 +12,10 @@ Forward chaining fires them in rounds, semi-naively, to a least fixpoint with
 full derivation records: each round joins rule bodies against the known
 literals, indexed by polarity and predicate, and after round one only
 bindings that use a literal the round before derived are tried. Nothing
-enumerates every binding over the declared constants. `fire_rounds` is the one
-loop that fires rules, shared by `forward_chain`, the solver stub backend and
-the pipeline's diagnosis; `decide` always judges against `forward_chain`.
+enumerates every binding over the declared constants. `fire_rounds`, the one
+loop that fires rules (in `forward_chain`, the solver stub and `diagnose`),
+extends its caller's literal index (`index_literals`) in place, so firing step
+by step keeps one store; `decide` always judges against `forward_chain`.
 
 `brute_force_entails` is the independent semantic oracle: it enumerates every
 truth assignment of the ground atoms that occur in the grounded theory and
@@ -62,6 +63,7 @@ __all__ = [
     "TooManyAtoms",
     "RuleTemplate",
     "rule_templates",
+    "index_literals",
     "fire_rounds",
     "forward_chain",
     "decide",
@@ -181,8 +183,8 @@ def step_record_from_doc(
     Missing fields take their defaults (`default_step` for the step id), and
     a shape error raises SchemaError with a pointer below `pointer`. Literal
     strings already in `literals` are not parsed again, and newly parsed ones
-    are added, so all the replies of one instance can share a dict (the
-    pipeline's literal table).
+    are added, so the records of one reply share a dict; the pipeline gives
+    each reply's decode a new one (`pipeline._literal_table`).
     """
     if isinstance(doc, str):
         return StepRecord(step_id=default_step, text=doc)
@@ -286,7 +288,7 @@ def kb_from_repr(repr_: StructuredRepr) -> KnowledgeBase:
 
 # Literal template argument: (is_variable, name).
 _TemplateArgs = tuple[tuple[bool, str], ...]
-# Known literals by (polarity, predicate, arity): their argument tuples.
+# Known literals by (polarity, predicate, arity): their argument tuples (`index_literals`).
 _Index = dict[tuple[bool, str, int], set[tuple[str, ...]]]
 _NONE: frozenset[tuple[str, ...]] = frozenset()
 
@@ -422,9 +424,9 @@ def rule_templates(kb: KnowledgeBase) -> tuple[RuleTemplate, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _index(literals: Iterable[Literal], index: _Index | None = None) -> _Index:
-    """Argument tuples of `literals` by (polarity, predicate, arity), added to `index`."""
-    index = {} if index is None else index
+def index_literals(literals: Iterable[Literal], into: _Index | None = None) -> _Index:
+    """Argument tuples of `literals` by (polarity, predicate, arity), added to `into` (a new index when None)."""
+    index = {} if into is None else into
     for lit in literals:
         index.setdefault((lit.positive, lit.predicate, len(lit.args)), set()).add(lit.args)
     return index
@@ -489,9 +491,9 @@ def _matches(
 
 
 def fire_rounds(
-    literals: set[Literal], rules: Sequence[RuleTemplate], domain: Collection[str], cwa: bool = False
+    index: _Index, rules: Sequence[RuleTemplate], domain: Collection[str], cwa: bool = False
 ) -> list[GroundRule]:
-    """Fire `rules`, with variables over `domain`, in rounds, adding each conclusion to `literals`.
+    """Fire `rules`, with variables over `domain`, in rounds, adding each conclusion to `index` in place.
 
     A round joins every rule's premises against the literals known when it
     began and fires each match whose conclusion is new, in rule order and
@@ -511,7 +513,6 @@ def fire_rounds(
     for position, rule in enumerate(live):
         for premise in rule.premises:
             by_premise.setdefault(premise.key, set()).add(position)
-    index = _index(literals)
     fired: list[GroundRule] = []
     for closed_world in ((False, True) if cwa else (False,)):
         delta: _Index | None = None
@@ -532,10 +533,9 @@ def fire_rounds(
                     new[conclusion] = GroundRule(rule.rule_id, tuple(sorted(binding.items())), premises, conclusion)
             if not new:
                 break
-            literals.update(new)
             fired.extend(new.values())
-            delta = _index(new)
-            _index(new, index)
+            delta = index_literals(new)
+            index_literals(new, index)
     return fired
 
 
@@ -553,9 +553,8 @@ def forward_chain(kb: KnowledgeBase, *, cwa: bool = False) -> KnowledgeBase:
     """
     if not kb.rules:
         return kb
-    literals = set(kb.literals)
-    fired = fire_rounds(literals, rule_templates(kb), kb.table.constants, cwa)
-    return replace(kb, literals=literals, derivations=kb.derivations + tuple(fired))
+    fired = fire_rounds(index_literals(kb.literals), rule_templates(kb), kb.table.constants, cwa)
+    return replace(kb, literals=kb.literals | {g.conclusion for g in fired}, derivations=kb.derivations + tuple(fired))
 
 
 def _support_chain(target: Literal, derivations: Iterable[GroundRule]) -> tuple[GroundRule, ...]:

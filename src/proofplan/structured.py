@@ -17,6 +17,7 @@ from typing import Any, Iterable, Iterator
 from . import solver as solvermod
 from .errors import SchemaError, check_object, parse_json
 from .fol import (
+    IDENT_RE,
     Atom,
     Constant,
     Equality,
@@ -260,6 +261,8 @@ def _parse_declarations(doc: dict[str, Any]) -> SymbolTable | None:
     _require(preds, dict, "/Predicates", "object")
     for name, entry in preds.items():
         pointer = f"/Predicates/{name}"
+        if not IDENT_RE.fullmatch(name):
+            raise SchemaError(pointer, f"invalid predicate name: {name!r}")
         check_object(entry, pointer, {"arity", "sorts"})
         if "arity" not in entry:
             raise SchemaError(f"{pointer}/arity", "missing field")
@@ -269,31 +272,27 @@ def _parse_declarations(doc: dict[str, Any]) -> SymbolTable | None:
         predicates[name] = arity
         if "sorts" in entry:
             sorts = _require(entry["sorts"], list, f"{pointer}/sorts", "array")
+            if len(sorts) != arity:
+                raise SchemaError(f"{pointer}/sorts", f"expected {arity} sorts, one per argument")
             predicate_sorts[name] = tuple(
                 (None if s == "" else _require(s, str, f"{pointer}/sorts/{i}", "string"))
                 for i, s in enumerate(sorts)
             )
     consts = doc.get("Constants", {})
-    if isinstance(consts, list):
-        for i, name in enumerate(consts):
-            constants.add(_require(name, str, f"/Constants/{i}", "string"))
+    if isinstance(consts, list):  # bare names, each located by its index
+        named = [(f"/Constants/{i}", _require(c, str, f"/Constants/{i}", "string"), {}) for i, c in enumerate(consts)]
     else:
-        _require(consts, dict, "/Constants", "object")
-        for name, entry in consts.items():
-            pointer = f"/Constants/{name}"
-            check_object(entry, pointer, {"sort"})
-            constants.add(name)
-            if "sort" in entry:
-                constant_sorts[name] = _require(entry["sort"], str, f"{pointer}/sort", "string")
-    try:
-        return SymbolTable(
-            predicates=predicates,
-            constants=frozenset(constants),
-            predicate_sorts=predicate_sorts,
-            constant_sorts=constant_sorts,
-        )
-    except ValueError as err:
-        raise SchemaError("/Predicates", str(err)) from err
+        named = [(f"/Constants/{c}", c, entry) for c, entry in _require(consts, dict, "/Constants", "object").items()]
+    for pointer, name, entry in named:
+        if not IDENT_RE.fullmatch(name):
+            raise SchemaError(pointer, f"invalid constant name: {name!r}")
+        if name in predicates:
+            raise SchemaError(pointer, f"{name} is declared as both a predicate and a constant")
+        constants.add(name)
+        check_object(entry, pointer, {"sort"})
+        if "sort" in entry:
+            constant_sorts[name] = _require(entry["sort"], str, f"{pointer}/sort", "string")
+    return SymbolTable(predicates, frozenset(constants), predicate_sorts, constant_sorts)
 
 
 def doc_to_repr(doc: Any) -> StructuredRepr:

@@ -709,7 +709,8 @@ def reference_ground_rules(kb: KnowledgeBase) -> list[GroundRule]:
 def reference_fire_rounds(literals: set[Literal], grounded: Sequence[GroundRule], cwa: bool = False) -> list[GroundRule]:
     """Fire `grounded` in rounds by scanning it, with a semi-naive watch list.
 
-    Same contract as `solver.fire_rounds`: a round fires, in grounded order,
+    Same contract as `solver.fire_rounds`, on a set of literals that it
+    extends in place instead of an index: a round fires, in grounded order,
     every rule whose premises all held when the round began and whose
     conclusion is new, the first rule per conclusion winning; later rounds
     check only the rules with a premise the round before derived.
@@ -814,7 +815,7 @@ def reference_diagnose(trace: Trace, cwa: bool = False) -> Diagnosis:
             for record in trace.records[:cutoff]:
                 available.update(record.derived)
                 available.update(d.conclusion for d in record.derivations)
-            derivable = solvermod.fire_rounds(available, rules, domain, cwa)
+            derivable = solvermod.fire_rounds(solvermod.index_literals(available), rules, domain, cwa)
             if derivable:
                 evidence.append(
                     Evidence(

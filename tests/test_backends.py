@@ -1,8 +1,11 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
-from helpers import plan_from_matrix, write_traces
+from helpers import plan_from_matrix, random_horn_kb, reference_fire_rounds, reference_ground_rules, write_traces
+from proofplan import solver as solvermod
 from proofplan.backends import (
     API_KEY_ENV,
     BackendError,
@@ -12,10 +15,10 @@ from proofplan.backends import (
     SolverStubBackend,
     StageMeta,
 )
-from proofplan.fol import parse_formula
+from proofplan.fol import parse_formula, render_formula
 from proofplan.pipeline import RawContext
 from proofplan.plan import PlanStep
-from proofplan.solver import decide, forward_chain, kb_from_repr
+from proofplan.solver import decide, forward_chain, kb_from_repr, step_record_from_doc
 from proofplan.structured import build_repr, repr_to_doc
 
 
@@ -292,3 +295,71 @@ def test_solver_stub_solve_needs_context_and_plan():
     prose = {"Premises": [{"statement": "Tom is big.", "symbol": "Tom is big."}], "Proposition": []}
     with pytest.raises(BackendError, match="cannot read the context"):
         _stub_solve(RawContext(json.dumps(prose)), plan)
+
+
+def _rule_by_rule_plan(context, min_steps=20):
+    """A chain: a step citing every fact, then one step per rule in rule
+    order, pass after pass until there are `min_steps` steps, then the judgment."""
+    steps = [PlanStep(1, "Collect the initial facts.", uses=tuple(s.id for s in context.facts))]
+    while len(steps) < min_steps - 1:
+        for rule in context.rules:
+            steps.append(PlanStep(len(steps) + 1, f"Apply rule {rule.id}.", uses=(rule.id,)))
+    steps.append(PlanStep(len(steps) + 1, "Judge the question.", kind="judgment"))
+    n = len(steps)
+    return plan_from_matrix([[int(j == i + 1) for j in range(n)] for i in range(n)], tuple(steps))
+
+
+def _horn_context(kb):
+    """The structured representation whose knowledge base is `kb`, asking about its least fact."""
+    texts = [str(lit) for lit in sorted(kb.literals)] + [render_formula(rule) for _, rule in kb.rules]
+    question = str(min(kb.literals))
+    context = build_repr([(t, t) for t in texts], [(question, question)], declared=kb.table)
+    assert context.kb == kb
+    return context
+
+
+@pytest.mark.parametrize("cwa", [False, True], ids=["open-world", "cwa"])
+def test_solver_stub_runs_a_many_step_plan_on_one_literal_index(monkeypatch, cwa):
+    # Each step's derivations equal the index-free reference fired with that
+    # step's rule on one set that grows step by step; every literal the log
+    # shows enters the execution's index once, and none is indexed again.
+    added, indexed = [], []
+    index_literals = solvermod.index_literals
+
+    def recording(literals, into=None):
+        literals = list(literals)
+        if into is not None:
+            for lit in literals:
+                assert lit.args not in into.get((lit.positive, lit.predicate, len(lit.args)), ()), f"{lit} added twice"
+        (indexed if into is None else added).extend(literals)
+        return index_literals(literals, into)
+
+    monkeypatch.setattr(solvermod, "index_literals", recording)
+    rng = random.Random(34)
+    premises = (Path(__file__).parent / "data" / "fig1b_premises.txt").read_text(encoding="utf-8").splitlines()
+    fig1b = build_repr([(p, p) for p in premises], [("¬Sees(mouse, lion)", "¬Sees(mouse, lion)")])
+    resumed = 0
+    for context in [fig1b] + [_horn_context(random_horn_kb(rng)) for _ in range(60)]:
+        if not context.rules:
+            continue
+        kb, plan = context.kb, _rule_by_rule_plan(context)
+        assert plan.size >= 20
+        added.clear()
+        indexed.clear()
+        meta = StageMeta(stage="solve", payload={"context": context, "plan": plan, "cwa": cwa})
+        doc = json.loads(SolverStubBackend().complete("p", GenerationParams(meta=meta)))
+        records = [step_record_from_doc(entry) for entry in doc["Execution log"]]
+        assert [r.step_id for r in records] == list(plan.order)
+        known, grounded = set(kb.literals), reference_ground_rules(kb)
+        assert records[0].derived == tuple(sorted(known))
+        for step, record in zip(plan.steps[1:-1], records[1:-1]):
+            want = reference_fire_rounds(known, [g for g in grounded if g.rule_id in step.uses], cwa)
+            assert record.derivations == tuple(want)
+            assert record.derived == tuple(g.conclusion for g in want)
+            resumed += bool(want) and step.id > len(context.rules) + 1
+        verdict = decide(solvermod.KnowledgeBase(kb.table, known, ()), context.questions[0].symbol)
+        assert doc["Final answer"] == verdict.label
+        shown = [lit for record in records for lit in record.derived]
+        assert sorted(added) == sorted(shown) and set(shown) == known
+        assert len(set(indexed)) == len(indexed)
+    assert resumed

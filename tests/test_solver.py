@@ -22,6 +22,7 @@ from proofplan.solver import (
     decide,
     fire_rounds,
     forward_chain,
+    index_literals,
     kb_from_repr,
     literal_from_formula,
     literal_to_formula,
@@ -255,17 +256,17 @@ def test_fire_rounds_matches_the_reference_engine():
         idle += any(len(g.binding) > len(used[g.rule_id]) for g in grounded)
         for cwa in (False, True):
             for cut in sorted({1, len(rules) // 2 + 1, len(rules)}):
-                # A prefix of the rules, then all of them on the same
-                # literals, as the stub's facts and rules steps resume.
-                got, want = set(kb.literals), set(kb.literals)
+                # A prefix of the rules, then all of them on the same index,
+                # as the stub's steps resume; the reference keeps one set.
+                got, want = index_literals(kb.literals), set(kb.literals)
                 fired = fire_rounds(got, rules[:cut], kb.table.constants, cwa)
                 prefix = {rule.rule_id for rule in rules[:cut]}
                 assert fired == reference_fire_rounds(want, [g for g in grounded if g.rule_id in prefix], cwa)
-                assert got == want
+                assert got == index_literals(want)
                 fired_any += bool(fired)
                 more = fire_rounds(got, rules, kb.table.constants, cwa)
                 assert more == reference_fire_rounds(want, grounded, cwa)
-                assert got == want
+                assert got == index_literals(want)
                 resumed += bool(more) and cut < len(rules)
     assert fired_any and idle and resumed
 
@@ -307,13 +308,13 @@ def test_forward_chain_joins_150_constants_quickly():
 def test_step_record_codec_round_trips_fired_rules():
     rng = random.Random(23)
     fired_any = 0
-    for index in range(200):
+    for number in range(200):
         kb = random_horn_kb(rng)
         rules = rule_templates(kb)
-        literals = set(kb.literals)
+        index = index_literals(kb.literals)
         records = [StepRecord(1, "Collect the initial facts.", derived=tuple(sorted(kb.literals)))]
         for step_id, cut in enumerate((1, None), start=2):
-            fired = fire_rounds(literals, rules[:cut], kb.table.constants, cwa=index % 2 == 1)
+            fired = fire_rounds(index, rules[:cut], kb.table.constants, cwa=number % 2 == 1)
             derived = tuple(g.conclusion for g in fired)
             records.append(StepRecord(step_id, f"fire rules[:{cut}]", "ok", derived, tuple(fired)))
             fired_any += bool(fired)

@@ -114,6 +114,26 @@ def test_declared_table_rejects_undeclared_symbols_and_wrong_arity(symbol, messa
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "predicates, constants, pointer, message",
+    [
+        ({}, ["tom-1"], "/Constants/0", "invalid constant name: 'tom-1'"),
+        ({}, {"tom-1": {}}, "/Constants/tom-1", "invalid constant name: 'tom-1'"),
+        ({"cat-x": {"arity": 1}}, [], "/Predicates/cat-x", "invalid predicate name: 'cat-x'"),
+        ({"Cat": {"arity": 1, "sorts": ["a", "b"]}}, [], "/Predicates/Cat/sorts", "expected 1 sorts"),
+        ({"Cat": {"arity": 1}}, ["tom", "Cat"], "/Constants/1", "Cat is declared as both a predicate and a constant"),
+        ({"Cat": {"arity": 1}}, {"Cat": {}}, "/Constants/Cat", "Cat is declared as both a predicate and a constant"),
+    ],
+    ids=["constant-list", "constant-object", "predicate", "sorts-length", "clash-list", "clash-object"],
+)
+def test_declaration_errors_point_at_the_entry(predicates, constants, pointer, message):
+    doc = {"Predicates": predicates, "Constants": constants, "Premises": [], "Proposition": []}
+    with pytest.raises(SchemaError) as exc:
+        doc_to_repr(doc)
+    assert exc.value.pointer == pointer
+    assert message in str(exc.value)
+
+
 def test_validate_static_sort_mismatch():
     strict = SymbolTable(
         predicates={"Weighs": 2},
